@@ -23,11 +23,11 @@
 //! expected to be free on the hot path (events only materialize at chunk
 //! closes), so the ratio must stay within measurement noise.
 //!
-//! A fifth section measures the warm-start snapshot cache: fleet-campaign
-//! cells per wall-clock second with every warm-up simulated cold vs
-//! restored from one content-addressed snapshot per warm prefix, plus the
-//! per-cell restore latency — asserting along the way that the warm
-//! report is bit-identical to the cold one.
+//! A fifth section measures the warm-start memo: fleet-campaign cells per
+//! wall-clock second with every cell simulated cold vs one simulation per
+//! warm prefix whose report the other cells reuse, plus the per-cell hit
+//! latency — asserting along the way that the warm report is bit-identical
+//! to the cold one.
 //!
 //! Emits `BENCH_throughput.json` (an object with `throughput`, `campaign`,
 //! `tiering`, `tracing` and `snapshot` sections) so CI and later PRs can
@@ -391,24 +391,24 @@ fn campaign_bench(quick: bool) -> CampaignBench {
     }
 }
 
-/// Warm-start snapshot-cache throughput on the fleet grid (§8 of
-/// `docs/ARCHITECTURE.md`): campaign cells/s with every warm-up simulated
-/// cold vs restored from one content-addressed snapshot per warm prefix.
+/// Warm-start memo throughput on the fleet grid: campaign cells/s with every
+/// cell simulated cold vs one simulation per warm prefix.
 #[derive(Serialize)]
 struct SnapshotBench {
     /// Cells in the benchmarked grid.
     grid_cells: u64,
-    /// Distinct warm prefixes (= snapshots taken on the warm run).
+    /// Distinct warm prefixes (= simulations on the warm run).
     warm_prefixes: u64,
-    /// Cold campaign: no cache, every cell simulates its own warm-up.
+    /// Cold campaign: no memo, every cell simulates its workload.
     cold_cells_per_sec: f64,
-    /// Warm campaign over a fresh cache: one miss per prefix, hits after.
+    /// Warm campaign over a fresh memo: one miss per prefix, hits after.
     warm_cells_per_sec: f64,
-    /// warm / cold — above 1.0 means restoring beats re-simulating.
+    /// warm / cold — above 1.0 means the memo beats re-simulating.
     warm_speedup: f64,
-    /// Mean wall-clock seconds to load + restore + finish one cached cell,
-    /// measured on a second campaign over the populated cache (all hits).
-    restore_latency_s: f64,
+    /// Mean wall-clock seconds per cell of a second campaign on the warm
+    /// runner, whose memo is populated (all hits): memo clone plus pricing
+    /// and journaling.
+    hit_latency_s: f64,
 }
 
 /// Measures warm-vs-cold fleet-campaign throughput, asserting the
@@ -416,8 +416,8 @@ struct SnapshotBench {
 /// normalized) must serialize identically to the cold one.
 fn snapshot_bench(quick: bool) -> SnapshotBench {
     let config = base_config();
-    // Many seeds per warm prefix: that is the regime the cache exists for
-    // (policy × seed cells of one prefix share one snapshot).
+    // Many seeds per warm prefix: that is the regime the memo exists for
+    // (policy × seed cells of one prefix share one profiled report).
     let spec = FleetSpec {
         workloads: vec!["BFS".into(), "XSBench".into()],
         capacities_permille: vec![250, 750],
@@ -433,7 +433,7 @@ fn snapshot_bench(quick: bool) -> SnapshotBench {
         * spec.links.len()) as u64;
     let dir = std::env::temp_dir().join(format!("dismem-bench-snapshot-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("create snapshot bench dir");
+    let cache = SnapshotCache::new(&dir).expect("create snapshot bench dir");
     let journal = |name: &str| {
         let path = dir.join(name);
         let _ = std::fs::remove_file(&path);
@@ -452,9 +452,7 @@ fn snapshot_bench(quick: bool) -> SnapshotBench {
     .expect("cold campaign");
     let cold_cells_per_sec = cells as f64 / start.elapsed().as_secs_f64().max(1e-12);
 
-    let cache_dir = dir.join("snapshots");
-    let cache = SnapshotCache::new(&cache_dir).expect("create snapshot cache");
-    let warm_runner = SimCellRunner::quick(config.clone()).with_snapshot_cache(cache);
+    let warm_runner = SimCellRunner::quick(config).with_snapshot_cache(cache);
     let start = Instant::now();
     let warm = run_fleet_campaign(
         &spec,
@@ -482,20 +480,18 @@ fn snapshot_bench(quick: bool) -> SnapshotBench {
         "warm campaign must be bit-identical to the cold run"
     );
 
-    // Restore latency: a second campaign over the populated cache is all
-    // hits, so its per-cell time is load + restore + finish.
-    let hot_cache = SnapshotCache::new(&cache_dir).expect("reopen snapshot cache");
-    let hot_runner = SimCellRunner::quick(config).with_snapshot_cache(hot_cache);
+    // Hit latency: a second campaign on the warm runner finds every prefix
+    // memoized, so all its cells hit.
     let start = Instant::now();
     let hot = run_fleet_campaign(
         &spec,
-        &hot_runner,
+        &warm_runner,
         &journal("hot.jsonl"),
         None,
         &FaultPlan::none(),
     )
     .expect("hot campaign");
-    let restore_latency_s = start.elapsed().as_secs_f64() / cells as f64;
+    let hit_latency_s = start.elapsed().as_secs_f64() / cells as f64;
     assert_eq!(hot.snapshot.hits, cells, "hot campaign must be all hits");
     let _ = std::fs::remove_dir_all(&dir);
 
@@ -505,7 +501,7 @@ fn snapshot_bench(quick: bool) -> SnapshotBench {
         cold_cells_per_sec,
         warm_cells_per_sec,
         warm_speedup: warm_cells_per_sec / cold_cells_per_sec,
-        restore_latency_s,
+        hit_latency_s,
     }
 }
 
@@ -825,9 +821,9 @@ fn main() {
     );
     let snapshot = snapshot_bench(quick);
     print_table(
-        "Warm-start snapshots — campaign cells per wall-clock second, cold vs warm",
+        "Warm-start memo — campaign cells per wall-clock second, cold vs warm",
         &[
-            "cells", "prefixes", "cold c/s", "warm c/s", "speedup", "restore",
+            "cells", "prefixes", "cold c/s", "warm c/s", "speedup", "hit",
         ],
         &[Row::new(
             "fleet-grid".to_string(),
@@ -837,15 +833,14 @@ fn main() {
                 format!("{:.0}", snapshot.cold_cells_per_sec),
                 format!("{:.0}", snapshot.warm_cells_per_sec),
                 format!("{:.2}x", snapshot.warm_speedup),
-                format!("{:.2} ms", snapshot.restore_latency_s * 1e3),
+                format!("{:.2} ms", snapshot.hit_latency_s * 1e3),
             ],
         )],
     );
     println!(
-        "\nExpected shape: the warm campaign restores one snapshot per prefix instead of \
-         re-simulating every warm-up, so with enough cells per prefix warm cells/s beats \
-         cold — bit-identically, as asserted against the cold report (the quick profile's \
-         few-seed grid amortizes too little to show the win)."
+        "\nExpected shape: the warm campaign simulates once per prefix and clones the \
+         memoized report for every other cell, so warm cells/s beats cold — \
+         bit-identically, as asserted against the cold report."
     );
     let report = ThroughputReport {
         throughput: results,

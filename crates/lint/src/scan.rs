@@ -32,12 +32,6 @@
 //!   replay}.rs`, `crates/sched/src/{campaign,journal}.rs`): events are part
 //!   of the observability contract, so each one must come from an audited
 //!   site stamped with a simulated clock, not from arbitrary code.
-//! * `snapshot-hygiene` — snapshot codec entry points (`encode_value`,
-//!   `decode_value`, `to_snapshot_bytes`, `from_snapshot_bytes`) called
-//!   outside the audited snapshot modules (`crates/sim/src/snapshot.rs`,
-//!   `crates/sched/src/snapshot_cache.rs`): snapshot bytes on disk outlive
-//!   the binary that wrote them, so every producer/consumer must sit where
-//!   the versioned-envelope and golden-fixture contract is enforced.
 //! * `allow-syntax` — a `dismem-lint: allow(...)` directive without a
 //!   justification; an allow with no reason suppresses nothing.
 //!
@@ -156,26 +150,6 @@ const TRACE_EMISSION_SANCTIONED: &[&str] = &[
     "crates/sim/src/replay.rs",
     "crates/sched/src/campaign.rs",
     "crates/sched/src/journal.rs",
-];
-
-/// The snapshot-hygiene audit list: modules allowed to call the snapshot
-/// codec entry points. `snapshot.rs` owns the versioned envelope and
-/// `snapshot_cache.rs` is the single warm-start producer/consumer; bytes
-/// written anywhere else would bypass the golden-fixture compatibility
-/// contract (`docs/ARCHITECTURE.md` §8). The `serde_json` binary codec
-/// itself is vendored and exempt by that.
-const SNAPSHOT_CODEC_SANCTIONED: &[&str] = &[
-    "crates/sim/src/snapshot.rs",
-    "crates/sched/src/snapshot_cache.rs",
-];
-
-/// The snapshot codec entry points the audit covers: the raw binary value
-/// codec and the versioned envelope around it.
-const SNAPSHOT_CODEC_CALLS: &[&str] = &[
-    "encode_value",
-    "decode_value",
-    "to_snapshot_bytes",
-    "from_snapshot_bytes",
 ];
 
 /// Methods that iterate a hash container in arbitrary order.
@@ -322,10 +296,6 @@ pub fn scan_source(class: &FileClass, src: &str) -> Vec<Finding> {
     let apply_trace_hygiene = first_party
         && class.crate_name != "trace"
         && !TRACE_EMISSION_SANCTIONED.contains(&class.rel.as_str())
-        && !class.in_tests
-        && !class.in_benches;
-    let apply_snapshot_hygiene = first_party
-        && !SNAPSHOT_CODEC_SANCTIONED.contains(&class.rel.as_str())
         && !class.in_tests
         && !class.in_benches;
 
@@ -549,31 +519,6 @@ pub fn scan_source(class: &FileClass, src: &str) -> Vec<Finding> {
                      flight-recorder events may only be emitted at the audited \
                      chunk-close, migration, replay-transition and campaign \
                      work-queue sites",
-                    t.text
-                ),
-            );
-        }
-
-        // Rule: snapshot-hygiene — codec entry points outside the audit list.
-        if apply_snapshot_hygiene
-            && !in_test
-            && t.kind == TokKind::Ident
-            && SNAPSHOT_CODEC_CALLS.contains(&t.text.as_str())
-            && i + 1 < toks.len()
-            && toks[i + 1].is_punct("(")
-            && !(i > 0 && toks[i - 1].is_ident("fn"))
-        {
-            push(
-                &mut findings,
-                &mut seen,
-                "snapshot-hygiene",
-                t.line,
-                format!(
-                    "`{}` called outside the audited snapshot modules; snapshot \
-                     bytes on disk outlive the binary, so encode/decode must \
-                     flow through the versioned envelope in `snapshot.rs` / \
-                     `snapshot_cache.rs` where the golden-fixture contract \
-                     is enforced",
                     t.text
                 ),
             );
@@ -869,6 +814,5 @@ pub const RULES: &[&str] = &[
     "unsafe-audit",
     "panic-policy",
     "trace-hygiene",
-    "snapshot-hygiene",
     "allow-syntax",
 ];

@@ -275,62 +275,6 @@ fn moving_the_machine_emission_sites_off_the_audit_list_fails_the_gate() {
     );
 }
 
-#[test]
-fn snapshot_hygiene_fixture_flags_both_calls_but_not_the_fn_item() {
-    let f = scan_file_as(
-        "crates/profiler/src/fixture.rs",
-        &fixture("snapshot_hygiene.rs"),
-    );
-    assert_eq!(
-        rules_of(&f),
-        ["snapshot-hygiene", "snapshot-hygiene"],
-        "{f:?}"
-    );
-    assert_eq!(f[0].line, 6); // snapshot.to_snapshot_bytes(digest)
-    assert_eq!(f[1].line, 7); // bare decode_value(...)
-    assert!(f[0].message.contains("audited snapshot modules"));
-}
-
-#[test]
-fn snapshot_hygiene_exempts_the_audited_modules_and_tests() {
-    for rel in [
-        "crates/sim/src/snapshot.rs",
-        "crates/sched/src/snapshot_cache.rs",
-        "crates/sim/tests/golden_snapshot.rs",
-        "tests/properties.rs",
-    ] {
-        let f = scan_file_as(rel, &fixture("snapshot_hygiene.rs"));
-        assert!(
-            f.iter().all(|f| f.rule != "snapshot-hygiene"),
-            "{rel}: {f:?}"
-        );
-    }
-}
-
-#[test]
-fn moving_the_snapshot_cache_off_the_audit_list_fails_the_gate() {
-    let path = workspace_root().join("crates/sched/src/snapshot_cache.rs");
-    let src = std::fs::read_to_string(path).expect("read snapshot_cache.rs");
-    assert!(
-        src.contains("from_snapshot_bytes"),
-        "snapshot_cache.rs lost its codec calls"
-    );
-    // On the audit list the cache's encode/decode calls are sanctioned...
-    assert!(
-        scan_file_as("crates/sched/src/snapshot_cache.rs", &src)
-            .iter()
-            .all(|f| f.rule != "snapshot-hygiene"),
-        "snapshot_cache.rs codec sites must be on the audit list"
-    );
-    // ...but the same code moved anywhere else trips the rule — the way a
-    // regressing patch would re-grow an unaudited snapshot reader.
-    let f = scan_file_as("crates/profiler/src/runner.rs", &src);
-    assert!(
-        f.iter().any(|f| f.rule == "snapshot-hygiene"),
-        "snapshot codec calls outside the audit list must be flagged: {f:?}"
-    );
-}
-
 // ---------------------------------------------------------------------------
 // The allow mechanism.
 // ---------------------------------------------------------------------------

@@ -411,7 +411,7 @@ pub trait CellRunner {
     fn run(&self, key: &CellKey) -> Result<CellMetrics, String>;
 
     /// Warm-start activity counters accumulated so far. Runners without a
-    /// snapshot cache report all-zero stats; the fleet driver differences
+    /// warm-start memo report all-zero stats; the fleet driver differences
     /// this across a campaign to stamp the report's
     /// [`snapshot`](CampaignReport::snapshot) field.
     fn snapshot_stats(&self) -> SnapshotStats {
@@ -431,7 +431,7 @@ pub struct SimCellRunner {
     pub runs: usize,
     /// Interference epochs per trial.
     pub epochs_per_run: usize,
-    /// Warm-start snapshot cache; `None` profiles every cell cold.
+    /// Warm-start memo; `None` profiles every cell cold.
     snapshots: Option<SnapshotCache>,
 }
 
@@ -456,19 +456,13 @@ impl SimCellRunner {
         }
     }
 
-    /// Attaches a content-addressed snapshot cache: cells sharing a warm
-    /// prefix (workload/scale/capacity/link/config) restore the profiled
-    /// machine from `<dir>/<digest:016x>.snap` instead of re-simulating the
-    /// warm-up. Reports stay bit-identical to cold runs; unusable snapshots
-    /// fall back cold and are counted (see [`crate::snapshot_cache`]).
+    /// Attaches a warm-start memo: cells sharing a warm prefix
+    /// (workload/scale/capacity/link/config) reuse the first such cell's
+    /// profiled report instead of re-simulating it. Reports stay
+    /// bit-identical to cold runs (see [`crate::snapshot_cache`]).
     pub fn with_snapshot_cache(mut self, cache: SnapshotCache) -> SimCellRunner {
         self.snapshots = Some(cache);
         self
-    }
-
-    /// The attached snapshot cache, if any.
-    pub fn snapshot_cache(&self) -> Option<&SnapshotCache> {
-        self.snapshots.as_ref()
     }
 }
 
@@ -590,11 +584,9 @@ pub struct CampaignReport {
     /// True when resume dropped a torn trailing journal line (the cell was
     /// re-run). False on a fresh run and on a clean resume.
     pub dropped_torn_tail: bool,
-    /// Warm-start activity of this campaign's cells: snapshot-cache hits,
-    /// misses, and cold-run fallbacks (all zero for cache-less runners and
-    /// for resumes that replayed every cell from the journal). Fallbacks are
-    /// the audit trail of unusable snapshots — the cells still completed,
-    /// bit-identically to a cold run.
+    /// Warm-start activity of this campaign's cells: memo hits and misses
+    /// (all zero for cache-less runners and for resumes that replayed every
+    /// cell from the journal; `fallbacks` is always zero).
     pub snapshot: SnapshotStats,
 }
 
@@ -745,7 +737,7 @@ fn drive(
 ) -> Result<(CampaignReport, ResumeStats), CampaignError> {
     assert!(spec.max_attempts >= 1, "max_attempts must be at least 1");
     let digest = spec.digest_hex();
-    // Snapshot-cache counters are differenced across this drive, so a cache
+    // Warm-start memo counters are differenced across this drive, so a memo
     // shared between campaigns attributes each cell to the right report.
     let snapshot_before = runner.snapshot_stats();
     let cells: Vec<CellKey> = spec

@@ -11,65 +11,13 @@
 //!   is truncated mid-record, simulating filesystem-level loss of the final
 //!   (non-atomic) write;
 //! * **poisoned cells** — named cells panic for their first `n` attempts,
-//!   driving the retry/quarantine path (`n = u32::MAX` never heals);
-//! * **tampered snapshots** ([`SnapshotTamper`]) — warm-start snapshot files
-//!   are damaged byte-level (truncation, foreign key digest, version bump) to
-//!   drive the cache's cold-run fallback path, whose reports must stay
-//!   bit-identical to an uncached campaign's.
+//!   driving the retry/quarantine path (`n = u32::MAX` never heals).
 //!
 //! [`CampaignError::Interrupted`]: crate::campaign::CampaignError::Interrupted
 
 use crate::journal::JournalError;
 use std::collections::BTreeMap;
 use std::path::Path;
-
-/// Byte-level damage to a warm-start snapshot file, each targeting one typed
-/// error of the snapshot envelope (see `dismem_sim::SnapshotError`): the
-/// cache must answer every one of them with a counted cold-run fallback,
-/// never an abort.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SnapshotTamper {
-    /// Drop the second half of the file (`SnapshotError::Truncated`).
-    Truncate,
-    /// Flip a byte of the key-digest field at offset 8, simulating a
-    /// snapshot written for a different warm prefix
-    /// (`SnapshotError::ForeignDigest`).
-    ForeignDigest,
-    /// Bump the version field at offset 4, simulating a snapshot from an
-    /// incompatible codec revision (`SnapshotError::VersionMismatch`).
-    VersionMismatch,
-}
-
-impl SnapshotTamper {
-    /// Applies the damage to `bytes` in place. Returns `false` when the file
-    /// is too short to carry the targeted field (nothing is changed then —
-    /// such a stub already fails envelope validation as `Truncated`).
-    pub fn apply(self, bytes: &mut Vec<u8>) -> bool {
-        match self {
-            SnapshotTamper::Truncate => {
-                if bytes.is_empty() {
-                    return false;
-                }
-                bytes.truncate(bytes.len() / 2);
-                true
-            }
-            SnapshotTamper::ForeignDigest => {
-                if bytes.len() <= 8 {
-                    return false;
-                }
-                bytes[8] ^= 0xff;
-                true
-            }
-            SnapshotTamper::VersionMismatch => {
-                if bytes.len() <= 4 {
-                    return false;
-                }
-                bytes[4] = bytes[4].wrapping_add(1);
-                true
-            }
-        }
-    }
-}
 
 /// A deterministic fault-injection plan. [`FaultPlan::none`] (also `Default`)
 /// injects nothing and is what production campaigns run with.
@@ -82,9 +30,6 @@ pub struct FaultPlan {
     /// Cell id → number of attempts that panic before the cell heals
     /// (`u32::MAX` = poisoned forever, ends in quarantine).
     pub poison: BTreeMap<String, u32>,
-    /// Damage to apply to warm-start snapshot files via
-    /// [`FaultPlan::tamper_snapshots`].
-    pub snapshot_tamper: Option<SnapshotTamper>,
 }
 
 impl FaultPlan {
@@ -117,45 +62,6 @@ impl FaultPlan {
     /// driver quarantines it after `max_attempts`).
     pub fn with_poison_forever(self, cell_id: &str) -> FaultPlan {
         self.with_poison(cell_id, u32::MAX)
-    }
-
-    /// Damage warm-start snapshot files with this tamper when
-    /// [`FaultPlan::tamper_snapshots`] is invoked.
-    pub fn with_snapshot_tamper(mut self, tamper: SnapshotTamper) -> FaultPlan {
-        self.snapshot_tamper = Some(tamper);
-        self
-    }
-
-    /// Applies the plan's [`SnapshotTamper`] to every `.snap` file in
-    /// `cache_dir`, in path order. Returns the number of files damaged; a
-    /// plan without a snapshot tamper (or an absent directory) damages
-    /// nothing. Tests call this between a cache-warming campaign and the
-    /// campaign whose fallback behaviour is under test.
-    pub fn tamper_snapshots(&self, cache_dir: &Path) -> Result<u64, JournalError> {
-        let Some(tamper) = self.snapshot_tamper else {
-            return Ok(0);
-        };
-        let io = |e: std::io::Error| JournalError::Io(format!("{}: {e}", cache_dir.display()));
-        if !cache_dir.exists() {
-            return Ok(0);
-        }
-        let mut paths: Vec<_> = std::fs::read_dir(cache_dir)
-            .map_err(io)?
-            .filter_map(|entry| entry.ok().map(|e| e.path()))
-            .filter(|p| p.extension().is_some_and(|ext| ext == "snap"))
-            .collect();
-        paths.sort();
-        let mut damaged = 0;
-        for path in paths {
-            let mut bytes = std::fs::read(&path)
-                .map_err(|e| JournalError::Io(format!("{}: {e}", path.display())))?;
-            if tamper.apply(&mut bytes) {
-                std::fs::write(&path, &bytes)
-                    .map_err(|e| JournalError::Io(format!("{}: {e}", path.display())))?;
-                damaged += 1;
-            }
-        }
-        Ok(damaged)
     }
 
     /// Test hook called by the driver inside its `catch_unwind` scope before

@@ -45,7 +45,7 @@ pub use campaign::{
     CellRunner, CompletedCell, FailedCell, FleetSpec, PolicyComparison, ResumeStats, Shard,
     SimCellRunner,
 };
-pub use fault::{FaultPlan, SnapshotTamper};
+pub use fault::FaultPlan;
 pub use journal::{
     load_journal, merge_shard_journals, CellMetrics, JournalError, JournalRecord, JournalWriter,
     LoadedJournal,

@@ -1,34 +1,23 @@
-//! Content-addressed warm-start cache for fleet campaigns.
+//! In-memory warm-start memo for fleet campaigns.
 //!
 //! Every cell of a fleet grid begins with the same expensive step: simulate
 //! the workload once under the cell's pooling configuration to obtain the
-//! profiled [`RunReport`] the Monte Carlo pricing retimes. That warm-up run
-//! depends only on the cell's *prefix* — workload, scale, capacity, link and
+//! profiled [`RunReport`] the Monte Carlo pricing retimes. That run depends
+//! only on the cell's *warm prefix* — workload, scale, capacity, link and
 //! the machine-config digest — not on the policy or seed axes, so a grid of
-//! `P policies × S seeds` re-simulates each prefix `P × S` times.
+//! `P policies × S seeds` would re-simulate each prefix `P × S` times.
 //!
-//! A [`SnapshotCache`] eliminates the repetition: the first cell of a prefix
-//! runs the workload on a fresh [`Machine`], snapshots the machine state via
-//! [`Machine::snapshot`], and persists the snapshot to
-//! `<dir>/<digest:016x>.snap` keyed by the FNV-1a digest of the prefix (the
-//! same digest scheme the journal uses for spec fingerprints). Every later
-//! cell sharing the prefix restores the machine with [`Machine::restore`] and
-//! finishes it — bit-identical to the cold run by the snapshot round-trip
-//! contract (`docs/ARCHITECTURE.md` §8, proven by the property suite).
-//!
-//! **Fallback semantics.** A snapshot that fails to load — truncated file,
-//! foreign key digest, version mismatch, corrupt payload — never aborts the
-//! campaign. The digest is poisoned for the rest of the campaign, every
-//! affected cell falls back to the cold path, and the fallback is counted in
-//! [`SnapshotStats`] (surfaced on [`CampaignReport`]) as the audit trail.
-//! Fault injection for all of this lives in [`crate::fault`]
-//! ([`SnapshotTamper`](crate::fault::SnapshotTamper)).
-//!
-//! [`CampaignReport`]: crate::campaign::CampaignReport
+//! A [`SnapshotCache`] memoizes the profiled report per warm prefix, keyed
+//! by [`warm_key_digest`] (FNV-1a over the prefix, the journal's digest
+//! scheme). The first cell of a prefix runs the cold path — exactly
+//! [`run_workload`], which cache-less runners call — and stores the report;
+//! every later cell of the prefix gets a clone. A warm campaign's report is
+//! therefore bit-identical to a cold one's by construction, apart from the
+//! [`SnapshotStats`] block that counts the hits and misses.
 
 use dismem_core::{fnv1a64, CellKey};
 use dismem_profiler::{run_workload, RunOptions};
-use dismem_sim::{Machine, MachineConfig, MachineSnapshot, RunReport};
+use dismem_sim::{MachineConfig, RunReport};
 use dismem_workloads::Workload;
 use serde::{Deserialize, Serialize};
 use std::cell::{Cell, RefCell};
@@ -38,23 +27,24 @@ use std::path::{Path, PathBuf};
 /// Warm-start activity counters for one campaign, reported on
 /// [`CampaignReport::snapshot`](crate::campaign::CampaignReport::snapshot).
 ///
-/// `hits + misses + fallbacks` equals the number of cells that went through a
-/// cache-enabled runner; all three are zero for runners without a cache.
+/// `hits + misses` equals the number of cells that went through a
+/// cache-enabled runner; all counters are zero for runners without a cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct SnapshotStats {
-    /// Cells warm-started from a cached snapshot (in-memory or on disk).
+    /// Cells whose profiled report came from the memo.
     pub hits: u64,
-    /// Cells that found no snapshot, ran the warm-up and wrote one.
+    /// Cells that found no memoized report for their warm prefix, ran the
+    /// workload and stored the report.
     pub misses: u64,
-    /// Cells that found an unusable snapshot (truncated, foreign digest,
-    /// version mismatch, corrupt payload) and ran the cold path instead.
+    /// Always 0: an in-memory memo has no unusable entries to fall back
+    /// from. The field keeps the serialized campaign report's schema.
     pub fallbacks: u64,
 }
 
 /// The warm prefix of a [`CellKey`]: every axis that shapes the profiled
-/// warm-up run. Policy and seed only steer the Monte Carlo pricing of the
+/// run. Policy and seed only steer the Monte Carlo pricing of the
 /// already-profiled report, so they are deliberately absent — cells differing
-/// only in policy/seed share one snapshot.
+/// only in policy/seed share one memoized report.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 struct WarmKey {
     workload: String,
@@ -80,31 +70,24 @@ pub fn warm_key_digest(key: &CellKey, config: &MachineConfig) -> u64 {
     fnv1a64(json.as_bytes())
 }
 
-#[derive(Debug, Clone)]
-enum Cached {
-    /// A validated snapshot, restorable any number of times.
-    Snapshot(Box<MachineSnapshot>),
-    /// The on-disk snapshot was unusable; all cells of this prefix run cold.
-    Poisoned,
-}
-
-/// A directory of content-addressed machine snapshots plus an in-memory memo,
-/// shared by every cell a [`SimCellRunner`](crate::campaign::SimCellRunner)
-/// executes. Interior mutability keeps [`CellRunner::run`]'s `&self` contract
-/// (the fleet driver is sequential, so plain `Cell`/`RefCell` suffice).
+/// A memo from warm-prefix digest to profiled [`RunReport`], shared by every
+/// cell a [`SimCellRunner`](crate::campaign::SimCellRunner) executes.
+/// Interior mutability keeps [`CellRunner::run`]'s `&self` contract (the
+/// fleet driver is sequential, so plain `Cell`/`RefCell` suffice).
 ///
 /// [`CellRunner::run`]: crate::campaign::CellRunner::run
 #[derive(Debug, Clone)]
 pub struct SnapshotCache {
     dir: PathBuf,
-    memo: RefCell<BTreeMap<u64, Cached>>,
+    memo: RefCell<BTreeMap<u64, RunReport>>,
     hits: Cell<u64>,
     misses: Cell<u64>,
-    fallbacks: Cell<u64>,
 }
 
 impl SnapshotCache {
-    /// Creates a cache rooted at `dir` (created if absent).
+    /// Creates an empty memo and the directory `dir` if it is absent. The
+    /// memo lives in memory and writes nothing to `dir`; callers keep the
+    /// campaign's journals there.
     pub fn new(dir: impl Into<PathBuf>) -> std::io::Result<SnapshotCache> {
         let dir = dir.into();
         std::fs::create_dir_all(&dir)?;
@@ -113,11 +96,10 @@ impl SnapshotCache {
             memo: RefCell::new(BTreeMap::new()),
             hits: Cell::new(0),
             misses: Cell::new(0),
-            fallbacks: Cell::new(0),
         })
     }
 
-    /// The cache directory.
+    /// The directory passed to [`SnapshotCache::new`].
     pub fn dir(&self) -> &Path {
         &self.dir
     }
@@ -127,29 +109,14 @@ impl SnapshotCache {
         SnapshotStats {
             hits: self.hits.get(),
             misses: self.misses.get(),
-            fallbacks: self.fallbacks.get(),
+            fallbacks: 0,
         }
     }
 
-    /// Resets the activity counters (the memo is kept), so one cache can be
-    /// shared across campaigns while each report counts only its own cells.
-    pub fn reset_stats(&self) {
-        self.hits.set(0);
-        self.misses.set(0);
-        self.fallbacks.set(0);
-    }
-
-    /// The snapshot file path for a warm-prefix digest.
-    pub fn snapshot_path(&self, digest: u64) -> PathBuf {
-        self.dir.join(format!("{digest:016x}.snap"))
-    }
-
-    /// Produces the profiled report for one cell, warm-starting from the
-    /// cached snapshot of the cell's warm prefix when possible.
-    ///
-    /// Exactly one of the three [`SnapshotStats`] counters is incremented per
-    /// call; the returned report is bit-identical to
-    /// `run_workload(workload, &RunOptions::new(config))` on every path.
+    /// Produces the profiled report for one cell: a clone of the memoized
+    /// report of the cell's warm prefix, or — on the prefix's first cell —
+    /// `run_workload(workload, &RunOptions::new(config))`, which is then
+    /// memoized. Exactly one of `hits` and `misses` is incremented per call.
     pub fn profiled_report(
         &self,
         key: &CellKey,
@@ -157,104 +124,15 @@ impl SnapshotCache {
         config: &MachineConfig,
     ) -> RunReport {
         let digest = warm_key_digest(key, config);
-
-        // Memoized outcome from an earlier cell of this prefix. Memoized
-        // snapshots were validated by `Machine::restore` when inserted, so
-        // restoring again cannot fail.
-        match self.memo.borrow().get(&digest) {
-            Some(Cached::Snapshot(snapshot)) => {
-                if let Ok(mut machine) = Machine::restore(snapshot) {
-                    self.hits.set(self.hits.get() + 1);
-                    return machine.finish();
-                }
-            }
-            Some(Cached::Poisoned) => {
-                self.fallbacks.set(self.fallbacks.get() + 1);
-                return cold_report(workload, config);
-            }
-            None => {}
+        if let Some(report) = self.memo.borrow().get(&digest) {
+            self.hits.set(self.hits.get() + 1);
+            return report.clone();
         }
-
-        let path = self.snapshot_path(digest);
-        if path.exists() {
-            if let Ok(snapshot) = self.load_snapshot(&path, digest) {
-                if let Ok(mut machine) = Machine::restore(&snapshot) {
-                    self.memo
-                        .borrow_mut()
-                        .insert(digest, Cached::Snapshot(Box::new(snapshot)));
-                    self.hits.set(self.hits.get() + 1);
-                    return machine.finish();
-                }
-            }
-            // Unusable on-disk snapshot: poison the prefix and run cold.
-            self.memo.borrow_mut().insert(digest, Cached::Poisoned);
-            self.fallbacks.set(self.fallbacks.get() + 1);
-            return cold_report(workload, config);
-        }
-
-        // Miss: run the warm-up once, snapshot it, persist, then finish a
-        // *restored* machine so hit and miss paths share one code path.
         self.misses.set(self.misses.get() + 1);
-        let mut machine = warm_machine(workload, config);
-        match machine.snapshot() {
-            Ok(snapshot) => {
-                // Persistence is best-effort: an unwritable cache directory
-                // degrades to per-campaign memoization, never to an abort.
-                let _ = write_atomic_bytes(&path, &snapshot.to_snapshot_bytes(digest));
-                let report = match Machine::restore(&snapshot) {
-                    Ok(mut restored) => restored.finish(),
-                    Err(_) => machine.finish(),
-                };
-                self.memo
-                    .borrow_mut()
-                    .insert(digest, Cached::Snapshot(Box::new(snapshot)));
-                report
-            }
-            // Unsnapshottable machine (raw policy box, recorder): the warm
-            // run itself is still valid — finish it directly.
-            Err(_) => machine.finish(),
-        }
+        let report = run_workload(workload, &RunOptions::new(config.clone()));
+        self.memo.borrow_mut().insert(digest, report.clone());
+        report
     }
-
-    fn load_snapshot(
-        &self,
-        path: &Path,
-        digest: u64,
-    ) -> Result<MachineSnapshot, dismem_sim::SnapshotError> {
-        let bytes = std::fs::read(path)
-            .map_err(|e| dismem_sim::SnapshotError::Corrupt(format!("{}: {e}", path.display())))?;
-        MachineSnapshot::from_snapshot_bytes(&bytes, digest)
-    }
-}
-
-/// The cold path: exactly [`run_workload`] under idle interference, shared by
-/// fallbacks and cache-less runners so warm/cold equivalence is against one
-/// reference implementation.
-fn cold_report(workload: &dyn Workload, config: &MachineConfig) -> RunReport {
-    run_workload(workload, &RunOptions::new(config.clone()))
-}
-
-/// The warm prefix of [`run_workload`]: everything up to (not including)
-/// `Machine::finish`. Must mirror `run_workload` exactly — the snapshot taken
-/// here stands in for the cold run's machine state at the same point.
-fn warm_machine(workload: &dyn Workload, config: &MachineConfig) -> Machine {
-    let options = RunOptions::new(config.clone());
-    let mut config = options.config.clone();
-    config.prefetch.enabled = options.prefetch;
-    let mut machine = Machine::new(config);
-    machine.set_interference(options.interference.clone());
-    workload.run(&mut machine);
-    machine
-}
-
-/// Writes `bytes` to `path` via a sibling temp file and atomic rename — the
-/// journal's durability discipline, for binary content.
-fn write_atomic_bytes(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
-    let mut tmp = path.as_os_str().to_os_string();
-    tmp.push(".tmp");
-    let tmp = PathBuf::from(tmp);
-    std::fs::write(&tmp, bytes)?;
-    std::fs::rename(&tmp, path)
 }
 
 #[cfg(test)]
@@ -294,56 +172,20 @@ mod tests {
     fn warm_report_is_bit_identical_to_cold_across_hit_and_miss() {
         let tmp = std::env::temp_dir().join(format!("dismem-snapcache-{}", std::process::id()));
         let cache = SnapshotCache::new(&tmp).unwrap();
+        assert!(tmp.is_dir(), "new creates the directory");
         let (w, cfg) = pooled();
-        let cold = cold_report(w.as_ref(), &cfg);
+        let cold = run_workload(w.as_ref(), &RunOptions::new(cfg.clone()));
 
         let miss = cache.profiled_report(&cell("baseline", 1), w.as_ref(), &cfg);
-        assert_eq!(miss, cold, "miss path (snapshot + restore) must equal cold");
+        assert_eq!(miss, cold, "miss path must equal cold");
         let hit = cache.profiled_report(&cell("aware", 2), w.as_ref(), &cfg);
-        assert_eq!(hit, cold, "hit path (restore from memo) must equal cold");
-
-        // A fresh cache over the same directory exercises the disk path.
-        let cache2 = SnapshotCache::new(&tmp).unwrap();
-        let disk_hit = cache2.profiled_report(&cell("baseline", 3), w.as_ref(), &cfg);
-        assert_eq!(disk_hit, cold, "disk hit must equal cold");
-        assert_eq!(
-            cache2.stats(),
-            SnapshotStats {
-                hits: 1,
-                misses: 0,
-                fallbacks: 0
-            }
-        );
+        assert_eq!(hit, cold, "hit path (memo clone) must equal cold");
         assert_eq!(
             cache.stats(),
             SnapshotStats {
                 hits: 1,
                 misses: 1,
                 fallbacks: 0
-            }
-        );
-        std::fs::remove_dir_all(&tmp).ok();
-    }
-
-    #[test]
-    fn corrupt_snapshot_falls_back_cold_and_poisons_the_prefix() {
-        let tmp = std::env::temp_dir().join(format!("dismem-snappoison-{}", std::process::id()));
-        let cache = SnapshotCache::new(&tmp).unwrap();
-        let (w, cfg) = pooled();
-        let digest = warm_key_digest(&cell("baseline", 1), &cfg);
-        std::fs::write(cache.snapshot_path(digest), b"not a snapshot").unwrap();
-
-        let cold = cold_report(w.as_ref(), &cfg);
-        let a = cache.profiled_report(&cell("baseline", 1), w.as_ref(), &cfg);
-        let b = cache.profiled_report(&cell("aware", 2), w.as_ref(), &cfg);
-        assert_eq!(a, cold);
-        assert_eq!(b, cold);
-        assert_eq!(
-            cache.stats(),
-            SnapshotStats {
-                hits: 0,
-                misses: 0,
-                fallbacks: 2
             }
         );
         std::fs::remove_dir_all(&tmp).ok();

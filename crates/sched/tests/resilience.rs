@@ -9,11 +9,12 @@
 use dismem_core::{fnv1a64, CellKey};
 use dismem_sched::{
     load_journal, merge_shard_journals, resume_campaign, run_fleet_campaign, CampaignError,
-    CampaignReport, CellMetrics, CellRunner, FaultPlan, FleetSpec, JournalError, Shard,
-    SimCellRunner, SnapshotCache, SnapshotStats, SnapshotTamper,
+    CampaignReport, CellMetrics, CellRunner, FaultPlan, FleetSpec, JournalError, JournalRecord,
+    JournalWriter, Shard, SimCellRunner, SnapshotCache, SnapshotStats,
 };
 use dismem_sim::MachineConfig;
 use proptest::prelude::*;
+use serde_json::{ParseErrorKind, MAX_DEPTH};
 use std::path::PathBuf;
 
 fn temp_journal(name: &str) -> PathBuf {
@@ -68,7 +69,7 @@ fn json(report: &CampaignReport) -> String {
 
 /// Serialized form with the resume-diagnostic fields cleared: a resume that
 /// legitimately dropped records (torn tail, foreign digests) reports those
-/// drops — and a warm-started campaign reports its snapshot-cache activity —
+/// drops — and a warm-started campaign reports its memo activity —
 /// so comparisons against a fresh-run reference normalize them away and
 /// assert the diagnostics explicitly instead.
 fn json_normalized(report: &CampaignReport) -> String {
@@ -512,15 +513,84 @@ fn traced_campaign_is_bit_identical_and_emits_the_cell_lifecycle() {
 }
 
 // ---------------------------------------------------------------------------
-// End to end with the production runner.
+// Hostile journal lines.
 // ---------------------------------------------------------------------------
 
+/// A record several MB long loads in time linear in its length: the reader
+/// copies each run of plain characters as one slice instead of
+/// re-validating the rest of the line for every character.
+#[test]
+fn a_multi_megabyte_record_loads_in_linear_time() {
+    // A quarantined cell's error is the one free-form string a record
+    // carries; this one mixes multi-byte characters and escapes.
+    let message = "паника ‰ \"quoted\" \\ tab\t".repeat(200_000);
+    assert!(message.len() > 5 << 20, "the literal spans several MB");
+    let record = JournalRecord {
+        digest: spec().digest_hex(),
+        key: spec().cells()[0].clone(),
+        attempts: 3,
+        status: "failed".to_string(),
+        metrics: None,
+        error: Some(message),
+    };
+    let path = temp_journal("huge-record");
+    let mut writer = JournalWriter::open(&path).expect("open journal");
+    writer.append(&record).expect("append the huge record");
+    let loaded = load_journal(&path).expect("load the huge record");
+    assert!(!loaded.torn_tail);
+    assert_eq!(loaded.records, vec![record]);
+}
+
+/// A line nested 10⁵ levels deep is a typed error, not a stack overflow that
+/// would abort the process: the reader refuses to nest past `MAX_DEPTH`.
+#[test]
+fn a_deeply_nested_line_is_a_typed_error_not_a_stack_overflow() {
+    let deep = "[".repeat(100_000);
+    let e = serde_json::parse_value(&deep).expect_err("10^5 levels must be refused");
+    assert_eq!(e.kind, ParseErrorKind::TooDeep);
+    assert_eq!(
+        e.offset, MAX_DEPTH,
+        "refused at the first bracket past the cap"
+    );
+    let at_cap = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+    assert!(
+        serde_json::parse_value(&at_cap).is_ok(),
+        "the cap itself parses"
+    );
+    let objects = format!(
+        "{}1{}",
+        "{\"a\":".repeat(MAX_DEPTH + 1),
+        "}".repeat(MAX_DEPTH + 1)
+    );
+    let e = serde_json::parse_value(&objects).expect_err("objects count as levels");
+    assert_eq!(e.kind, ParseErrorKind::TooDeep);
+
+    // In a journal, the deep line ahead of an intact record is corruption.
+    let path = temp_journal("deep-line");
+    run_fleet_campaign(
+        &spec(),
+        &SyntheticRunner,
+        &path,
+        None,
+        &FaultPlan::kill_after(1),
+    )
+    .expect_err("killed after one record");
+    let intact = std::fs::read_to_string(&path).expect("read journal");
+    std::fs::write(&path, format!("{deep}\n{intact}")).expect("prepend the deep line");
+    match load_journal(&path) {
+        Err(JournalError::Corrupt { line: 1, message }) => {
+            assert!(message.contains("nesting"), "{message}")
+        }
+        other => panic!("expected Corrupt at line 1, got {other:?}"),
+    }
+}
+
 // ---------------------------------------------------------------------------
-// Snapshot warm-start faults.
+// Warm-start memo.
 // ---------------------------------------------------------------------------
 
 /// 1 workload × 2 policies × 2 seeds sharing one warm prefix: the smallest
-/// grid on which the snapshot cache amortizes (1 miss + 3 hits).
+/// grid on which the memo amortizes (1 miss + 3 hits).
 fn snap_spec() -> FleetSpec {
     FleetSpec {
         workloads: vec!["BFS".to_string()],
@@ -563,18 +633,13 @@ fn snap_reference(name: &str) -> CampaignReport {
 fn warm_start_campaign_is_bit_identical_to_cold() {
     let cold = snap_reference("snap-warm");
     let dir = temp_cache_dir("warm");
+    let runner = warm_runner(&dir);
 
-    // Fresh cache: the first cell of the prefix misses and writes the
-    // snapshot, the other three warm-start from it.
+    // Fresh memo: the first cell of the prefix misses and stores its
+    // report, the other three reuse it.
     let warm_path = temp_journal("snap-warm-warm");
-    let warm = run_fleet_campaign(
-        &snap_spec(),
-        &warm_runner(&dir),
-        &warm_path,
-        None,
-        &FaultPlan::none(),
-    )
-    .expect("warm campaign");
+    let warm = run_fleet_campaign(&snap_spec(), &runner, &warm_path, None, &FaultPlan::none())
+        .expect("warm campaign");
     assert_eq!(
         warm.snapshot,
         SnapshotStats {
@@ -585,17 +650,11 @@ fn warm_start_campaign_is_bit_identical_to_cold() {
     );
     assert_eq!(json_normalized(&warm), json_normalized(&cold));
 
-    // A second campaign over the same directory hits the on-disk snapshot
-    // for every cell — no warm-up simulation at all.
+    // A second campaign on the same runner finds the prefix memoized and
+    // hits for every cell — no simulation at all.
     let again_path = temp_journal("snap-warm-again");
-    let again = run_fleet_campaign(
-        &snap_spec(),
-        &warm_runner(&dir),
-        &again_path,
-        None,
-        &FaultPlan::none(),
-    )
-    .expect("all-hit campaign");
+    let again = run_fleet_campaign(&snap_spec(), &runner, &again_path, None, &FaultPlan::none())
+        .expect("all-hit campaign");
     assert_eq!(
         again.snapshot,
         SnapshotStats {
@@ -608,52 +667,48 @@ fn warm_start_campaign_is_bit_identical_to_cold() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// One memo shared by shard campaigns, as a sharded fleet run drives it:
+/// the prefix misses once across all shards, and the merged journal resumes
+/// to the cold reference byte for byte without re-running a cell.
 #[test]
-fn tampered_snapshots_fall_back_cold_bit_identically() {
-    let cold = snap_reference("snap-tamper");
-    for (tamper, label) in [
-        (SnapshotTamper::Truncate, "truncate"),
-        (SnapshotTamper::ForeignDigest, "foreign"),
-        (SnapshotTamper::VersionMismatch, "version"),
-    ] {
-        let dir = temp_cache_dir(&format!("tamper-{label}"));
-        // Warm the cache, then damage every snapshot file byte-level.
-        let seed_path = temp_journal(&format!("snap-tamper-seed-{label}"));
-        run_fleet_campaign(
-            &snap_spec(),
-            &warm_runner(&dir),
-            &seed_path,
-            None,
-            &FaultPlan::none(),
-        )
-        .expect("cache-warming campaign");
-        let plan = FaultPlan::none().with_snapshot_tamper(tamper);
-        let damaged = plan.tamper_snapshots(&dir).expect("tamper snapshots");
-        assert_eq!(damaged, 1, "{label}: one snapshot file per warm prefix");
-
-        // A fresh campaign over the damaged cache must never abort: every
-        // cell falls back to the cold path, counted, bit-identical.
-        let path = temp_journal(&format!("snap-tamper-{label}"));
-        let report = run_fleet_campaign(&snap_spec(), &warm_runner(&dir), &path, None, &plan)
-            .unwrap_or_else(|e| panic!("{label}: fallback must not abort: {e}"));
-        assert_eq!(
-            report.snapshot,
-            SnapshotStats {
-                hits: 0,
-                misses: 0,
-                fallbacks: 4
-            },
-            "{label}: every cell of the poisoned prefix falls back"
-        );
-        assert!(report.failed_cells.is_empty(), "{label}: no quarantines");
-        assert_eq!(
-            json_normalized(&report),
-            json_normalized(&cold),
-            "{label}: fallback report must be bit-identical to cold"
-        );
-        std::fs::remove_dir_all(&dir).ok();
+fn shards_sharing_one_memo_miss_once_and_merge_to_the_cold_report() {
+    let cold = snap_reference("snap-shards");
+    let dir = temp_cache_dir("shards");
+    let runner = warm_runner(&dir);
+    let spec = snap_spec();
+    let mut stats = SnapshotStats::default();
+    let mut paths = Vec::new();
+    for index in 0..2 {
+        let path = temp_journal(&format!("snap-shard-{index}"));
+        let shard = Some(Shard::new(index, 2));
+        let report = run_fleet_campaign(&spec, &runner, &path, shard, &FaultPlan::none())
+            .expect("shard campaign");
+        stats.hits += report.snapshot.hits;
+        stats.misses += report.snapshot.misses;
+        stats.fallbacks += report.snapshot.fallbacks;
+        paths.push(path);
     }
+    assert_eq!(
+        stats,
+        SnapshotStats {
+            hits: 3,
+            misses: 1,
+            fallbacks: 0
+        }
+    );
+    let merged = temp_journal("snap-shards-merged");
+    merge_shard_journals(&paths, &merged, &spec.digest_hex()).expect("merge shards");
+    let (report, resumed) = resume_campaign(&spec, &runner, &merged, None, &FaultPlan::none())
+        .expect("resume the merged journal");
+    assert_eq!(resumed.reran, 0, "the shards cover the grid");
+    assert_eq!(resumed.replayed, 4);
+    assert_eq!(json(&report), json(&cold));
+    std::fs::remove_dir_all(&dir).ok();
 }
+
+// ---------------------------------------------------------------------------
+// End to end with the production runner.
+// ---------------------------------------------------------------------------
 
 #[test]
 fn sim_runner_kill_and_resume_is_bit_identical() {

@@ -556,150 +556,6 @@ impl AddressSpace {
         }
         self.pool_pages_used as f64 / total as f64
     }
-
-    /// Exports the complete address-space state for the machine snapshot
-    /// codec. Hash-backed members leave as key-sorted vectors so the
-    /// serialized form is deterministic; the resolve memo is transient and
-    /// not captured.
-    pub(crate) fn snapshot_state(&self) -> crate::snapshot::AddressSpaceState {
-        use crate::snapshot::{
-            AddressSpaceState, ExtentState, HeatEntry, HotnessState, PageBinding, PageCount,
-        };
-        // dismem-lint: allow(hash-iteration) — bindings are sorted by page
-        // number immediately below.
-        let mut page_tier: Vec<PageBinding> = self
-            .page_tier
-            .iter()
-            .map(|(&page, &(tier, owner))| PageBinding {
-                page,
-                tier,
-                owner: owner.0,
-            })
-            .collect();
-        page_tier.sort_unstable_by_key(|b| b.page);
-        let mut histogram: Vec<PageCount> = self
-            .histogram
-            .iter()
-            .map(|(page, count)| PageCount { page, count })
-            .collect();
-        histogram.sort_unstable_by_key(|c| c.page);
-        AddressSpaceState {
-            local_capacity_pages: self.local_capacity_pages,
-            pool_capacity_pages: self.pool_capacity_pages,
-            allocations: self.allocations.clone(),
-            extents: self
-                .extents
-                .iter()
-                .map(|e| ExtentState {
-                    first_page: e.first_page,
-                    page_count: e.page_count,
-                    handle: e.handle.0,
-                })
-                .collect(),
-            placements: self.placements.clone(),
-            assigned_pages: self.assigned_pages.clone(),
-            next_page: self.next_page,
-            page_tier,
-            local_pages_used: self.local_pages_used,
-            pool_pages_used: self.pool_pages_used,
-            spilled_pages: self.spilled_pages,
-            live_bytes: self.live_bytes,
-            peak_bytes: self.peak_bytes,
-            histogram,
-            hotness: self.hotness.as_ref().map(|t| HotnessState {
-                decay: t.snapshot_decay(),
-                epochs_completed: t.epochs_completed(),
-                heat: t
-                    .snapshot_heat()
-                    .into_iter()
-                    .map(|(page, score, cur_lines)| HeatEntry {
-                        page,
-                        score,
-                        cur_lines,
-                    })
-                    .collect(),
-                anchor_hot: t.snapshot_anchor(),
-            }),
-        }
-    }
-
-    /// Rebuilds an address space from snapshot state, inverting
-    /// [`AddressSpace::snapshot_state`]. Cross-checks the internal accounting
-    /// and reports inconsistencies as a typed error instead of panicking on a
-    /// hostile input.
-    pub(crate) fn from_snapshot_state(
-        state: &crate::snapshot::AddressSpaceState,
-    ) -> Result<Self, crate::snapshot::SnapshotError> {
-        use crate::snapshot::SnapshotError;
-        let corrupt = |msg: &str| SnapshotError::Corrupt(format!("address space: {msg}"));
-        let objects = state.allocations.len();
-        if state.extents.len() != objects
-            || state.placements.len() != objects
-            || state.assigned_pages.len() != objects
-        {
-            return Err(corrupt("per-object vectors disagree in length"));
-        }
-        let mut local = 0u64;
-        let mut pool = 0u64;
-        #[allow(clippy::disallowed_types)]
-        let mut page_tier: HashMap<u64, (Tier, ObjectHandle)> =
-            HashMap::with_capacity(state.page_tier.len());
-        for binding in &state.page_tier {
-            if binding.owner as usize >= objects {
-                return Err(corrupt("page bound to unknown object"));
-            }
-            match binding.tier {
-                Tier::Local => local += 1,
-                Tier::Pool => pool += 1,
-            }
-            if page_tier
-                .insert(binding.page, (binding.tier, ObjectHandle(binding.owner)))
-                .is_some()
-            {
-                return Err(corrupt("page bound twice"));
-            }
-        }
-        if local != state.local_pages_used || pool != state.pool_pages_used {
-            return Err(corrupt("tier page counts disagree with bindings"));
-        }
-        let mut histogram = PageHistogram::new();
-        for bucket in &state.histogram {
-            histogram.record(bucket.page, bucket.count);
-        }
-        Ok(Self {
-            local_capacity_pages: state.local_capacity_pages,
-            pool_capacity_pages: state.pool_capacity_pages,
-            allocations: state.allocations.clone(),
-            extents: state
-                .extents
-                .iter()
-                .map(|e| Extent {
-                    first_page: e.first_page,
-                    page_count: e.page_count,
-                    handle: ObjectHandle(e.handle),
-                })
-                .collect(),
-            placements: state.placements.clone(),
-            assigned_pages: state.assigned_pages.clone(),
-            next_page: state.next_page,
-            page_tier,
-            last_resolved: None,
-            local_pages_used: state.local_pages_used,
-            pool_pages_used: state.pool_pages_used,
-            spilled_pages: state.spilled_pages,
-            live_bytes: state.live_bytes,
-            peak_bytes: state.peak_bytes,
-            histogram,
-            hotness: state.hotness.as_ref().map(|h| {
-                let heat: Vec<(u64, f64, u64)> = h
-                    .heat
-                    .iter()
-                    .map(|e| (e.page, e.score, e.cur_lines))
-                    .collect();
-                HotnessTracker::from_snapshot(h.decay, h.epochs_completed, &heat, &h.anchor_hot)
-            }),
-        })
-    }
 }
 
 #[cfg(test)]

@@ -241,63 +241,6 @@ impl SetAssocCache {
         }
     }
 
-    /// Exports this level for the machine snapshot codec: parallel
-    /// `tags`/`stamps`/`flags` arrays (flag bits 0=valid, 1=dirty,
-    /// 2=prefetched, 3=used) plus the LRU clock.
-    pub(crate) fn snapshot_level(&self) -> crate::snapshot::CacheLevelState {
-        crate::snapshot::CacheLevelState {
-            sets: self.sets as u64,
-            ways: self.ways as u64,
-            clock: self.clock,
-            tags: self.lines.iter().map(|l| l.tag).collect(),
-            stamps: self.lines.iter().map(|l| l.stamp).collect(),
-            flags: self
-                .lines
-                .iter()
-                .map(|l| {
-                    u64::from(l.valid)
-                        | u64::from(l.dirty) << 1
-                        | u64::from(l.prefetched) << 2
-                        | u64::from(l.used) << 3
-                })
-                .collect(),
-        }
-    }
-
-    /// Rebuilds one level from snapshot state, inverting
-    /// [`SetAssocCache::snapshot_level`]. The array lengths are validated
-    /// against the recorded geometry by the snapshot reader; this also
-    /// rejects flag bits outside the defined set.
-    pub(crate) fn from_snapshot_level(
-        state: &crate::snapshot::CacheLevelState,
-    ) -> Result<Self, crate::snapshot::SnapshotError> {
-        use crate::snapshot::SnapshotError;
-        if state.sets == 0 || state.ways == 0 {
-            return Err(SnapshotError::Corrupt(
-                "cache level has zero geometry".into(),
-            ));
-        }
-        let mut cache = Self::new(state.sets as usize, state.ways as usize);
-        cache.clock = state.clock;
-        for (i, slot) in cache.lines.iter_mut().enumerate() {
-            let flags = state.flags[i];
-            if flags & !0xf != 0 {
-                return Err(SnapshotError::Corrupt(
-                    "unknown cache line flag bits".into(),
-                ));
-            }
-            *slot = CacheLine {
-                tag: state.tags[i],
-                valid: flags & 1 != 0,
-                dirty: flags & 2 != 0,
-                prefetched: flags & 4 != 0,
-                used: flags & 8 != 0,
-                stamp: state.stamps[i],
-            };
-        }
-        Ok(cache)
-    }
-
     /// Looks up a line; on hit, refreshes LRU and returns a mutable reference.
     fn lookup(&mut self, line_addr: u64) -> Option<&mut CacheLine> {
         self.clock += 1;
@@ -709,104 +652,6 @@ impl CacheSim {
                 }
             }
         }
-    }
-
-    /// Exports the full hierarchy state for the machine snapshot codec.
-    /// Callers must hard-reset the replay engine first (the machine snapshot
-    /// does): only the master switch and the lifetime totals survive a
-    /// snapshot, per the replay-state capture rule.
-    pub(crate) fn snapshot_state(&self) -> crate::snapshot::CacheState {
-        debug_assert!(
-            !self.replay.is_active(),
-            "snapshot requires a hard-reset replay engine"
-        );
-        crate::snapshot::CacheState {
-            l2: self.l2.snapshot_level(),
-            llc: self.llc.snapshot_level(),
-            prefetcher: crate::snapshot::PrefetcherState {
-                enabled: self.prefetcher.enabled(),
-                clock: self.prefetcher.clock,
-                feedback_useful: self.prefetcher.feedback_useful,
-                feedback_useless: self.prefetcher.feedback_useless,
-                entries: self
-                    .prefetcher
-                    .entries
-                    .iter()
-                    .map(|e| crate::snapshot::StreamEntryState {
-                        page: e.page,
-                        last_line: e.last_line,
-                        run: e.run,
-                        stamp: e.stamp,
-                        valid: e.valid,
-                    })
-                    .collect(),
-            },
-            replay: crate::snapshot::ReplayState {
-                enabled: self.replay.enabled,
-                windows_replayed_total: self.replay.windows_replayed_total,
-                passes_replayed_total: self.replay.passes_replayed_total,
-                stride_elems_replayed_total: self.replay.stride_elems_replayed_total,
-            },
-        }
-    }
-
-    /// Rebuilds the hierarchy from snapshot state, inverting
-    /// [`CacheSim::snapshot_state`]. `params`/`prefetch` come from the
-    /// snapshot's machine config; the recorded geometry must agree with them.
-    pub(crate) fn from_snapshot_state(
-        params: CacheParams,
-        prefetch: crate::config::PrefetchParams,
-        state: &crate::snapshot::CacheState,
-    ) -> Result<Self, crate::snapshot::SnapshotError> {
-        use crate::snapshot::SnapshotError;
-        let l2 = SetAssocCache::from_snapshot_level(&state.l2)?;
-        let llc = SetAssocCache::from_snapshot_level(&state.llc)?;
-        if l2.set_count() != params.l2_sets()
-            || l2.way_count() != params.l2_ways as usize
-            || llc.set_count() != params.llc_sets()
-            || llc.way_count() != params.llc_ways as usize
-        {
-            return Err(SnapshotError::Corrupt(
-                "cache geometry disagrees with the machine config".into(),
-            ));
-        }
-        if state.prefetcher.entries.len() > prefetch.max_streams {
-            return Err(SnapshotError::Corrupt(
-                "more prefetcher streams than the config allows".into(),
-            ));
-        }
-        let mut prefetcher = StreamPrefetcher::new(prefetch);
-        prefetcher.set_enabled(state.prefetcher.enabled);
-        prefetcher.clock = state.prefetcher.clock;
-        prefetcher.feedback_useful = state.prefetcher.feedback_useful;
-        prefetcher.feedback_useless = state.prefetcher.feedback_useless;
-        prefetcher.entries = state
-            .prefetcher
-            .entries
-            .iter()
-            .map(|e| crate::prefetch::StreamEntry {
-                page: e.page,
-                last_line: e.last_line,
-                run: e.run,
-                stamp: e.stamp,
-                valid: e.valid,
-            })
-            .collect();
-        let mut replay =
-            crate::replay::ReplayEngine::new(l2.set_count() as u64, llc.set_count() as u64);
-        replay.set_enabled(state.replay.enabled);
-        replay.windows_replayed_total = state.replay.windows_replayed_total;
-        replay.passes_replayed_total = state.replay.passes_replayed_total;
-        replay.stride_elems_replayed_total = state.replay.stride_elems_replayed_total;
-        Ok(Self {
-            l2,
-            llc,
-            prefetcher,
-            params,
-            prefetch_buf: Vec::with_capacity(8),
-            stream_hint: usize::MAX,
-            replay,
-        })
     }
 
     /// Resets all cache contents and prefetcher state.

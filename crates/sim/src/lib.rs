@@ -38,7 +38,6 @@ pub mod machine;
 pub mod prefetch;
 pub(crate) mod replay;
 pub mod report;
-pub mod snapshot;
 pub mod tiering;
 pub mod timing;
 
@@ -51,7 +50,6 @@ pub use link::LinkModel;
 pub use machine::Machine;
 pub use prefetch::StreamPrefetcher;
 pub use report::{AllocationSummary, PhaseReport, RunReport, TieringReport, TimelineSample};
-pub use snapshot::{MachineSnapshot, SnapshotError, SNAPSHOT_VERSION};
 pub use tiering::{
     HotPromote, HotnessTracker, PeriodicRebalance, Static, TieringPolicy, TieringSpec,
 };

@@ -13,7 +13,6 @@ use crate::interference::InterferenceProfile;
 use crate::prefetch::StreamPrefetcher;
 use crate::replay::{ReplayLevel, ReplayTransition};
 use crate::report::{AllocationSummary, PhaseReport, RunReport, TieringReport, TimelineSample};
-use crate::snapshot::{MachineSnapshot, PageEpoch, SnapshotError, TieringState, SNAPSHOT_VERSION};
 use crate::tiering::{
     HotnessTracker, PageSample, TierOccupancy, TieringPolicy, TieringRuntime, TieringSpec,
     TieringStats,
@@ -236,11 +235,6 @@ pub struct Machine {
     /// and migration statistics. Defaults to [`crate::tiering::Static`],
     /// which never fires an epoch.
     tiering: TieringRuntime,
-    /// The serializable spec the installed tiering policy was built from,
-    /// when there is one. `None` after [`Machine::set_tiering`] installs a
-    /// raw boxed policy — such machines cannot be snapshotted
-    /// ([`crate::snapshot::SnapshotError::UnsupportedPolicy`]).
-    tiering_spec: Option<TieringSpec>,
 
     phase_names: Vec<String>,
     phase_counters: Vec<Counters>,
@@ -280,7 +274,6 @@ impl Machine {
             chunk_pool_link_lines: 0,
             batched: true,
             tiering: TieringRuntime::new(Box::new(crate::tiering::Static)),
-            tiering_spec: Some(TieringSpec::Static),
             phase_names: Vec::new(),
             phase_counters: Vec::new(),
             phase_runtimes: Vec::new(),
@@ -323,15 +316,11 @@ impl Machine {
         let stats = self.tiering.stats;
         self.tiering = TieringRuntime::new(policy);
         self.tiering.stats = stats;
-        // A raw boxed policy has no serializable description: machines with
-        // one installed refuse to snapshot.
-        self.tiering_spec = None;
     }
 
     /// Installs the policy described by a serializable [`TieringSpec`].
     pub fn set_tiering_spec(&mut self, spec: &TieringSpec) {
         self.set_tiering(spec.build());
-        self.tiering_spec = Some(*spec);
     }
 
     /// Name of the installed tiering policy.
@@ -921,127 +910,6 @@ impl Machine {
         // placement that produced it.
         self.close_chunk();
         self.space.free(handle)
-    }
-
-    /// Freezes the complete machine state into a [`MachineSnapshot`].
-    ///
-    /// Callable at any point between engine calls; the open timing chunk is
-    /// captured as-is (closing it would move chunk boundaries, breaking
-    /// bit-identity with an uninterrupted run). Per the replay-state capture
-    /// rule, the replay engine is hard-reset first: any in-flight replay is
-    /// materialized exactly (no counter effect) and only the master switch
-    /// and lifetime totals are serialized.
-    ///
-    /// Errors with [`SnapshotError::UnsupportedPolicy`] when the tiering
-    /// policy was installed as a raw box (no [`TieringSpec`] on record) and
-    /// with [`SnapshotError::RecorderInstalled`] while a flight recorder is
-    /// attached.
-    pub fn snapshot(&mut self) -> Result<MachineSnapshot, SnapshotError> {
-        if self.recorder.is_some() {
-            return Err(SnapshotError::RecorderInstalled);
-        }
-        let Some(spec) = self.tiering_spec else {
-            return Err(SnapshotError::UnsupportedPolicy);
-        };
-        self.cache.replay_hard_reset();
-        debug_assert!(
-            self.dram_events.is_empty(),
-            "per-line events drain within each access"
-        );
-        // dismem-lint: allow(hash-iteration) — damper entries are sorted by
-        // page immediately below.
-        let mut last_migrated: Vec<PageEpoch> = self
-            .tiering
-            .last_migrated
-            .iter()
-            .map(|(&page, &epoch)| PageEpoch { page, epoch })
-            .collect();
-        last_migrated.sort_unstable_by_key(|e| e.page);
-        Ok(MachineSnapshot {
-            version: SNAPSHOT_VERSION,
-            config: self.config.clone(),
-            interference: self.interference.clone(),
-            clock_s: self.clock_s,
-            chunk: self.chunk,
-            chunk_pool_link_lines: self.chunk_pool_link_lines,
-            batched: self.batched,
-            spilled_seen: self.spilled_seen,
-            space: self.space.snapshot_state(),
-            cache: self.cache.snapshot_state(),
-            tiering: TieringState {
-                spec,
-                epoch_acc: self.tiering.epoch_acc,
-                epoch: self.tiering.epoch,
-                last_migrated,
-                stats: self.tiering.stats,
-            },
-            phase_names: self.phase_names.clone(),
-            phase_counters: self.phase_counters.clone(),
-            phase_runtimes: self.phase_runtimes.clone(),
-            current_phase: self.current_phase,
-            total: self.total,
-            timeline: self.timeline.clone(),
-        })
-    }
-
-    /// Rebuilds a machine from a [`MachineSnapshot`], inverting
-    /// [`Machine::snapshot`]: the restored machine continues the run
-    /// bit-identically to one that was never interrupted (the workspace
-    /// property tests pin this across all three pipelines). State that is
-    /// transient between engine calls (resolve memo, prefetch scratch,
-    /// replay detection) restarts empty by construction.
-    pub fn restore(snapshot: &MachineSnapshot) -> Result<Self, SnapshotError> {
-        if snapshot.version != SNAPSHOT_VERSION {
-            return Err(SnapshotError::VersionMismatch {
-                found: snapshot.version,
-                expected: SNAPSHOT_VERSION,
-            });
-        }
-        let config = snapshot.config.clone();
-        let space = AddressSpace::from_snapshot_state(&snapshot.space)?;
-        let cache = CacheSim::from_snapshot_state(config.cache, config.prefetch, &snapshot.cache)?;
-        let timing = TimingModel::new(config.clone());
-        let phases = snapshot.phase_names.len();
-        if snapshot.phase_counters.len() != phases
-            || snapshot.phase_runtimes.len() != phases
-            || snapshot.current_phase.is_some_and(|p| p >= phases)
-        {
-            return Err(SnapshotError::Corrupt(
-                "phase vectors disagree in length".into(),
-            ));
-        }
-        let mut tiering = TieringRuntime::new(snapshot.tiering.spec.build());
-        tiering.epoch_acc = snapshot.tiering.epoch_acc;
-        tiering.epoch = snapshot.tiering.epoch;
-        tiering.last_migrated = snapshot
-            .tiering
-            .last_migrated
-            .iter()
-            .map(|e| (e.page, e.epoch))
-            .collect();
-        tiering.stats = snapshot.tiering.stats;
-        Ok(Self {
-            config,
-            space,
-            cache,
-            timing,
-            interference: snapshot.interference.clone(),
-            clock_s: snapshot.clock_s,
-            chunk: snapshot.chunk,
-            dram_events: Vec::with_capacity(64),
-            chunk_pool_link_lines: snapshot.chunk_pool_link_lines,
-            batched: snapshot.batched,
-            tiering,
-            tiering_spec: Some(snapshot.tiering.spec),
-            phase_names: snapshot.phase_names.clone(),
-            phase_counters: snapshot.phase_counters.clone(),
-            phase_runtimes: snapshot.phase_runtimes.clone(),
-            current_phase: snapshot.current_phase,
-            total: snapshot.total,
-            timeline: snapshot.timeline.clone(),
-            recorder: None,
-            spilled_seen: snapshot.spilled_seen,
-        })
     }
 }
 

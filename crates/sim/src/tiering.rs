@@ -213,51 +213,6 @@ impl HotnessTracker {
     pub fn tracked_pages(&self) -> usize {
         self.heat.len()
     }
-
-    /// Per-epoch decay factor the tracker was built with.
-    pub(crate) fn snapshot_decay(&self) -> f64 {
-        self.decay
-    }
-
-    /// Heat table as sorted `(page, score, cur_lines)` triples — the
-    /// deterministic export used by the machine snapshot codec. `cur_lines`
-    /// is included so a snapshot taken mid-epoch restores the un-folded
-    /// integer accrual exactly.
-    pub(crate) fn snapshot_heat(&self) -> Vec<(u64, f64, u64)> {
-        let mut entries: Vec<(u64, f64, u64)> = self
-            .heat
-            .iter()
-            .map(|(&page, h)| (page, h.score, h.cur_lines))
-            .collect();
-        entries.sort_by_key(|&(page, _, _)| page);
-        entries
-    }
-
-    /// The open dwell's anchor hot set, sorted.
-    pub(crate) fn snapshot_anchor(&self) -> Vec<u64> {
-        let mut pages: Vec<u64> = self.anchor_hot.iter().copied().collect();
-        pages.sort_unstable();
-        pages
-    }
-
-    /// Rebuilds a tracker from snapshot state, inverting [`Self::snapshot_heat`]
-    /// and [`Self::snapshot_anchor`].
-    pub(crate) fn from_snapshot(
-        decay: f64,
-        epochs_completed: u64,
-        heat: &[(u64, f64, u64)],
-        anchor_hot: &[u64],
-    ) -> Self {
-        let mut tracker = Self::new(decay);
-        tracker.epochs_completed = epochs_completed;
-        // dismem-lint: allow(hash-iteration) — `heat` here is the sorted snapshot slice parameter, not the map field
-        for &(page, score, cur_lines) in heat {
-            tracker.heat.insert(page, PageHeat { score, cur_lines });
-        }
-        // dismem-lint: allow(hash-iteration) — `anchor_hot` here is the sorted snapshot slice parameter, not the set field
-        tracker.anchor_hot = anchor_hot.iter().copied().collect();
-        tracker
-    }
 }
 
 /// One page's heat and current binding, handed to [`TieringPolicy::plan`].
@@ -630,7 +585,7 @@ impl TieringSpec {
 
 /// Migration statistics accumulated over a run (surfaced as
 /// [`crate::report::TieringReport`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TieringStats {
     /// Hotness epochs completed.
     pub epochs: u64,

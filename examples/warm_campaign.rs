@@ -1,20 +1,21 @@
-//! Warm-start fleet campaign: one snapshot per warm prefix, thousands of
-//! cells restored from it, bit-identical to running every cell cold.
+//! Warm-start fleet campaign: one simulation per warm prefix, thousands of
+//! cells priced from its memoized report, bit-identical to running every
+//! cell cold.
 //!
 //! The fleet grid deliberately dwarfs the committed tiering study: all six
 //! paper workloads × two scheduling policies × three pool capacities × 150
 //! seeds = 5400 cells, but only 18 distinct **warm prefixes**
 //! (workload × scale × capacity × link). With a [`SnapshotCache`] attached,
-//! the first cell of each prefix simulates the warm-up once and snapshots
-//! the machine; the other 299 cells of that prefix restore it instead of
-//! re-simulating. The example then proves the contract:
+//! the first cell of each prefix simulates the workload once and memoizes
+//! the profiled report; the other 299 cells of that prefix reuse it instead
+//! of re-simulating. The example then proves the contract:
 //!
-//! 1. a **warm** campaign over a fresh cache — exactly 18 misses and
+//! 1. a **warm** campaign over a fresh memo — exactly 18 misses and
 //!    5400 − 18 hits, zero fallbacks;
-//! 2. a **cold** campaign with no cache at all — its report must be
-//!    **byte-identical** to the warm one (modulo the snapshot stats block);
-//! 3. a second warm campaign over the now-populated cache — all hits, and
-//!    byte-identical again.
+//! 2. a **cold** campaign with no memo at all — its report must be
+//!    **byte-identical** to the warm one (modulo the stats block);
+//! 3. a second campaign on the warm runner, whose memo is now populated —
+//!    all hits, and byte-identical again.
 //!
 //! Any divergence makes the example exit non-zero, so CI runs it as the
 //! warm-vs-cold smoke (`DISMEM_QUICK=1` shrinks the grid). The warm report
@@ -42,8 +43,8 @@ fn fresh_journal(dir: &Path, name: &str) -> PathBuf {
     path
 }
 
-/// Serialized report with the snapshot stats cleared: warm and cold runs
-/// legitimately differ there (that block *describes* the cache), so the
+/// Serialized report with the warm-start stats cleared: warm and cold runs
+/// legitimately differ there (that block *describes* the memo), so the
 /// bit-identity comparison normalizes it and asserts the stats explicitly.
 fn normalized_json(report: &CampaignReport) -> String {
     let mut normalized = report.clone();
@@ -80,25 +81,17 @@ fn main() {
 
     let dir =
         PathBuf::from(std::env::var("DISMEM_RESULTS_DIR").unwrap_or_else(|_| "target".to_string()));
-    if let Err(e) = std::fs::create_dir_all(&dir) {
-        eprintln!("could not create results dir {}: {e}", dir.display());
-        std::process::exit(1);
-    }
-    let cache_dir = dir.join("warm-snapshots");
-    let _ = std::fs::remove_dir_all(&cache_dir);
-    let cache = match SnapshotCache::new(&cache_dir) {
+    // `SnapshotCache::new` creates the results directory.
+    let cache = match SnapshotCache::new(&dir) {
         Ok(cache) => cache,
         Err(e) => {
-            eprintln!(
-                "could not create snapshot cache {}: {e}",
-                cache_dir.display()
-            );
+            eprintln!("could not create results dir {}: {e}", dir.display());
             std::process::exit(1);
         }
     };
     let mut failures: Vec<String> = Vec::new();
 
-    // 1. Warm campaign over a fresh cache: one miss per prefix, the rest hits.
+    // 1. Warm campaign over a fresh memo: one miss per prefix, the rest hits.
     let warm_runner = SimCellRunner::quick(config.clone()).with_snapshot_cache(cache);
     let warm_path = fresh_journal(&dir, "FLEET_warm.jsonl");
     let warm = match run_fleet_campaign(&spec, &warm_runner, &warm_path, None, &FaultPlan::none()) {
@@ -109,7 +102,7 @@ fn main() {
         }
     };
     println!(
-        "warm run:    {} cells completed; snapshots {} misses / {} hits / {} fallbacks",
+        "warm run:    {} cells completed; memo {} misses / {} hits / {} fallbacks",
         warm.completed.len(),
         warm.snapshot.misses,
         warm.snapshot.hits,
@@ -122,20 +115,20 @@ fn main() {
     };
     if warm.snapshot != expected {
         failures.push(format!(
-            "warm-run snapshot stats {:?} differ from expected {expected:?}",
+            "warm-run memo stats {:?} differ from expected {expected:?}",
             warm.snapshot
         ));
     }
 
-    // 2. Cold campaign, no cache: the reports must agree byte for byte.
-    let cold_runner = SimCellRunner::quick(config.clone());
+    // 2. Cold campaign, no memo: the reports must agree byte for byte.
+    let cold_runner = SimCellRunner::quick(config);
     let cold_path = fresh_journal(&dir, "FLEET_cold.jsonl");
     match run_fleet_campaign(&spec, &cold_runner, &cold_path, None, &FaultPlan::none()) {
         Ok(cold) => {
             println!("cold run:    {} cells completed", cold.completed.len());
             if cold.snapshot != SnapshotStats::default() {
                 failures.push(format!(
-                    "cold run reported snapshot activity: {:?}",
+                    "cold run reported memo activity: {:?}",
                     cold.snapshot
                 ));
             }
@@ -146,26 +139,12 @@ fn main() {
         Err(e) => failures.push(format!("cold campaign failed: {e}")),
     }
 
-    // 3. Re-warm over the populated cache: every prefix is already on disk.
-    let rewarm_cache = match SnapshotCache::new(&cache_dir) {
-        Ok(cache) => cache,
-        Err(e) => {
-            eprintln!("could not reopen snapshot cache: {e}");
-            std::process::exit(1);
-        }
-    };
-    let rewarm_runner = SimCellRunner::quick(config).with_snapshot_cache(rewarm_cache);
+    // 3. Re-warm on the warm runner: every prefix is already memoized.
     let rewarm_path = fresh_journal(&dir, "FLEET_rewarm.jsonl");
-    match run_fleet_campaign(
-        &spec,
-        &rewarm_runner,
-        &rewarm_path,
-        None,
-        &FaultPlan::none(),
-    ) {
+    match run_fleet_campaign(&spec, &warm_runner, &rewarm_path, None, &FaultPlan::none()) {
         Ok(rewarm) => {
             println!(
-                "re-warm run: {} cells completed; snapshots {} misses / {} hits",
+                "re-warm run: {} cells completed; memo {} misses / {} hits",
                 rewarm.completed.len(),
                 rewarm.snapshot.misses,
                 rewarm.snapshot.hits
@@ -199,8 +178,8 @@ fn main() {
 
     if failures.is_empty() {
         println!(
-            "\nAll {cells} cells agree across warm, cold and re-warm runs: restoring \
-             {prefixes} shared snapshots is bit-identical to simulating every warm-up."
+            "\nAll {cells} cells agree across warm, cold and re-warm runs: reusing \
+             {prefixes} memoized reports is bit-identical to simulating every cell."
         );
     } else {
         eprintln!("\nwarm-start contract VIOLATED:");

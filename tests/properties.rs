@@ -681,133 +681,6 @@ fn periodic_rebalance_is_exact_across_pipelines() {
     assert_eq!(replay, per_line);
 }
 
-/// Replays the hot/cold chunked-stream workload in `steps` half-pass steps
-/// (two page-misaligned chunks per pass, so odd step boundaries land with a
-/// replay streak live across the cut). Used by the snapshot round-trip suite
-/// to run the same workload uninterrupted and split at an arbitrary step.
-fn hot_cold_prelude(m: &mut Machine) -> dismem::trace::ObjectHandle {
-    let cold = m.alloc("cold", "t", 40 * PAGE_SIZE);
-    let hot = m.alloc("hot", "t", 48 * PAGE_SIZE);
-    m.phase_start("init");
-    m.touch(cold, 40 * PAGE_SIZE);
-    m.touch(hot, 48 * PAGE_SIZE);
-    m.phase_end();
-    m.phase_start("loop");
-    hot
-}
-
-fn hot_cold_step(m: &mut Machine, hot: dismem::trace::ObjectHandle, step: usize) {
-    let split = 17 * PAGE_SIZE + 24 * 64;
-    if step % 2 == 0 {
-        m.read(hot, 0, split);
-    } else {
-        m.read(hot, split, 48 * PAGE_SIZE - split);
-        m.flops(10_000);
-    }
-}
-
-/// Runs the hot/cold workload twice on one (pipeline, tiering) combination:
-/// once uninterrupted, once snapshotted at `snapshot_at` steps (mid-phase,
-/// possibly mid-streak, with migration heat pending) — the snapshot goes
-/// through the full binary envelope — and resumed on a restored machine.
-/// Both full `RunReport`s must be bit-identical.
-fn assert_snapshot_resume_is_exact(
-    config: &MachineConfig,
-    spec: Option<&TieringSpec>,
-    pipeline: Pipeline,
-    steps: usize,
-    snapshot_at: usize,
-) {
-    use dismem::sim::MachineSnapshot;
-    assert!(snapshot_at <= steps);
-    let fresh = |pipeline: Pipeline| {
-        let mut m = Machine::new(config.clone());
-        pipeline.configure(&mut m);
-        if let Some(spec) = spec {
-            m.set_tiering_spec(spec);
-        }
-        m
-    };
-
-    let mut m = fresh(pipeline);
-    let hot = hot_cold_prelude(&mut m);
-    for step in 0..steps {
-        hot_cold_step(&mut m, hot, step);
-    }
-    m.phase_end();
-    let uninterrupted = m.finish();
-
-    let mut m = fresh(pipeline);
-    let hot = hot_cold_prelude(&mut m);
-    for step in 0..snapshot_at {
-        hot_cold_step(&mut m, hot, step);
-    }
-    let snapshot = m.snapshot().expect("spec-installed machine snapshots");
-    drop(m);
-    // Round-trip through the versioned binary envelope, as a campaign would.
-    let key_digest = 0x5EED_CAFE_F00D_u64;
-    let bytes = snapshot.to_snapshot_bytes(key_digest);
-    let decoded = MachineSnapshot::from_snapshot_bytes(&bytes, key_digest)
-        .expect("snapshot bytes round-trip");
-    // The restored machine carries its pipeline/tiering state in the
-    // snapshot — it is deliberately NOT reconfigured here.
-    let mut resumed = Machine::restore(&decoded).expect("snapshot restores");
-    for step in snapshot_at..steps {
-        hot_cold_step(&mut resumed, hot, step);
-    }
-    resumed.phase_end();
-    let resumed = resumed.finish();
-    assert_eq!(
-        resumed, uninterrupted,
-        "resume diverged (pipeline split at step {snapshot_at}/{steps})"
-    );
-}
-
-/// Snapshot/restore mid-run is invisible on every pipeline, with the cut
-/// placed mid-pass so replay streak state is live at the snapshot point and
-/// a hot-promotion policy has migration heat pending.
-#[test]
-fn snapshot_resume_is_exact_on_all_pipelines() {
-    let config = MachineConfig::test_config().with_local_capacity(40 * PAGE_SIZE);
-    let spec = test_hot_promote();
-    for pipeline in [Pipeline::PerLine, Pipeline::Batched, Pipeline::Replay] {
-        // Step 7 is mid-pass (odd boundary): the snapshot lands between the
-        // two chunks of a pass, with the streak live on the replay pipeline.
-        assert_snapshot_resume_is_exact(&config, Some(&spec), pipeline, 20, 7);
-    }
-}
-
-/// Snapshot/restore around whole-pass replay: repeated identical
-/// whole-object calls are cut mid-loop, so pass-detection state is rebuilt
-/// from scratch on the restored machine and must not change the report.
-#[test]
-fn snapshot_resume_is_exact_mid_pass_loop() {
-    let config = MachineConfig::test_config().with_local_capacity(40 * PAGE_SIZE);
-    let run = |cut: Option<usize>| {
-        let mut m = Machine::new(config.clone());
-        m.set_tiering_spec(&test_hot_promote());
-        let hot = hot_cold_prelude(&mut m);
-        let mut machine = m;
-        for pass in 0..12 {
-            if Some(pass) == cut {
-                let snapshot = machine.snapshot().unwrap();
-                let bytes = snapshot.to_snapshot_bytes(7);
-                let decoded = dismem::sim::MachineSnapshot::from_snapshot_bytes(&bytes, 7).unwrap();
-                machine = Machine::restore(&decoded).unwrap();
-            }
-            machine.read(hot, 0, 48 * PAGE_SIZE);
-        }
-        machine.phase_end();
-        let report = machine.finish();
-        assert!(report.tiering.promotions > 0, "scenario must migrate");
-        report
-    };
-    let uninterrupted = run(None);
-    for cut in [1, 5, 11] {
-        assert_eq!(run(Some(cut)), uninterrupted, "cut at pass {cut}");
-    }
-}
-
 /// The replay-proptest workload body: long bulk streams (the replay engine's
 /// bread and butter) mixed with gathers, strided sweeps, scalar accesses and
 /// a mid-script free, driven by a random script.
@@ -934,25 +807,6 @@ proptest! {
         let (replay, _) = run_tiered(&config, Some(&spec), Pipeline::Replay, &body);
         prop_assert_eq!(&batched, &per_line);
         prop_assert_eq!(&replay, &per_line);
-    }
-
-    /// Snapshot round-trip bit-identity, property form: an arbitrary cut
-    /// point in the hot/cold stream (mid-pass cuts included), on every
-    /// pipeline, with and without a live migration policy, resumes to a
-    /// report bit-identical to the uninterrupted run's.
-    #[test]
-    fn snapshot_resume_is_bit_identical(
-        steps in 2usize..16,
-        cut_seed in 0usize..1000,
-        pipeline_idx in 0usize..3,
-        tiered in any::<bool>(),
-    ) {
-        let config = MachineConfig::test_config().with_local_capacity(40 * PAGE_SIZE);
-        let pipeline = [Pipeline::PerLine, Pipeline::Batched, Pipeline::Replay][pipeline_idx];
-        let spec = test_hot_promote();
-        let spec = tiered.then_some(&spec);
-        let snapshot_at = cut_seed % (steps + 1);
-        assert_snapshot_resume_is_exact(&config, spec, pipeline, steps, snapshot_at);
     }
 
     /// The flight recorder is read-only — attaching one must not change a
