@@ -24,7 +24,9 @@
 //!    this lives in [`crate::fault`].
 
 use crate::fault::FaultPlan;
-use crate::journal::{CellMetrics, JournalError, JournalRecord, JournalWriter};
+use crate::journal::{
+    load_journal, CellMetrics, JournalError, JournalRecord, JournalWriter, LoadedJournal,
+};
 use crate::policy::SchedulingPolicy;
 use crate::snapshot_cache::{SnapshotCache, SnapshotStats};
 use dismem_analysis::{five_number_summary, mean, FiveNumberSummary};
@@ -667,13 +669,8 @@ pub fn run_fleet_campaign(
     shard: Option<Shard>,
     fault: &FaultPlan,
 ) -> Result<CampaignReport, CampaignError> {
-    let writer = JournalWriter::open(journal_path)?;
-    if !writer.is_empty() {
-        return Err(CampaignError::JournalNotEmpty {
-            records: writer.len(),
-        });
-    }
-    drive(spec, runner, journal_path, shard, fault, None).map(|(report, _)| report)
+    let loaded = load_empty_journal(journal_path)?;
+    drive(spec, runner, journal_path, loaded, shard, fault, None).map(|(report, _)| report)
 }
 
 /// [`run_fleet_campaign`] with a flight recorder attached: cell lifecycle
@@ -688,13 +685,30 @@ pub fn run_fleet_campaign_traced(
     fault: &FaultPlan,
     recorder: &mut dyn Recorder,
 ) -> Result<CampaignReport, CampaignError> {
-    let writer = JournalWriter::open(journal_path)?;
-    if !writer.is_empty() {
-        return Err(CampaignError::JournalNotEmpty {
-            records: writer.len(),
-        });
+    let loaded = load_empty_journal(journal_path)?;
+    drive(
+        spec,
+        runner,
+        journal_path,
+        loaded,
+        shard,
+        fault,
+        Some(recorder),
+    )
+    .map(|(report, _)| report)
+}
+
+/// Loads the journal a fresh run starts from and refuses one that holds
+/// records. Only reads: a refused run leaves the journal as it found it.
+fn load_empty_journal(journal_path: &Path) -> Result<LoadedJournal, CampaignError> {
+    let loaded = load_journal(journal_path)?;
+    if loaded.records.is_empty() {
+        Ok(loaded)
+    } else {
+        Err(CampaignError::JournalNotEmpty {
+            records: loaded.records.len() as u64,
+        })
     }
-    drive(spec, runner, journal_path, shard, fault, Some(recorder)).map(|(report, _)| report)
 }
 
 /// Resumes a fleet campaign from its journal: replays digest-matching
@@ -709,7 +723,8 @@ pub fn resume_campaign(
     shard: Option<Shard>,
     fault: &FaultPlan,
 ) -> Result<(CampaignReport, ResumeStats), CampaignError> {
-    drive(spec, runner, journal_path, shard, fault, None)
+    let loaded = load_journal(journal_path)?;
+    drive(spec, runner, journal_path, loaded, shard, fault, None)
 }
 
 /// [`resume_campaign`] with a flight recorder attached: on top of the cell
@@ -724,13 +739,26 @@ pub fn resume_campaign_traced(
     fault: &FaultPlan,
     recorder: &mut dyn Recorder,
 ) -> Result<(CampaignReport, ResumeStats), CampaignError> {
-    drive(spec, runner, journal_path, shard, fault, Some(recorder))
+    let loaded = load_journal(journal_path)?;
+    drive(
+        spec,
+        runner,
+        journal_path,
+        loaded,
+        shard,
+        fault,
+        Some(recorder),
+    )
 }
 
+/// Runs the cells of `spec` (or of its `shard`) that `loaded` does not hold,
+/// appending each to the journal at `journal_path`, which `loaded` was read
+/// from.
 fn drive(
     spec: &FleetSpec,
     runner: &dyn CellRunner,
     journal_path: &Path,
+    loaded: LoadedJournal,
     shard: Option<Shard>,
     fault: &FaultPlan,
     mut recorder: Option<&mut dyn Recorder>,
@@ -749,9 +777,9 @@ fn drive(
         .collect();
     let cell_ids: BTreeSet<String> = cells.iter().map(CellKey::id).collect();
 
-    // Replay the journal. The writer re-reads the same file; opening it first
-    // would be equivalent, but loading explicitly keeps the torn-tail flag.
-    let loaded = crate::journal::load_journal(journal_path)?;
+    // The writer repairs a torn or unterminated tail before the replay
+    // consumes the records; the repair keeps every intact record.
+    let mut writer = JournalWriter::from_loaded(journal_path, &loaded)?;
     let mut stats = ResumeStats {
         torn_tail: loaded.torn_tail,
         ..ResumeStats::default()
@@ -788,8 +816,6 @@ fn drive(
             });
         }
     }
-
-    let mut writer = JournalWriter::open(journal_path)?;
 
     // Deterministic work queue: missing cells in grid order (the index is
     // the cell's position in the shard's slice, carried for the trace). A

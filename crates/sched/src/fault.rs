@@ -8,8 +8,8 @@
 //!   [`CampaignError::Interrupted`] once the journal holds `k` records,
 //!   simulating a process kill between appends;
 //! * **torn final record** — on that injected kill, the journal's last line
-//!   is truncated mid-record, simulating filesystem-level loss of the final
-//!   (non-atomic) write;
+//!   is truncated mid-record, simulating a process killed in the middle of
+//!   its final append;
 //! * **poisoned cells** — named cells panic for their first `n` attempts,
 //!   driving the retry/quarantine path (`n = u32::MAX` never heals).
 //!
@@ -80,8 +80,8 @@ impl FaultPlan {
     }
 
     /// Applies the torn-final-record corruption to a journal file: the last
-    /// line loses its trailing half, exactly the damage a non-atomic final
-    /// write would leave behind.
+    /// line loses its trailing half, exactly the damage a process killed
+    /// mid-append leaves behind.
     pub fn apply_truncation(&self, journal_path: &Path) -> Result<(), JournalError> {
         if !self.truncate_final_record {
             return Ok(());

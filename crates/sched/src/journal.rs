@@ -1,12 +1,14 @@
 //! Crash-consistent results journal for fleet campaigns.
 //!
 //! The journal is a JSON-lines file: one [`JournalRecord`] per completed (or
-//! quarantined) cell. Appends go through write-to-temp + atomic rename, so a
-//! kill at any instant leaves either the previous journal or the new one on
-//! disk — never a half-written middle. The only torn state an external crash
-//! can produce (non-atomic filesystems, partial copies) is a truncated final
-//! line, which [`load_journal`] tolerates; corruption anywhere earlier is an
-//! error, because it means records that were once durable have been lost.
+//! quarantined) cell. It is append-only: each record is written once, as one
+//! line at the end of the file, so a campaign's journal I/O is linear in its
+//! cell count. A process killed at any instant can therefore leave only a
+//! truncated final line (the write it was in the middle of) — never a
+//! damaged middle. [`load_journal`] tolerates exactly that, and
+//! [`JournalWriter::open`] repairs it before the first append; corruption
+//! anywhere earlier is an error, because it means records that were once
+//! written have been lost.
 //!
 //! Records are written with the vendored serde stack and read back with the
 //! hand-rolled [`serde_json::read`] parser. Floats survive the round trip
@@ -18,6 +20,8 @@ use dismem_core::CellKey;
 use serde::Serialize;
 use serde_json::JsonValue;
 use std::fmt;
+use std::fs::{File, OpenOptions};
+use std::io::Write;
 use std::path::{Path, PathBuf};
 
 /// Per-cell metrics persisted in the journal: the five-number summary and
@@ -76,10 +80,7 @@ impl JournalRecord {
             .ok_or("missing digest")?
             .to_string();
         let key = parse_key(value.get("key").ok_or("missing key")?)?;
-        let attempts = value
-            .get("attempts")
-            .and_then(|v| v.as_u64())
-            .ok_or("missing attempts")? as u32;
+        let attempts = field_u32(value, "attempts", "missing attempts")?;
         let status = value
             .get("status")
             .and_then(|v| v.as_str())
@@ -113,6 +114,13 @@ impl JournalRecord {
     }
 }
 
+/// Reads an integer field that must fit in a `u32`: an out-of-range value is
+/// an error, never truncated into some other valid value.
+fn field_u32(value: &JsonValue, name: &str, missing: &str) -> Result<u32, String> {
+    let n = value.get(name).and_then(JsonValue::as_u64).ok_or(missing)?;
+    u32::try_from(n).map_err(|_| format!("`{name}` = {n} does not fit in 32 bits"))
+}
+
 fn parse_key(value: &JsonValue) -> Result<CellKey, String> {
     let field_str = |name: &str| {
         value
@@ -125,10 +133,11 @@ fn parse_key(value: &JsonValue) -> Result<CellKey, String> {
         workload: field_str("workload")?,
         scale: field_str("scale")?,
         policy: field_str("policy")?,
-        capacity_permille: value
-            .get("capacity_permille")
-            .and_then(|v| v.as_u64())
-            .ok_or("key missing field `capacity_permille`")? as u32,
+        capacity_permille: field_u32(
+            value,
+            "capacity_permille",
+            "key missing field `capacity_permille`",
+        )?,
         link: field_str("link")?,
         seed: value
             .get("seed")
@@ -145,10 +154,7 @@ fn parse_metrics(value: &JsonValue) -> Result<CellMetrics, String> {
             .ok_or(format!("metrics missing field `{name}`"))
     };
     Ok(CellMetrics {
-        trials: value
-            .get("trials")
-            .and_then(|v| v.as_u64())
-            .ok_or("metrics missing field `trials`")? as u32,
+        trials: field_u32(value, "trials", "metrics missing field `trials`")?,
         mean_runtime_s: field("mean_runtime_s")?,
         min_runtime_s: field("min_runtime_s")?,
         q1_runtime_s: field("q1_runtime_s")?,
@@ -217,8 +223,11 @@ pub struct LoadedJournal {
     /// Records in file order.
     pub records: Vec<JournalRecord>,
     /// True when the final line failed to parse and was discarded (the one
-    /// corruption an external crash can legitimately produce).
+    /// damage a process killed mid-append can leave).
     pub torn_tail: bool,
+    /// True when the text is non-empty and does not end in `\n`: a line
+    /// appended as-is would be glued onto the last one.
+    unterminated: bool,
 }
 
 /// Reads a journal file. A missing file is an empty journal. The final line
@@ -231,6 +240,7 @@ pub fn load_journal(path: &Path) -> Result<LoadedJournal, JournalError> {
             return Ok(LoadedJournal {
                 records: Vec::new(),
                 torn_tail: false,
+                unterminated: false,
             })
         }
         Err(e) => return Err(JournalError::Io(format!("{}: {e}", path.display()))),
@@ -257,43 +267,65 @@ pub fn load_journal(path: &Path) -> Result<LoadedJournal, JournalError> {
             }
         }
     }
-    Ok(LoadedJournal { records, torn_tail })
+    Ok(LoadedJournal {
+        records,
+        torn_tail,
+        unterminated: !content.is_empty() && !content.ends_with('\n'),
+    })
 }
 
-/// Appends records to a journal with atomic whole-file replacement.
+/// Appends records to a journal, one line per record.
 ///
-/// The writer keeps the journal's full text in memory; every [`append`]
-/// writes `text + new line` to `<path>.tmp` and renames it over the journal.
-/// Rename is atomic on POSIX filesystems, so a kill mid-append leaves the
-/// previous journal intact — prior records can never be corrupted by a crash
-/// of this process.
+/// The writer holds the journal open in append mode, so every [`append`] is
+/// one `write_all` of one serialized line at the end of the file: earlier
+/// records are never rewritten, and a process killed mid-append leaves at
+/// most a torn final line, which [`load_journal`] drops. Opening a journal
+/// whose last line is torn, or lacks its `\n`, first rewrites the intact
+/// records once (temp + rename), so the next line cannot be glued onto the
+/// damaged one and turn it into corruption before the end.
+///
+/// Like every journal write, an append is not `fsync`ed: the contract is
+/// that a *process* killed anywhere resumes bit-identically, not that a
+/// record survives power loss.
 ///
 /// [`append`]: JournalWriter::append
 #[derive(Debug)]
 pub struct JournalWriter {
     path: PathBuf,
-    content: String,
+    file: File,
     records: u64,
 }
 
 impl JournalWriter {
-    /// Opens a journal for appending, loading any existing intact content
-    /// first (a torn trailing line is dropped here exactly as in
-    /// [`load_journal`], so the next append heals it).
+    /// Opens a journal for appending: loads it as [`load_journal`] does and
+    /// repairs a torn or unterminated tail before any append.
     pub fn open(path: &Path) -> Result<JournalWriter, JournalError> {
-        let loaded = load_journal(path)?;
-        let mut content = String::new();
-        for record in &loaded.records {
-            push_line(&mut content, record)?;
+        JournalWriter::from_loaded(path, &load_journal(path)?)
+    }
+
+    /// Opens the journal at `path` for appending, given what
+    /// [`load_journal`] read from it, so a caller that already holds the load
+    /// does not parse the file twice.
+    pub(crate) fn from_loaded(
+        path: &Path,
+        loaded: &LoadedJournal,
+    ) -> Result<JournalWriter, JournalError> {
+        if loaded.torn_tail || loaded.unterminated {
+            write_atomic(path, &loaded.records)?;
         }
+        let file = OpenOptions::new()
+            .create(true)
+            .append(true)
+            .open(path)
+            .map_err(|e| JournalError::Io(format!("{}: {e}", path.display())))?;
         Ok(JournalWriter {
             path: path.to_path_buf(),
-            content,
+            file,
             records: loaded.records.len() as u64,
         })
     }
 
-    /// Number of records currently durable in the journal.
+    /// Number of records currently in the journal.
     pub fn len(&self) -> u64 {
         self.records
     }
@@ -303,12 +335,16 @@ impl JournalWriter {
         self.records == 0
     }
 
-    /// Appends one record durably (write temp, rename over the journal).
+    /// Appends one record: a single `write_all` of its line at the end of
+    /// the file. After an error the file may end in a torn line; reopen it
+    /// with [`JournalWriter::open`], which repairs that line, before
+    /// appending again.
     pub fn append(&mut self, record: &JournalRecord) -> Result<(), JournalError> {
-        let mut next = self.content.clone();
-        push_line(&mut next, record)?;
-        write_atomic(&self.path, &next)?;
-        self.content = next;
+        let mut line = String::new();
+        push_line(&mut line, record)?;
+        self.file
+            .write_all(line.as_bytes())
+            .map_err(|e| JournalError::Io(format!("{}: {e}", self.path.display())))?;
         self.records += 1;
         Ok(())
     }
@@ -322,8 +358,16 @@ fn push_line(out: &mut String, record: &JournalRecord) -> Result<(), JournalErro
     Ok(())
 }
 
-/// Writes `content` to `path` via a sibling temp file and atomic rename.
-pub(crate) fn write_atomic(path: &Path, content: &str) -> Result<(), JournalError> {
+/// Writes `records` as the whole journal at `path`, via a sibling temp file
+/// and an atomic rename.
+fn write_atomic<'a>(
+    path: &Path,
+    records: impl IntoIterator<Item = &'a JournalRecord>,
+) -> Result<(), JournalError> {
+    let mut content = String::new();
+    for record in records {
+        push_line(&mut content, record)?;
+    }
     let mut tmp = path.as_os_str().to_os_string();
     tmp.push(".tmp");
     let tmp = PathBuf::from(tmp);
@@ -339,9 +383,9 @@ pub(crate) fn write_atomic(path: &Path, content: &str) -> Result<(), JournalErro
 /// (total order) and a cell id appearing in more than one shard — or twice in
 /// one — is [`JournalError::DuplicateKey`]. Torn trailing lines in shard
 /// journals are tolerated (the affected cell is simply absent and a resume of
-/// the merged journal re-runs it). The merged journal is written with the
-/// same temp + rename discipline as the writer, and is exactly what a
-/// sequential un-sharded campaign would have journaled, record for record.
+/// the merged journal re-runs it). The merged journal is written whole,
+/// through a temp file and a rename, and is exactly what a sequential
+/// un-sharded campaign would have journaled, record for record.
 pub fn merge_shard_journals(
     shard_paths: &[PathBuf],
     out_path: &Path,
@@ -367,10 +411,6 @@ pub fn merge_shard_journals(
             return Err(JournalError::DuplicateKey(pair[0].0.clone()));
         }
     }
-    let mut content = String::new();
-    for (_, record) in &by_id {
-        push_line(&mut content, record)?;
-    }
-    write_atomic(out_path, &content)?;
+    write_atomic(out_path, by_id.iter().map(|(_, record)| record))?;
     Ok(by_id.len() as u64)
 }

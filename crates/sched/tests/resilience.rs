@@ -172,6 +172,29 @@ fn fresh_run_refuses_a_nonempty_journal() {
         second,
         Err(CampaignError::JournalNotEmpty { records: CELLS })
     ));
+
+    // A torn journal is refused too, and left exactly as it was: the refusal
+    // must not repair the tail that a resume would report.
+    let torn = temp_journal("nonempty-torn");
+    let killed = run_fleet_campaign(
+        &spec(),
+        &SyntheticRunner,
+        &torn,
+        None,
+        &FaultPlan::kill_after(5).with_torn_final_record(),
+    );
+    assert!(matches!(killed, Err(CampaignError::Interrupted { .. })));
+    let before = std::fs::read(&torn).expect("read torn journal");
+    let refused = run_fleet_campaign(&spec(), &SyntheticRunner, &torn, None, &FaultPlan::none());
+    assert!(matches!(
+        refused,
+        Err(CampaignError::JournalNotEmpty { records: 4 })
+    ));
+    assert_eq!(
+        std::fs::read(&torn).expect("reread torn journal"),
+        before,
+        "a refused fresh run must not touch the journal"
+    );
 }
 
 // ---------------------------------------------------------------------------
@@ -208,6 +231,35 @@ fn torn_trailing_record_is_tolerated_and_rerun() {
 }
 
 #[test]
+fn a_last_record_without_its_newline_resumes_and_stays_loadable() {
+    let expected = reference("unterminated");
+    let path = temp_journal("unterminated");
+    let killed = run_fleet_campaign(
+        &spec(),
+        &SyntheticRunner,
+        &path,
+        None,
+        &FaultPlan::kill_after(6),
+    );
+    assert!(matches!(killed, Err(CampaignError::Interrupted { .. })));
+    // Six complete records, the last without its `\n`.
+    let content = std::fs::read_to_string(&path).expect("read journal");
+    let lines: Vec<&str> = content.lines().collect();
+    std::fs::write(&path, lines.join("\n")).expect("drop the final newline");
+    let (report, stats) =
+        resume_campaign(&spec(), &SyntheticRunner, &path, None, &FaultPlan::none())
+            .expect("resume over an unterminated record");
+    assert!(!stats.torn_tail, "a complete record is not torn");
+    assert_eq!(stats.replayed, 6);
+    assert_eq!(stats.reran, CELLS - 6);
+    assert_eq!(json(&report), expected);
+    // The first append must not have been glued onto the sixth record.
+    let reloaded = load_journal(&path).expect("the resumed journal loads");
+    assert!(!reloaded.torn_tail);
+    assert_eq!(reloaded.records.len() as u64, CELLS);
+}
+
+#[test]
 fn corruption_before_the_final_line_is_an_error() {
     let path = temp_journal("torn-middle");
     let killed = run_fleet_campaign(
@@ -229,6 +281,74 @@ fn corruption_before_the_final_line_is_an_error() {
         Err(CampaignError::Journal(JournalError::Corrupt { line, .. })) => assert_eq!(line, 3),
         other => panic!("expected Corrupt at line 3, got {other:?}"),
     }
+}
+
+// ---------------------------------------------------------------------------
+// Appends.
+// ---------------------------------------------------------------------------
+
+/// The record a campaign journals for `key` when it succeeds first time.
+fn ok_record(key: &CellKey) -> JournalRecord {
+    JournalRecord {
+        digest: spec().digest_hex(),
+        key: key.clone(),
+        attempts: 1,
+        status: "ok".to_string(),
+        metrics: Some(SyntheticRunner.run(key).expect("synthetic metrics")),
+        error: None,
+    }
+}
+
+/// Each append writes its own line at the end of the journal and nothing
+/// else: the file is never replaced, and grows by exactly that line.
+#[cfg(unix)]
+#[test]
+fn appends_grow_the_journal_in_place_by_one_line_each() {
+    use std::os::unix::fs::MetadataExt;
+
+    let path = temp_journal("in-place");
+    let mut writer = JournalWriter::open(&path).expect("open journal");
+    let (mut inode, mut len) = (None, 0u64);
+    for key in &spec().cells()[..3] {
+        let record = ok_record(key);
+        writer.append(&record).expect("append");
+        let meta = std::fs::metadata(&path).expect("stat journal");
+        let line = serde_json::to_string(&record)
+            .expect("serialize record")
+            .len() as u64
+            + 1;
+        assert_eq!(meta.len(), len + line, "the append writes exactly its line");
+        assert_eq!(
+            *inode.get_or_insert(meta.ino()),
+            meta.ino(),
+            "no new file is renamed over the journal"
+        );
+        len = meta.len();
+    }
+    assert_eq!(writer.len(), 3);
+}
+
+#[test]
+fn opening_a_torn_journal_repairs_the_tail_before_the_first_append() {
+    let path = temp_journal("torn-append");
+    let killed = run_fleet_campaign(
+        &spec(),
+        &SyntheticRunner,
+        &path,
+        None,
+        &FaultPlan::kill_after(5).with_torn_final_record(),
+    );
+    assert!(matches!(killed, Err(CampaignError::Interrupted { .. })));
+    let mut records = load_journal(&path).expect("load torn journal").records;
+    assert_eq!(records.len(), 4);
+    let mut writer = JournalWriter::open(&path).expect("open torn journal");
+    assert_eq!(writer.len(), 4);
+    let record = ok_record(&spec().cells()[4]);
+    writer.append(&record).expect("append after the repair");
+    records.push(record);
+    let reloaded = load_journal(&path).expect("reload");
+    assert!(!reloaded.torn_tail, "the torn line is gone");
+    assert_eq!(reloaded.records, records);
 }
 
 // ---------------------------------------------------------------------------
@@ -583,6 +703,59 @@ fn a_deeply_nested_line_is_a_typed_error_not_a_stack_overflow() {
         }
         other => panic!("expected Corrupt at line 1, got {other:?}"),
     }
+}
+
+/// Journals three records, then replaces `from` with `to` on line `line`
+/// (1-based).
+fn journal_with_edit(name: &str, line: usize, from: &str, to: &str) -> PathBuf {
+    let path = temp_journal(name);
+    let killed = run_fleet_campaign(
+        &spec(),
+        &SyntheticRunner,
+        &path,
+        None,
+        &FaultPlan::kill_after(3),
+    );
+    assert!(matches!(killed, Err(CampaignError::Interrupted { .. })));
+    let content = std::fs::read_to_string(&path).expect("read journal");
+    let mut lines: Vec<String> = content.lines().map(str::to_string).collect();
+    assert!(lines[line - 1].contains(from), "line {line} holds `{from}`");
+    lines[line - 1] = lines[line - 1].replacen(from, to, 1);
+    std::fs::write(&path, lines.join("\n") + "\n").expect("rewrite journal");
+    path
+}
+
+/// An integer field past `u32::MAX` is an error, not truncated: 2³² + 250
+/// would otherwise load as 250 and replay as the `c250` cell.
+#[test]
+fn an_out_of_range_integer_before_the_end_is_corruption() {
+    let path = journal_with_edit(
+        "u32-middle",
+        1,
+        "\"capacity_permille\":250,",
+        "\"capacity_permille\":4294967546,",
+    );
+    match load_journal(&path) {
+        Err(JournalError::Corrupt { line: 1, message }) => {
+            assert!(message.contains("capacity_permille"), "{message}")
+        }
+        other => panic!("expected Corrupt at line 1, got {other:?}"),
+    }
+}
+
+/// On the final line, the same out-of-range value makes a torn tail: the
+/// record is dropped and its cell re-runs.
+#[test]
+fn an_out_of_range_integer_on_the_final_line_is_a_torn_tail() {
+    let path = journal_with_edit(
+        "u32-final",
+        3,
+        "\"attempts\":1,",
+        "\"attempts\":4294967297,",
+    );
+    let loaded = load_journal(&path).expect("load");
+    assert!(loaded.torn_tail);
+    assert_eq!(loaded.records.len(), 2);
 }
 
 // ---------------------------------------------------------------------------
