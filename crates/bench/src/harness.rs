@@ -5,7 +5,7 @@ use dismem_sim::MachineConfig;
 use dismem_workloads::{InputScale, Workload, WorkloadKind};
 use serde::Serialize;
 use std::fs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 /// Whether the quick (smoke-test) profile is active (`DISMEM_QUICK=1`).
 pub fn is_quick() -> bool {
@@ -37,17 +37,40 @@ pub fn workload(kind: WorkloadKind, scale: InputScale) -> Box<dyn Workload> {
 /// 1. `DISMEM_RESULTS_DIR` — explicit override, used verbatim;
 /// 2. `CARGO_TARGET_DIR` — honored at runtime, so redirected target
 ///    directories receive the results;
-/// 3. the workspace `target/` next to this crate (compile-time fallback).
+/// 3. the target directory the running executable was built into, read
+///    from its path at run time, so a binary writes into its own checkout;
+/// 4. `target/` under the current directory.
 pub fn results_dir() -> PathBuf {
     let dir = if let Ok(dir) = std::env::var("DISMEM_RESULTS_DIR") {
         PathBuf::from(dir)
     } else if let Ok(target) = std::env::var("CARGO_TARGET_DIR") {
         PathBuf::from(target).join("dismem-results")
     } else {
-        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../target/dismem-results")
+        std::env::current_exe()
+            .ok()
+            .and_then(|exe| target_dir_of(&exe))
+            .unwrap_or_else(|| PathBuf::from("target"))
+            .join("dismem-results")
     };
     let _ = fs::create_dir_all(&dir);
     dir
+}
+
+/// The cargo target directory an executable at `exe` was built into.
+///
+/// Cargo puts test, bench and example executables in
+/// `<target>/<profile>/{deps,examples}/` and binaries in
+/// `<target>/<profile>/`, where `<profile>` is `debug` or `release`.
+/// Returns `None` when `exe` fits neither layout.
+fn target_dir_of(exe: &Path) -> Option<PathBuf> {
+    let mut dir = exe.parent()?;
+    if matches!(dir.file_name()?.to_str()?, "deps" | "examples") {
+        dir = dir.parent()?;
+    }
+    match dir.file_name()?.to_str()? {
+        "debug" | "release" => dir.parent().map(Path::to_path_buf),
+        _ => None,
+    }
 }
 
 /// Writes a serializable result next to the printed table.
@@ -169,14 +192,30 @@ mod tests {
         std::env::set_var("DISMEM_RESULTS_DIR", tmp.join("dismem-explicit"));
         assert_eq!(results_dir(), tmp.join("dismem-explicit"));
 
-        // Without either, the compile-time workspace target is used.
+        // Without either, the target directory this test executable was
+        // built into is used.
         std::env::remove_var("DISMEM_RESULTS_DIR");
         std::env::remove_var("CARGO_TARGET_DIR");
-        let fallback = results_dir();
-        assert!(fallback.ends_with("target/dismem-results"));
+        let exe = std::env::current_exe().unwrap();
+        let target = target_dir_of(&exe).expect("test executables sit in <target>/<profile>/deps");
+        assert_eq!(results_dir(), target.join("dismem-results"));
 
         let _ = std::fs::remove_dir_all(tmp.join("dismem-target"));
         let _ = std::fs::remove_dir_all(tmp.join("dismem-explicit"));
+    }
+
+    #[test]
+    fn target_dir_follows_cargo_layout() {
+        for exe in ["/t/release/deps/x", "/t/debug/examples/x", "/t/release/x"] {
+            assert_eq!(
+                target_dir_of(Path::new(exe)),
+                Some(PathBuf::from("/t")),
+                "{exe}"
+            );
+        }
+        for exe in ["/usr/bin/x", "/t/release/deps/sub/x", "/tmp/deps/x", "x"] {
+            assert_eq!(target_dir_of(Path::new(exe)), None, "{exe}");
+        }
     }
 
     #[test]

@@ -10,7 +10,8 @@
 //! * `DISMEM_QUICK=1` — run the experiments on tiny inputs (seconds instead of
 //!   minutes); useful for smoke-testing the harnesses.
 //! * `DISMEM_RESULTS_DIR` — where to write the JSON copies of the results
-//!   (defaults to `target/dismem-results`).
+//!   (defaults to `dismem-results` in the cargo target directory; see
+//!   [`results_dir`]).
 
 #![forbid(unsafe_code)]
 

@@ -3,8 +3,8 @@
 use crate::guidance::{derive_guidance, Guidance};
 use dismem_lbench::{app_interference_coefficient, LBenchModel};
 use dismem_profiler::level1::{level1_profile, Level1Report};
-use dismem_profiler::level2::{level2_profile, Level2Report};
-use dismem_profiler::level3::{level3_profile, Level3Report, PAPER_LOI_LEVELS};
+use dismem_profiler::level2::{level2_from_report, level2_profile, Level2Report};
+use dismem_profiler::level3::{level3_from_report, level3_profile, Level3Report, PAPER_LOI_LEVELS};
 use dismem_profiler::{pooled_config, run_workload, RunOptions};
 use dismem_sim::{MachineConfig, RunReport};
 use dismem_workloads::Workload;
@@ -61,11 +61,18 @@ impl QuantitativeStudy {
 
     /// Level 2: tier access ratios when the local tier holds `local_fraction`
     /// of the footprint.
+    ///
+    /// Runs its own pooled simulation. To read several levels at one
+    /// fraction, call [`pooled_run`](Self::pooled_run) once and pass its
+    /// report to [`level2_from_report`], [`level3_from_report`] and
+    /// [`app_interference_coefficient`].
     pub fn level2(&self, local_fraction: f64) -> Level2Report {
         level2_profile(self.workload.as_ref(), &self.base_config, local_fraction)
     }
 
     /// Level 3: interference sensitivity for the given LoI levels (percent).
+    ///
+    /// Runs its own pooled simulation, then re-times it at each level.
     pub fn level3(&self, local_fraction: f64, loi_percent_levels: &[f64]) -> Level3Report {
         level3_profile(
             self.workload.as_ref(),
@@ -76,14 +83,15 @@ impl QuantitativeStudy {
     }
 
     /// Raw pooled run report (useful for scheduling campaigns and custom
-    /// analyses).
+    /// analyses). Each call runs one simulation; Levels 2 and 3 and the
+    /// interference coefficient can all be derived from the same report.
     pub fn pooled_run(&self, local_fraction: f64) -> RunReport {
         let config = pooled_config(&self.base_config, self.workload.as_ref(), local_fraction);
         run_workload(self.workload.as_ref(), &RunOptions::new(config))
     }
 
     /// Interference coefficient the workload induces on the pool at the given
-    /// local-capacity fraction.
+    /// local-capacity fraction. Runs its own pooled simulation.
     pub fn interference_coefficient(&self, local_fraction: f64) -> f64 {
         let report = self.pooled_run(local_fraction);
         let model = LBenchModel::from_config(&self.base_config);
@@ -94,18 +102,30 @@ impl QuantitativeStudy {
 
     /// Runs the full three-level study across a set of local-capacity
     /// fractions (the paper uses 0.75, 0.50 and 0.25).
+    ///
+    /// Runs `2 + n` simulations for `n` fractions: Level 1's two, then one
+    /// pooled run per fraction, from which Level 2, Level 3 and the
+    /// interference coefficient are all derived. A simulation is a pure
+    /// function of the workload and its run options, so the report equals
+    /// one assembled from [`level1`](Self::level1), [`level2`](Self::level2),
+    /// [`level3`](Self::level3) at [`PAPER_LOI_LEVELS`] and
+    /// [`interference_coefficient`](Self::interference_coefficient). Each
+    /// pooled report is dropped before the next fraction runs.
     pub fn full_study(&self, local_fractions: &[f64]) -> StudyReport {
         assert!(!local_fractions.is_empty());
+        let name = self.workload.name();
         let level1 = self.level1();
-        let level2: Vec<Level2Report> = local_fractions.iter().map(|&f| self.level2(f)).collect();
-        let level3: Vec<Level3Report> = local_fractions
-            .iter()
-            .map(|&f| self.level3(f, &PAPER_LOI_LEVELS))
-            .collect();
-        let interference_coefficient = local_fractions
-            .iter()
-            .map(|&f| self.interference_coefficient(f))
-            .collect();
+        let model = LBenchModel::from_config(&self.base_config);
+        let mut level2 = Vec::with_capacity(local_fractions.len());
+        let mut level3 = Vec::with_capacity(local_fractions.len());
+        let mut interference_coefficient = Vec::with_capacity(local_fractions.len());
+        for &f in local_fractions {
+            let report = self.pooled_run(f);
+            level2.push(level2_from_report(name, f, &report));
+            level3.push(level3_from_report(name, f, &report, &PAPER_LOI_LEVELS));
+            let (whole_run, _) = app_interference_coefficient(&report, &model, name);
+            interference_coefficient.push(whole_run.coefficient);
+        }
         // Guidance from the most pool-heavy configuration studied.
         let (tightest_idx, _) = local_fractions
             .iter()
@@ -114,7 +134,7 @@ impl QuantitativeStudy {
             .unwrap();
         let guidance = derive_guidance(&level2[tightest_idx], &level3[tightest_idx]);
         StudyReport {
-            workload: self.workload.name().to_string(),
+            workload: name.to_string(),
             level1,
             level2,
             level3,
@@ -127,10 +147,93 @@ impl QuantitativeStudy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dismem_trace::MemoryEngine;
     use dismem_workloads::WorkloadKind;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
 
     fn study(kind: WorkloadKind) -> QuantitativeStudy {
         QuantitativeStudy::new(kind.instantiate_tiny(), MachineConfig::test_config())
+    }
+
+    /// Forwards to a workload and counts its runs: one run is one simulation.
+    struct Counted {
+        inner: Box<dyn Workload>,
+        runs: Arc<AtomicUsize>,
+    }
+
+    impl Workload for Counted {
+        fn name(&self) -> &'static str {
+            self.inner.name()
+        }
+
+        fn description(&self) -> &'static str {
+            self.inner.description()
+        }
+
+        fn parallelization(&self) -> &'static str {
+            self.inner.parallelization()
+        }
+
+        fn input_description(&self) -> String {
+            self.inner.input_description()
+        }
+
+        fn expected_footprint_bytes(&self) -> u64 {
+            self.inner.expected_footprint_bytes()
+        }
+
+        fn run(&self, engine: &mut dyn MemoryEngine) {
+            self.runs.fetch_add(1, Ordering::Relaxed);
+            self.inner.run(engine);
+        }
+    }
+
+    /// `full_study` simulates each distinct configuration once, and its
+    /// report is byte-identical to one assembled from the per-level methods.
+    fn assert_one_run_per_configuration(kind: WorkloadKind) {
+        let fractions = [0.75, 0.5, 0.25];
+        let runs = Arc::new(AtomicUsize::new(0));
+        let workload = Box::new(Counted {
+            inner: kind.instantiate_tiny(),
+            runs: runs.clone(),
+        });
+        let s = QuantitativeStudy::new(workload, MachineConfig::test_config());
+        let report = s.full_study(&fractions);
+        assert_eq!(runs.load(Ordering::Relaxed), 2 + fractions.len());
+
+        let level2: Vec<_> = fractions.iter().map(|&f| s.level2(f)).collect();
+        let level3: Vec<_> = fractions
+            .iter()
+            .map(|&f| s.level3(f, &PAPER_LOI_LEVELS))
+            .collect();
+        let tightest = fractions.len() - 1;
+        let guidance = derive_guidance(&level2[tightest], &level3[tightest]);
+        let assembled = StudyReport {
+            workload: s.workload_name().to_string(),
+            level1: s.level1(),
+            interference_coefficient: fractions
+                .iter()
+                .map(|&f| s.interference_coefficient(f))
+                .collect(),
+            level2,
+            level3,
+            guidance,
+        };
+        assert_eq!(
+            serde_json::to_string(&report).unwrap(),
+            serde_json::to_string(&assembled).unwrap()
+        );
+    }
+
+    #[test]
+    fn full_study_simulates_each_configuration_once_streaming() {
+        assert_one_run_per_configuration(WorkloadKind::Hypre);
+    }
+
+    #[test]
+    fn full_study_simulates_each_configuration_once_gather_heavy() {
+        assert_one_run_per_configuration(WorkloadKind::Bfs);
     }
 
     #[test]

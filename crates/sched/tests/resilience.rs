@@ -10,12 +10,12 @@ use dismem_core::{fnv1a64, CellKey};
 use dismem_sched::{
     load_journal, merge_shard_journals, resume_campaign, run_fleet_campaign, CampaignError,
     CampaignReport, CellMetrics, CellRunner, FaultPlan, FleetSpec, JournalError, JournalRecord,
-    JournalWriter, Shard, SimCellRunner, SnapshotCache, SnapshotStats,
+    JournalWriter, LoadedJournal, Shard, SimCellRunner, SnapshotCache, SnapshotStats,
 };
 use dismem_sim::MachineConfig;
 use proptest::prelude::*;
 use serde_json::{ParseErrorKind, MAX_DEPTH};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 fn temp_journal(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("dismem-resilience-{}", std::process::id()));
@@ -756,6 +756,139 @@ fn an_out_of_range_integer_on_the_final_line_is_a_torn_tail() {
     let loaded = load_journal(&path).expect("load");
     assert!(loaded.torn_tail);
     assert_eq!(loaded.records.len(), 2);
+}
+
+// ---------------------------------------------------------------------------
+// Hostile bytes.
+// ---------------------------------------------------------------------------
+
+/// A valid three-record journal as the writer leaves it: its path, its text
+/// and its records.
+fn three_record_journal(name: &str) -> (PathBuf, String, Vec<JournalRecord>) {
+    let path = temp_journal(name);
+    let mut writer = JournalWriter::open(&path).expect("open journal");
+    let records: Vec<JournalRecord> = spec().cells()[..3].iter().map(ok_record).collect();
+    for record in &records {
+        writer.append(record).expect("append");
+    }
+    let text = std::fs::read_to_string(&path).expect("read journal");
+    (path, text, records)
+}
+
+/// Writes `bytes` as the journal at `path` and loads it. Whatever the bytes,
+/// the result is typed: a panic in the loader or the JSON parser fails the
+/// calling test. The parser also runs on the whole text and on each of its
+/// lines when the bytes are UTF-8.
+fn load_hostile(path: &Path, bytes: &[u8]) -> Result<LoadedJournal, JournalError> {
+    std::fs::write(path, bytes).expect("write journal");
+    if let Ok(text) = std::str::from_utf8(bytes) {
+        let _ = serde_json::parse_value(text);
+        for line in text.lines() {
+            let _ = serde_json::parse_value(line);
+        }
+    }
+    load_journal(path)
+}
+
+/// A process killed anywhere leaves a byte prefix of its journal. Every
+/// prefix loads as a prefix of the records, never as corruption, and the
+/// tail is torn exactly when the cut falls inside a record's text.
+#[test]
+fn every_byte_prefix_loads_as_a_prefix_of_the_records() {
+    let (path, text, records) = three_record_journal("every-prefix");
+    assert!(text.is_ascii(), "every byte prefix is valid UTF-8");
+    let newlines: Vec<usize> = text.match_indices('\n').map(|(i, _)| i).collect();
+    assert_eq!(newlines.len(), records.len());
+    for cut in 0..=text.len() {
+        let loaded = load_hostile(&path, &text.as_bytes()[..cut])
+            .unwrap_or_else(|e| panic!("cut at byte {cut}: {e}"));
+        let complete = newlines.iter().filter(|&&end| end <= cut).count();
+        let open_line = complete.checked_sub(1).map_or(0, |i| newlines[i] + 1);
+        assert_eq!(loaded.records, records[..complete], "cut at byte {cut}");
+        assert_eq!(loaded.torn_tail, cut > open_line, "cut at byte {cut}");
+    }
+}
+
+/// JSON's structural bytes and the characters of its literals: random text
+/// over them reaches further into the parser than uniform random bytes.
+const JSON_BYTES: &[u8] = b"{}[]:,\"\\ \n-+.eE0123456789truefalsn";
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn random_bytes_load_as_a_typed_result(bytes in prop::collection::vec(any::<u8>(), 0..513)) {
+        let _ = load_hostile(&temp_journal("random-bytes"), &bytes);
+    }
+
+    #[test]
+    fn random_json_text_loads_as_a_typed_result(
+        picks in prop::collection::vec(0..JSON_BYTES.len(), 0..513)
+    ) {
+        let bytes: Vec<u8> = picks.iter().map(|&i| JSON_BYTES[i]).collect();
+        let _ = load_hostile(&temp_journal("random-json"), &bytes);
+    }
+}
+
+/// `line` with the integer value of its first `"name":` field replaced by
+/// `value`.
+fn with_field(line: &str, name: &str, value: &str) -> String {
+    let key = format!("\"{name}\":");
+    let start = line
+        .find(&key)
+        .unwrap_or_else(|| panic!("no `{name}` in {line}"))
+        + key.len();
+    let len = line[start..]
+        .find(|c: char| !c.is_ascii_digit())
+        .expect("the value is followed by more of the record");
+    format!("{}{value}{}", &line[..start], &line[start + len..])
+}
+
+/// An integer field holding a number it cannot represent — out of `f64`
+/// range, negative, fractional or 2⁶⁴ — never loads as some other value:
+/// before the end the record is corruption, on the final line a torn tail.
+#[test]
+fn numbers_a_field_cannot_hold_are_rejected_not_converted() {
+    let (path, text, records) = three_record_journal("bad-numbers");
+    let lines: Vec<&str> = text.lines().collect();
+    for field in ["attempts", "seed", "trials"] {
+        for value in ["1e400", "-1", "1.5", "18446744073709551616"] {
+            for edited in [0, lines.len() - 1] {
+                let mut hostile: Vec<String> = lines.iter().map(|l| l.to_string()).collect();
+                hostile[edited] = with_field(lines[edited], field, value);
+                let bytes = hostile.join("\n") + "\n";
+                let context = format!("`{field}` = {value} on line {}", edited + 1);
+                match load_hostile(&path, bytes.as_bytes()) {
+                    Err(JournalError::Corrupt { line: 1, message }) if edited == 0 => {
+                        assert!(message.contains(field), "{context}: {message}")
+                    }
+                    Ok(loaded) if edited == lines.len() - 1 => {
+                        assert!(loaded.torn_tail, "{context}");
+                        assert_eq!(loaded.records, records[..edited], "{context}");
+                    }
+                    other => panic!("{context}: got {other:?}"),
+                }
+            }
+        }
+    }
+}
+
+/// Bytes that are not UTF-8 ahead of intact records are a typed error
+/// (today `JournalError::Io`, from reading the journal as text).
+#[test]
+fn non_utf8_bytes_are_a_typed_error() {
+    let (path, text, _) = three_record_journal("non-utf8");
+    let second_line = text.find('\n').expect("three lines") + 1;
+    for at in [0, second_line + 10] {
+        for bad in [&[0xFF][..], &[0xC3][..], &[0xED, 0xA0, 0x80][..]] {
+            let mut bytes = text.clone().into_bytes();
+            bytes.splice(at..at, bad.iter().copied());
+            assert!(
+                load_hostile(&path, &bytes).is_err(),
+                "{bad:02x?} at byte {at} must not load"
+            );
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
