@@ -125,12 +125,10 @@ fn lines_per_pass(pattern: Pattern, array_bytes: u64, gather_count: usize) -> u6
 }
 
 /// One measurement's outcome: simulated lines per wall-clock second plus the
-/// replay engine's engagement counters over the timed region.
+/// windows the replay engine applied over the timed region.
 struct Measurement {
     lines_per_sec: f64,
     replay_windows: u64,
-    replay_passes: u64,
-    replay_stride_elements: u64,
 }
 
 /// Runs one measurement of a (pattern, tier, pipeline) cell.
@@ -158,8 +156,6 @@ fn measure(
     m.touch(a, array_bytes);
     m.phase_end();
     let windows_before = m.replay_windows();
-    let passes_before = m.replay_passes();
-    let stride_elems_before = m.replay_stride_elements();
 
     m.phase_start("timed");
     let start = Instant::now();
@@ -180,8 +176,6 @@ fn measure(
     let elapsed = start.elapsed().as_secs_f64();
     m.phase_end();
     let replay_windows = m.replay_windows() - windows_before;
-    let replay_passes = m.replay_passes() - passes_before;
-    let replay_stride_elements = m.replay_stride_elements() - stride_elems_before;
     let report = m.finish();
     assert!(report.total.demand_lines() > 0);
 
@@ -189,8 +183,6 @@ fn measure(
     Measurement {
         lines_per_sec: simulated_lines as f64 / elapsed.max(1e-12),
         replay_windows,
-        replay_passes,
-        replay_stride_elements,
     }
 }
 
@@ -208,13 +200,6 @@ struct ThroughputResult {
     /// Replay windows applied during the replay measurement (0 = the window
     /// detector never engaged on this pattern).
     replay_windows: u64,
-    /// Whole passes applied by pass-level replay during the replay
-    /// measurement (0 = pass periodicity never engaged). Strided passes
-    /// count here too.
-    replay_passes: u64,
-    /// Strided elements applied in closed form during the replay
-    /// measurement (0 = no strided sweep engaged).
-    replay_stride_elements: u64,
 }
 
 /// The emitted JSON: the synthetic pipeline throughput table, the paper
@@ -570,10 +555,6 @@ struct WorkloadRow {
     replay_windows: u64,
     /// Pages per replay window for this cache geometry.
     replay_window_pages: u64,
-    /// Whole passes applied in one run by pass-level replay.
-    replay_passes: u64,
-    /// Strided elements applied in one run in closed form.
-    replay_stride_elements: u64,
 }
 
 /// The six paper workloads on the three pipelines, at the configuration the
@@ -607,22 +588,13 @@ fn paper_workload(kind: WorkloadKind, quick: bool) -> Box<dyn Workload> {
     }
 }
 
-/// The replay engine's counters after one run.
-#[derive(Clone, Copy, Default)]
-struct ReplayCounts {
-    windows: u64,
-    window_pages: u64,
-    passes: u64,
-    stride_elements: u64,
-}
-
 /// One run of `workload` on `pipeline`: wall seconds for the run and
-/// `finish`, the report, and the replay engine's counters.
+/// `finish`, the report, and the finished machine.
 fn workload_run(
     workload: &dyn Workload,
     config: &MachineConfig,
     pipeline: Pipeline,
-) -> (f64, RunReport, ReplayCounts) {
+) -> (f64, RunReport, Machine) {
     let mut m = Machine::new(config.clone());
     m.set_batched_access(pipeline != Pipeline::PerLine);
     m.set_replay(pipeline == Pipeline::Replay);
@@ -630,13 +602,7 @@ fn workload_run(
     workload.run(&mut m);
     let report = m.finish();
     let elapsed = start.elapsed().as_secs_f64();
-    let counts = ReplayCounts {
-        windows: m.replay_windows(),
-        window_pages: m.replay_window_pages(),
-        passes: m.replay_passes(),
-        stride_elements: m.replay_stride_elements(),
-    };
-    (elapsed, report, counts)
+    (elapsed, report, m)
 }
 
 /// Measures one paper workload: [`WORKLOAD_ROUNDS`] interleaved rounds of
@@ -649,10 +615,10 @@ fn workload_row(kind: WorkloadKind, quick: bool) -> WorkloadRow {
     let pipelines = [Pipeline::PerLine, Pipeline::Batched, Pipeline::Replay];
     let mut best = [f64::INFINITY; 3];
     let mut reference: Option<RunReport> = None;
-    let mut replay = ReplayCounts::default();
+    let (mut replay_windows, mut replay_window_pages) = (0, 0);
     for _ in 0..WORKLOAD_ROUNDS {
         for (i, &pipeline) in pipelines.iter().enumerate() {
-            let (secs, report, counters) = workload_run(workload.as_ref(), &config, pipeline);
+            let (secs, report, m) = workload_run(workload.as_ref(), &config, pipeline);
             best[i] = best[i].min(secs);
             match &reference {
                 None => reference = Some(report),
@@ -663,7 +629,8 @@ fn workload_row(kind: WorkloadKind, quick: bool) -> WorkloadRow {
                 ),
             }
             if pipeline == Pipeline::Replay {
-                replay = counters;
+                replay_windows = m.replay_windows();
+                replay_window_pages = m.replay_window_pages();
             }
         }
     }
@@ -680,10 +647,8 @@ fn workload_row(kind: WorkloadKind, quick: bool) -> WorkloadRow {
         replay_lines_per_sec: demand_lines as f64 / replay_s.max(1e-12),
         replay_vs_per_line: per_line_s / replay_s.max(1e-12),
         replay_vs_batched: batched_s / replay_s.max(1e-12),
-        replay_windows: replay.windows,
-        replay_window_pages: replay.window_pages,
-        replay_passes: replay.passes,
-        replay_stride_elements: replay.stride_elements,
+        replay_windows,
+        replay_window_pages,
     }
 }
 
@@ -806,9 +771,7 @@ fn workloads_failures(base: &Baseline, cur: &WorkloadsBench) -> Vec<String> {
 fn main() {
     let quick = is_quick();
     // The quick profile still uses arrays larger than the 2 MiB scaled LLC so
-    // the replay engine has a steady state to find. Enough passes that
-    // pass-level replay (which pays one exact logged pass before engaging)
-    // dominates the measurement, as it does in a real campaign loop.
+    // the replay engine has a steady state to find.
     let array_bytes: u64 = if quick { 4 << 20 } else { 8 << 20 };
     let passes: u32 = if quick { 6 } else { 12 };
     let gather_count = (array_bytes / 64) as usize;
@@ -896,21 +859,13 @@ fn main() {
                 pattern.label(),
             );
             // Engagement is part of the bench contract, not just speed: the
-            // multipliers above are meaningless if the engine fell back to
-            // the exact walk.
-            match pattern {
-                Pattern::Stream => assert!(
-                    replay.replay_passes > 0,
-                    "stream-{tier}: pass-level replay never engaged"
-                ),
-                Pattern::Strided => assert!(
-                    replay.replay_passes > 0 && replay.replay_stride_elements > 0,
-                    "strided-{tier}: stride-aware pass replay never engaged \
-                     ({} passes, {} elements)",
-                    replay.replay_passes,
-                    replay.replay_stride_elements,
-                ),
-                Pattern::Gather => {}
+            // stream multiplier is meaningless if the engine fell back to the
+            // exact walk.
+            if pattern == Pattern::Stream {
+                assert!(
+                    replay.replay_windows > 0,
+                    "stream-{tier}: window replay never engaged"
+                );
             }
             rows.push(Row::new(
                 format!("{}-{}", pattern.label(), tier),
@@ -920,21 +875,18 @@ fn main() {
                     format!("{:.1}", replay.lines_per_sec / 1e6),
                     format!("{speedup_replay:.2}x"),
                     format!("{}", replay.replay_windows),
-                    format!("{}", replay.replay_passes),
                 ],
             ));
             eprintln!(
                 "  [throughput] {}-{}: {:.1} -> {:.1} -> {:.1} Mlines/s \
                  (batched {speedup_batched:.2}x, replay {speedup_replay:.2}x, \
-                 {} windows, {} passes, {} stride-elems)",
+                 {} windows)",
                 pattern.label(),
                 tier,
                 per_line / 1e6,
                 batched / 1e6,
                 replay.lines_per_sec / 1e6,
                 replay.replay_windows,
-                replay.replay_passes,
-                replay.replay_stride_elements,
             );
             results.push(ThroughputResult {
                 pattern: pattern.label().to_string(),
@@ -945,29 +897,20 @@ fn main() {
                 speedup_batched,
                 speedup_replay,
                 replay_windows: replay.replay_windows,
-                replay_passes: replay.replay_passes,
-                replay_stride_elements: replay.replay_stride_elements,
             });
         }
     }
 
     print_table(
         "Simulator throughput — simulated Mlines/s, per-line vs batched vs replay",
-        &[
-            "per-line",
-            "batched",
-            "replay",
-            "replay-speedup",
-            "windows",
-            "passes",
-        ],
+        &["per-line", "batched", "replay", "replay-speedup", "windows"],
         &rows,
     );
     println!(
         "\nExpected shape: the batched line walk is faster than the per-line reference on \
-         every pattern; the replay engine multiplies the gain on sequential streams \
-         and strided sweeps (passes > 0 shows whole repeated passes collapsed to \
-         closed form, stride elements counting the strided share)."
+         every pattern; window replay multiplies the gain on sequential streams \
+         (windows > 0) and stays within 5% of the batched walk on strided sweeps and \
+         random gathers, where it never engages."
     );
 
     let workloads = workloads_bench(quick);
@@ -1087,7 +1030,7 @@ fn main() {
          memoized report for every other cell, so warm cells/s beats cold — \
          bit-identically, as asserted against the cold report."
     );
-    let mut report = ThroughputReport {
+    let report = ThroughputReport {
         throughput: results,
         workloads,
         campaign,
@@ -1114,17 +1057,18 @@ fn main() {
         let baseline = &base.stream_speedups;
         // Guard against a baseline of the wrong shape: exactly one entry
         // per stream tier, and every value must look like a committed
-        // stream replay speedup (strided/gather speedups are ~1x — gating
-        // on those would silently neuter the gate).
+        // stream replay speedup. Window replay puts the stream rows at 4-7x;
+        // the strided and gather rows, which it never engages on, sit below
+        // 2x, and gating on those would silently neuter the gate.
         assert_eq!(
             baseline.len(),
             2,
             "baseline {path} must hold exactly the two stream speedup_replay entries"
         );
         assert!(
-            baseline.iter().all(|&v| v > 8.0),
+            baseline.iter().all(|&v| v > 3.0),
             "baseline {path} stream speedups {baseline:?} look implausible (expected \
-             pass-replay-scale values, ≥10x)"
+             window-replay-scale values, ≥4x)"
         );
         let current: Vec<f64> = report
             .throughput
@@ -1187,12 +1131,12 @@ fn main() {
             // Same single re-measure as the stream rows: keep the better
             // aggregate of the two measurements.
             eprintln!("  [workloads] below the baseline — re-measuring the section once");
-            let retry = workloads_bench(quick);
+            let mut retry = workloads_bench(quick);
             print_workloads(&retry);
-            let section = &mut report.workloads;
-            section.replay_vs_per_line = section.replay_vs_per_line.max(retry.replay_vs_per_line);
-            section.replay_vs_batched = section.replay_vs_batched.max(retry.replay_vs_batched);
-            failures = workloads_failures(&base, section);
+            let first = &report.workloads;
+            retry.replay_vs_per_line = retry.replay_vs_per_line.max(first.replay_vs_per_line);
+            retry.replay_vs_batched = retry.replay_vs_batched.max(first.replay_vs_batched);
+            failures = workloads_failures(&base, &retry);
         }
         if !failures.is_empty() {
             for failure in &failures {
@@ -1219,8 +1163,6 @@ fn print_workloads(workloads: &WorkloadsBench) {
                     format!("{:.2}x", r.replay_vs_per_line),
                     format!("{:.2}x", r.replay_vs_batched),
                     format!("{}", r.replay_windows),
-                    format!("{}", r.replay_passes),
-                    format!("{}", r.replay_stride_elements),
                 ],
             )
         })
@@ -1239,8 +1181,6 @@ fn print_workloads(workloads: &WorkloadsBench) {
             "vs-per-line",
             "vs-batched",
             "windows",
-            "passes",
-            "stride-elems",
         ],
         &rows,
     );

@@ -377,20 +377,6 @@ impl CacheSim {
         self.replay.window_pages
     }
 
-    /// Total number of whole passes applied by the pass-level replay engine
-    /// so far (each pass covers one full repeated call over the same range).
-    /// Zero means pass-level periodicity never engaged.
-    pub fn replay_passes(&self) -> u64 {
-        self.replay.passes_replayed_total
-    }
-
-    /// Total number of strided elements applied in closed form by the
-    /// stride-aware replay engine so far. Zero means no strided sweep ever
-    /// engaged.
-    pub fn replay_stride_elements(&self) -> u64 {
-        self.replay.stride_elems_replayed_total
-    }
-
     /// Whether the hardware prefetcher is enabled.
     pub fn prefetch_enabled(&self) -> bool {
         self.prefetcher.enabled()
@@ -474,13 +460,14 @@ impl CacheSim {
             return;
         }
         if self.replay.enabled && sink.supports_replay() {
-            self.walk_with_replay(first_line, line_count, is_write, counters, sink);
-        } else {
-            if self.replay.is_active() {
-                self.replay_hard_reset();
+            if !self.note_scattered_call(first_line, line_count, is_write) {
+                self.walk_with_replay(first_line, line_count, is_write, counters, sink);
+                return;
             }
-            self.walk_lines_exact(first_line, line_count, is_write, counters, sink);
+        } else if self.replay.is_active() {
+            self.replay_hard_reset();
         }
+        self.walk_lines_exact(first_line, line_count, is_write, counters, sink);
     }
 
     /// The exact batched line walk: one combined set scan per fill, memoized

@@ -11,7 +11,7 @@ use crate::config::MachineConfig;
 use crate::counters::Counters;
 use crate::interference::InterferenceProfile;
 use crate::prefetch::StreamPrefetcher;
-use crate::replay::{ReplayLevel, ReplayTransition};
+use crate::replay::ReplayTransition;
 use crate::report::{AllocationSummary, PhaseReport, RunReport, TieringReport, TimelineSample};
 use crate::tiering::{
     HotnessTracker, PageSample, TierOccupancy, TieringPolicy, TieringRuntime, TieringSpec,
@@ -380,18 +380,17 @@ impl Machine {
         self.cache.replay_window_pages()
     }
 
-    /// Number of whole passes the pass-level replay engine has applied so
-    /// far (a pass is one full repeated bulk call over the same range,
-    /// transient windows included). Zero means pass-level periodicity never
-    /// engaged.
+    /// Always zero: window replay is the replay engine's only closed form.
+    /// Kept only because the out-of-workspace benchmark (`perfbench/`)
+    /// still reads it.
     pub fn replay_passes(&self) -> u64 {
-        self.cache.replay_passes()
+        0
     }
 
-    /// Number of strided elements the stride-aware replay engine has applied
-    /// in closed form so far. Zero means no strided sweep ever engaged.
+    /// Always zero, like [`Machine::replay_passes`], and kept for the same
+    /// reason.
     pub fn replay_stride_elements(&self) -> u64 {
-        self.cache.replay_stride_elements()
+        0
     }
 
     /// Current simulated time in seconds.
@@ -446,13 +445,13 @@ impl Machine {
         };
         for transition in transitions {
             recorder.record_event(match transition {
-                ReplayTransition::Engaged(level) => TraceEvent::ReplayEngaged {
+                ReplayTransition::Engaged => TraceEvent::ReplayEngaged {
                     app_lines,
-                    mode: trace_mode(level),
+                    mode: ReplayMode::Window,
                 },
-                ReplayTransition::Exited(level, reason) => TraceEvent::ReplayExited {
+                ReplayTransition::Exited(reason) => TraceEvent::ReplayExited {
                     app_lines,
-                    mode: trace_mode(level),
+                    mode: ReplayMode::Window,
                     reason: reason.to_string(),
                 },
             });
@@ -910,14 +909,6 @@ impl Machine {
         // placement that produced it.
         self.close_chunk();
         self.space.free(handle)
-    }
-}
-
-fn trace_mode(level: ReplayLevel) -> ReplayMode {
-    match level {
-        ReplayLevel::Window => ReplayMode::Window,
-        ReplayLevel::Pass => ReplayMode::Pass,
-        ReplayLevel::Strided => ReplayMode::Strided,
     }
 }
 

@@ -3,38 +3,19 @@
 //! The batched pipeline of [`CacheSim::demand_access_range`] still pays a set
 //! scan and a prefetcher update for every simulated cache line. On the
 //! campaign-scale workloads of the paper's scaling and interference studies
-//! the traffic is overwhelmingly *periodic* — the same sweep over the same
-//! address range, repeated — and the cache reaches recurring states whose
-//! evolution can be memoized and applied in closed form. This module detects
-//! three escalating flavours of that periodicity:
-//!
-//! 1. **Window replay** (the base detector): within one long contiguous
-//!    streak, every window of `W` pages produces the same counter delta, DRAM
-//!    transactions and state advance as the window before it, shifted forward
-//!    by `W` pages. Proven-periodic windows are replayed in closed form.
-//! 2. **Pass-level periodicity**: when the *same whole call* (first line,
-//!    length, kind) repeats back-to-back — a workload making repeated passes
-//!    over one buffer — the engine fingerprints an entire pass and verifies
-//!    that the pass-boundary state recurs under a *zero* tag shift and a
-//!    uniform clock shift. Engaged passes are replayed as one counter delta
-//!    plus page-granular bulk DRAM events, transient windows included, which
-//!    removes the per-pass LLC-turnover transient that caps window replay.
-//! 3. **Stride-aware streaks**: constant-stride element sequences (the
-//!    `strided_batch` shape: small same-length calls advancing by a fixed
-//!    gap) are tracked as a sequence; when the sequence wraps back to its
-//!    first element — a repeated strided *pass* — one whole pass is
-//!    fingerprinted per element and verified exactly like a contiguous pass
-//!    (zero tag shift, uniform clock shift, dormant lines allowed). A strided
-//!    sweep never evicts foreign lines from the sets its stride skips, so it
-//!    is generally *not* window-shift-periodic after a warm-up — but it is
-//!    pass-periodic almost immediately, which is what gets verified.
+//! much of the traffic is *periodic* — long contiguous sweeps through large
+//! arrays — and the cache reaches recurring states whose evolution can be
+//! memoized and applied in closed form. This module detects that periodicity
+//! as **window replay**: within one long contiguous streak, every window of
+//! `W` pages produces the same counter delta, DRAM transactions and state
+//! advance as the window before it, shifted forward by `W` pages.
+//! Proven-periodic windows are replayed in closed form.
 //!
 //! The load-bearing contracts this engine must uphold — bit-identity with
 //! the per-line and batched pipelines, and the interaction rules with the
 //! dynamic-tiering subsystem (epochs only at chunk closes, applied migrations
-//! hard-reset *all* replay state, window, pass and strided alike) — are
-//! spelled out in `docs/ARCHITECTURE.md` at the repository root;
-//! `tests/properties.rs` enforces them.
+//! hard-reset *all* replay state) — are spelled out in `docs/ARCHITECTURE.md`
+//! at the repository root; `tests/properties.rs` enforces them.
 //!
 //! # Windows, not single pages
 //!
@@ -50,37 +31,33 @@
 //! way index and the arrangement is unobservable — only the stamp-ordered
 //! contents matter.
 //!
-//! # Detection: fingerprint two consecutive periods
+//! # Detection: fingerprint two consecutive windows
 //!
-//! While a period (window, pass or strided window) is walked exactly, the
-//! engine accumulates its fingerprint:
+//! While a window is walked exactly, the engine accumulates its fingerprint:
 //!
-//! * the [`Counters`] delta produced by the period,
+//! * the [`Counters`] delta produced by the window,
 //! * the ordered list of DRAM transactions (line address, kind), and
 //! * — once consecutive fingerprints match — a full snapshot of the L2, LLC
-//!   and prefetcher state at the period boundary.
+//!   and prefetcher state at the window boundary.
 //!
-//! Replay engages when period `n+1` reproduces period `n` exactly under a
+//! Replay engages when window `n+1` reproduces window `n` exactly under a
 //! uniform shift: equal counter deltas, transaction lists equal with every
-//! line address advanced by the period length (zero for passes, which revisit
-//! the same range), and the post-period cache/prefetcher snapshots equal with
-//! every valid tag advanced by the period length and every timestamp advanced
-//! by the period's clock delta. That last check is the soundness core: the
-//! walk is a deterministic function of the cache state, the prefetcher state
-//! and the (shifted) addresses, and all of its index arithmetic is congruent
-//! under the shift — so if the state after period `n+1` is the state after
-//! period `n` shifted by one period, then by induction every following period
-//! behaves identically-shifted until an invariant breaks. Foreign resident
-//! lines, partially-warm caches, aliasing hot lines and mid-stream
-//! perturbations all surface as a snapshot or delta mismatch and simply keep
-//! the engine in the exact walk. For passes the recurrence argument is even
-//! stronger: the *addresses* are identical between passes, so a recurring
-//! boundary state alone proves the next pass identical — the logged pass
-//! fingerprint *is* the memo, no second fingerprint comparison is needed.
+//! line address advanced by the window length, and the post-window
+//! cache/prefetcher snapshots equal with every valid tag advanced by the
+//! window length and every timestamp advanced by the window's clock delta.
+//! That last check is the soundness core: the walk is a deterministic
+//! function of the cache state, the prefetcher state and the (shifted)
+//! addresses, and all of its index arithmetic is congruent under the shift —
+//! so if the state after window `n+1` is the state after window `n` shifted
+//! by one window, then by induction every following window behaves
+//! identically-shifted until an invariant breaks. Foreign resident lines,
+//! partially-warm caches, aliasing hot lines and mid-stream perturbations all
+//! surface as a snapshot or delta mismatch and simply keep the engine in the
+//! exact walk.
 //!
 //! The prefetcher's accuracy-feedback counters are deliberately excluded
 //! from the snapshot comparison (they grow monotonically even in steady
-//! state) and handled separately: replay requires that the period produced
+//! state) and handled separately: replay requires that the window produced
 //! no useless-prefetch feedback and that — if useful feedback occurs — the
 //! useless counter is zero at both snapshot boundaries, which makes the
 //! throttle decision (`effective_degree`) provably constant; the useful
@@ -89,24 +66,20 @@
 //!
 //! # Replay and exact exit
 //!
-//! A replayed period costs O(distinct DRAM pages) instead of
+//! A replayed window costs O(distinct DRAM pages) instead of
 //! O(lines × associativity). Page→tier resolution still happens per page in
 //! the sink — first-touch binding, capacity spills from the local tier to
 //! the pool, OOM aborts and interleaved placement all take the *same
 //! decisions in the same order* as the exact walk, because the cache walk is
 //! tier-blind and the bulk events preserve first-occurrence page order.
-//! Strided replay applies *per element* (element counter delta, element
-//! events), so the chunk-accounting checks the machine layer performs at
-//! element boundaries observe bit-identical counter states.
 //!
-//! On any exit — the run ends mid-period, the pattern breaks, foreign
+//! On any exit — the run ends mid-window, the pattern breaks, foreign
 //! traffic arrives, a migration epoch applies moves, or the engine is
 //! reconfigured — the cache and prefetcher state is *materialized*: rebuilt
 //! from the engagement snapshot with all tags, pages and timestamps shifted
-//! by the number of replayed periods (plus, for a partial strided window, an
-//! exact re-walk of the already-applied elements). The workspace property
-//! tests assert full `RunReport` bit-identity between replay-on, replay-off
-//! and the per-line reference pipeline.
+//! by the number of replayed windows. The workspace property tests assert
+//! full `RunReport` bit-identity between replay-on, replay-off and the
+//! per-line reference pipeline.
 
 use crate::cache::{CacheLine, CacheSim, DramEventKind, DramSink};
 use crate::counters::Counters;
@@ -129,30 +102,6 @@ const MAX_WINDOW_PAGES: u64 = 1024;
 /// snapshot comparison, bounding the snapshot cost on never-periodic
 /// traffic.
 const MAX_BACKOFF: u32 = 16;
-
-/// Cap (in candidate passes) of the pass-verification backoff, bounding the
-/// snapshot + logging cost on identical-but-never-recurring call sequences.
-const MAX_PASS_BACKOFF: u32 = 8;
-
-/// Upper bound on elements per strided pass (fingerprint size cap): longer
-/// strided loops stay on the exact walk, whose per-element tracking cost is
-/// a couple of integer compares.
-const MAX_STRIDE_ELEMS: u64 = 65536;
-
-/// Consecutive stride-chain restarts (no candidate ever advancing) before
-/// small-call detection goes to sleep entirely: the traffic is a scatter,
-/// and even the few compares per restart are pure overhead at gather rates.
-const SCATTER_BREAKS: u32 = 8;
-
-/// First scatter sleep, in small calls. Doubles per round up to
-/// [`SCATTER_MAX_SLEEP`]; detection wakes in between, so a strided loop
-/// starting inside a sleep is picked up at most one sleep late (its pass
-/// anchor can sit at any phase of the sequence).
-const SCATTER_MIN_SLEEP: u32 = 64;
-
-/// Scatter-sleep cap, bounding how long a fresh periodic pattern can go
-/// unnoticed after aperiodic traffic.
-const SCATTER_MAX_SLEEP: u32 = 4096;
 
 fn gcd(a: u64, b: u64) -> u64 {
     if b == 0 {
@@ -178,7 +127,7 @@ struct WindowPrint {
     events: Vec<(u64, DramEventKind)>,
 }
 
-/// Frozen cache + prefetcher state at a period boundary.
+/// Frozen cache + prefetcher state at a window boundary.
 #[derive(Debug, Clone)]
 struct StateSnapshot {
     l2_lines: Vec<CacheLine>,
@@ -190,7 +139,7 @@ struct StateSnapshot {
     pf: PrefetcherSnapshot,
 }
 
-/// Per-period clock advances derived from two matching snapshots.
+/// Per-window clock advances derived from two matching snapshots.
 #[derive(Debug, Clone, Copy)]
 struct ClockDeltas {
     l2: u64,
@@ -199,13 +148,12 @@ struct ClockDeltas {
 }
 
 /// Which snapshot slots hold *dormant* state: lines / stream entries the
-/// period's traffic provably never touched (identical tag AND timestamp at
-/// both period boundaries — stamps are globally unique and monotonically
+/// window's traffic provably never touched (identical tag AND timestamp at
+/// both window boundaries — stamps are globally unique and monotonically
 /// increasing per structure, so an unchanged stamp is proof the line was not
 /// touched, not a coincidence). Dormant state stays fixed while everything
-/// else shifts uniformly: this is what lets strided sweeps (which never
-/// evict foreign lines from the sets their stride skips) and passes over a
-/// subrange verify and replay. Empty vectors mean no dormant slots.
+/// else shifts uniformly: this is what lets a stream verify and replay while
+/// hot lines outside it stay resident. Empty vectors mean no dormant slots.
 #[derive(Debug, Clone, Default)]
 struct DormantMask {
     l2: Vec<bool>,
@@ -248,124 +196,11 @@ struct Memo {
     windows_done: u64,
 }
 
-/// In-flight fingerprint of one pass-sized call: the state at the call
-/// boundary plus everything the call produced. Becomes the pass memo on
-/// engagement.
-#[derive(Debug, Clone)]
-struct PassPrint {
-    /// State at the start of the logged call (post-materialization).
-    snap: StateSnapshot,
-    /// Counter delta of the whole call.
-    delta: Counters,
-    /// Every DRAM transaction of the call, in order, with bulk counts.
-    events: Vec<(u64, DramEventKind, u64)>,
-}
-
-/// Everything needed to replay whole passes and to materialize the exact
-/// state on exit. Passes revisit the *same* range, so tags never shift —
-/// only clocks advance.
-#[derive(Debug, Clone)]
-struct PassMemo {
-    first_line: u64,
-    line_count: u64,
-    is_write: bool,
-    /// Counter delta of one pass.
-    delta: Counters,
-    /// Page-granular DRAM transactions of one pass, in first-occurrence
-    /// order, at their absolute line addresses (zero shift between passes).
-    groups: Vec<(u64, DramEventKind, u64)>,
-    /// State at the start of the fingerprinted pass: after `m` replayed
-    /// passes the exact state is this snapshot with every timestamp advanced
-    /// by `m + 1` passes of clock deltas (tags unshifted).
-    snap: StateSnapshot,
-    clocks: ClockDeltas,
-    dormant: DormantMask,
-    /// `feedback(true)` calls per pass, advanced in closed form.
-    pf_useful: u64,
-    /// Whole passes replayed so far from this memo.
-    passes_done: u64,
-}
-
-/// Everything needed to replay strided passes element-by-element and to
-/// materialize the exact state on exit. Strided passes revisit the *same*
-/// elements, so — exactly like contiguous passes — tags never shift, only
-/// clocks advance, and the logged events replay at their absolute addresses.
-#[derive(Debug, Clone)]
-struct StridedMemo {
-    /// First line of the sequence's first element.
-    base_line: u64,
-    /// Lines between consecutive element starts.
-    stride: u64,
-    /// Lines per element.
-    len: u64,
-    is_write: bool,
-    /// Elements per pass.
-    elem_count: u64,
-    /// Per-element counter deltas of the fingerprinted pass.
-    elems: Vec<Counters>,
-    /// `events[..ev_ends[i]]` are the transactions of elements `0..=i`.
-    ev_ends: Vec<u32>,
-    /// The fingerprinted pass's transactions at absolute line addresses.
-    events: Vec<(u64, DramEventKind)>,
-    /// State at the start of the fingerprinted pass: after `m` fully
-    /// replayed passes the exact pass-boundary state is this snapshot with
-    /// every timestamp advanced by `m + 1` passes of clock deltas (tags
-    /// unshifted).
-    snap: StateSnapshot,
-    clocks: ClockDeltas,
-    dormant: DormantMask,
-    /// Whole strided passes replayed so far.
-    passes_done: u64,
-    /// Elements of the current (partial) pass already applied.
-    elem_idx: u64,
-}
-
-impl StridedMemo {
-    /// First line of the next element the engaged sequence expects.
-    fn expected_first(&self) -> u64 {
-        self.base_line + self.elem_idx * self.stride
-    }
-}
-
 #[derive(Debug, Clone, Default)]
 enum Mode {
     #[default]
     Detect,
     Replay(Box<Memo>),
-    Pass(Box<PassMemo>),
-    Strided(Box<StridedMemo>),
-}
-
-/// What a streak restart decided about stride tracking.
-enum StrideAction {
-    /// The call is the next element of an active strided sequence.
-    Element,
-    /// The call wraps back to the sequence's first element: a strided pass
-    /// boundary (the call itself is element 0 of the new pass).
-    PassStart,
-    /// Walk normally.
-    Walk,
-}
-
-/// What a streak restart decided about pass tracking.
-enum PassAction {
-    /// Pass replay just engaged; apply the call in closed form.
-    Engaged,
-    /// Log this call as a pass fingerprint.
-    Log,
-    /// Walk normally.
-    Walk,
-}
-
-/// Which closed-form escalation level a recorded transition refers to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum ReplayLevel {
-    /// Closed-form page-window replay.
-    Window,
-    /// Whole-pass replay.
-    Pass,
-    /// Stride-aware element-sequence replay.
-    Strided,
 }
 
 /// One engage/exit transition recorded for the flight recorder. Collected
@@ -374,23 +209,11 @@ pub(crate) enum ReplayLevel {
 /// application-line clock.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum ReplayTransition {
-    /// A closed form engaged at this level.
-    Engaged(ReplayLevel),
-    /// A closed form at this level exited, with the reason
-    /// (`pattern-break`, `hard-reset` or `cache-reset`).
-    Exited(ReplayLevel, &'static str),
-}
-
-impl Mode {
-    /// The escalation level of a non-detect mode.
-    fn level(&self) -> Option<ReplayLevel> {
-        match self {
-            Mode::Detect => None,
-            Mode::Replay(_) => Some(ReplayLevel::Window),
-            Mode::Pass(_) => Some(ReplayLevel::Pass),
-            Mode::Strided(_) => Some(ReplayLevel::Strided),
-        }
-    }
+    /// Window replay engaged.
+    Engaged,
+    /// Window replay exited, with the reason (`pattern-break`, `hard-reset`
+    /// or `cache-reset`).
+    Exited(&'static str),
 }
 
 /// Detector + memo state machine owned by [`CacheSim`].
@@ -404,14 +227,8 @@ pub(crate) struct ReplayEngine {
     pub(crate) window_pages: u64,
     /// Lines per window.
     pub(crate) window_lines: u64,
-    /// Lifetime count of replayed windows, contiguous and strided
-    /// (observability / tests).
+    /// Lifetime count of replayed windows (observability / tests).
     pub(crate) windows_replayed_total: u64,
-    /// Lifetime count of replayed whole passes (observability / tests).
-    pub(crate) passes_replayed_total: u64,
-    /// Lifetime count of strided elements applied in closed form
-    /// (observability / tests).
-    pub(crate) stride_elems_replayed_total: u64,
 
     /// Whether a contiguous streak is currently tracked.
     streak: bool,
@@ -430,8 +247,8 @@ pub(crate) struct ReplayEngine {
     events: Vec<(u64, DramEventKind)>,
     /// Fingerprint of the last completed window.
     prev: Option<WindowPrint>,
-    /// Snapshot taken at the end of the last completed window or strided
-    /// window (armed for a shift comparison at the end of the next one).
+    /// Snapshot taken at the end of the last completed window (armed for a
+    /// shift comparison at the end of the next one).
     armed: Option<Box<StateSnapshot>>,
     /// Windows to skip before arming again (backoff countdown).
     skip_windows: u32,
@@ -445,61 +262,6 @@ pub(crate) struct ReplayEngine {
     /// ahead of the stream the furthest foreign line sits, so warm-up
     /// transients are not scanned every window).
     scan_skip: u32,
-
-    /// The (first_line, line_count, is_write) triple of the last pass-sized
-    /// call, for back-to-back pass detection.
-    last_call: Option<(u64, u64, bool)>,
-    /// In-flight pass fingerprint (logged over one whole call).
-    pass_print: Option<Box<PassPrint>>,
-    /// Matching pass-sized calls to skip before logging again (backoff).
-    pass_skip: u32,
-    /// Consecutive failed pass verifications (drives the backoff).
-    pass_fail: u32,
-
-    /// Whether a strided element sequence is actively being tracked.
-    s_active: bool,
-    /// Candidate-chain length (0 = no candidate, 1 = anchor recorded,
-    /// 2+ = stride established).
-    s_count: u32,
-    /// The established candidate chain failed the activation gates; stop
-    /// retrying until the chain breaks.
-    s_hopeless: bool,
-    /// First line of the last element of the chain.
-    s_last_first: u64,
-    /// Lines between consecutive element starts.
-    s_stride: u64,
-    /// Lines per element.
-    s_len: u64,
-    s_write: bool,
-    /// First line of the sequence's first element (pass anchor).
-    s_seq_first: u64,
-    /// Elements seen in the current pass so far.
-    s_seen: u64,
-    /// Element count of the previous completed pass (the pass chain).
-    s_pass_elems: Option<u64>,
-    /// Whether the current pass is being fingerprint-logged.
-    s_logging: bool,
-    /// Consecutive failed strided pass verifications (drives the backoff).
-    s_fail: u32,
-    /// Matching pass boundaries to skip before logging again (backoff).
-    s_skip: u32,
-    /// Per-element counter deltas of the pass being logged.
-    s_elems: Vec<Counters>,
-    /// Per-element event boundaries into `s_events`.
-    s_ev_ends: Vec<u32>,
-    /// DRAM transactions logged over the pass being logged.
-    s_events: Vec<(u64, DramEventKind)>,
-    /// Whole-pass counter delta (for the feedback gate).
-    s_acc: Counters,
-
-    /// Consecutive stride-candidate chain restarts with no chain progress
-    /// (drives the scatter-sleep backoff).
-    s_breaks: u32,
-    /// Small calls left to walk with no detection bookkeeping at all
-    /// (scatter sleep: the traffic has proven aperiodic for now).
-    scatter_sleep: u32,
-    /// Length of the next scatter sleep (doubles up to the cap).
-    scatter_len: u32,
 
     /// Whether engage/exit transitions are recorded for the flight recorder
     /// ([`CacheSim::set_replay_trace`]). Off by default: with tracing off the
@@ -522,8 +284,6 @@ impl ReplayEngine {
             window_pages,
             window_lines: window_pages * LINES_PER_PAGE,
             windows_replayed_total: 0,
-            passes_replayed_total: 0,
-            stride_elems_replayed_total: 0,
             streak: false,
             next_line: 0,
             is_write: false,
@@ -538,30 +298,6 @@ impl ReplayEngine {
             fail_streak: 0,
             last_valid_count: None,
             scan_skip: 0,
-            last_call: None,
-            pass_print: None,
-            pass_skip: 0,
-            pass_fail: 0,
-            s_active: false,
-            s_count: 0,
-            s_hopeless: false,
-            s_last_first: 0,
-            s_stride: 0,
-            s_len: 0,
-            s_write: false,
-            s_seq_first: 0,
-            s_seen: 0,
-            s_pass_elems: None,
-            s_logging: false,
-            s_fail: 0,
-            s_skip: 0,
-            s_elems: Vec::new(),
-            s_ev_ends: Vec::new(),
-            s_events: Vec::new(),
-            s_acc: Counters::default(),
-            s_breaks: 0,
-            scatter_sleep: 0,
-            scatter_len: 0,
             trace: false,
             transitions: Vec::new(),
             mode: Mode::Detect,
@@ -582,31 +318,13 @@ impl ReplayEngine {
         self.enabled = enabled && self.geometry_ok;
     }
 
-    /// Whether any streak / detection / replay state is live. Engaged pass
-    /// and strided modes run with `streak == false`, so they (and an
-    /// in-flight pass fingerprint or strided accumulation) must be covered
-    /// explicitly — foreign traffic has to force a hard reset through them.
+    /// Whether any streak / detection / replay state is live.
     pub(crate) fn is_active(&self) -> bool {
-        self.streak
-            || self.s_active
-            || self.pass_print.is_some()
-            || !matches!(self.mode, Mode::Detect)
+        self.streak || self.in_replay()
     }
 
     fn in_replay(&self) -> bool {
         matches!(self.mode, Mode::Replay(_))
-    }
-
-    /// Whether the incoming call is the exact repeat an engaged pass or
-    /// strided memo expects.
-    fn closed_form_matches(&self, first: u64, count: u64, write: bool) -> bool {
-        match &self.mode {
-            Mode::Pass(m) => m.first_line == first && m.line_count == count && m.is_write == write,
-            Mode::Strided(m) => {
-                m.expected_first() == first && m.len == count && m.is_write == write
-            }
-            _ => false,
-        }
     }
 
     /// Drops all state without materializing. Only valid when the caches are
@@ -616,20 +334,13 @@ impl ReplayEngine {
         self.streak = false;
         self.det_live = true;
         self.clear_window_detection();
-        self.pass_chain_clear();
-        self.s_active = true;
-        self.strided_clear();
-        self.s_breaks = 0;
-        self.scatter_sleep = 0;
-        self.scatter_len = 0;
-        self.mode = Mode::Detect;
     }
 
     /// Forced variant of [`ReplayEngine::discard`] for cache resets, where
     /// the state replay would materialize is itself being thrown away.
     pub(crate) fn discard_for_reset(&mut self) {
-        if let Some(level) = self.mode.level() {
-            self.note_transition(ReplayTransition::Exited(level, "cache-reset"));
+        if self.in_replay() {
+            self.note_transition(ReplayTransition::Exited("cache-reset"));
         }
         self.mode = Mode::Detect;
         self.discard();
@@ -649,34 +360,6 @@ impl ReplayEngine {
             self.fail_streak = 0;
             self.last_valid_count = None;
             self.scan_skip = 0;
-        }
-    }
-
-    /// Drops the back-to-back pass chain (a non-matching call restarts it).
-    fn pass_chain_clear(&mut self) {
-        self.last_call = None;
-        self.pass_print = None;
-        self.pass_skip = 0;
-        self.pass_fail = 0;
-    }
-
-    /// Drops strided candidate, pass-chain and fingerprint state, including
-    /// the armed snapshot strided logging borrows from the window detector.
-    fn strided_clear(&mut self) {
-        if self.s_active || self.s_count > 0 {
-            self.s_active = false;
-            self.s_count = 0;
-            self.s_hopeless = false;
-            self.s_seen = 0;
-            self.s_pass_elems = None;
-            self.s_logging = false;
-            self.s_fail = 0;
-            self.s_skip = 0;
-            self.s_elems.clear();
-            self.s_ev_ends.clear();
-            self.s_events.clear();
-            self.s_acc = Counters::default();
-            self.armed = None;
         }
     }
 
@@ -702,99 +385,8 @@ impl ReplayEngine {
     fn resume_detection(&mut self, line: u64) {
         debug_assert!(matches!(self.mode, Mode::Detect));
         self.window_base = round_up_to_page(line);
-        self.det_live = false;
-        self.filled = 0;
-        self.acc = Counters::default();
-        self.events.clear();
-        self.prev = None;
-        self.armed = None;
-        self.skip_windows = 0;
-        self.fail_streak = 0;
-        self.last_valid_count = None;
-        self.scan_skip = 0;
-    }
-
-    /// Updates stride tracking at a streak restart: continues an active
-    /// element sequence, detects a wrap back to the sequence start (a pass
-    /// boundary), advances the candidate chain, or restarts it.
-    #[inline]
-    fn stride_restart(&mut self, first: u64, count: u64, write: bool) -> StrideAction {
-        if self.s_active {
-            if first == self.s_last_first + self.s_stride
-                && count == self.s_len
-                && write == self.s_write
-            {
-                self.s_breaks = 0;
-                return StrideAction::Element;
-            }
-            if first == self.s_seq_first
-                && count == self.s_len
-                && write == self.s_write
-                && self.s_seen >= 3
-            {
-                return StrideAction::PassStart;
-            }
-            self.strided_clear();
-        } else if self.s_count > 0
-            && count == self.s_len
-            && write == self.s_write
-            && first > self.s_last_first
-        {
-            let gap = first - self.s_last_first;
-            if self.s_count == 1 {
-                self.s_stride = gap;
-                self.s_count = 2;
-                self.s_last_first = first;
-                return StrideAction::Walk;
-            }
-            if gap == self.s_stride {
-                self.s_last_first = first;
-                self.s_breaks = 0;
-                if !self.s_hopeless {
-                    if self.try_activate_stride(first) {
-                        return StrideAction::Element;
-                    }
-                    // The gate depends only on (stride, len): once failed,
-                    // this chain can never activate.
-                    self.s_hopeless = true;
-                }
-                return StrideAction::Walk;
-            }
-        }
-        // Chain broken (or first small call): restart the candidate here.
-        self.s_breaks += 1;
-        self.s_count = 1;
-        self.s_hopeless = false;
-        self.s_last_first = first;
-        self.s_len = count;
-        self.s_write = write;
-        StrideAction::Walk
-    }
-
-    /// Third consistent strided call: start tracking the sequence if the
-    /// shape is tractable. Tracking is free of fingerprint cost — elements
-    /// are only logged once a pass boundary (the sequence wrapping back to
-    /// its first element) establishes the pass length.
-    fn try_activate_stride(&mut self, first: u64) -> bool {
-        if self.s_len >= self.s_stride {
-            // Abutting or overlapping elements are a contiguous stream in
-            // disguise; leave them to the window detector.
-            return false;
-        }
-        // The sequence owns detection; window residue from the candidate
-        // calls is dropped, and no contiguous streak may continue underneath
-        // the element sequence.
+        self.det_live = true;
         self.clear_window_detection();
-        self.streak = false;
-        self.s_active = true;
-        // The candidate chain consumed two elements before this one.
-        self.s_seq_first = first - 2 * self.s_stride;
-        self.s_seen = 2;
-        self.s_pass_elems = None;
-        self.s_logging = false;
-        self.s_fail = 0;
-        self.s_skip = 0;
-        true
     }
 }
 
@@ -810,37 +402,6 @@ impl<S: DramSink> DramSink for LoggingSink<'_, S> {
         self.log.push((line_addr, kind));
         self.inner.event(line_addr, kind);
     }
-}
-
-/// Sink adapter that logs every transaction — bulk replay events included —
-/// while forwarding it unchanged. Wraps a whole pass-sized call, inside
-/// which the window engine may itself replay (bulk events).
-struct PassLoggingSink<'a, S> {
-    inner: &'a mut S,
-    log: &'a mut Vec<(u64, DramEventKind, u64)>,
-}
-
-impl<S: DramSink> DramSink for PassLoggingSink<'_, S> {
-    #[inline]
-    fn event(&mut self, line_addr: u64, kind: DramEventKind) {
-        self.log.push((line_addr, kind, 1));
-        self.inner.event(line_addr, kind);
-    }
-    #[inline]
-    fn bulk_event(&mut self, line_addr: u64, kind: DramEventKind, count: u64) {
-        self.log.push((line_addr, kind, count));
-        self.inner.bulk_event(line_addr, kind, count);
-    }
-}
-
-/// Sink that drops every transaction: used when re-walking already-applied
-/// strided elements purely to rebuild cache/prefetcher state (their counter
-/// and DRAM effects were applied in closed form).
-struct DevNullSink;
-
-impl DramSink for DevNullSink {
-    #[inline]
-    fn event(&mut self, _line_addr: u64, _kind: DramEventKind) {}
 }
 
 /// `cur` reproduces `prev` with every line address advanced by `shift`.
@@ -908,7 +469,7 @@ fn cache_shifted_eq(
         // General path: pair off dormant lines first — stamps are globally
         // unique and monotonically increasing, so a live line identical to a
         // snapshot line (same tag AND same stamp) can only be the same
-        // physical line untouched across the whole period, never a
+        // physical line untouched across the whole window, never a
         // reinserted coincidence.
         va.clear();
         vb.clear();
@@ -967,9 +528,8 @@ fn cache_shifted_eq(
 
 impl CacheSim {
     /// Verifies that the *live* cache + prefetcher state is `s1` advanced by
-    /// exactly one period, returning the per-period clock deltas if so.
-    /// `window_lines`/`window_pages` are the period's uniform address shift —
-    /// zero for pass-level periodicity, where the same range is revisited.
+    /// exactly one window, returning the per-window clock deltas if so.
+    /// `window_lines`/`window_pages` are the window's uniform address shift.
     /// Comparing against the live state (instead of snapshotting it first)
     /// halves the engagement cost; on success the armed snapshot itself
     /// becomes the replay base.
@@ -1073,7 +633,7 @@ impl CacheSim {
     }
 }
 
-/// The feedback-throttle soundness gate: the period must not have produced
+/// The feedback-throttle soundness gate: the window must not have produced
 /// useless-prefetch feedback, and if it produced useful feedback the useless
 /// counter must be zero at both boundaries (the armed snapshot and the live
 /// state) so `effective_degree` is provably constant while the useful
@@ -1109,34 +669,11 @@ fn group_events(events: &[(u64, DramEventKind)], base_line: u64) -> Vec<Group> {
     groups
 }
 
-/// Aggregates a pass's logged (possibly bulk) transactions per (page, kind)
-/// in first-occurrence order, carrying absolute line addresses — passes
-/// repeat at zero shift, so no rebasing is ever needed.
-fn group_counted(events: &[(u64, DramEventKind, u64)]) -> Vec<(u64, DramEventKind, u64)> {
-    let mut groups: Vec<(u64, DramEventKind, u64)> = Vec::new();
-    #[allow(clippy::disallowed_types)]
-    let mut index: HashMap<(u64, DramEventKind), usize> = HashMap::new();
-    for &(line, kind, count) in events {
-        let page = line / LINES_PER_PAGE;
-        match index.entry((page, kind)) {
-            std::collections::hash_map::Entry::Occupied(e) => {
-                groups[*e.get()].2 += count;
-            }
-            std::collections::hash_map::Entry::Vacant(e) => {
-                e.insert(groups.len());
-                groups.push((line, kind, count));
-            }
-        }
-    }
-    groups
-}
-
 impl CacheSim {
     /// Leaves replay (materializing the exact state) and drops all detector
     /// state. Called whenever traffic or reconfiguration outside the batched
     /// walk invalidates the detector's view of the caches — including every
-    /// applied migration epoch, which must reset pass and strided state
-    /// exactly like window state.
+    /// applied migration epoch.
     pub(crate) fn replay_hard_reset(&mut self) {
         self.materialize_replay("hard-reset");
         self.replay.discard();
@@ -1160,160 +697,56 @@ impl CacheSim {
 
     /// If replaying, rebuilds the cache and prefetcher state the exact walk
     /// would have produced: the engagement snapshot shifted forward by the
-    /// number of replayed periods (plus, for a partial strided window, an
-    /// exact re-walk of the already-applied elements). A no-op in detect
-    /// mode.
+    /// number of replayed windows. A no-op in detect mode.
+    ///
+    /// Out of line and cold: it runs once per replay exit, while its callers
+    /// include the per-call path of scattered traffic (gathers, strides),
+    /// which must stay as cheap as the batched walk's.
+    #[cold]
+    #[inline(never)]
     fn materialize_replay(&mut self, reason: &'static str) {
-        if matches!(self.replay.mode, Mode::Detect) {
+        let Mode::Replay(memo) = std::mem::take(&mut self.replay.mode) else {
+            return;
+        };
+        self.replay
+            .note_transition(ReplayTransition::Exited(reason));
+        let m = memo.windows_done;
+        // The snapshot is the state one window *before* engagement; the live
+        // caches already hold the state at engagement (snapshot + 1 window),
+        // so nothing needs rebuilding when no window was applied.
+        if m == 0 {
             return;
         }
-        let mode = std::mem::take(&mut self.replay.mode);
-        if let Some(level) = mode.level() {
-            self.replay
-                .note_transition(ReplayTransition::Exited(level, reason));
+        let shift = m + 1;
+        let tag_shift = shift * self.replay.window_lines;
+        self.l2.restore_shifted(
+            &memo.snap.l2_lines,
+            memo.snap.l2_clock,
+            tag_shift,
+            shift * memo.clocks.l2,
+            &memo.dormant.l2,
+        );
+        self.llc.restore_shifted(
+            &memo.snap.llc_lines,
+            memo.snap.llc_clock,
+            tag_shift,
+            shift * memo.clocks.llc,
+            &memo.dormant.llc,
+        );
+        // A zero prefetcher-clock delta means the windows ran with no
+        // prefetcher activity at all (verify accepted the stream table
+        // frozen, not shifted), and replay never touches it — the live
+        // entries are already exact. Shifting them here would corrupt a
+        // stream trained before the prefetcher was disabled.
+        if memo.clocks.pf > 0 {
+            self.prefetcher.restore_shifted(
+                &memo.snap.pf,
+                shift * self.replay.window_pages,
+                shift * memo.clocks.pf,
+                &memo.dormant.pf,
+            );
         }
-        match mode {
-            Mode::Detect => {}
-            Mode::Replay(memo) => {
-                let m = memo.windows_done;
-                // The snapshot is the state one window *before* engagement;
-                // the live caches already hold the state at engagement
-                // (snapshot + 1 window), so nothing needs rebuilding when no
-                // window was applied.
-                if m > 0 {
-                    let shift = m + 1;
-                    let tag_shift = shift * self.replay.window_lines;
-                    self.l2.restore_shifted(
-                        &memo.snap.l2_lines,
-                        memo.snap.l2_clock,
-                        tag_shift,
-                        shift * memo.clocks.l2,
-                        &memo.dormant.l2,
-                    );
-                    self.llc.restore_shifted(
-                        &memo.snap.llc_lines,
-                        memo.snap.llc_clock,
-                        tag_shift,
-                        shift * memo.clocks.llc,
-                        &memo.dormant.llc,
-                    );
-                    if memo.clocks.pf > 0 {
-                        self.prefetcher.restore_shifted(
-                            &memo.snap.pf,
-                            shift * self.replay.window_pages,
-                            shift * memo.clocks.pf,
-                            &memo.dormant.pf,
-                        );
-                    } else {
-                        // A zero prefetcher-clock delta means the windows ran
-                        // with no prefetcher activity at all (verify accepted
-                        // the stream table frozen, not shifted), and replay
-                        // never touches it — the live entries are already
-                        // exact. Shifting them here would corrupt a stream
-                        // trained before the prefetcher was disabled.
-                    }
-                    self.stream_hint = usize::MAX;
-                }
-            }
-            Mode::Pass(memo) => {
-                let m = memo.passes_done;
-                // Same one-period-early snapshot convention as windows: the
-                // live caches hold the state at engagement (snapshot + 1
-                // pass). Passes revisit the same range, so tags and
-                // prefetcher pages never shift — only clocks advance.
-                if m > 0 {
-                    let shift = m + 1;
-                    self.l2.restore_shifted(
-                        &memo.snap.l2_lines,
-                        memo.snap.l2_clock,
-                        0,
-                        shift * memo.clocks.l2,
-                        &memo.dormant.l2,
-                    );
-                    self.llc.restore_shifted(
-                        &memo.snap.llc_lines,
-                        memo.snap.llc_clock,
-                        0,
-                        shift * memo.clocks.llc,
-                        &memo.dormant.llc,
-                    );
-                    if memo.clocks.pf > 0 {
-                        self.prefetcher.restore_shifted(
-                            &memo.snap.pf,
-                            0,
-                            shift * memo.clocks.pf,
-                            &memo.dormant.pf,
-                        );
-                    }
-                    self.stream_hint = usize::MAX;
-                }
-            }
-            Mode::Strided(memo) => {
-                let m = memo.passes_done;
-                // Same one-period-early snapshot convention as passes: the
-                // live caches hold the state at engagement (snapshot + 1
-                // pass), tags never shift, only clocks advance.
-                if m > 0 {
-                    let shift = m + 1;
-                    self.l2.restore_shifted(
-                        &memo.snap.l2_lines,
-                        memo.snap.l2_clock,
-                        0,
-                        shift * memo.clocks.l2,
-                        &memo.dormant.l2,
-                    );
-                    self.llc.restore_shifted(
-                        &memo.snap.llc_lines,
-                        memo.snap.llc_clock,
-                        0,
-                        shift * memo.clocks.llc,
-                        &memo.dormant.llc,
-                    );
-                    if memo.clocks.pf > 0 {
-                        self.prefetcher.restore_shifted(
-                            &memo.snap.pf,
-                            0,
-                            shift * memo.clocks.pf,
-                            &memo.dormant.pf,
-                        );
-                    }
-                    self.stream_hint = usize::MAX;
-                }
-                if memo.elem_idx > 0 {
-                    // Re-walk the already-applied elements of the partial
-                    // pass to rebuild cache/prefetcher state; their counter
-                    // and DRAM effects were applied in closed form, so both
-                    // are discarded here, and the closed-form-advanced
-                    // prefetch feedback is preserved across the re-walk (the
-                    // feedback gate guarantees zero useless feedback, so the
-                    // saved counters are exact).
-                    let fb_useful = self.prefetcher.feedback_useful;
-                    let fb_useless = self.prefetcher.feedback_useless;
-                    let mut scratch = Counters::default();
-                    let mut devnull = DevNullSink;
-                    self.stream_hint = usize::MAX;
-                    for i in 0..memo.elem_idx {
-                        self.walk_lines_exact(
-                            memo.base_line + i * memo.stride,
-                            memo.len,
-                            memo.is_write,
-                            &mut scratch,
-                            &mut devnull,
-                        );
-                    }
-                    self.prefetcher.feedback_useful = fb_useful;
-                    self.prefetcher.feedback_useless = fb_useless;
-                }
-            }
-        }
-    }
-
-    /// Exits an engaged pass or strided mode whose pattern broke:
-    /// materializes the exact state and drops every detector chain, so the
-    /// breaking call re-enters detection from scratch.
-    fn leave_closed_form(&mut self) {
-        self.materialize_replay("pattern-break");
-        self.replay.discard();
+        self.stream_hint = usize::MAX;
     }
 
     /// One cheap pass over both caches: how many valid lines sit at or
@@ -1344,9 +777,51 @@ impl CacheSim {
         }
     }
 
-    /// Batched walk with steady-state detection and replay. Behaviourally
-    /// identical to [`CacheSim::walk_lines_exact`] over the same lines.
+    /// Whether a call at `first_line` continues the current streak.
     #[inline]
+    fn continues_streak(&self, first_line: u64, is_write: bool) -> bool {
+        self.replay.streak
+            && self.replay.next_line == first_line
+            && self.replay.is_write == is_write
+    }
+
+    /// Detector bookkeeping for a *scattered* call: one that does not
+    /// continue the current streak and ends before the page boundary a
+    /// fresh streak would start accumulating at (single-line gathers, wide
+    /// strides). Exits any window replay and re-anchors the streak after the
+    /// call, which the caller then walks exactly. Returns `false`, touching
+    /// nothing, for any other call; those go to
+    /// [`CacheSim::walk_with_replay`].
+    #[inline]
+    pub(crate) fn note_scattered_call(
+        &mut self,
+        first_line: u64,
+        line_count: u64,
+        is_write: bool,
+    ) -> bool {
+        if self.continues_streak(first_line, is_write)
+            || first_line + line_count > round_up_to_page(first_line + 1)
+        {
+            return false;
+        }
+        self.restart_streak(first_line, is_write);
+        self.replay.next_line = first_line + line_count;
+        true
+    }
+
+    /// Exits any window replay left by the previous streak and re-anchors
+    /// detection at `first_line`.
+    #[inline]
+    fn restart_streak(&mut self, first_line: u64, is_write: bool) {
+        if self.replay.in_replay() {
+            self.materialize_replay("pattern-break");
+        }
+        self.replay.begin_streak(first_line, is_write);
+    }
+
+    /// Batched walk with steady-state detection and replay for a call that
+    /// [`CacheSim::note_scattered_call`] declined. Behaviourally identical to
+    /// [`CacheSim::walk_lines_exact`] over the same lines.
     pub(crate) fn walk_with_replay<S: DramSink>(
         &mut self,
         first_line: u64,
@@ -1355,120 +830,8 @@ impl CacheSim {
         counters: &mut Counters,
         sink: &mut S,
     ) {
-        // Engaged closed-form modes first: an exact repeat of the memoized
-        // pattern is applied without touching the detector at all; anything
-        // else exits the mode (materializing the exact state) and re-enters
-        // detection below.
-        if !matches!(self.replay.mode, Mode::Detect | Mode::Replay(_)) {
-            if self
-                .replay
-                .closed_form_matches(first_line, line_count, is_write)
-            {
-                if matches!(self.replay.mode, Mode::Pass(_)) {
-                    self.apply_replay_pass(counters, sink);
-                } else {
-                    self.apply_strided_elem(counters, sink);
-                }
-                return;
-            }
-            self.leave_closed_form();
-        }
-        if self.replay.streak
-            && self.replay.next_line == first_line
-            && self.replay.is_write == is_write
-        {
-            // A continuation call means the last pass-sized call was *not* a
-            // whole period by itself — single-call pass fingerprints cannot
-            // cover multi-call passes, so the chain must not survive to
-            // verify against a partial fingerprint.
-            if self.replay.last_call.is_some() {
-                self.replay.pass_chain_clear();
-            }
-            self.walk_streak(first_line, line_count, is_write, counters, sink);
-        } else {
-            self.walk_restart(first_line, line_count, is_write, counters, sink);
-        }
-    }
-
-    /// A call that does not continue the current contiguous streak: exit any
-    /// window replay, update the stride and pass detectors, then re-anchor.
-    #[inline]
-    fn walk_restart<S: DramSink>(
-        &mut self,
-        first_line: u64,
-        line_count: u64,
-        is_write: bool,
-        counters: &mut Counters,
-        sink: &mut S,
-    ) {
-        // Exit any engaged window replay left by the previous streak.
-        if !matches!(self.replay.mode, Mode::Detect) {
-            self.materialize_replay("pattern-break");
-        }
-
-        if line_count < self.replay.window_lines {
-            if self.replay.scatter_sleep > 0 {
-                // Scatter sleep: recent small calls never advanced a stride
-                // candidate, so detection is provably idle — walk exact with
-                // zero bookkeeping until the sleep expires.
-                self.replay.scatter_sleep -= 1;
-                if self.replay.last_call.is_some() {
-                    self.replay.pass_chain_clear();
-                }
-                self.walk_lines_exact(first_line, line_count, is_write, counters, sink);
-                return;
-            }
-            // Small calls are the strided / scattered shape.
-            match self.replay.stride_restart(first_line, line_count, is_write) {
-                StrideAction::Element => {
-                    self.walk_strided_elem(first_line, line_count, is_write, counters, sink);
-                    return;
-                }
-                StrideAction::PassStart => {
-                    if self.strided_pass_start() {
-                        // Engaged: this call is element 0 of the first
-                        // closed-form pass.
-                        self.apply_strided_elem(counters, sink);
-                    } else {
-                        self.walk_strided_elem(first_line, line_count, is_write, counters, sink);
-                    }
-                    return;
-                }
-                StrideAction::Walk => {
-                    if self.replay.s_breaks >= SCATTER_BREAKS {
-                        self.replay.s_breaks = 0;
-                        self.replay.scatter_len = (self.replay.scatter_len * 2)
-                            .clamp(SCATTER_MIN_SLEEP, SCATTER_MAX_SLEEP);
-                        self.replay.scatter_sleep = self.replay.scatter_len;
-                    }
-                }
-            }
-            if self.replay.last_call.is_some() {
-                self.replay.pass_chain_clear();
-            }
-        } else {
-            match self.pass_restart(first_line, line_count, is_write) {
-                PassAction::Engaged => {
-                    self.apply_replay_pass(counters, sink);
-                    return;
-                }
-                PassAction::Log => {
-                    self.walk_pass_logged(first_line, line_count, is_write, counters, sink);
-                    return;
-                }
-                PassAction::Walk => {}
-            }
-        }
-
-        self.replay.begin_streak(first_line, is_write);
-        if first_line + line_count <= self.replay.window_base {
-            // Scattered-traffic fast path: the whole call sits before the
-            // accumulation boundary (single-line gathers, wide strides),
-            // so no detection bookkeeping is needed beyond the streak
-            // anchor just recorded.
-            self.walk_lines_exact(first_line, line_count, is_write, counters, sink);
-            self.replay.next_line = first_line + line_count;
-            return;
+        if !self.continues_streak(first_line, is_write) {
+            self.restart_streak(first_line, is_write);
         }
         self.walk_streak(first_line, line_count, is_write, counters, sink);
     }
@@ -1569,8 +932,7 @@ impl CacheSim {
                         base_line: confirm_base,
                         windows_done: 0,
                     }));
-                    self.replay
-                        .note_transition(ReplayTransition::Engaged(ReplayLevel::Window));
+                    self.replay.note_transition(ReplayTransition::Engaged);
                 } else {
                     // Deltas repeat but the state is not uniformly shifted
                     // (or the feedback gate failed): back off before paying
@@ -1652,318 +1014,6 @@ impl CacheSim {
         self.replay.windows_replayed_total += 1;
         self.prefetcher.advance_useful(useful);
     }
-
-    // -----------------------------------------------------------------------
-    // Pass-level periodicity.
-    // -----------------------------------------------------------------------
-
-    /// Pass bookkeeping at a streak restart with a pass-sized call: advance
-    /// the back-to-back chain, verify + engage a logged fingerprint, or
-    /// decide to log this call.
-    fn pass_restart(&mut self, first: u64, count: u64, write: bool) -> PassAction {
-        let matches = self.replay.last_call == Some((first, count, write));
-        self.replay.last_call = Some((first, count, write));
-        if !matches {
-            // A different pass-sized call restarts the chain.
-            self.replay.pass_print = None;
-            self.replay.pass_skip = 0;
-            self.replay.pass_fail = 0;
-            return PassAction::Walk;
-        }
-        if let Some(print) = self.replay.pass_print.take() {
-            // The previous identical call was logged; if the pass-boundary
-            // state recurs (zero tag shift, uniform clock shift), the next
-            // pass is provably identical — the logged fingerprint becomes
-            // the memo.
-            let gated = feedback_gate(&print.delta, &print.snap, self.prefetcher.feedback_useless);
-            let verdict = if gated {
-                self.verify_live_shift(&print.snap, 0, 0)
-            } else {
-                None
-            };
-            if let Some((clocks, dormant)) = verdict {
-                let pf_useful = print.delta.pf_useful;
-                self.replay.mode = Mode::Pass(Box::new(PassMemo {
-                    first_line: first,
-                    line_count: count,
-                    is_write: write,
-                    groups: group_counted(&print.events),
-                    delta: print.delta,
-                    snap: print.snap,
-                    clocks,
-                    dormant,
-                    pf_useful,
-                    passes_done: 0,
-                }));
-                self.replay
-                    .note_transition(ReplayTransition::Engaged(ReplayLevel::Pass));
-                // No contiguous streak may continue under an engaged pass,
-                // and the window residue from the logged pass is dead.
-                self.replay.streak = false;
-                self.replay.clear_window_detection();
-                return PassAction::Engaged;
-            }
-            self.replay.pass_fail = self.replay.pass_fail.saturating_add(1);
-            // The first failure is usually the warm-up pass: retry at once;
-            // after that, back off exponentially.
-            self.replay.pass_skip = if self.replay.pass_fail <= 1 {
-                0
-            } else {
-                (1u32 << (self.replay.pass_fail - 2).min(3)).min(MAX_PASS_BACKOFF)
-            };
-        }
-        if self.replay.pass_skip > 0 {
-            self.replay.pass_skip -= 1;
-            return PassAction::Walk;
-        }
-        self.replay.pass_print = Some(Box::new(PassPrint {
-            snap: self.take_snapshot(),
-            delta: Counters::default(),
-            events: Vec::new(),
-        }));
-        PassAction::Log
-    }
-
-    /// Walks one pass-sized call exactly while logging its whole fingerprint
-    /// (counter delta + every DRAM transaction, bulk window replays
-    /// included). The window engine runs normally inside the logged pass.
-    fn walk_pass_logged<S: DramSink>(
-        &mut self,
-        first_line: u64,
-        line_count: u64,
-        is_write: bool,
-        counters: &mut Counters,
-        sink: &mut S,
-    ) {
-        let mut print = self
-            .replay
-            .pass_print
-            .take()
-            .expect("walk_pass_logged without an armed pass print");
-        let before = *counters;
-        {
-            let mut logging = PassLoggingSink {
-                inner: sink,
-                log: &mut print.events,
-            };
-            self.replay.begin_streak(first_line, is_write);
-            if first_line + line_count <= self.replay.window_base {
-                self.walk_lines_exact(first_line, line_count, is_write, counters, &mut logging);
-                self.replay.next_line = first_line + line_count;
-            } else {
-                self.walk_streak(first_line, line_count, is_write, counters, &mut logging);
-            }
-        }
-        print.delta = counters.delta_from(&before);
-        self.replay.pass_print = Some(print);
-    }
-
-    /// Applies one memoized pass in closed form: one pass-sized counter
-    /// delta, page-granular bulk DRAM transactions at their absolute
-    /// addresses, and the closed-form prefetcher feedback advance.
-    fn apply_replay_pass<S: DramSink>(&mut self, counters: &mut Counters, sink: &mut S) {
-        let Mode::Pass(memo) = &mut self.replay.mode else {
-            unreachable!("apply_replay_pass outside pass mode");
-        };
-        counters.add(&memo.delta);
-        for &(line, kind, count) in &memo.groups {
-            sink.bulk_event(line, kind, count);
-        }
-        memo.passes_done += 1;
-        let useful = memo.pf_useful;
-        self.replay.passes_replayed_total += 1;
-        self.prefetcher.advance_useful(useful);
-    }
-
-    // -----------------------------------------------------------------------
-    // Stride-aware streaks.
-    // -----------------------------------------------------------------------
-
-    /// Walks one element of an active strided sequence exactly, logging its
-    /// per-element fingerprint when the current pass is being logged.
-    fn walk_strided_elem<S: DramSink>(
-        &mut self,
-        first_line: u64,
-        line_count: u64,
-        is_write: bool,
-        counters: &mut Counters,
-        sink: &mut S,
-    ) {
-        self.replay.s_seen += 1;
-        self.replay.s_last_first = first_line;
-        if !self.replay.s_logging {
-            self.walk_lines_exact(first_line, line_count, is_write, counters, sink);
-            return;
-        }
-        if Some(self.replay.s_elems.len() as u64) == self.replay.s_pass_elems {
-            // The pass ran past its established length: the loop shape
-            // changed, so the fingerprint in progress can never be verified
-            // against the previous boundary. Drop it and keep walking.
-            self.replay.s_logging = false;
-            self.replay.s_elems.clear();
-            self.replay.s_ev_ends.clear();
-            self.replay.s_events.clear();
-            self.replay.s_acc = Counters::default();
-            self.replay.armed = None;
-            self.walk_lines_exact(first_line, line_count, is_write, counters, sink);
-            return;
-        }
-        let before = *counters;
-        let mut log = std::mem::take(&mut self.replay.s_events);
-        {
-            let mut logging = LoggingSink {
-                inner: sink,
-                log: &mut log,
-            };
-            self.walk_lines_exact(first_line, line_count, is_write, counters, &mut logging);
-        }
-        self.replay.s_events = log;
-        let delta = counters.delta_from(&before);
-        self.replay.s_acc.add(&delta);
-        self.replay.s_elems.push(delta);
-        debug_assert!(self.replay.s_events.len() <= u32::MAX as usize);
-        self.replay
-            .s_ev_ends
-            .push(self.replay.s_events.len() as u32);
-    }
-
-    /// Handles a strided pass boundary (the sequence wrapped back to its
-    /// first element): verify + engage a completely logged pass, start
-    /// logging the new pass, or just advance the pass chain. Returns whether
-    /// strided replay engaged (the boundary call is then element 0 of the
-    /// first closed-form pass).
-    ///
-    /// Like contiguous passes, a strided pass revisits identical addresses,
-    /// so a recurring pass-boundary state (zero tag shift, uniform clock
-    /// shift, dormant lines allowed) alone proves the next pass identical —
-    /// no fingerprint comparison is needed. The dormancy allowance is what
-    /// makes this work where window-shift verification cannot: a strided
-    /// sweep leaves foreign warm-up lines resident in the sets its stride
-    /// skips forever, and those lines are exactly equal (not shifted) at
-    /// pass boundaries.
-    fn strided_pass_start(&mut self) -> bool {
-        let n = self.replay.s_seen;
-        let matches_prev = self.replay.s_pass_elems == Some(n);
-        self.replay.s_pass_elems = Some(n);
-        self.replay.s_seen = 0;
-
-        if !matches_prev {
-            // Different pass length: restart the pass chain here. Logging
-            // still starts below — if the *next* pass repeats this one's
-            // length, its fingerprint engages at the boundary after.
-            self.replay.s_logging = false;
-            self.replay.s_elems.clear();
-            self.replay.s_ev_ends.clear();
-            self.replay.s_events.clear();
-            self.replay.s_acc = Counters::default();
-            self.replay.armed = None;
-            self.replay.s_fail = 0;
-            self.replay.s_skip = 0;
-        } else if self.replay.s_logging && self.replay.s_elems.len() as u64 == n {
-            // A complete pass fingerprint was logged and the snapshot at its
-            // start is armed; if the boundary state recurs, engage.
-            let prev_snap = self
-                .replay
-                .armed
-                .take()
-                .expect("strided logging without an armed snapshot");
-            self.replay.s_logging = false;
-            let gated = feedback_gate(
-                &self.replay.s_acc,
-                &prev_snap,
-                self.prefetcher.feedback_useless,
-            );
-            let verdict = if gated {
-                self.verify_live_shift(&prev_snap, 0, 0)
-            } else {
-                None
-            };
-            if let Some((clocks, dormant)) = verdict {
-                let memo = StridedMemo {
-                    base_line: self.replay.s_seq_first,
-                    stride: self.replay.s_stride,
-                    len: self.replay.s_len,
-                    is_write: self.replay.s_write,
-                    elem_count: n,
-                    elems: std::mem::take(&mut self.replay.s_elems),
-                    ev_ends: std::mem::take(&mut self.replay.s_ev_ends),
-                    events: std::mem::take(&mut self.replay.s_events),
-                    snap: *prev_snap,
-                    clocks,
-                    dormant,
-                    passes_done: 0,
-                    elem_idx: 0,
-                };
-                self.replay.mode = Mode::Strided(Box::new(memo));
-                self.replay
-                    .note_transition(ReplayTransition::Engaged(ReplayLevel::Strided));
-                // The engaged memo owns the fingerprint; no detector residue
-                // may survive underneath it.
-                self.replay.s_active = false;
-                self.replay.s_count = 0;
-                self.replay.s_acc = Counters::default();
-                return true;
-            }
-            self.replay.s_elems.clear();
-            self.replay.s_ev_ends.clear();
-            self.replay.s_events.clear();
-            self.replay.s_acc = Counters::default();
-            self.replay.s_fail = self.replay.s_fail.saturating_add(1);
-            // The first failure is usually the warm-up pass: retry at once;
-            // after that, back off exponentially.
-            self.replay.s_skip = if self.replay.s_fail <= 1 {
-                0
-            } else {
-                (1u32 << (self.replay.s_fail - 2).min(3)).min(MAX_PASS_BACKOFF)
-            };
-        }
-        if self.replay.s_skip > 0 {
-            self.replay.s_skip -= 1;
-            return false;
-        }
-        if !self.replay.s_logging && n <= MAX_STRIDE_ELEMS {
-            // Start logging the pass that begins with this call.
-            self.replay.s_elems.clear();
-            self.replay.s_ev_ends.clear();
-            self.replay.s_events.clear();
-            self.replay.s_acc = Counters::default();
-            self.replay.armed = Some(Box::new(self.take_snapshot()));
-            self.replay.s_logging = true;
-        }
-        false
-    }
-
-    /// Applies one memoized strided element in closed form: the element's
-    /// counter delta, its DRAM transactions at their absolute addresses
-    /// (passes repeat at zero shift), and the closed-form prefetcher
-    /// feedback advance. Applying per element (not per pass) keeps the
-    /// machine layer's chunk-accounting checks at element boundaries
-    /// bit-identical to the exact walk.
-    fn apply_strided_elem<S: DramSink>(&mut self, counters: &mut Counters, sink: &mut S) {
-        let Mode::Strided(memo) = &mut self.replay.mode else {
-            unreachable!("apply_strided_elem outside strided mode");
-        };
-        let i = memo.elem_idx as usize;
-        counters.add(&memo.elems[i]);
-        let start = if i == 0 {
-            0
-        } else {
-            memo.ev_ends[i - 1] as usize
-        };
-        let end = memo.ev_ends[i] as usize;
-        for &(line, kind) in &memo.events[start..end] {
-            sink.event(line, kind);
-        }
-        let useful = memo.elems[i].pf_useful;
-        memo.elem_idx += 1;
-        if memo.elem_idx == memo.elem_count {
-            memo.elem_idx = 0;
-            memo.passes_done += 1;
-            self.replay.passes_replayed_total += 1;
-        }
-        self.replay.stride_elems_replayed_total += 1;
-        self.prefetcher.advance_useful(useful);
-    }
 }
 
 #[cfg(test)]
@@ -2007,39 +1057,6 @@ mod tests {
     }
 
     #[test]
-    fn strided_sweep_is_pass_periodic_under_zero_shift() {
-        // A strided sweep after a contiguous warmup is generally *not*
-        // window-shift-periodic (warmup residue in the skipped sets washes
-        // out non-uniformly), but the whole-pass boundary state recurs under
-        // zero tag shift almost immediately — the property strided pass
-        // replay verifies against.
-        use crate::config::{CacheParams, PrefetchParams};
-        use crate::prefetch::StreamPrefetcher;
-        let mut c = CacheSim::new(
-            CacheParams::scaled_emulation(),
-            StreamPrefetcher::new(PrefetchParams::default()),
-        );
-        c.replay.set_enabled(false);
-        let total_lines: u64 = 65536; // 4 MiB
-        let mut counters = Counters::default();
-        let mut sink = DevNullSink;
-        c.walk_lines_exact(0, total_lines, true, &mut counters, &mut sink);
-        let mut prev: Option<StateSnapshot> = None;
-        for pass in 0..4 {
-            for e in 0..(total_lines / 4) {
-                c.walk_lines_exact(e * 4, 1, false, &mut counters, &mut sink);
-            }
-            if let Some(p) = prev.as_ref() {
-                assert!(
-                    c.verify_live_shift(p, 0, 0).is_some(),
-                    "strided pass {pass} boundary not zero-shift periodic"
-                );
-            }
-            prev = Some(c.take_snapshot());
-        }
-    }
-
-    #[test]
     fn group_events_aggregates_per_page_in_order() {
         let base = 640; // line index, page 10
         let events = vec![
@@ -2056,121 +1073,5 @@ mod tests {
         assert_eq!(groups[1].count, 2);
         assert_eq!(groups[2].rel_line, 100 - 640);
         assert_eq!(groups[3].rel_line, 64);
-    }
-
-    #[test]
-    fn group_counted_aggregates_bulk_and_single_events() {
-        let events = vec![
-            (640u64, DramEventKind::DemandFill, 1),
-            (641, DramEventKind::DemandFill, 1),
-            (650, DramEventKind::PrefetchFill, 64), // bulk replay event
-            (100, DramEventKind::Writeback, 1),
-            (660, DramEventKind::PrefetchFill, 2),
-        ];
-        let groups = group_counted(&events);
-        assert_eq!(groups.len(), 3);
-        assert_eq!(groups[0], (640, DramEventKind::DemandFill, 2));
-        assert_eq!(groups[1], (650, DramEventKind::PrefetchFill, 66));
-        assert_eq!(groups[2], (100, DramEventKind::Writeback, 1));
-    }
-
-    #[test]
-    fn stride_candidate_chain_activates_on_third_consistent_call() {
-        let mut e = ReplayEngine::new(512, 2048);
-        // Calls: len 1, stride 4 lines.
-        assert!(matches!(
-            e.stride_restart(1000, 1, false),
-            StrideAction::Walk
-        ));
-        assert!(matches!(
-            e.stride_restart(1004, 1, false),
-            StrideAction::Walk
-        ));
-        assert_eq!(e.s_stride, 4);
-        // Third consistent call activates; the sequence base is back-dated to
-        // the first call of the chain and both chain calls count as seen.
-        assert!(matches!(
-            e.stride_restart(1008, 1, false),
-            StrideAction::Element
-        ));
-        assert!(e.s_active);
-        assert_eq!(e.s_seq_first, 1000);
-        assert_eq!(e.s_seen, 2);
-        // A break clears the sequence and restarts the chain.
-        assert!(matches!(
-            e.stride_restart(5000, 1, false),
-            StrideAction::Walk
-        ));
-        assert!(!e.s_active);
-        assert_eq!(e.s_count, 1);
-    }
-
-    #[test]
-    fn stride_activation_gates_reject_untractable_geometry() {
-        let mut e = ReplayEngine::new(512, 2048);
-        // Element length >= stride can never be a gapped sequence.
-        e.stride_restart(0, 8, false);
-        e.stride_restart(8, 8, false);
-        assert!(matches!(e.stride_restart(16, 8, false), StrideAction::Walk));
-        assert!(!e.s_active && e.s_hopeless);
-        // Hopeless chains stop re-evaluating but keep following the stride.
-        assert!(matches!(e.stride_restart(24, 8, false), StrideAction::Walk));
-        assert!(e.s_hopeless);
-        // Pass-level verification has no window-geometry constraint: a
-        // stride coprime with the window size still activates.
-        let mut e = ReplayEngine::new(512, 2048);
-        e.stride_restart(0, 1, false);
-        e.stride_restart(2049, 1, false);
-        assert!(matches!(
-            e.stride_restart(4098, 1, false),
-            StrideAction::Element
-        ));
-        assert!(e.s_active);
-        assert_eq!(e.s_seq_first, 0);
-    }
-
-    #[test]
-    fn strided_memo_expected_first_advances_by_element() {
-        let memo = StridedMemo {
-            base_line: 1000,
-            stride: 4,
-            len: 1,
-            is_write: false,
-            elem_count: 512,
-            elems: Vec::new(),
-            ev_ends: Vec::new(),
-            events: Vec::new(),
-            snap: StateSnapshot {
-                l2_lines: Vec::new(),
-                l2_ways: 1,
-                l2_clock: 0,
-                llc_lines: Vec::new(),
-                llc_ways: 1,
-                llc_clock: 0,
-                pf: PrefetcherSnapshot {
-                    entries: Vec::new(),
-                    clock: 0,
-                    feedback_useless: 0,
-                    enabled: true,
-                },
-            },
-            clocks: ClockDeltas {
-                l2: 0,
-                llc: 0,
-                pf: 0,
-            },
-            dormant: DormantMask::default(),
-            passes_done: 0,
-            elem_idx: 0,
-        };
-        // Replay restarts the same pass from its own base; only the element
-        // index advances the expected address (zero tag shift across passes).
-        assert_eq!(memo.expected_first(), 1000);
-        let mut memo = memo;
-        memo.elem_idx = 3;
-        assert_eq!(memo.expected_first(), 1012);
-        memo.passes_done = 2;
-        memo.elem_idx = 0;
-        assert_eq!(memo.expected_first(), 1000);
     }
 }

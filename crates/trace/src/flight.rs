@@ -31,17 +31,13 @@ pub enum TraceTier {
     Pool,
 }
 
-/// Which replay escalation level a [`TraceEvent::ReplayEngaged`] /
+/// Which replay closed form a [`TraceEvent::ReplayEngaged`] /
 /// [`TraceEvent::ReplayExited`] transition refers to (§1.1 of
 /// `docs/ARCHITECTURE.md`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum ReplayMode {
-    /// Closed-form page-window replay.
+    /// Closed-form page-window replay, the engine's only closed form.
     Window,
-    /// Whole-pass replay.
-    Pass,
-    /// Stride-aware element-sequence replay.
-    Strided,
 }
 
 /// A typed observation emitted at one of the sanctioned emission points.
@@ -87,14 +83,14 @@ pub enum TraceEvent {
         /// transition (replay transitions are collected inside the walk and
         /// drained at the next chunk boundary).
         app_lines: u64,
-        /// Escalation level that engaged.
+        /// Closed form that engaged.
         mode: ReplayMode,
     },
     /// The replay engine left a closed form.
     ReplayExited {
         /// Application DRAM lines at the draining chunk close.
         app_lines: u64,
-        /// Escalation level that exited.
+        /// Closed form that exited.
         mode: ReplayMode,
         /// Why it exited: `pattern-break`, `hard-reset` or `cache-reset`.
         reason: String,
@@ -378,7 +374,7 @@ mod tests {
         };
         let diagnostic = TraceEvent::ReplayEngaged {
             app_lines: 1,
-            mode: ReplayMode::Pass,
+            mode: ReplayMode::Window,
         };
         assert!(semantic.is_semantic());
         assert!(!diagnostic.is_semantic());

@@ -50,11 +50,11 @@ fn golden_events() -> Vec<TraceEvent> {
         },
         TraceEvent::ReplayEngaged {
             app_lines: 2304,
-            mode: ReplayMode::Pass,
+            mode: ReplayMode::Window,
         },
         TraceEvent::ReplayExited {
             app_lines: 2560,
-            mode: ReplayMode::Pass,
+            mode: ReplayMode::Window,
             reason: "hard-reset".into(),
         },
         TraceEvent::EpochClosed {
@@ -67,11 +67,11 @@ fn golden_events() -> Vec<TraceEvent> {
         },
         TraceEvent::ReplayEngaged {
             app_lines: 4608,
-            mode: ReplayMode::Strided,
+            mode: ReplayMode::Window,
         },
         TraceEvent::ReplayExited {
             app_lines: 5120,
-            mode: ReplayMode::Strided,
+            mode: ReplayMode::Window,
             reason: "cache-reset".into(),
         },
         TraceEvent::CampaignCellStarted {

@@ -118,22 +118,18 @@ impl Pipeline {
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 struct Engagement {
     windows: u64,
-    passes: u64,
-    stride_elements: u64,
 }
 
 impl Engagement {
     fn of(m: &Machine) -> Self {
         Engagement {
             windows: m.replay_windows(),
-            passes: m.replay_passes(),
-            stride_elements: m.replay_stride_elements(),
         }
     }
 
-    /// True when any closed-form mode (window, pass, or strided) applied.
+    /// True when window replay applied at least one window.
     fn engaged(self) -> bool {
-        self.windows + self.passes > 0
+        self.windows > 0
     }
 }
 
@@ -318,12 +314,12 @@ fn replay_toggle_mid_run_is_exact() {
 }
 
 /// Whole repeated passes (back-to-back identical whole-object calls) whose
-/// count differs between runs, separated by chain-breaking scalar traffic:
-/// every run must re-detect from scratch and stay bit-identical.
+/// count differs between runs, separated by scalar traffic that hard-resets
+/// replay: every run must re-detect from scratch and stay bit-identical.
 #[test]
 fn replay_pass_count_change_between_runs_is_exact() {
     let config = MachineConfig::test_config();
-    let engagement = assert_replay_bit_identical(&config, |m| {
+    assert_replay_bit_identical(&config, |m| {
         let bytes = 32 * PAGE_SIZE;
         let a = m.alloc("loop", "t", bytes);
         m.phase_start("p");
@@ -332,23 +328,19 @@ fn replay_pass_count_change_between_runs_is_exact() {
             for _ in 0..passes {
                 m.read(a, 0, bytes);
             }
-            // A scalar access breaks the pass chain between runs.
+            // A scalar access hard-resets replay between runs.
             m.access(a, (run as u64) * 192, 64, AccessKind::Write);
         }
         m.phase_end();
     });
-    assert!(
-        engagement.passes > 0,
-        "repeated whole-object calls must replay passes: {engagement:?}"
-    );
 }
 
 /// A loop of whole-object passes whose final call covers only part of the
-/// object: the partial pass must exit closed form and materialize exactly.
+/// object: the partial pass must leave any replay and materialize exactly.
 #[test]
 fn replay_final_partial_pass_is_exact() {
     let config = MachineConfig::test_config();
-    let engagement = assert_replay_bit_identical(&config, |m| {
+    assert_replay_bit_identical(&config, |m| {
         let bytes = 32 * PAGE_SIZE;
         let a = m.alloc("loop", "t", bytes);
         m.phase_start("p");
@@ -360,10 +352,6 @@ fn replay_final_partial_pass_is_exact() {
         m.read(a, 0, bytes / 2 + 7 * 64 + 13);
         m.phase_end();
     });
-    assert!(
-        engagement.passes > 0,
-        "repeated whole-object calls must replay passes: {engagement:?}"
-    );
 }
 
 /// The prefetcher is toggled off and back on between whole-object passes:
@@ -391,8 +379,8 @@ fn replay_prefetcher_toggle_between_passes_is_exact() {
         m.phase_end();
     });
     assert!(
-        engagement.passes > 0,
-        "repeated whole-object calls must replay passes: {engagement:?}"
+        engagement.windows > 0,
+        "repeated whole-object calls must replay windows: {engagement:?}"
     );
 }
 
@@ -485,9 +473,9 @@ fn tiering_migration_mid_replay_stream_is_exact() {
     assert_eq!(replay, per_line, "replay diverged under migrations");
 }
 
-/// Migrations landing while whole-pass replay is engaged (repeated identical
-/// whole-object calls, not chunked streaks): every applied epoch must
-/// hard-reset pass state, and the loop must re-engage afterwards.
+/// Migrations landing mid-loop over repeated identical whole-object calls
+/// (not chunked streaks): every applied epoch must hard-reset window replay,
+/// and the loop must re-engage afterwards.
 #[test]
 fn tiering_migration_mid_pass_replay_is_exact() {
     let config = MachineConfig::test_config().with_local_capacity(40 * PAGE_SIZE);
@@ -501,8 +489,7 @@ fn tiering_migration_mid_pass_replay_is_exact() {
         m.phase_end();
         m.phase_start("loop");
         for _ in 0..14 {
-            // One whole-object call per pass: the pass detector, not the
-            // window detector, owns this shape.
+            // One whole-object call per pass.
             m.read(hot, 0, 48 * PAGE_SIZE);
             m.flops(10_000);
         }
@@ -512,8 +499,8 @@ fn tiering_migration_mid_pass_replay_is_exact() {
     let (batched, _) = run_tiered(&config, Some(&spec), Pipeline::Batched, body);
     let (replay, engagement) = run_tiered(&config, Some(&spec), Pipeline::Replay, body);
     assert!(
-        engagement.passes > 0,
-        "whole-object loop must replay passes: {engagement:?}"
+        engagement.windows > 0,
+        "whole-object loop must replay windows: {engagement:?}"
     );
     assert!(
         per_line.tiering.promotions > 0,
@@ -524,9 +511,10 @@ fn tiering_migration_mid_pass_replay_is_exact() {
     assert_eq!(replay, per_line, "replay diverged under migrations");
 }
 
-/// A strided sweep over an object straddling the local/pool tier boundary:
-/// element sequences cross from local into remote pages every pass, and the
-/// closed-form strided replay must keep all three pipelines bit-identical.
+/// A strided sweep over an object straddling the local/pool tier boundary,
+/// after a contiguous first-touch stream: element sequences cross from local
+/// into remote pages every pass, and all three pipelines must stay
+/// bit-identical.
 #[test]
 fn strided_sweep_across_tier_boundary_is_exact() {
     let config = MachineConfig::test_config().with_local_capacity(40 * PAGE_SIZE);
@@ -544,8 +532,8 @@ fn strided_sweep_across_tier_boundary_is_exact() {
         m.phase_end();
     });
     assert!(
-        engagement.stride_elements > 0,
-        "strided sweep must replay elements in closed form: {engagement:?}"
+        engagement.windows > 0,
+        "the first-touch stream must replay windows: {engagement:?}"
     );
 }
 
