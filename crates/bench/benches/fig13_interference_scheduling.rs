@@ -4,7 +4,7 @@
 
 use dismem_bench::{base_config, is_quick, paper, print_table, workload, write_json, Row};
 use dismem_profiler::{pooled_config, run_workload, RunOptions};
-use dismem_sched::{campaign::compare_policies_sequential, CampaignConfig};
+use dismem_sched::{campaign::compare_policies, CampaignConfig};
 use dismem_workloads::{InputScale, WorkloadKind};
 use rayon::prelude::*;
 
@@ -17,9 +17,7 @@ fn main() {
     };
 
     // Each workload's profiling run + campaigns are independent: execute
-    // them concurrently on the thread pool. Within a worker the campaigns
-    // run sequentially — the scoped-thread rayon stand-in has no shared
-    // pool, so nesting the trial fan-out would oversubscribe the CPU.
+    // them concurrently on the thread pool.
     let kinds: Vec<WorkloadKind> = WorkloadKind::all().to_vec();
     let comparisons: Vec<_> = kinds
         .par_iter()
@@ -28,7 +26,7 @@ fn main() {
             // 50% memory-pool capacity as in the paper's setup.
             let cfg = pooled_config(&config, w.as_ref(), 0.5);
             let report = run_workload(w.as_ref(), &RunOptions::new(cfg));
-            let cmp = compare_policies_sequential(kind.name(), &report, &campaign);
+            let cmp = compare_policies(kind.name(), &report, &campaign);
             eprintln!("  [fig13] {} campaigns finished", kind.name());
             cmp
         })

@@ -36,16 +36,23 @@
 //! latency — asserting along the way that the warm report is bit-identical
 //! to the cold one.
 //!
+//! A `pricing` section measures Monte Carlo pricing, the re-timing a fleet
+//! cell spends its time on: for each paper workload at tiny scale, pooled
+//! at half its footprint, one lockstep `RunReport::retime_many` call over a
+//! campaign's 20 trial schedules against 20 single `retime` calls.
+//!
 //! Emits `BENCH_throughput.json` (an object with `throughput`, `workloads`,
-//! `campaign`, `tiering`, `tracing` and `snapshot` sections) so CI and later
-//! PRs can track the performance trajectory. Run with `DISMEM_QUICK=1` for
-//! the smoke profile, which runs the `workloads` section on tiny inputs. With
+//! `pricing`, `campaign`, `tiering`, `tracing` and `snapshot` sections) so CI
+//! and later PRs can track the performance trajectory. Run with
+//! `DISMEM_QUICK=1` for the smoke profile, which runs the `workloads` section
+//! on tiny inputs. With
 //! `DISMEM_BASELINE=<path to a committed BENCH_throughput.json>` the bench
 //! exits non-zero if the stream replay speedup (a machine-independent ratio,
-//! unlike absolute lines/s) regresses more than 20% against the baseline,
-//! and — outside the quick profile — if any paper workload replays fewer
-//! windows than committed or the six-workload replay-vs-batched or
-//! replay-vs-per-line ratio regresses more than 20%.
+//! unlike absolute lines/s) or the six-workload lockstep pricing speedup
+//! regresses more than 20% against the baseline, and — outside the quick
+//! profile — if any paper workload replays fewer windows than committed or
+//! the six-workload replay-vs-batched or replay-vs-per-line ratio regresses
+//! more than 20%.
 
 // The bench harness is the one sanctioned wall-clock observer in the
 // workspace: it measures real simulator throughput.
@@ -53,12 +60,14 @@
 
 use dismem_bench::{base_config, is_quick, print_table, write_json, Row};
 use dismem_profiler::pooled_config;
+use dismem_profiler::{run_workload, RunOptions};
+use dismem_sched::campaign::trial_schedules;
 use dismem_sched::{
     default_specs, merge_shard_journals, resume_campaign, run_fleet_campaign,
-    sweep_tiering_policies, CampaignConfig, FaultPlan, FleetSpec, Shard, SimCellRunner,
-    SnapshotCache, SnapshotStats, TieringOutcome,
+    sweep_tiering_policies, CampaignConfig, FaultPlan, FleetSpec, SchedulingPolicy, Shard,
+    SimCellRunner, SnapshotCache, SnapshotStats, TieringOutcome,
 };
-use dismem_sim::{Machine, MachineConfig, RunReport};
+use dismem_sim::{InterferenceProfile, Machine, MachineConfig, RunReport};
 use dismem_trace::access::lines_for;
 use dismem_trace::{AccessKind, FlightRecorder, MemoryEngine, PlacementPolicy, PAGE_SIZE};
 use dismem_workloads::{
@@ -210,6 +219,7 @@ struct ThroughputResult {
 struct ThroughputReport {
     throughput: Vec<ThroughputResult>,
     workloads: WorkloadsBench,
+    pricing: PricingBench,
     campaign: CampaignBench,
     tiering: Vec<TieringOutcome>,
     tracing: TracingBench,
@@ -668,6 +678,147 @@ fn workloads_bench(quick: bool) -> WorkloadsBench {
     }
 }
 
+/// Trials per priced campaign: the depth of a fleet cell
+/// (`SimCellRunner::quick`).
+const PRICING_TRIALS: usize = 20;
+/// Timed samples per method in each of a pricing measurement's two
+/// interleaved passes; each method keeps its fastest sample.
+const PRICING_ROUNDS: usize = 5;
+/// Pricing calls per timed sample: one call takes tens of microseconds.
+const PRICING_CALLS: usize = 200;
+
+/// One paper workload's Monte Carlo pricing.
+#[derive(Serialize)]
+struct PricingRow {
+    workload: String,
+    /// Timing chunks in the priced timeline.
+    chunks: u64,
+    /// Fastest-sample µs to price every trial with one `retime_many` call.
+    lockstep_us: f64,
+    /// Fastest-sample µs to price the trials with one `retime` call each.
+    per_trial_us: f64,
+    /// `per_trial_us / lockstep_us`. Recorded, not gated.
+    lockstep_speedup: f64,
+}
+
+/// Monte Carlo pricing of the six paper workloads at tiny scale, pooled at
+/// half their footprint, under one fleet cell's trial schedules.
+#[derive(Serialize)]
+struct PricingBench {
+    trials: u64,
+    rows: Vec<PricingRow>,
+    /// Summed per-trial µs over summed lockstep µs (gated).
+    lockstep_speedup: f64,
+}
+
+/// Wall µs of one `price` call: the fastest of [`PRICING_ROUNDS`] samples of
+/// [`PRICING_CALLS`] calls each.
+fn best_call_us<T>(mut price: impl FnMut() -> T) -> f64 {
+    (0..PRICING_ROUNDS)
+        .map(|_| {
+            let start = Instant::now();
+            for _ in 0..PRICING_CALLS {
+                std::hint::black_box(price());
+            }
+            start.elapsed().as_secs_f64() * 1e6 / PRICING_CALLS as f64
+        })
+        .fold(f64::INFINITY, f64::min)
+}
+
+/// Measures lockstep against per-trial pricing on each paper workload,
+/// asserting that both price every trial bit-identically.
+fn pricing_bench() -> PricingBench {
+    let campaign = CampaignConfig {
+        runs: PRICING_TRIALS,
+        epochs_per_run: 4,
+        seed: 0xD15C,
+    };
+    let rows: Vec<PricingRow> = WorkloadKind::all()
+        .into_iter()
+        .map(|kind| {
+            let workload = kind.instantiate_tiny();
+            let config = pooled_config(&base_config(), workload.as_ref(), 0.5);
+            let report = run_workload(workload.as_ref(), &RunOptions::new(config));
+            let idle = report.retime(&InterferenceProfile::Idle).total_runtime_s;
+            let schedules = trial_schedules(idle, SchedulingPolicy::RandomBaseline, &campaign);
+            let per_trial = || -> Vec<f64> {
+                schedules
+                    .iter()
+                    .map(|schedule| report.retime(schedule).total_runtime_s)
+                    .collect()
+            };
+            let lockstep = || -> Vec<f64> {
+                report
+                    .retime_many(&schedules)
+                    .into_iter()
+                    .map(|run| run.total_runtime_s)
+                    .collect()
+            };
+            assert!(
+                per_trial()
+                    .iter()
+                    .zip(lockstep())
+                    .all(|(a, b)| a.to_bits() == b.to_bits()),
+                "{}: lockstep pricing differs from per-trial re-timing",
+                kind.name()
+            );
+            let (mut lockstep_us, mut per_trial_us) = (f64::INFINITY, f64::INFINITY);
+            // Interleave the two methods so that drift in machine load hits
+            // both alike.
+            for _ in 0..2 {
+                lockstep_us = lockstep_us.min(best_call_us(lockstep));
+                per_trial_us = per_trial_us.min(best_call_us(per_trial));
+            }
+            PricingRow {
+                workload: kind.name().to_string(),
+                chunks: report.timeline.len() as u64,
+                lockstep_us,
+                per_trial_us,
+                lockstep_speedup: per_trial_us / lockstep_us,
+            }
+        })
+        .collect();
+    let sum = |f: fn(&PricingRow) -> f64| rows.iter().map(f).sum::<f64>();
+    PricingBench {
+        trials: PRICING_TRIALS as u64,
+        lockstep_speedup: sum(|r| r.per_trial_us) / sum(|r| r.lockstep_us),
+        rows,
+    }
+}
+
+/// Prints the `pricing` section as a table.
+fn print_pricing(pricing: &PricingBench) {
+    let rows: Vec<Row> = pricing
+        .rows
+        .iter()
+        .map(|r| {
+            Row::new(
+                r.workload.clone(),
+                vec![
+                    format!("{}", r.chunks),
+                    format!("{:.1}", r.lockstep_us),
+                    format!("{:.1}", r.per_trial_us),
+                    format!("{:.2}x", r.lockstep_speedup),
+                ],
+            )
+        })
+        .collect();
+    print_table(
+        &format!(
+            "Monte Carlo pricing — µs to re-time {} trial schedules, lockstep vs one call per trial",
+            pricing.trials
+        ),
+        &["chunks", "lockstep", "per-trial", "speedup"],
+        &rows,
+    );
+    println!(
+        "\nSix-workload total: lockstep {:.2}x faster. Expected shape: one `retime_many` call \
+         prices every trial several times faster than one `retime` call per trial, and \
+         bit-identically.",
+        pricing.lockstep_speedup
+    );
+}
+
 /// The gated figures of a committed `BENCH_throughput.json`, read by key.
 struct Baseline {
     /// `speedup_replay` of the stream rows.
@@ -677,6 +828,8 @@ struct Baseline {
     /// The `workloads` section's aggregate ratios.
     replay_vs_per_line: f64,
     replay_vs_batched: f64,
+    /// The `pricing` section's aggregate lockstep speedup.
+    pricing_speedup: f64,
 }
 
 fn member<'a>(value: &'a JsonValue, key: &str) -> &'a JsonValue {
@@ -726,6 +879,7 @@ impl Baseline {
             workload_windows,
             replay_vs_per_line: number(workloads, "replay_vs_per_line"),
             replay_vs_batched: number(workloads, "replay_vs_batched"),
+            pricing_speedup: number(member(&root, "pricing"), "lockstep_speedup"),
         }
     }
 }
@@ -916,6 +1070,9 @@ fn main() {
     let workloads = workloads_bench(quick);
     print_workloads(&workloads);
 
+    let pricing = pricing_bench();
+    print_pricing(&pricing);
+
     let campaign = campaign_bench(quick);
     print_table(
         "Fleet campaigns — journaled cells per wall-clock second",
@@ -1033,6 +1190,7 @@ fn main() {
     let report = ThroughputReport {
         throughput: results,
         workloads,
+        pricing,
         campaign,
         tiering,
         tracing,
@@ -1041,7 +1199,8 @@ fn main() {
     write_json("BENCH_throughput", &report);
 
     // Regression gate against a committed baseline (CI): compare the
-    // machine-independent replay ratios and the workloads' window counts.
+    // machine-independent replay and pricing ratios and the workloads'
+    // window counts.
     if let Ok(path) = std::env::var("DISMEM_BASELINE") {
         // `cargo bench` runs with the crate directory as cwd; resolve
         // relative baseline paths against the workspace root as a fallback.
@@ -1117,6 +1276,28 @@ fn main() {
             eprintln!(
                 "error: stream replay speedup regressed more than 20% \
                  ({cur_avg:.2}x < 0.8 * {base_avg:.2}x)"
+            );
+            std::process::exit(1);
+        }
+
+        // Pricing runs on tiny inputs in both profiles. Same single
+        // re-measure as the stream rows: keep the better of the two.
+        let mut pricing_speedup = report.pricing.lockstep_speedup;
+        eprintln!(
+            "  [pricing] lockstep speedup: current {pricing_speedup:.2}x vs baseline {:.2}x",
+            base.pricing_speedup
+        );
+        if pricing_speedup < 0.8 * base.pricing_speedup {
+            eprintln!("  [pricing] below the baseline — re-measuring the section once");
+            let retry = pricing_bench();
+            print_pricing(&retry);
+            pricing_speedup = pricing_speedup.max(retry.lockstep_speedup);
+        }
+        if pricing_speedup < 0.8 * base.pricing_speedup {
+            eprintln!(
+                "error: six-workload lockstep pricing speedup regressed more than 20% \
+                 ({pricing_speedup:.2}x < 0.8 * {:.2}x)",
+                base.pricing_speedup
             );
             std::process::exit(1);
         }

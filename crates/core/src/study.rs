@@ -250,6 +250,45 @@ mod tests {
         assert!(report.interference_coefficient.iter().all(|&ic| ic >= 1.0));
     }
 
+    /// A workload that never calls `phase_start`: its reports have no phases.
+    struct Phaseless;
+
+    impl Workload for Phaseless {
+        fn name(&self) -> &'static str {
+            "Phaseless"
+        }
+
+        fn description(&self) -> &'static str {
+            "streams one array twice, outside any phase"
+        }
+
+        fn input_description(&self) -> String {
+            "64 KiB array".to_string()
+        }
+
+        fn expected_footprint_bytes(&self) -> u64 {
+            64 << 10
+        }
+
+        fn run(&self, engine: &mut dyn MemoryEngine) {
+            let a = engine.alloc("array", "study.rs", 64 << 10);
+            engine.touch(a, 64 << 10);
+            engine.flops(100_000);
+            engine.read(a, 0, 64 << 10);
+        }
+    }
+
+    #[test]
+    fn full_study_of_a_workload_without_phases() {
+        let s = QuantitativeStudy::new(Box::new(Phaseless), MachineConfig::test_config());
+        let report = s.full_study(&[0.5, 0.25]);
+        assert!(report.level1.phases.is_empty());
+        for level3 in &report.level3 {
+            assert_eq!(level3.sensitivity.len(), PAPER_LOI_LEVELS.len());
+            assert!(level3.compute_phase_sensitivity.is_empty());
+        }
+    }
+
     #[test]
     fn pooled_run_respects_fraction() {
         let s = study(WorkloadKind::Bfs);

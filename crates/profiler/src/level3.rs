@@ -8,12 +8,13 @@
 //!
 //! Because cache behaviour and page placement do not depend on what other
 //! nodes do to the link, the sweep re-times a single simulated run under each
-//! LoI instead of re-simulating it (see [`dismem_sim::RunReport::retime`]).
+//! LoI instead of re-simulating it: one pass over the run's timeline prices
+//! the idle pool and every LoI together (see
+//! [`dismem_sim::RunReport::retime_many`]).
 
 use crate::runner::{pooled_config, run_workload, RunOptions};
 use dismem_sim::{InterferenceProfile, MachineConfig, RunReport};
 use dismem_workloads::Workload;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 /// Relative performance at one level of interference.
@@ -36,7 +37,8 @@ pub struct Level3Report {
     pub local_capacity_fraction: f64,
     /// Whole-application sensitivity points, one per LoI level.
     pub sensitivity: Vec<SensitivityPoint>,
-    /// Sensitivity of the dominant compute phase (the paper plots `*-p2`).
+    /// Sensitivity of the dominant compute phase (the paper plots `*-p2`),
+    /// one point per LoI level. Empty when the run recorded no phases.
     pub compute_phase_sensitivity: Vec<SensitivityPoint>,
     /// Remote access ratio of the underlying run (context for interpreting
     /// the sensitivity, per the paper's discussion).
@@ -65,15 +67,18 @@ pub const PAPER_LOI_LEVELS: [f64; 6] = [0.0, 10.0, 20.0, 30.0, 40.0, 50.0];
 
 /// Builds a Level-3 report from an existing pooled run report by re-timing it
 /// under each requested level of interference.
+///
+/// One [`RunReport::retime_many`] call re-times the idle pool and every level
+/// together, on the calling thread. A report without phases yields an empty
+/// [`Level3Report::compute_phase_sensitivity`].
 pub fn level3_from_report(
     workload_name: &str,
     local_capacity_fraction: f64,
     report: &RunReport,
     loi_percent_levels: &[f64],
 ) -> Level3Report {
-    let idle = report.retime(&InterferenceProfile::Idle);
     // Dominant compute phase: the phase (after the first) with the longest
-    // runtime; fall back to the longest overall.
+    // runtime; the only phase when there is one, none when there are none.
     let compute_phase = report
         .phases
         .iter()
@@ -81,36 +86,39 @@ pub fn level3_from_report(
         .skip(1)
         .max_by(|a, b| a.1.runtime_s.partial_cmp(&b.1.runtime_s).unwrap())
         .map(|(i, _)| i)
-        .unwrap_or(0);
+        .or_else(|| (!report.phases.is_empty()).then_some(0));
 
-    let points: Vec<(SensitivityPoint, SensitivityPoint)> = loi_percent_levels
-        .par_iter()
-        .map(|&loi| {
-            let profile = InterferenceProfile::constant_percent(loi);
-            let retimed = report.retime(&profile);
-            let total = SensitivityPoint {
-                loi_percent: loi,
-                relative_performance: if retimed.total_runtime_s > 0.0 {
-                    idle.total_runtime_s / retimed.total_runtime_s
-                } else {
-                    1.0
-                },
-                runtime_s: retimed.total_runtime_s,
-            };
-            let phase = SensitivityPoint {
-                loi_percent: loi,
-                relative_performance: if retimed.phase_runtimes_s[compute_phase] > 0.0 {
-                    idle.phase_runtimes_s[compute_phase] / retimed.phase_runtimes_s[compute_phase]
-                } else {
-                    1.0
-                },
-                runtime_s: retimed.phase_runtimes_s[compute_phase],
-            };
-            (total, phase)
-        })
+    let profiles: Vec<InterferenceProfile> = std::iter::once(InterferenceProfile::Idle)
+        .chain(
+            loi_percent_levels
+                .iter()
+                .map(|&loi| InterferenceProfile::constant_percent(loi)),
+        )
         .collect();
+    let mut retimed = report.retime_many(&profiles).into_iter();
+    let idle = retimed.next().expect("the idle profile is re-timed first");
+    let point = |loi_percent: f64, idle_s: f64, runtime_s: f64| SensitivityPoint {
+        loi_percent,
+        relative_performance: if runtime_s > 0.0 {
+            idle_s / runtime_s
+        } else {
+            1.0
+        },
+        runtime_s,
+    };
+    let mut sensitivity = Vec::with_capacity(loi_percent_levels.len());
+    let mut compute_phase_sensitivity = Vec::new();
+    for (&loi, run) in loi_percent_levels.iter().zip(retimed) {
+        sensitivity.push(point(loi, idle.total_runtime_s, run.total_runtime_s));
+        if let Some(p) = compute_phase {
+            compute_phase_sensitivity.push(point(
+                loi,
+                idle.phase_runtimes_s[p],
+                run.phase_runtimes_s[p],
+            ));
+        }
+    }
 
-    let (sensitivity, compute_phase_sensitivity) = points.into_iter().unzip();
     let line = report.config.cache.line_bytes;
     Level3Report {
         workload: workload_name.to_string(),

@@ -7,7 +7,9 @@
 //!    interference schedules and collects the runtime distribution. Cache
 //!    behaviour and data placement are fixed by the profiling run; only the
 //!    timing reacts to the co-runners, so each trial is a cheap re-timing of
-//!    the recorded timeline (see [`dismem_sim::RunReport::retime`]).
+//!    the recorded timeline. A campaign prices all its trials in one pass
+//!    over the timeline, on the calling thread
+//!    (see [`dismem_sim::RunReport::retime_many`]).
 //!
 //! 2. **The fleet driver** ([`run_fleet_campaign`], [`resume_campaign`]) — a
 //!    deterministic work-queue over the paper's §7 parameter grid
@@ -37,7 +39,6 @@ use dismem_trace::{Recorder, TraceEvent};
 use dismem_workloads::{InputScale, WorkloadKind};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
@@ -128,51 +129,45 @@ fn schedule_for_trial(
     InterferenceProfile::schedule(epochs)
 }
 
-/// Runtime of one Monte Carlo trial. Each trial derives its RNG from the
-/// campaign seed and the trial index alone, so trials are order-independent
-/// and a campaign yields identical results however its trials are scheduled.
-fn trial_runtime(
-    report: &RunReport,
+/// The interference schedule of every trial of a campaign, in trial order,
+/// for a job whose idle-pool runtime is `idle_runtime_s`.
+///
+/// Each trial draws from its own RNG, seeded from the campaign seed, the
+/// trial index and the policy alone, so a trial's schedule does not depend
+/// on the other trials or on the order they are built in.
+pub fn trial_schedules(
+    idle_runtime_s: f64,
     policy: SchedulingPolicy,
     config: &CampaignConfig,
-    idle_runtime_s: f64,
-    trial: usize,
-) -> f64 {
-    let mut rng = StdRng::seed_from_u64(
-        config
-            .seed
-            .wrapping_add(trial as u64)
-            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-            ^ policy.max_loi().to_bits(),
-    );
-    let schedule = schedule_for_trial(
-        &mut rng,
-        idle_runtime_s,
-        config.epochs_per_run,
-        policy.max_loi(),
-    );
-    report.retime(&schedule).total_runtime_s
-}
-
-fn campaign_result(
-    workload_name: &str,
-    policy: SchedulingPolicy,
-    runtimes_s: Vec<f64>,
-) -> CampaignResult {
-    let summary = five_number_summary(&runtimes_s);
-    let mean_s = mean(&runtimes_s);
-    CampaignResult {
-        workload: workload_name.to_string(),
-        policy,
-        runtimes_s,
-        summary,
-        mean_s,
-    }
+) -> Vec<InterferenceProfile> {
+    (0..config.runs)
+        .map(|trial| {
+            let mut rng = StdRng::seed_from_u64(
+                config
+                    .seed
+                    .wrapping_add(trial as u64)
+                    .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+                    ^ policy.max_loi().to_bits(),
+            );
+            schedule_for_trial(
+                &mut rng,
+                idle_runtime_s,
+                config.epochs_per_run,
+                policy.max_loi(),
+            )
+        })
+        .collect()
 }
 
 /// Runs a campaign for one workload (represented by its profiled pooled run)
-/// under one policy. Trials execute concurrently on the thread pool; results
-/// are identical to [`run_campaign_sequential`] for the same inputs.
+/// under one policy.
+///
+/// The job is re-timed once on an idle pool, which sizes the interference
+/// epochs; [`trial_schedules`] then draws every trial's schedule, and one
+/// [`RunReport::retime_many`] call prices all trials together, in lockstep
+/// through the timeline, on the calling thread. A trial re-times only a few
+/// chunks, too little work to pay for a thread; callers that want
+/// parallelism run independent campaigns concurrently.
 pub fn run_campaign(
     workload_name: &str,
     report: &RunReport,
@@ -181,28 +176,18 @@ pub fn run_campaign(
 ) -> CampaignResult {
     assert!(config.runs > 0 && config.epochs_per_run > 0);
     let idle = report.retime(&InterferenceProfile::Idle).total_runtime_s;
-    let runtimes_s: Vec<f64> = (0..config.runs)
-        .into_par_iter()
-        .map(|trial| trial_runtime(report, policy, config, idle, trial))
+    let runtimes_s: Vec<f64> = report
+        .retime_many(&trial_schedules(idle, policy, config))
+        .into_iter()
+        .map(|run| run.total_runtime_s)
         .collect();
-    campaign_result(workload_name, policy, runtimes_s)
-}
-
-/// Single-threaded reference implementation of [`run_campaign`], kept for
-/// the determinism tests (parallel and sequential execution must agree bit
-/// for bit) and for callers that want to avoid spawning workers.
-pub fn run_campaign_sequential(
-    workload_name: &str,
-    report: &RunReport,
-    policy: SchedulingPolicy,
-    config: &CampaignConfig,
-) -> CampaignResult {
-    assert!(config.runs > 0 && config.epochs_per_run > 0);
-    let idle = report.retime(&InterferenceProfile::Idle).total_runtime_s;
-    let runtimes_s: Vec<f64> = (0..config.runs)
-        .map(|trial| trial_runtime(report, policy, config, idle, trial))
-        .collect();
-    campaign_result(workload_name, policy, runtimes_s)
+    CampaignResult {
+        workload: workload_name.to_string(),
+        policy,
+        summary: five_number_summary(&runtimes_s),
+        mean_s: mean(&runtimes_s),
+        runtimes_s,
+    }
 }
 
 /// Runs both policies for one workload and returns the comparison.
@@ -220,32 +205,6 @@ pub fn compare_policies(
             config,
         ),
         aware: run_campaign(
-            workload_name,
-            report,
-            SchedulingPolicy::InterferenceAware,
-            config,
-        ),
-    }
-}
-
-/// [`compare_policies`] with sequential campaigns: for callers that are
-/// already running one comparison per pool worker (e.g. a parallel sweep
-/// over workloads), where nesting the trial fan-out would oversubscribe the
-/// CPU with scoped threads. Results are identical to [`compare_policies`].
-pub fn compare_policies_sequential(
-    workload_name: &str,
-    report: &RunReport,
-    config: &CampaignConfig,
-) -> PolicyComparison {
-    PolicyComparison {
-        workload: workload_name.to_string(),
-        baseline: run_campaign_sequential(
-            workload_name,
-            report,
-            SchedulingPolicy::RandomBaseline,
-            config,
-        ),
-        aware: run_campaign_sequential(
             workload_name,
             report,
             SchedulingPolicy::InterferenceAware,
@@ -1044,59 +1003,40 @@ mod tests {
         assert_ne!(a.runtimes_s, c.runtimes_s);
     }
 
+    /// Reference pricing: every trial re-timed on its own, one `retime` call
+    /// per schedule.
+    fn reference_runtimes(
+        report: &RunReport,
+        policy: SchedulingPolicy,
+        config: &CampaignConfig,
+    ) -> Vec<f64> {
+        let idle = report.retime(&InterferenceProfile::Idle).total_runtime_s;
+        trial_schedules(idle, policy, config)
+            .iter()
+            .map(|schedule| report.retime(schedule).total_runtime_s)
+            .collect()
+    }
+
     #[test]
-    fn parallel_campaign_matches_sequential_reference() {
+    fn campaign_matches_per_trial_retime_reference() {
         let report = pooled_report(WorkloadKind::SuperLu);
         for policy in [
             SchedulingPolicy::RandomBaseline,
             SchedulingPolicy::InterferenceAware,
         ] {
-            let par = run_campaign("SuperLU", &report, policy, &small_config());
-            let seq = run_campaign_sequential("SuperLU", &report, policy, &small_config());
+            let campaign = run_campaign("SuperLU", &report, policy, &small_config());
+            let reference = reference_runtimes(&report, policy, &small_config());
             assert_eq!(
-                par.runtimes_s, seq.runtimes_s,
-                "parallel and sequential campaigns must agree bit for bit"
+                campaign
+                    .runtimes_s
+                    .iter()
+                    .map(|t| t.to_bits())
+                    .collect::<Vec<_>>(),
+                reference.iter().map(|t| t.to_bits()).collect::<Vec<_>>(),
+                "lockstep pricing must agree with per-trial re-timing bit for bit"
             );
-            assert_eq!(par.mean_s, seq.mean_s);
+            assert_eq!(campaign.mean_s, mean(&reference));
         }
-    }
-
-    #[test]
-    fn campaign_trials_use_multiple_threads() {
-        // Test-only membership set; never iterated.
-        #[allow(clippy::disallowed_types)]
-        use std::collections::HashSet;
-        use std::sync::Mutex;
-        assert!(
-            rayon::current_num_threads() >= 2,
-            "thread pool must have at least two workers"
-        );
-        // Observe the worker threads the campaign machinery actually uses by
-        // running the same par_iter shape the campaign runs.
-        #[allow(clippy::disallowed_types)]
-        let seen: Mutex<HashSet<String>> = Mutex::new(HashSet::new());
-        let report = pooled_report(WorkloadKind::Hpl);
-        let idle = report.retime(&InterferenceProfile::Idle).total_runtime_s;
-        let config = small_config();
-        let _runtimes: Vec<f64> = (0..config.runs)
-            .into_par_iter()
-            .map(|trial| {
-                seen.lock()
-                    .unwrap()
-                    .insert(format!("{:?}", std::thread::current().id()));
-                super::trial_runtime(
-                    &report,
-                    SchedulingPolicy::RandomBaseline,
-                    &config,
-                    idle,
-                    trial,
-                )
-            })
-            .collect();
-        assert!(
-            seen.lock().unwrap().len() > 1,
-            "campaign trials must execute on more than one thread"
-        );
     }
 
     #[test]

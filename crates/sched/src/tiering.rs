@@ -10,7 +10,7 @@
 //! which is exactly the trade-off an operator deciding on a tiering daemon
 //! cares about.
 
-use crate::campaign::{panic_message, run_campaign_sequential, CampaignConfig};
+use crate::campaign::{panic_message, run_campaign, CampaignConfig};
 use crate::policy::SchedulingPolicy;
 use dismem_profiler::pooled_config;
 use dismem_sim::tiering::{HotPromote, PeriodicRebalance};
@@ -295,7 +295,7 @@ pub fn sweep_tiering_policies(
         .map(|spec| {
             std::panic::catch_unwind(AssertUnwindSafe(|| {
                 let report = run_with_tiering(workload, config, spec);
-                let mean = run_campaign_sequential(
+                let mean = run_campaign(
                     workload.name(),
                     &report,
                     SchedulingPolicy::RandomBaseline,

@@ -3,7 +3,7 @@
 use crate::config::MachineConfig;
 use crate::counters::Counters;
 use crate::interference::InterferenceProfile;
-use crate::timing::TimingModel;
+use crate::timing::{TimeBreakdown, TimingModel};
 use dismem_trace::PageHistogram;
 use serde::{Deserialize, Serialize};
 
@@ -285,23 +285,46 @@ impl RunReport {
     /// This is how the Level-3 sensitivity sweeps (Figure 10) and the
     /// scheduling study (Figure 13) explore many interference scenarios
     /// cheaply: cache behaviour and data placement do not depend on what other
-    /// nodes do to the link, only timing does.
+    /// nodes do to the link, only timing does. This is the one-profile case of
+    /// [`retime_many`](Self::retime_many).
     pub fn retime(&self, interference: &InterferenceProfile) -> RetimedRun {
+        self.retime_many(std::slice::from_ref(interference))
+            .pop()
+            .expect("one profile yields one re-timed run")
+    }
+
+    /// Re-times the run under every profile in `profiles` in one pass over the
+    /// timeline, returning one [`RetimedRun`] per profile, in order.
+    ///
+    /// Each profile keeps its own clock and phase runtimes, which advance in
+    /// lockstep: every chunk is priced once for all profiles, each at the
+    /// level of interference its profile shows at that profile's clock
+    /// ([`TimingModel::chunk_times`]). Each result is bit-identical to
+    /// [`retime`](Self::retime) with that profile alone.
+    pub fn retime_many(&self, profiles: &[InterferenceProfile]) -> Vec<RetimedRun> {
         let model = TimingModel::new(self.config.clone());
-        let mut clock = 0.0f64;
-        let mut phase_runtimes = vec![0.0f64; self.phases.len()];
+        let mut runs: Vec<RetimedRun> = profiles
+            .iter()
+            .map(|_| RetimedRun {
+                total_runtime_s: 0.0,
+                phase_runtimes_s: vec![0.0; self.phases.len()],
+            })
+            .collect();
+        let mut lois = vec![0.0; profiles.len()];
+        let mut times = vec![TimeBreakdown::default(); profiles.len()];
         for sample in &self.timeline {
-            let loi = interference.loi_at(clock);
-            let t = model.chunk_time(&sample.counters, loi).total_s;
-            if let Some(p) = sample.phase {
-                phase_runtimes[p] += t;
+            for ((loi, profile), run) in lois.iter_mut().zip(profiles).zip(&runs) {
+                *loi = profile.loi_at(run.total_runtime_s);
             }
-            clock += t;
+            model.chunk_times(&sample.counters, &lois, &mut times);
+            for (run, time) in runs.iter_mut().zip(&times) {
+                if let Some(p) = sample.phase {
+                    run.phase_runtimes_s[p] += time.total_s;
+                }
+                run.total_runtime_s += time.total_s;
+            }
         }
-        RetimedRun {
-            total_runtime_s: clock,
-            phase_runtimes_s: phase_runtimes,
-        }
+        runs
     }
 
     /// Relative performance under `interference` compared with an idle pool

@@ -51,6 +51,10 @@ impl TimeBreakdown {
     }
 }
 
+/// Levels of interference [`TimingModel::chunk_times`] solves together: the
+/// width of one block of lanes, whose state lives in stack arrays.
+const LANES: usize = 8;
+
 /// The chunk-level timing model.
 #[derive(Debug, Clone)]
 pub struct TimingModel {
@@ -82,8 +86,33 @@ impl TimingModel {
     /// on the pool link depends on the link utilization, which in turn depends
     /// on how long the chunk takes. The equation `t = max(t_base, t_lat(t))`
     /// has a unique solution because `t_lat` decreases as `t` grows; it is
-    /// found by bisection.
+    /// found by bisection. This is the one-lane case of
+    /// [`chunk_times`](Self::chunk_times).
     pub fn chunk_time(&self, chunk: &Counters, loi: f64) -> TimeBreakdown {
+        let mut out = [TimeBreakdown::default()];
+        self.chunk_times(chunk, &[loi], &mut out);
+        out[0]
+    }
+
+    /// Computes the duration of one chunk under each level of interference in
+    /// `lois`, writing `chunk_time(chunk, lois[i])` to `out[i]`.
+    ///
+    /// The levels ("lanes") are solved in blocks of eight, whose bisections
+    /// advance in lockstep. Every lane runs the same operations in the same
+    /// order as a lone call and reads nothing from its neighbours, so each
+    /// result is bit-identical to the one-lane call wherever the lane sits;
+    /// the lanes only share the processor, which overlaps their independent
+    /// division chains.
+    ///
+    /// # Panics
+    ///
+    /// If `lois` and `out` differ in length.
+    pub fn chunk_times(&self, chunk: &Counters, lois: &[f64], out: &mut [TimeBreakdown]) {
+        assert_eq!(
+            lois.len(),
+            out.len(),
+            "one output per level of interference"
+        );
         let line = self.config.cache.line_bytes;
         // Page-migration traffic competes for the same tier bandwidth as the
         // application's accesses (each migrated page is read from one tier
@@ -97,20 +126,13 @@ impl TimingModel {
         let compute_s = chunk.flops as f64 / self.config.peak_flops;
         let local_bw_s = bytes_local / self.config.local.bandwidth_bps;
 
-        let pool_bw_avail = self
-            .link
-            .available_data_bandwidth(self.config.pool.bandwidth_bps, loi);
-        let pool_bw_s = bytes_pool / pool_bw_avail;
-
-        let t_base = compute_s.max(local_bw_s).max(pool_bw_s);
-
         let local_latency_total =
             chunk.demand_dram_lines_local as f64 * self.config.local.latency_s;
         let pool_demand_lines = chunk.demand_dram_lines_pool as f64;
         let raw_bytes = chunk.link_raw_bytes as f64;
 
         // Latency term as a function of the assumed chunk duration `t`.
-        let latency_at = |t: f64| -> (f64, f64) {
+        let latency_at = |t: f64, loi: f64| -> (f64, f64) {
             let raw_rate = if t > 0.0 { raw_bytes / t } else { 0.0 };
             let utilization = self.link.utilization(raw_rate, loi);
             let pool_latency = self
@@ -126,37 +148,52 @@ impl TimingModel {
             .link
             .effective_latency(self.config.pool.latency_s, f64::INFINITY);
         let lat_upper = (local_latency_total + pool_demand_lines * worst_latency) / self.config.mlp;
-        let mut lo = t_base;
-        let mut hi = t_base.max(lat_upper);
 
-        let (mut latency_s, mut utilization) = latency_at(hi.max(1e-30));
-        if hi > 0.0 && lo < hi {
+        for (lois, out) in lois.chunks(LANES).zip(out.chunks_mut(LANES)) {
+            // A partial block repeats its last level in the spare lanes, whose
+            // results are dropped.
+            let mut loi = [lois[lois.len() - 1]; LANES];
+            loi[..lois.len()].copy_from_slice(lois);
+            let pool_bw_s = loi.map(|loi| {
+                bytes_pool
+                    / self
+                        .link
+                        .available_data_bandwidth(self.config.pool.bandwidth_bps, loi)
+            });
+            let t_base = pool_bw_s.map(|pool_bw_s| compute_s.max(local_bw_s).max(pool_bw_s));
+            let mut lo = t_base;
+            let mut hi = t_base.map(|t_base| t_base.max(lat_upper));
+            let bisects: [bool; LANES] = std::array::from_fn(|l| hi[l] > 0.0 && lo[l] < hi[l]);
+            let mut latency_s = [0.0; LANES];
+            let mut utilization = [0.0; LANES];
+            // Every lane takes all 60 steps, and a step selects its new
+            // bracket instead of branching, so the lanes advance side by
+            // side. A lane with an empty bracket bisects harmlessly; its
+            // latency is taken at `t_base` below.
             for _ in 0..60 {
-                let mid = 0.5 * (lo + hi);
-                let (lat, util) = latency_at(mid);
-                let implied = t_base.max(lat);
-                latency_s = lat;
-                utilization = util;
-                if implied > mid {
-                    lo = mid;
-                } else {
-                    hi = mid;
+                for l in 0..LANES {
+                    let mid = 0.5 * (lo[l] + hi[l]);
+                    let (lat, util) = latency_at(mid, loi[l]);
+                    latency_s[l] = lat;
+                    utilization[l] = util;
+                    let above = t_base[l].max(lat) > mid;
+                    lo[l] = if above { mid } else { lo[l] };
+                    hi[l] = if above { hi[l] } else { mid };
                 }
             }
-        } else {
-            let (lat, util) = latency_at(t_base.max(1e-30));
-            latency_s = lat;
-            utilization = util;
-        }
-
-        let total_s = t_base.max(latency_s);
-        TimeBreakdown {
-            compute_s,
-            local_bw_s,
-            pool_bw_s,
-            latency_s,
-            total_s,
-            link_utilization: utilization,
+            for (l, out) in out.iter_mut().enumerate() {
+                if !bisects[l] {
+                    (latency_s[l], utilization[l]) = latency_at(t_base[l].max(1e-30), loi[l]);
+                }
+                *out = TimeBreakdown {
+                    compute_s,
+                    local_bw_s,
+                    pool_bw_s: pool_bw_s[l],
+                    latency_s: latency_s[l],
+                    total_s: t_base[l].max(latency_s[l]),
+                    link_utilization: utilization[l],
+                };
+            }
         }
     }
 
@@ -317,6 +354,60 @@ mod tests {
             ..Default::default()
         };
         assert!(m.chunk_time(&migration_only, 0.0).total_s > 0.0);
+    }
+
+    /// Bits of every `TimeBreakdown` field for three chunks at LoI 0, 0.3 and
+    /// 0.5, recorded from the scalar bisection that `chunk_times` replaced.
+    /// Any drift in the bisection's arithmetic changes some of them.
+    #[test]
+    fn chunk_time_bits_are_frozen() {
+        let pool_latency_bound = Counters {
+            demand_dram_lines_pool: 500_000,
+            dram_lines_pool: 500_000,
+            link_raw_bytes: 500_000 * 64 * 85 / 34,
+            ..Default::default()
+        };
+        let mixed = Counters {
+            flops: 300_000_000,
+            dram_lines_local: 200_000,
+            dram_lines_pool: 300_000,
+            demand_dram_lines_local: 50_000,
+            demand_dram_lines_pool: 120_000,
+            writeback_lines_local: 10_000,
+            writeback_lines_pool: 20_000,
+            link_raw_bytes: 320_000 * 64 * 85 / 34,
+            migration_lines_local: 4096,
+            migration_lines_pool: 4096,
+            ..Default::default()
+        };
+        // Fields in order: compute, local bandwidth, pool bandwidth, latency,
+        // total, link utilization.
+        #[rustfmt::skip]
+        let expected: [(Counters, f64, [u64; 6]); 9] = [
+            (pool_streaming_chunk(), 0.0, [0x3ec23c7155a45b40, 0, 0x3f602b5680248db9, 0, 0x3f602b5680248db9, 0x3fee666666666666]),
+            (pool_streaming_chunk(), 0.3, [0x3ec23c7155a45b40, 0, 0x3f625fcb05fafe24, 0, 0x3f625fcb05fafe24, 0x3fee666666666666]),
+            (pool_streaming_chunk(), 0.5, [0x3ec23c7155a45b40, 0, 0x3f64362c202db127, 0, 0x3f64362c202db127, 0x3fee666666666666]),
+            (pool_latency_bound, 0.0, [0, 0, 0x3f4ed7291499b871, 0x3f68f28c25bf58f3, 0x3f68f28c25bf58f3, 0x3fd3c78bcbaab376]),
+            (pool_latency_bound, 0.3, [0, 0, 0x3f5185e2fa401186, 0x3f71d1d1d1d1d1d3, 0x3f71d1d1d1d1d1d3, 0x3fe085d754155869]),
+            (pool_latency_bound, 0.5, [0, 0, 0x3f534679ace01346, 0x3f78f28c25bf58f4, 0x3f78f28c25bf58f4, 0x3fe4f1e2f2eaacde]),
+            (mixed, 0.0, [0x3f455ed4d05c9af0, 0x3f289a2fe6817b20, 0x3f43fd94716d3137, 0x3f530e622bbf8cb1, 0x3f530e622bbf8cb1, 0x3fe09287be2df7bd]),
+            (mixed, 0.3, [0x3f455ed4d05c9af0, 0x3f289a2fe6817b20, 0x3f46b76e80e4cf33, 0x3f5ad11c45c00781, 0x3f5ad11c45c00781, 0x3fe5605d3ee89b9d]),
+            (mixed, 0.5, [0x3f455ed4d05c9af0, 0x3f289a2fe6817b20, 0x3f48fcf98dc87d85, 0x3f62964f6d7b4bbd, 0x3f62964f6d7b4bbd, 0x3fe87ecb453947fc]),
+        ];
+        let m = model();
+        for (chunk, loi, bits) in expected {
+            let b = m.chunk_time(&chunk, loi);
+            let got = [
+                b.compute_s,
+                b.local_bw_s,
+                b.pool_bw_s,
+                b.latency_s,
+                b.total_s,
+                b.link_utilization,
+            ]
+            .map(f64::to_bits);
+            assert_eq!(got, bits, "chunk {chunk:?} at LoI {loi}");
+        }
     }
 
     #[test]

@@ -2,7 +2,10 @@
 
 use dismem::analysis::{five_number_summary, percentile, Roofline};
 use dismem::sim::tiering::{HotPromote, PeriodicRebalance};
-use dismem::sim::{InterferenceProfile, Machine, MachineConfig, Tier, TieringSpec};
+use dismem::sim::timing::TimeBreakdown;
+use dismem::sim::{
+    Counters, InterferenceProfile, Machine, MachineConfig, Tier, TieringSpec, TimingModel,
+};
 use dismem::trace::{
     AccessKind, FlightRecorder, MemoryEngine, PageHistogram, PlacementPolicy, TraceEvent, PAGE_SIZE,
 };
@@ -990,4 +993,177 @@ proptest! {
         let avg = profile.average_loi(100.0);
         prop_assert!((0.0..=1.0).contains(&avg));
     }
+}
+
+/// A timing chunk from random magnitudes. `shape` picks a degenerate chunk
+/// half of the time: all zero, no pool traffic, or compute-bound.
+fn timing_chunk(
+    shape: u8,
+    (flops, local, pool, demand_local, demand_pool): (u64, u64, u64, u64, u64),
+    (writeback_local, writeback_pool, migration_local, migration_pool): (u64, u64, u64, u64),
+) -> Counters {
+    let chunk = Counters {
+        flops,
+        dram_lines_local: local,
+        dram_lines_pool: pool,
+        demand_dram_lines_local: demand_local.min(local),
+        demand_dram_lines_pool: demand_pool.min(pool),
+        writeback_lines_local: writeback_local,
+        writeback_lines_pool: writeback_pool,
+        migration_lines_local: migration_local,
+        migration_lines_pool: migration_pool,
+        link_raw_bytes: (pool + writeback_pool + migration_pool) * 64 * 85 / 34,
+        ..Counters::default()
+    };
+    match shape {
+        0 => Counters::default(),
+        1 => Counters {
+            dram_lines_pool: 0,
+            demand_dram_lines_pool: 0,
+            writeback_lines_pool: 0,
+            migration_lines_pool: 0,
+            link_raw_bytes: 0,
+            ..chunk
+        },
+        2 => Counters {
+            flops: 1 << 50,
+            ..chunk
+        },
+        _ => chunk,
+    }
+}
+
+fn breakdown_bits(b: &TimeBreakdown) -> [u64; 6] {
+    [
+        b.compute_s,
+        b.local_bw_s,
+        b.pool_bw_s,
+        b.latency_s,
+        b.total_s,
+        b.link_utilization,
+    ]
+    .map(f64::to_bits)
+}
+
+/// A run with two phases and work outside them, under a small local tier.
+fn two_phase_report(script: &[(u64, u64, bool)]) -> dismem::sim::RunReport {
+    let config = MachineConfig::test_config().with_local_capacity(8 * PAGE_SIZE);
+    let mut m = Machine::new(config);
+    let obj = m.alloc("obj", "prop", 64 * PAGE_SIZE);
+    let (first, second) = script.split_at(script.len() / 2);
+    for (phase, part) in [Some("a"), Some("b"), None]
+        .into_iter()
+        .zip([first, second, first])
+    {
+        if let Some(name) = phase {
+            m.phase_start(name);
+        }
+        for &(page, len, write) in part {
+            let offset = page * PAGE_SIZE;
+            let len = len.min(64 * PAGE_SIZE - offset);
+            let kind = if write {
+                AccessKind::Write
+            } else {
+                AccessKind::Read
+            };
+            m.access(obj, offset, len, kind);
+        }
+        if phase.is_some() {
+            m.phase_end();
+        }
+    }
+    m.finish()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Every lane of `chunk_times` equals the one-lane `chunk_time` bit for
+    /// bit, whatever the lane count and the lane's place in its block, for
+    /// levels of interference inside and outside [0, 1].
+    #[test]
+    fn chunk_times_lanes_equal_one_lane_calls(
+        shape in 0u8..6,
+        traffic in (0u64..1 << 34, 0u64..1 << 24, 0u64..1 << 24, 0u64..1 << 24, 0u64..1 << 24),
+        background in (0u64..1 << 22, 0u64..1 << 22, 0u64..1 << 20, 0u64..1 << 20),
+        lois in prop::collection::vec(-0.5f64..1.5, 20..21),
+    ) {
+        let model = TimingModel::new(MachineConfig::test_config());
+        let chunk = timing_chunk(shape, traffic, background);
+        for lanes in [1, 7, 8, 9, 20] {
+            let mut out = vec![TimeBreakdown::default(); lanes];
+            model.chunk_times(&chunk, &lois[..lanes], &mut out);
+            for (&loi, lane) in lois.iter().zip(&out) {
+                prop_assert_eq!(
+                    breakdown_bits(lane),
+                    breakdown_bits(&model.chunk_time(&chunk, loi)),
+                    "LoI {} among {} lanes",
+                    loi,
+                    lanes
+                );
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// `retime_many` re-times each profile exactly as `retime` does alone:
+    /// totals and phase runtimes, for mixed idle, constant and scheduled
+    /// profiles.
+    #[test]
+    fn retime_many_equals_retime_per_profile(
+        script in access_script(),
+        kinds in prop::collection::vec((0u8..3, 0.0f64..1.0, 1usize..6), 1..24),
+    ) {
+        let report = two_phase_report(&script);
+        let runtime = report.total_runtime_s;
+        let profiles: Vec<InterferenceProfile> = kinds
+            .iter()
+            .map(|&(kind, loi, epochs)| match kind {
+                0 => InterferenceProfile::Idle,
+                1 => InterferenceProfile::Constant(loi),
+                _ => InterferenceProfile::schedule(
+                    (0..epochs)
+                        .map(|i| (runtime * i as f64 / epochs as f64, (loi * (i + 1) as f64) % 1.0))
+                        .collect(),
+                ),
+            })
+            .collect();
+        let many = report.retime_many(&profiles);
+        prop_assert_eq!(many.len(), profiles.len());
+        for (run, profile) in many.iter().zip(&profiles) {
+            let alone = report.retime(profile);
+            prop_assert_eq!(run.total_runtime_s.to_bits(), alone.total_runtime_s.to_bits());
+            prop_assert_eq!(
+                run.phase_runtimes_s.iter().map(|t| t.to_bits()).collect::<Vec<_>>(),
+                alone.phase_runtimes_s.iter().map(|t| t.to_bits()).collect::<Vec<_>>()
+            );
+        }
+        prop_assert!(report.retime_many(&[]).is_empty());
+    }
+}
+
+/// A run with no timeline re-times to zero under every profile, with one
+/// zeroed runtime per phase.
+#[test]
+fn retime_many_of_an_empty_timeline() {
+    let mut m = Machine::new(MachineConfig::test_config());
+    m.phase_start("empty");
+    m.phase_end();
+    let report = m.finish();
+    assert!(report.timeline.is_empty());
+    let profiles = [
+        InterferenceProfile::Idle,
+        InterferenceProfile::Constant(0.4),
+        InterferenceProfile::schedule(vec![(0.0, 0.2), (1e-3, 0.6)]),
+    ];
+    let many = report.retime_many(&profiles);
+    assert_eq!(many.len(), profiles.len());
+    for run in &many {
+        assert_eq!(run.total_runtime_s, 0.0);
+        assert_eq!(run.phase_runtimes_s, vec![0.0; report.phases.len()]);
+    }
+    assert!(report.retime_many(&[]).is_empty());
 }
