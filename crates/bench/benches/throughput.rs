@@ -12,25 +12,19 @@
 //! engine's window count. This is where replay earns its place, so it is
 //! gated alongside the synthetic stream rows.
 //!
-//! A second section sweeps the dynamic tiering policies (static /
-//! hot-promote / periodic-rebalance) over the phase-shifting working-set
-//! workload and reports *simulated* runtimes: the separation between static
-//! interleave and hot promotion is the committed evidence that migrations
-//! pay off and are charged to the pool link.
-//!
-//! A third section measures fleet-campaign throughput (cells per wall-clock
+//! A second section measures fleet-campaign throughput (cells per wall-clock
 //! second) through the crash-consistent journal: an uninterrupted sequential
 //! run, the same grid as three merged shards, and a warm resume that only
 //! replays the journal — the journal/bit-identity machinery must cost
 //! nothing measurable per cell, and a warm resume must be orders of
 //! magnitude faster than re-simulating.
 //!
-//! A fourth section measures flight-recorder overhead: the same stream
+//! A third section measures flight-recorder overhead: the same stream
 //! measurement with and without a `FlightRecorder` attached. Recording is
 //! expected to be free on the hot path (events only materialize at chunk
 //! closes), so the ratio must stay within measurement noise.
 //!
-//! A fifth section measures the warm-start memo: fleet-campaign cells per
+//! A fourth section measures the warm-start memo: fleet-campaign cells per
 //! wall-clock second with every cell simulated cold vs one simulation per
 //! warm prefix whose report the other cells reuse, plus the per-cell hit
 //! latency — asserting along the way that the warm report is bit-identical
@@ -42,7 +36,7 @@
 //! campaign's 20 trial schedules against 20 single `retime` calls.
 //!
 //! Emits `BENCH_throughput.json` (an object with `throughput`, `workloads`,
-//! `pricing`, `campaign`, `tiering`, `tracing` and `snapshot` sections) so CI
+//! `pricing`, `campaign`, `tracing` and `snapshot` sections) so CI
 //! and later PRs can track the performance trajectory. Run with
 //! `DISMEM_QUICK=1` for the smoke profile, which runs the `workloads` section
 //! on tiny inputs. With
@@ -63,16 +57,13 @@ use dismem_profiler::pooled_config;
 use dismem_profiler::{run_workload, RunOptions};
 use dismem_sched::campaign::trial_schedules;
 use dismem_sched::{
-    default_specs, merge_shard_journals, resume_campaign, run_fleet_campaign,
-    sweep_tiering_policies, CampaignConfig, FaultPlan, FleetSpec, SchedulingPolicy, Shard,
-    SimCellRunner, SnapshotCache, SnapshotStats, TieringOutcome,
+    merge_shard_journals, resume_campaign, run_fleet_campaign, CampaignConfig, FaultPlan,
+    FleetSpec, SchedulingPolicy, Shard, SimCellRunner, SnapshotCache, SnapshotStats,
 };
 use dismem_sim::{InterferenceProfile, Machine, MachineConfig, RunReport};
 use dismem_trace::access::lines_for;
-use dismem_trace::{AccessKind, FlightRecorder, MemoryEngine, PlacementPolicy, PAGE_SIZE};
-use dismem_workloads::{
-    Bfs, BfsParams, InputScale, PhaseShift, PhaseShiftParams, Workload, WorkloadKind,
-};
+use dismem_trace::{AccessKind, FlightRecorder, MemoryEngine, PlacementPolicy};
+use dismem_workloads::{Bfs, BfsParams, InputScale, Workload, WorkloadKind};
 use serde::Serialize;
 use serde_json::JsonValue;
 use std::time::Instant;
@@ -212,7 +203,7 @@ struct ThroughputResult {
 }
 
 /// The emitted JSON: the synthetic pipeline throughput table, the paper
-/// workloads on the same pipelines, and the fleet-campaign, tiering-policy,
+/// workloads on the same pipelines, and the pricing, fleet-campaign,
 /// tracing and snapshot sections. [`Baseline::read`] reads the gated figures
 /// back by key.
 #[derive(Serialize)]
@@ -221,7 +212,6 @@ struct ThroughputReport {
     workloads: WorkloadsBench,
     pricing: PricingBench,
     campaign: CampaignBench,
-    tiering: Vec<TieringOutcome>,
     tracing: TracingBench,
     snapshot: SnapshotBench,
 }
@@ -513,29 +503,6 @@ fn snapshot_bench(quick: bool) -> SnapshotBench {
         warm_speedup: warm_cells_per_sec / cold_cells_per_sec,
         hit_latency_s,
     }
-}
-
-/// Sweeps the tiering policies over the phase-shifting workload on a pooled
-/// configuration (local tier = the interleaved half of the arena).
-fn tiering_sweep(quick: bool) -> Vec<TieringOutcome> {
-    // The sweep runs the full X1 workload even in the quick profile (a
-    // shorter phase dwell would not amortize the migrations, hiding the
-    // separation this section exists to show); the whole sweep simulates in
-    // a couple of seconds. Quick only trims the Monte Carlo campaign.
-    let params = PhaseShiftParams::bench(InputScale::X1);
-    let workload = PhaseShift::new(params);
-    let arena_pages = params.arena_bytes / PAGE_SIZE;
-    let config = base_config().with_local_capacity((arena_pages / 2 + 16) * PAGE_SIZE);
-    // One hotness epoch per sweep pass; promote at half a pass's per-page
-    // line count (see the dynamic_tiering example, which commits the same
-    // sweep as CAMPAIGN_tiering.json).
-    let specs = default_specs(65_536, 16.0);
-    let campaign = CampaignConfig {
-        runs: if quick { 10 } else { 50 },
-        epochs_per_run: 8,
-        seed: 7,
-    };
-    sweep_tiering_policies(&workload, &config, &specs, &campaign).outcomes
 }
 
 /// Timed runs per pipeline in the `workloads` section; each pipeline keeps
@@ -1110,42 +1077,6 @@ fn main() {
          re-simulating — is orders of magnitude faster."
     );
 
-    let tiering = tiering_sweep(quick);
-    let tiering_rows: Vec<Row> = tiering
-        .iter()
-        .map(|o| {
-            Row::new(
-                o.policy.clone(),
-                vec![
-                    format!("{:.3} ms", o.runtime_s * 1e3),
-                    format!("{:.2}x", o.speedup_vs_static),
-                    format!("{:.2}x", o.loaded_speedup_vs_static),
-                    format!("{:.1}%", o.remote_access_ratio * 100.0),
-                    format!("{}", o.tiering.migrated_pages),
-                    format!(
-                        "{:.1}",
-                        o.migration_link_raw_bytes as f64 / (1 << 20) as f64
-                    ),
-                ],
-            )
-        })
-        .collect();
-    print_table(
-        "Dynamic tiering — PhaseShift simulated runtime per policy",
-        &[
-            "sim-runtime",
-            "speedup",
-            "loaded",
-            "remote",
-            "migrations",
-            "link-MiB",
-        ],
-        &tiering_rows,
-    );
-    println!(
-        "\nExpected shape: hot-promote and periodic-rebalance beat static interleave on the \
-         phase-shifting working set, paying for it with migration traffic on the pool link."
-    );
     let tracing = tracing_bench(array_bytes, passes);
     print_table(
         "Flight recorder — stream Mlines/s with and without recording",
@@ -1192,7 +1123,6 @@ fn main() {
         workloads,
         pricing,
         campaign,
-        tiering,
         tracing,
         snapshot,
     };

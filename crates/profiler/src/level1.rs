@@ -116,9 +116,9 @@ pub fn level1_profile(workload: &dyn Workload, base_config: &MachineConfig) -> L
 
     let with_pf = run_workload(
         workload,
-        &RunOptions::new(config.clone()).with_prefetch(true),
+        &RunOptions::new(config.clone().with_prefetch(true)),
     );
-    let without_pf = run_workload(workload, &RunOptions::new(config).with_prefetch(false));
+    let without_pf = run_workload(workload, &RunOptions::new(config.with_prefetch(false)));
 
     let line = with_pf.config.cache.line_bytes;
     let phases = with_pf

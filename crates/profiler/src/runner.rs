@@ -1,36 +1,30 @@
 //! Helpers for running workloads on configured machines.
 
-use dismem_sim::{InterferenceProfile, Machine, MachineConfig, RunReport};
+use dismem_sim::{InterferenceProfile, Machine, MachineConfig, RunReport, TieringSpec};
 use dismem_trace::Recorder;
 use dismem_workloads::Workload;
 
-/// Options for a single profiling run.
+/// Options for a single run.
 #[derive(Debug, Clone)]
 pub struct RunOptions {
-    /// Machine configuration (tier capacities, cache, prefetcher, ...).
+    /// Machine configuration (tier capacities, cache, prefetcher, ...),
+    /// used as given: `config.prefetch.enabled` is the prefetcher switch,
+    /// and every shipped `MachineConfig` constructor turns it on.
     pub config: MachineConfig,
     /// Background interference on the pool link.
     pub interference: InterferenceProfile,
-    /// Whether the hardware prefetcher is enabled (overrides the config).
-    pub prefetch: bool,
-}
-
-impl Default for RunOptions {
-    fn default() -> Self {
-        Self {
-            config: MachineConfig::skylake_testbed(),
-            interference: InterferenceProfile::Idle,
-            prefetch: true,
-        }
-    }
+    /// Dynamic tiering policy.
+    pub tiering: TieringSpec,
 }
 
 impl RunOptions {
-    /// Run options for a given machine configuration with an idle pool.
+    /// Run options for a given machine configuration with an idle pool and
+    /// static (first-touch) placement.
     pub fn new(config: MachineConfig) -> Self {
         Self {
             config,
-            ..Default::default()
+            interference: InterferenceProfile::Idle,
+            tiering: TieringSpec::Static,
         }
     }
 
@@ -40,19 +34,25 @@ impl RunOptions {
         self
     }
 
-    /// Enables or disables the hardware prefetcher.
-    pub fn with_prefetch(mut self, prefetch: bool) -> Self {
-        self.prefetch = prefetch;
+    /// Sets the dynamic tiering policy.
+    pub fn with_tiering(mut self, tiering: TieringSpec) -> Self {
+        self.tiering = tiering;
         self
     }
 }
 
-/// Runs a workload on a freshly created machine and returns the report.
-pub fn run_workload(workload: &dyn Workload, options: &RunOptions) -> RunReport {
-    let mut config = options.config.clone();
-    config.prefetch.enabled = options.prefetch;
-    let mut machine = Machine::new(config);
+/// A fresh machine set up as `options` describe.
+fn machine_for(options: &RunOptions) -> Machine {
+    let mut machine = Machine::new(options.config.clone());
     machine.set_interference(options.interference.clone());
+    machine.set_tiering_spec(&options.tiering);
+    machine
+}
+
+/// Runs a workload on a freshly created machine and returns the report.
+/// The machine uses `options.config` as given, prefetcher setting included.
+pub fn run_workload(workload: &dyn Workload, options: &RunOptions) -> RunReport {
+    let mut machine = machine_for(options);
     workload.run(&mut machine);
     machine.finish()
 }
@@ -66,10 +66,7 @@ pub fn run_workload_recorded(
     options: &RunOptions,
     recorder: Box<dyn Recorder>,
 ) -> (RunReport, Box<dyn Recorder>) {
-    let mut config = options.config.clone();
-    config.prefetch.enabled = options.prefetch;
-    let mut machine = Machine::new(config);
-    machine.set_interference(options.interference.clone());
+    let mut machine = machine_for(options);
     machine.set_recorder(recorder);
     workload.run(&mut machine);
     let report = machine.finish();
@@ -131,7 +128,7 @@ mod tests {
         let with_pf = run_workload(w.as_ref(), &RunOptions::new(test_base()));
         let without_pf = run_workload(
             w.as_ref(),
-            &RunOptions::new(test_base()).with_prefetch(false),
+            &RunOptions::new(test_base().with_prefetch(false)),
         );
         assert!(with_pf.total.pf_issued > 0);
         assert_eq!(without_pf.total.pf_issued, 0);

@@ -213,22 +213,6 @@ pub fn compare_policies(
     }
 }
 
-/// [`compare_policies`] with per-cell isolation: a panic anywhere inside the
-/// comparison (profiled report replay, summary statistics) is caught and
-/// returned as an error message instead of unwinding into the caller's sweep.
-/// Sweep drivers use this so one poisoned cell yields a reported gap, not a
-/// lost campaign.
-pub fn compare_policies_checked(
-    workload_name: &str,
-    report: &RunReport,
-    config: &CampaignConfig,
-) -> Result<PolicyComparison, String> {
-    std::panic::catch_unwind(AssertUnwindSafe(|| {
-        compare_policies(workload_name, report, config)
-    }))
-    .map_err(panic_message)
-}
-
 // ---------------------------------------------------------------------------
 // Fleet campaigns: work queue, journal, retry/quarantine, shards.
 // ---------------------------------------------------------------------------

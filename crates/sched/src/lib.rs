@@ -18,8 +18,10 @@
 
 //! A second campaign axis, dynamic tiering, lives in [`tiering`]: the same
 //! workloads are re-simulated under page promotion/demotion policies
-//! (static / hot-promote / periodic-rebalance) and each placement is then
-//! priced under the interference campaigns above.
+//! (static / hot-promote / periodic-rebalance, the three
+//! [`dismem_sim::TieringSpec`] variants) through
+//! [`dismem_profiler::run_workload`], and each placement is then priced
+//! under the interference campaigns above.
 //!
 //! Fleet-scale parameter campaigns are driven by the fault-tolerant
 //! work-queue in [`campaign`] (see [`campaign::run_fleet_campaign`] and
@@ -38,7 +40,6 @@ pub mod policy;
 pub mod snapshot_cache;
 pub mod tiering;
 
-pub use campaign::compare_policies_checked;
 pub use campaign::{
     resume_campaign, resume_campaign_traced, run_campaign, run_fleet_campaign,
     run_fleet_campaign_traced, CampaignConfig, CampaignError, CampaignReport, CampaignResult,
@@ -53,7 +54,6 @@ pub use journal::{
 pub use policy::SchedulingPolicy;
 pub use snapshot_cache::{warm_key_digest, SnapshotCache, SnapshotStats};
 pub use tiering::{
-    default_specs, run_with_tiering, run_with_tiering_checked, sweep_tiering_matrix,
-    sweep_tiering_policies, CapacityTieringSweep, PolicyFailure, TieringOutcome, TieringSweep,
-    WorkloadTieringStudy,
+    default_specs, sweep_tiering_matrix, sweep_tiering_policies, CapacityTieringSweep,
+    PolicyFailure, TieringOutcome, TieringSweep, WorkloadTieringStudy,
 };

@@ -2,7 +2,8 @@
 //!
 //! Unlike the interference campaigns (which re-time a fixed profiled run),
 //! tiering policies change page placement itself, so each policy needs a full
-//! re-simulation. A sweep runs one simulation per [`TieringSpec`] — in
+//! re-simulation. A sweep runs one simulation per [`TieringSpec`] — through
+//! [`dismem_profiler::run_workload`] with [`RunOptions::with_tiering`], in
 //! parallel on the thread pool — and then reuses the Monte Carlo machinery to
 //! price every policy's run under randomly drawn pool interference, so the
 //! comparison covers both the idle-pool runtime and behaviour on a busy
@@ -12,9 +13,9 @@
 
 use crate::campaign::{panic_message, run_campaign, CampaignConfig};
 use crate::policy::SchedulingPolicy;
-use dismem_profiler::pooled_config;
+use dismem_profiler::{pooled_config, run_workload, RunOptions};
 use dismem_sim::tiering::{HotPromote, PeriodicRebalance};
-use dismem_sim::{Machine, MachineConfig, RunReport, TieringReport, TieringSpec};
+use dismem_sim::{MachineConfig, RunReport, TieringReport, TieringSpec};
 use dismem_workloads::Workload;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
@@ -224,37 +225,9 @@ pub fn sweep_tiering_matrix(
 pub fn default_specs(epoch_lines: u64, promote_heat: f64) -> Vec<TieringSpec> {
     vec![
         TieringSpec::Static,
-        TieringSpec::HotPromote(HotPromote {
-            demote_heat: promote_heat / 4.0,
-            ..HotPromote::new(epoch_lines, promote_heat)
-        }),
+        TieringSpec::HotPromote(HotPromote::new(epoch_lines, promote_heat)),
         TieringSpec::PeriodicRebalance(PeriodicRebalance::new(epoch_lines, 2, 4096)),
     ]
-}
-
-/// Simulates `workload` once under `spec`.
-pub fn run_with_tiering(
-    workload: &dyn Workload,
-    config: &MachineConfig,
-    spec: &TieringSpec,
-) -> RunReport {
-    let mut machine = Machine::new(config.clone());
-    machine.set_tiering_spec(spec);
-    workload.run(&mut machine);
-    machine.finish()
-}
-
-/// [`run_with_tiering`] with panic isolation: a panicking simulation returns
-/// its panic message instead of unwinding into the sweep.
-pub fn run_with_tiering_checked(
-    workload: &dyn Workload,
-    config: &MachineConfig,
-    spec: &TieringSpec,
-) -> Result<RunReport, String> {
-    std::panic::catch_unwind(AssertUnwindSafe(|| {
-        run_with_tiering(workload, config, spec)
-    }))
-    .map_err(panic_message)
 }
 
 /// Sweeps `specs` for one workload: one full simulation per policy (in
@@ -294,7 +267,8 @@ pub fn sweep_tiering_policies(
         .par_iter()
         .map(|spec| {
             std::panic::catch_unwind(AssertUnwindSafe(|| {
-                let report = run_with_tiering(workload, config, spec);
+                let options = RunOptions::new(config.clone()).with_tiering(*spec);
+                let report = run_workload(workload, &options);
                 let mean = run_campaign(
                     workload.name(),
                     &report,
@@ -358,6 +332,7 @@ pub fn sweep_tiering_policies(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dismem_sim::Machine;
     use dismem_workloads::{PhaseShift, PhaseShiftParams};
 
     const PAGE_SIZE: u64 = 4096;
@@ -419,6 +394,25 @@ mod tests {
         // The interference campaign prices both runs; migrating away from
         // the pool should not make the loaded mean worse.
         assert!(hot.loaded_speedup_vs_static > 1.0);
+    }
+
+    #[test]
+    fn run_workload_with_tiering_equals_a_hand_driven_machine() {
+        let (workload, config) = sweep_setup();
+        for spec in default_specs(2048, 12.0) {
+            let options = RunOptions::new(config.clone()).with_tiering(spec);
+            let report = run_workload(&workload, &options);
+            let mut machine = Machine::new(config.clone());
+            machine.set_tiering_spec(&spec);
+            workload.run(&mut machine);
+            assert_eq!(report, machine.finish(), "{}", spec.label());
+            assert_eq!(report.tiering.policy, spec.label());
+            if matches!(spec, TieringSpec::HotPromote(_)) {
+                let t = &report.tiering;
+                assert!(t.migrated_pages > 0, "hot-promote must migrate: {t:?}");
+                assert_eq!(t.migrated_pages, t.promotions + t.demotions);
+            }
+        }
     }
 
     #[test]
@@ -537,16 +531,5 @@ mod tests {
             assert!(cell.sweep.outcomes.is_empty());
         }
         assert_eq!(study.best_speedup_vs_static(), 1.0);
-    }
-
-    #[test]
-    fn checked_single_run_reports_the_panic() {
-        let config = MachineConfig::test_config().with_local_capacity(1 << 19);
-        let err = run_with_tiering_checked(&PoisonedWorkload, &config, &TieringSpec::Static)
-            .expect_err("poisoned workload must fail");
-        assert!(err.contains("poisoned workload cell"), "{err}");
-        let (workload, config) = sweep_setup();
-        let ok = run_with_tiering_checked(&workload, &config, &TieringSpec::Static);
-        assert!(ok.is_ok());
     }
 }

@@ -50,7 +50,5 @@ pub use link::LinkModel;
 pub use machine::Machine;
 pub use prefetch::StreamPrefetcher;
 pub use report::{AllocationSummary, PhaseReport, RunReport, TieringReport, TimelineSample};
-pub use tiering::{
-    HotPromote, HotnessTracker, PeriodicRebalance, Static, TieringPolicy, TieringSpec,
-};
+pub use tiering::{HotPromote, HotnessTracker, PeriodicRebalance, TieringSpec};
 pub use timing::TimingModel;

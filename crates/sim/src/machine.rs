@@ -4,6 +4,9 @@
 //! `dismem-trace` can run on it. It combines the address space (placement),
 //! the cache hierarchy (traffic filtering and prefetching), the link model
 //! (interference) and the timing model (runtime) and produces a [`RunReport`].
+//! A [`TieringSpec`] installed with [`Machine::set_tiering_spec`] migrates
+//! pages between the tiers at hotness epochs; the default,
+//! [`TieringSpec::Static`], never does.
 
 use crate::address_space::{AddressSpace, FreeError, Tier};
 use crate::cache::{CacheSim, DramEvent, DramEventKind, DramSink};
@@ -13,10 +16,7 @@ use crate::interference::InterferenceProfile;
 use crate::prefetch::StreamPrefetcher;
 use crate::replay::ReplayTransition;
 use crate::report::{AllocationSummary, PhaseReport, RunReport, TieringReport, TimelineSample};
-use crate::tiering::{
-    HotnessTracker, PageSample, TierOccupancy, TieringPolicy, TieringRuntime, TieringSpec,
-    TieringStats,
-};
+use crate::tiering::{HotnessTracker, PageSample, TierOccupancy, TieringRuntime, TieringSpec};
 use crate::timing::TimingModel;
 use dismem_trace::{
     AccessKind, MemoryEngine, ObjectHandle, PlacementPolicy, Recorder, ReplayMode, TraceEvent,
@@ -232,8 +232,8 @@ pub struct Machine {
     /// implementation does — the two paths produce bit-identical reports.
     batched: bool,
     /// Dynamic tiering: installed policy, epoch accumulator, damper history
-    /// and migration statistics. Defaults to [`crate::tiering::Static`],
-    /// which never fires an epoch.
+    /// and migration statistics. Defaults to [`TieringSpec::Static`], which
+    /// never fires an epoch.
     tiering: TieringRuntime,
 
     phase_names: Vec<String>,
@@ -273,7 +273,7 @@ impl Machine {
             dram_events: Vec::with_capacity(64),
             chunk_pool_link_lines: 0,
             batched: true,
-            tiering: TieringRuntime::new(Box::new(crate::tiering::Static)),
+            tiering: TieringRuntime::new(TieringSpec::Static),
             phase_names: Vec::new(),
             phase_counters: Vec::new(),
             phase_runtimes: Vec::new(),
@@ -283,11 +283,6 @@ impl Machine {
             recorder: None,
             spilled_seen: 0,
         }
-    }
-
-    /// Creates a machine with the paper's testbed configuration.
-    pub fn skylake_testbed() -> Self {
-        Self::new(MachineConfig::skylake_testbed())
     }
 
     /// The machine configuration.
@@ -305,32 +300,19 @@ impl Machine {
     /// Install before driving traffic: installation resets the hotness
     /// tracker, the epoch accumulator and the ping-pong damper history
     /// (migration statistics already accumulated are kept, so a report still
-    /// reflects the whole run). With a static policy (the default) the
-    /// machine never fires an epoch and behaves bit-identically to the
-    /// pre-tiering simulator.
-    pub fn set_tiering(&mut self, policy: Box<dyn TieringPolicy>) {
-        let tracker = policy
-            .epoch_lines()
-            .map(|_| HotnessTracker::new(policy.decay()));
-        self.space.set_hotness(tracker);
-        let stats = self.tiering.stats;
-        self.tiering = TieringRuntime::new(policy);
-        self.tiering.stats = stats;
-    }
-
-    /// Installs the policy described by a serializable [`TieringSpec`].
+    /// reflects the whole run, under the label of the policy installed
+    /// last). With [`TieringSpec::Static`] (the default) the machine never
+    /// fires an epoch and behaves bit-identically to the pre-tiering
+    /// simulator.
     pub fn set_tiering_spec(&mut self, spec: &TieringSpec) {
-        self.set_tiering(spec.build());
-    }
-
-    /// Name of the installed tiering policy.
-    pub fn tiering_policy_name(&self) -> &'static str {
-        self.tiering.policy.name()
-    }
-
-    /// Migration statistics accumulated so far.
-    pub fn tiering_stats(&self) -> TieringStats {
-        self.tiering.stats
+        let tracker = spec
+            .epoch_lines()
+            .map(|_| HotnessTracker::new(spec.decay()));
+        self.space.set_hotness(tracker);
+        self.tiering = TieringRuntime {
+            report: std::mem::take(&mut self.tiering.report),
+            ..TieringRuntime::new(*spec)
+        };
     }
 
     /// Enables or disables the hardware prefetcher (MSR 0x1a4 analogue).
@@ -522,21 +504,13 @@ impl Machine {
     }
 
     fn tiering_report(&self) -> TieringReport {
-        let s = self.tiering.stats;
-        let migrated_pages = s.promotions + s.demotions;
+        let report = &self.tiering.report;
+        let migrated_pages = report.promotions + report.demotions;
         TieringReport {
-            policy: self.tiering.policy.name().to_string(),
-            epochs: s.epochs,
-            promotions: s.promotions,
-            demotions: s.demotions,
+            policy: self.tiering.spec.label().to_string(),
             migrated_pages,
             migrated_bytes: migrated_pages * dismem_trace::PAGE_SIZE,
-            ping_pongs_damped: s.ping_pongs_damped,
-            skipped_capacity: s.skipped_capacity,
-            hot_set_shifts: s.hot_set_shifts,
-            dwell_epochs_total: s.dwell_epochs_total,
-            open_dwell_epochs: s.open_dwell_epochs,
-            hot_set_pages_max: s.hot_set_pages_max,
+            ..report.clone()
         }
     }
 
@@ -586,7 +560,7 @@ impl Machine {
             // this chunk's walks order ahead of the epoch's events.
             self.emit_chunk_trace();
         }
-        if let Some(epoch_lines) = self.tiering.policy.epoch_lines() {
+        if let Some(epoch_lines) = self.tiering.spec.epoch_lines() {
             self.tiering.epoch_acc += app_dram_lines;
             if self.tiering.epoch_acc >= epoch_lines {
                 self.tiering.epoch_acc = 0;
@@ -617,7 +591,7 @@ impl Machine {
             // a hot-set shift closes it (the new hot set starts a dwell of
             // one epoch). An epoch whose hot set vanished entirely leaves no
             // open dwell behind.
-            let s = &mut self.tiering.stats;
+            let s = &mut self.tiering.report;
             s.hot_set_pages_max = s.hot_set_pages_max.max(dwell.pages);
             if dwell.shifted {
                 s.hot_set_shifts += 1;
@@ -629,7 +603,7 @@ impl Machine {
         }
         self.tiering.epoch += 1;
         let epoch = self.tiering.epoch;
-        let cooldown = self.tiering.policy.cooldown_epochs();
+        let cooldown = self.tiering.spec.cooldown_epochs();
         if cooldown > 0 {
             self.tiering
                 .last_migrated
@@ -666,7 +640,7 @@ impl Machine {
                 .capacity_bytes
                 .map(dismem_trace::access::pages_for),
         };
-        let orders = self.tiering.policy.plan(epoch, &samples, &occupancy);
+        let orders = self.tiering.spec.plan(epoch, &samples, &occupancy);
 
         // Epoch events share one timestamp: the application-line clock at the
         // chunk close that fired this epoch (totals already include it).
@@ -674,7 +648,7 @@ impl Machine {
         let mut moved = 0u64;
         for order in orders {
             if self.tiering.damped(order.page, epoch, cooldown) {
-                self.tiering.stats.ping_pongs_damped += 1;
+                self.tiering.report.ping_pongs_damped += 1;
                 continue;
             }
             match self.space.rebind_page(order.page, order.to) {
@@ -682,8 +656,8 @@ impl Machine {
                     moved += 1;
                     self.tiering.last_migrated.insert(order.page, epoch);
                     match order.to {
-                        Tier::Local => self.tiering.stats.promotions += 1,
-                        Tier::Pool => self.tiering.stats.demotions += 1,
+                        Tier::Local => self.tiering.report.promotions += 1,
+                        Tier::Pool => self.tiering.report.demotions += 1,
                     }
                     if let Some(recorder) = self.recorder.as_deref_mut() {
                         recorder.record_event(TraceEvent::MigrationApplied {
@@ -697,19 +671,19 @@ impl Machine {
                 }
                 Ok(_) => {}
                 Err(crate::address_space::RebindError::NoCapacity) => {
-                    self.tiering.stats.skipped_capacity += 1;
+                    self.tiering.report.skipped_capacity += 1;
                 }
                 Err(crate::address_space::RebindError::Unbound) => {}
             }
         }
-        self.tiering.stats.epochs += 1;
+        self.tiering.report.epochs += 1;
         if let Some(recorder) = self.recorder.as_deref_mut() {
             recorder.record_event(TraceEvent::EpochClosed {
                 epoch,
                 app_lines,
                 hot_pages,
-                dwell_epochs: self.tiering.stats.open_dwell_epochs,
-                hot_set_shifts: self.tiering.stats.hot_set_shifts,
+                dwell_epochs: self.tiering.report.open_dwell_epochs,
+                hot_set_shifts: self.tiering.report.hot_set_shifts,
                 migrated_pages: moved,
             });
         }
@@ -1296,12 +1270,12 @@ mod tests {
     /// A scaffold for tiering tests: a cold object fills the whole local
     /// tier, a hot object lands entirely on the pool, and the hot object is
     /// then streamed `passes` times. A promotion policy must demote the cold
-    /// pages and pull the hot ones local.
-    fn run_hot_cold(policy: Option<Box<dyn TieringPolicy>>, passes: usize) -> RunReport {
+    /// pages and pull the hot ones local. Returns the machine unfinished.
+    fn hot_cold_machine(spec: Option<TieringSpec>, passes: usize) -> Machine {
         let config = MachineConfig::test_config().with_local_capacity(40 * PAGE_SIZE);
         let mut m = Machine::new(config);
-        if let Some(policy) = policy {
-            m.set_tiering(policy);
+        if let Some(spec) = spec {
+            m.set_tiering_spec(&spec);
         }
         let cold = m.alloc("cold", "t", 40 * PAGE_SIZE);
         let hot = m.alloc("hot", "t", 32 * PAGE_SIZE);
@@ -1314,11 +1288,15 @@ mod tests {
             m.read(hot, 0, 32 * PAGE_SIZE);
         }
         m.phase_end();
-        m.finish()
+        m
     }
 
-    fn hot_promote_policy() -> Box<dyn TieringPolicy> {
-        Box::new(crate::tiering::HotPromote {
+    fn run_hot_cold(spec: Option<TieringSpec>, passes: usize) -> RunReport {
+        hot_cold_machine(spec, passes).finish()
+    }
+
+    fn hot_promote_policy() -> TieringSpec {
+        TieringSpec::HotPromote(crate::tiering::HotPromote {
             demote_heat: 8.0,
             ..crate::tiering::HotPromote::new(4096, 32.0)
         })
@@ -1384,8 +1362,9 @@ mod tests {
 
     #[test]
     fn periodic_rebalance_swaps_hot_for_cold() {
-        let policy = Box::new(crate::tiering::PeriodicRebalance::new(4096, 2, 64));
-        let report = run_hot_cold(Some(policy), 12);
+        let spec =
+            TieringSpec::PeriodicRebalance(crate::tiering::PeriodicRebalance::new(4096, 2, 64));
+        let report = run_hot_cold(Some(spec), 12);
         let t = &report.tiering;
         assert_eq!(t.policy, "periodic-rebalance");
         assert!(t.promotions > 0, "{t:?}");
@@ -1395,9 +1374,29 @@ mod tests {
     }
 
     #[test]
+    fn reinstalling_a_policy_keeps_the_counters_and_reports_the_last_label() {
+        let promoted = run_hot_cold(Some(hot_promote_policy()), 12);
+        assert!(promoted.tiering.promotions > 0, "{:?}", promoted.tiering);
+        // The same run with a second policy installed after the traffic: it
+        // fires no epoch of its own, so every counter is the first policy's,
+        // reported under the second policy's label.
+        let mut m = hot_cold_machine(Some(hot_promote_policy()), 12);
+        let rebalance = crate::tiering::PeriodicRebalance::new(4096, 2, 64);
+        m.set_tiering_spec(&TieringSpec::PeriodicRebalance(rebalance));
+        let switched = m.finish();
+        assert_eq!(
+            switched.tiering,
+            TieringReport {
+                policy: "periodic-rebalance".to_string(),
+                ..promoted.tiering
+            }
+        );
+    }
+
+    #[test]
     fn static_tiering_policy_is_bit_identical_to_default() {
         let default_report = run_hot_cold(None, 6);
-        let static_report = run_hot_cold(Some(Box::new(crate::tiering::Static)), 6);
+        let static_report = run_hot_cold(Some(TieringSpec::Static), 6);
         assert_eq!(default_report, static_report);
     }
 
@@ -1408,7 +1407,7 @@ mod tests {
             let mut m = Machine::new(config);
             m.set_batched_access(batched);
             m.set_replay(replay);
-            m.set_tiering(hot_promote_policy());
+            m.set_tiering_spec(&hot_promote_policy());
             let cold = m.alloc("cold", "t", 40 * PAGE_SIZE);
             let hot = m.alloc("hot", "t", 32 * PAGE_SIZE);
             m.phase_start("p");
@@ -1439,7 +1438,7 @@ mod tests {
             if record {
                 m.set_recorder(Box::new(FlightRecorder::new()));
             }
-            m.set_tiering(hot_promote_policy());
+            m.set_tiering_spec(&hot_promote_policy());
             let cold = m.alloc("cold", "t", 40 * PAGE_SIZE);
             let hot = m.alloc("hot", "t", 32 * PAGE_SIZE);
             m.phase_start("p");

@@ -21,39 +21,29 @@
 //! cargo run --release --example traced_tiering_run
 //! ```
 
+use dismem::profiler::{run_workload, run_workload_recorded, RunOptions};
 use dismem::sim::tiering::HotPromote;
-use dismem::sim::{Machine, MachineConfig, RunReport, TieringSpec};
+use dismem::sim::{MachineConfig, RunReport, TieringSpec};
 use dismem::trace::{
     to_chrome_trace, to_jsonl, validate_jsonl, FlightRecorder, MetricsSnapshot, TraceEvent,
     PAGE_SIZE,
 };
 use dismem::workloads::{InputScale, PhaseShift, PhaseShiftParams, Workload};
 
-/// One run of the workload under the given configuration; records the trace
-/// when `recorded` is set.
-fn run(
+/// One recorded run of the workload: its report, trace and metrics.
+fn record(
     workload: &PhaseShift,
-    config: &MachineConfig,
-    spec: &TieringSpec,
-    recorded: bool,
-) -> (RunReport, Vec<TraceEvent>, Option<MetricsSnapshot>) {
-    let mut machine = Machine::new(config.clone());
-    machine.set_tiering_spec(spec);
-    if recorded {
-        machine.set_recorder(Box::new(FlightRecorder::new()));
-    }
-    workload.run(&mut machine);
-    let report = machine.finish();
-    let Some(recorder) = machine.take_recorder() else {
-        return (report, Vec::new(), None);
-    };
+    options: &RunOptions,
+) -> (RunReport, Vec<TraceEvent>, MetricsSnapshot) {
+    let (report, recorder) =
+        run_workload_recorded(workload, options, Box::new(FlightRecorder::new()));
     let recorder = recorder
         .into_any()
         .downcast::<FlightRecorder>()
         .expect("the installed recorder is a FlightRecorder");
     let snapshot = recorder.metrics().snapshot();
     let (events, _) = recorder.into_parts();
-    (report, events, Some(snapshot))
+    (report, events, snapshot)
 }
 
 fn main() {
@@ -62,7 +52,8 @@ fn main() {
     let arena_pages = params.arena_bytes / PAGE_SIZE;
     let config =
         MachineConfig::scaled_testbed().with_local_capacity((arena_pages / 2 + 16) * PAGE_SIZE);
-    let spec = TieringSpec::HotPromote(HotPromote::new(65_536, 16.0));
+    let options = RunOptions::new(config)
+        .with_tiering(TieringSpec::HotPromote(HotPromote::new(65_536, 16.0)));
 
     println!(
         "workload: {} ({}), policy: hot-promote",
@@ -72,9 +63,9 @@ fn main() {
     let mut failures: Vec<String> = Vec::new();
 
     // The unrecorded reference, then two recorded runs.
-    let (reference, _, _) = run(&workload, &config, &spec, false);
-    let (recorded, events, snapshot) = run(&workload, &config, &spec, true);
-    let (_, events_again, _) = run(&workload, &config, &spec, true);
+    let reference = run_workload(&workload, &options);
+    let (recorded, events, snapshot) = record(&workload, &options);
+    let (_, events_again, _) = record(&workload, &options);
 
     // 1. Recording is read-only.
     if recorded != reference {
@@ -116,13 +107,9 @@ fn main() {
     }
 
     // 5. The deterministic metrics snapshot.
-    if let Some(snapshot) = snapshot {
-        match serde_json::to_string_pretty(&snapshot) {
-            Ok(json) => println!("\nmetrics snapshot:\n{json}"),
-            Err(e) => failures.push(format!("could not serialize the snapshot: {e}")),
-        }
-    } else {
-        failures.push("recorded run returned no metrics snapshot".into());
+    match serde_json::to_string_pretty(&snapshot) {
+        Ok(json) => println!("\nmetrics snapshot:\n{json}"),
+        Err(e) => failures.push(format!("could not serialize the snapshot: {e}")),
     }
 
     if failures.is_empty() {
