@@ -26,13 +26,6 @@ pub enum Tier {
     Pool,
 }
 
-impl Tier {
-    /// `true` for [`Tier::Pool`].
-    pub fn is_remote(self) -> bool {
-        matches!(self, Tier::Pool)
-    }
-}
-
 /// Per-object placement and traffic summary maintained by the address space.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ObjectPlacement {
@@ -341,13 +334,6 @@ impl AddressSpace {
             Tier::Local => p.dram_lines_local += lines,
             Tier::Pool => p.dram_lines_pool += lines,
         }
-    }
-
-    /// Tier currently bound to the page containing `addr`, if any.
-    pub fn tier_of(&self, addr: u64) -> Option<Tier> {
-        self.page_tier
-            .get(&(addr / dismem_trace::PAGE_SIZE))
-            .map(|&(t, _)| t)
     }
 
     /// Tier currently bound to a page number, if any.

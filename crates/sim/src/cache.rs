@@ -5,22 +5,16 @@
 //! `L2_LINES_IN`, prefetch requests, `USELESS_HWPF`, demand misses, and the
 //! DRAM fill/writeback events that the [`crate::Machine`] routes to memory
 //! tiers.
+//!
+//! A hierarchy lives for one run. It is built from the machine
+//! configuration with the prefetcher on or off for the whole run (the
+//! paper's Level-1 profile is one run of each) and is never reset; the
+//! replay engine's switch ([`CacheSim::set_replay_enabled`]) is the only
+//! setting that changes mid-run.
 
 use crate::config::CacheParams;
 use crate::counters::Counters;
 use crate::prefetch::StreamPrefetcher;
-use serde::{Deserialize, Serialize};
-
-/// Level of the memory hierarchy that served a request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum MemoryLevel {
-    /// Served from the L2 cache.
-    L2,
-    /// Served from the last-level cache.
-    Llc,
-    /// Served from a memory tier (DRAM, local or pool).
-    Dram,
-}
 
 /// A request that reached DRAM and must be routed to a memory tier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -43,28 +37,14 @@ pub trait DramSink {
 
     /// Accepts `count` DRAM transactions of `kind` against cache lines in the
     /// page containing `line_addr` (the replay engine aggregates a window's
-    /// transactions per page before handing them over). The default expands
-    /// to `count` single events at `line_addr`, which is only page-exact —
-    /// sinks that return `true` from [`DramSink::supports_replay`] must
-    /// override this with genuinely page-granular accounting.
+    /// transactions per page before handing them over, so a sink passed to
+    /// [`CacheSim::demand_access_range`] must account DRAM traffic at page
+    /// granularity). The default expands to `count` single events at
+    /// `line_addr`, which is only page-exact.
     fn bulk_event(&mut self, line_addr: u64, kind: DramEventKind, count: u64) {
         for _ in 0..count {
             self.event(line_addr, kind);
         }
-    }
-
-    /// Whether this sink accounts DRAM traffic at page granularity, so that
-    /// [`DramSink::bulk_event`] is exactly equivalent to the individual
-    /// events it aggregates. Only then may the cache engage the steady-state
-    /// replay engine; the default (`false`) keeps replay off.
-    fn supports_replay(&self) -> bool {
-        false
-    }
-}
-
-impl DramSink for Vec<DramEvent> {
-    fn event(&mut self, line_addr: u64, kind: DramEventKind) {
-        self.push(DramEvent { line_addr, kind });
     }
 }
 
@@ -216,25 +196,19 @@ impl SetAssocCache {
     /// `clock`, with every valid line's tag shifted forward by `tag_shift`
     /// lines and every timestamp (and the clock) by `clock_shift` ticks —
     /// the state the cache would hold had it walked the shifted traffic
-    /// exactly. Snapshot slots flagged in `dormant` (lines the replayed
-    /// traffic provably never touched — resident foreign state in sets the
-    /// period's addresses miss) are copied verbatim instead of shifted; an
-    /// empty `dormant` slice means every valid line shifts. Invalid slots
-    /// keep their canonical default contents.
+    /// exactly. Invalid slots keep their canonical default contents.
     pub(crate) fn restore_shifted(
         &mut self,
         snap_lines: &[CacheLine],
         snap_clock: u64,
         tag_shift: u64,
         clock_shift: u64,
-        dormant: &[bool],
     ) {
         debug_assert_eq!(snap_lines.len(), self.lines.len());
-        debug_assert!(dormant.is_empty() || dormant.len() == snap_lines.len());
         self.clock = snap_clock + clock_shift;
-        for (i, (slot, snap)) in self.lines.iter_mut().zip(snap_lines).enumerate() {
+        for (slot, snap) in self.lines.iter_mut().zip(snap_lines) {
             *slot = *snap;
-            if snap.valid && dormant.get(i) != Some(&true) {
+            if snap.valid {
                 slot.tag = snap.tag + tag_shift;
                 slot.stamp = snap.stamp + clock_shift;
             }
@@ -344,14 +318,6 @@ impl CacheSim {
         self.params.line_bytes
     }
 
-    /// Enables or disables the hardware prefetcher.
-    pub fn set_prefetch_enabled(&mut self, enabled: bool) {
-        // Prefetcher behaviour is part of the replayed fingerprint; leave
-        // replay and discard detection state before changing it.
-        self.replay_hard_reset();
-        self.prefetcher.set_enabled(enabled);
-    }
-
     /// Enables or disables the steady-state page-replay engine (enabled by
     /// default). Disabling mid-run first materializes any in-flight replay so
     /// the cache state stays exact.
@@ -375,11 +341,6 @@ impl CacheSim {
     /// Pages per replay window for this cache geometry.
     pub fn replay_window_pages(&self) -> u64 {
         self.replay.window_pages
-    }
-
-    /// Whether the hardware prefetcher is enabled.
-    pub fn prefetch_enabled(&self) -> bool {
-        self.prefetcher.enabled()
     }
 
     /// Performs one demand access to cache line `line_addr`.
@@ -443,11 +404,11 @@ impl CacheSim {
     /// lines starting at `first_line`, in ascending order.
     ///
     /// Bit-identical to calling [`CacheSim::demand_access`] once per line,
-    /// but the per-line overheads are hoisted out of the loop, and — for
-    /// page-granular sinks ([`DramSink::supports_replay`]) — long sequential
-    /// streams are handed to the steady-state page-replay engine, which skips
-    /// the set scans entirely for whole pages whose behaviour it has proven
-    /// periodic (see `crate::replay`).
+    /// but the per-line overheads are hoisted out of the loop, and long
+    /// sequential streams are handed to the steady-state page-replay engine,
+    /// which skips the set scans entirely for whole pages whose behaviour it
+    /// has proven periodic (see `crate::replay`). Replayed windows reach the
+    /// sink through [`DramSink::bulk_event`].
     pub fn demand_access_range<S: DramSink>(
         &mut self,
         first_line: u64,
@@ -459,13 +420,9 @@ impl CacheSim {
         if line_count == 0 {
             return;
         }
-        if self.replay.enabled && sink.supports_replay() {
-            if !self.note_scattered_call(first_line, line_count, is_write) {
-                self.walk_with_replay(first_line, line_count, is_write, counters, sink);
-                return;
-            }
-        } else if self.replay.is_active() {
-            self.replay_hard_reset();
+        if self.replay.enabled && !self.note_scattered_call(first_line, line_count, is_write) {
+            self.walk_with_replay(first_line, line_count, is_write, counters, sink);
+            return;
         }
         self.walk_lines_exact(first_line, line_count, is_write, counters, sink);
     }
@@ -640,16 +597,6 @@ impl CacheSim {
             }
         }
     }
-
-    /// Resets all cache contents and prefetcher state.
-    pub fn reset(&mut self) {
-        self.l2 = SetAssocCache::new(self.params.l2_sets(), self.params.l2_ways as usize);
-        self.llc = SetAssocCache::new(self.params.llc_sets(), self.params.llc_ways as usize);
-        self.prefetcher.reset();
-        // The cache state replay would materialize is being discarded anyway.
-        self.replay.discard_for_reset();
-        self.stream_hint = usize::MAX;
-    }
 }
 
 #[cfg(test)]
@@ -780,7 +727,6 @@ mod tests {
     #[test]
     fn prefetch_disabled_no_prefetch_counters() {
         let mut c = sim(false);
-        assert!(!c.prefetch_enabled());
         let mut counters = Counters::default();
         let mut dram = Vec::new();
         for line in 0..64u64 {
@@ -788,17 +734,5 @@ mod tests {
         }
         assert_eq!(counters.pf_issued, 0);
         assert_eq!(counters.l2_lines_in, counters.l2_demand_misses);
-    }
-
-    #[test]
-    fn reset_clears_contents() {
-        let mut c = sim(false);
-        let mut counters = Counters::default();
-        let mut dram = Vec::new();
-        c.demand_access(7, false, &mut counters, &mut dram);
-        c.reset();
-        dram.clear();
-        c.demand_access(7, false, &mut counters, &mut dram);
-        assert_eq!(dram.len(), 1, "after reset the line must miss again");
     }
 }

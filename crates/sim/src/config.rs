@@ -327,12 +327,6 @@ impl MachineConfig {
     pub fn ridge_point(&self) -> f64 {
         self.peak_flops / self.local.bandwidth_bps
     }
-
-    /// Effective streaming bandwidth achievable by unprefetched demand misses
-    /// against a tier with latency `latency_s`: `mlp * line / latency`.
-    pub fn latency_limited_bandwidth(&self, latency_s: f64) -> f64 {
-        self.mlp * self.cache.line_bytes as f64 / latency_s
-    }
 }
 
 impl Default for MachineConfig {
@@ -392,12 +386,6 @@ mod tests {
     fn ridge_point_and_latency_bandwidth() {
         let c = MachineConfig::skylake_testbed();
         assert!(c.ridge_point() > 1.0 && c.ridge_point() < 20.0);
-        let lat_bw_local = c.latency_limited_bandwidth(c.local.latency_s);
-        let lat_bw_pool = c.latency_limited_bandwidth(c.pool.latency_s);
-        // Latency-limited bandwidth must be lower than peak and lower for the
-        // farther tier.
-        assert!(lat_bw_local < c.local.bandwidth_bps);
-        assert!(lat_bw_pool < lat_bw_local);
     }
 
     #[test]

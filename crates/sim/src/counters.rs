@@ -164,20 +164,6 @@ impl Counters {
         }
         (self.pf_issued - useless) as f64 / denom as f64
     }
-
-    /// Demand LLC misses (lines whose latency is exposed to the core).
-    pub fn demand_dram_lines(&self) -> u64 {
-        self.demand_dram_lines_local + self.demand_dram_lines_pool
-    }
-
-    /// Bytes moved by page migrations, summed over both tiers (each migrated
-    /// page contributes one page of traffic per tier). Excluded from
-    /// [`Counters::bytes_dram`] and the remote-access ratio — migration
-    /// traffic competes for bandwidth (the timing model charges it) but is
-    /// not an application access.
-    pub fn migration_bytes(&self, line_bytes: u64) -> u64 {
-        (self.migration_lines_local + self.migration_lines_pool) * line_bytes
-    }
 }
 
 #[cfg(test)]
@@ -222,8 +208,6 @@ mod tests {
         assert_eq!(c.bytes_local(64), (70 + 5) * 64);
         assert_eq!(c.bytes_pool(64), (30 + 5) * 64);
         assert_eq!(c.bytes_dram(64), 110 * 64);
-        // Migration traffic is accounted separately from application bytes.
-        assert_eq!(c.migration_bytes(64), 128 * 64);
     }
 
     #[test]

@@ -42,7 +42,7 @@ pub mod tiering;
 pub mod timing;
 
 pub use address_space::{AddressSpace, FreeError, RebindError, Tier};
-pub use cache::{CacheSim, MemoryLevel};
+pub use cache::CacheSim;
 pub use config::{CacheParams, LinkParams, MachineConfig, PrefetchParams, TierParams};
 pub use counters::Counters;
 pub use interference::InterferenceProfile;

@@ -69,12 +69,6 @@ impl LinkModel {
         base_latency_s * self.queueing_factor(utilization)
     }
 
-    /// Fraction of the peak raw bandwidth consumed by a measured raw traffic
-    /// rate — the "measured LoI" of the paper's Figure 11 (left).
-    pub fn loi_of_rate(&self, raw_bytes_per_s: f64) -> f64 {
-        raw_bytes_per_s / self.params.raw_bandwidth_bps
-    }
-
     /// Raw link traffic of migrating `pages` whole pages between the tiers.
     /// Every promotion and demotion crosses the link (one side of the copy is
     /// always the pool), so the payload is `pages × PAGE_SIZE` plus protocol
@@ -146,12 +140,6 @@ mod tests {
         let base = 202e-9;
         assert!((l.effective_latency(base, 0.0) - base).abs() < 1e-15);
         assert!(l.effective_latency(base, 0.5) > 1.9 * base);
-    }
-
-    #[test]
-    fn loi_of_rate_roundtrip() {
-        let l = link();
-        assert!((l.loi_of_rate(42.5e9) - 0.5).abs() < 1e-9);
     }
 
     #[test]

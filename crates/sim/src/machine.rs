@@ -203,12 +203,6 @@ impl DramSink for TallySink<'_> {
         let tier = memo.tier;
         self.tally.tally_n(tier, kind, count);
     }
-
-    /// All accounting (tier resolution, per-object traffic, histogram) is
-    /// page-granular, so aggregated per-page events are exact.
-    fn supports_replay(&self) -> bool {
-        true
-    }
 }
 
 /// The simulated compute node.
@@ -315,11 +309,6 @@ impl Machine {
         };
     }
 
-    /// Enables or disables the hardware prefetcher (MSR 0x1a4 analogue).
-    pub fn set_prefetch_enabled(&mut self, enabled: bool) {
-        self.cache.set_prefetch_enabled(enabled);
-    }
-
     /// Enables or disables the batched line-walk fast path (enabled by
     /// default). With batching off the machine processes every access with
     /// the per-line reference pipeline; results are bit-identical either way
@@ -327,11 +316,6 @@ impl Machine {
     /// speed differs.
     pub fn set_batched_access(&mut self, enabled: bool) {
         self.batched = enabled;
-    }
-
-    /// Whether the batched line-walk fast path is enabled.
-    pub fn batched_access(&self) -> bool {
-        self.batched
     }
 
     /// Enables or disables the steady-state page-replay engine (enabled by
@@ -1208,7 +1192,6 @@ mod tests {
             }
             let mut m = Machine::new(config);
             m.set_batched_access(batched);
-            assert_eq!(m.batched_access(), batched);
             let a = m.alloc("stream", "t", 2 << 20);
             let b = m.alloc("table", "t", 1 << 20);
             m.phase_start("mixed");
@@ -1522,7 +1505,7 @@ mod tests {
         for event in recorder.events() {
             if let TraceEvent::ReplayExited { reason, .. } = event {
                 assert!(
-                    ["pattern-break", "hard-reset", "cache-reset"].contains(&reason.as_str()),
+                    ["pattern-break", "hard-reset"].contains(&reason.as_str()),
                     "unexpected exit reason {reason}"
                 );
             }

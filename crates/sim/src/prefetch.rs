@@ -5,6 +5,11 @@
 //! is confirmed, fetches the next few lines ahead of the demand stream. It
 //! never crosses page boundaries (real hardware cannot, because it works on
 //! physical addresses).
+//!
+//! The switch is [`PrefetchParams::enabled`], fixed when the prefetcher is
+//! built, as the paper fixes it before each Level-1 run. A disabled
+//! prefetcher observes nothing, so its stream table stays empty and its
+//! clock at zero for the whole run.
 
 use crate::config::PrefetchParams;
 use dismem_trace::{CACHE_LINE_SIZE, PAGE_SIZE};
@@ -32,7 +37,6 @@ pub(crate) struct PrefetcherSnapshot {
     /// Captured for the replay feedback gate; the useful counter is not
     /// frozen because replay advances it live, in closed form.
     pub(crate) feedback_useless: u64,
-    pub(crate) enabled: bool,
 }
 
 /// Stream prefetcher state.
@@ -108,27 +112,9 @@ impl StreamPrefetcher {
         }
     }
 
-    /// Whether prefetching is enabled.
-    pub fn enabled(&self) -> bool {
-        self.params.enabled
-    }
-
     /// Maximum number of concurrently tracked streams.
     pub fn max_streams(&self) -> usize {
         self.params.max_streams
-    }
-
-    /// Enables or disables prefetch generation (stream training continues).
-    pub fn set_enabled(&mut self, enabled: bool) {
-        self.params.enabled = enabled;
-    }
-
-    /// Resets all tracked streams and the accuracy feedback.
-    pub fn reset(&mut self) {
-        self.entries.clear();
-        self.clock = 0;
-        self.feedback_useful = 0;
-        self.feedback_useless = 0;
     }
 
     /// Takes a frozen copy of the full prefetcher state.
@@ -137,16 +123,12 @@ impl StreamPrefetcher {
             entries: self.entries.clone(),
             clock: self.clock,
             feedback_useless: self.feedback_useless,
-            enabled: self.params.enabled,
         }
     }
 
     /// Restores stream entries and the clock from a snapshot, shifted forward
     /// by `page_shift` pages and `clock_shift` clock ticks — the state the
     /// prefetcher would have reached had it tracked the stream exactly.
-    /// Snapshot entries flagged in `dormant` (streams the replayed traffic
-    /// provably never touched) are copied verbatim instead of shifted; an
-    /// empty slice means every valid entry shifts.
     ///
     /// The accuracy-feedback counters are *not* restored: they are advanced
     /// live during replay by [`StreamPrefetcher::advance_useful`].
@@ -155,20 +137,17 @@ impl StreamPrefetcher {
         snap: &PrefetcherSnapshot,
         page_shift: u64,
         clock_shift: u64,
-        dormant: &[bool],
     ) {
-        debug_assert!(dormant.is_empty() || dormant.len() == snap.entries.len());
         self.clock = snap.clock + clock_shift;
         self.entries.clear();
-        self.entries
-            .extend(snap.entries.iter().enumerate().map(|(i, e)| {
-                let mut e = *e;
-                if e.valid && dormant.get(i) != Some(&true) {
-                    e.page += page_shift;
-                    e.stamp += clock_shift;
-                }
-                e
-            }));
+        self.entries.extend(snap.entries.iter().map(|e| {
+            let mut e = *e;
+            if e.valid {
+                e.page += page_shift;
+                e.stamp += clock_shift;
+            }
+            e
+        }));
     }
 
     /// Advances the feedback state exactly as `n` consecutive
@@ -330,7 +309,6 @@ mod tests {
         p.observe(1, &mut out);
         p.observe(2, &mut out);
         assert!(out.is_empty());
-        assert!(!p.enabled());
     }
 
     #[test]
@@ -414,8 +392,6 @@ mod tests {
         let mut p = pf();
         p.feedback(false);
         assert_eq!(p.observed_accuracy(), 1.0);
-        p.reset();
-        assert_eq!(p.observed_accuracy(), 1.0);
     }
 
     #[test]
@@ -445,26 +421,11 @@ mod tests {
         p.observe(100, &mut out);
         p.observe(101, &mut out);
         let snap = p.snapshot();
-        assert!(snap.enabled);
         let mut q = pf();
-        q.restore_shifted(&snap, 10, 1000, &[]);
+        q.restore_shifted(&snap, 10, 1000);
         // The restored entry tracks the original page shifted by 10 pages.
         let e = q.entries.iter().find(|e| e.valid).unwrap();
         assert_eq!(e.page, 100 / 64 + 10);
         assert_eq!(q.clock, snap.clock + 1000);
-    }
-
-    #[test]
-    fn set_enabled_toggles_generation() {
-        let mut p = pf();
-        let mut out = Vec::new();
-        p.set_enabled(false);
-        p.observe(0, &mut out);
-        p.observe(1, &mut out);
-        assert!(out.is_empty());
-        p.set_enabled(true);
-        p.observe(2, &mut out);
-        p.observe(3, &mut out);
-        assert!(!out.is_empty());
     }
 }

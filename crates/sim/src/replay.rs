@@ -50,10 +50,13 @@
 //! addresses, and all of its index arithmetic is congruent under the shift —
 //! so if the state after window `n+1` is the state after window `n` shifted
 //! by one window, then by induction every following window behaves
-//! identically-shifted until an invariant breaks. Foreign resident lines,
-//! partially-warm caches, aliasing hot lines and mid-stream perturbations all
-//! surface as a snapshot or delta mismatch and simply keep the engine in the
-//! exact walk.
+//! identically-shifted until an invariant breaks. Every valid line and
+//! stream entry must shift, including one the window never touched, so
+//! foreign resident lines, partially-warm caches, aliasing hot lines and
+//! mid-stream perturbations all surface as a snapshot or delta mismatch and
+//! simply keep the engine in the exact walk. The prefetcher switch is fixed
+//! for the whole run; with it off the stream table is never trained and
+//! compares empty against empty.
 //!
 //! The prefetcher's accuracy-feedback counters are deliberately excluded
 //! from the snapshot comparison (they grow monotonically even in steady
@@ -147,20 +150,6 @@ struct ClockDeltas {
     pf: u64,
 }
 
-/// Which snapshot slots hold *dormant* state: lines / stream entries the
-/// window's traffic provably never touched (identical tag AND timestamp at
-/// both window boundaries — stamps are globally unique and monotonically
-/// increasing per structure, so an unchanged stamp is proof the line was not
-/// touched, not a coincidence). Dormant state stays fixed while everything
-/// else shifts uniformly: this is what lets a stream verify and replay while
-/// hot lines outside it stay resident. Empty vectors mean no dormant slots.
-#[derive(Debug, Clone, Default)]
-struct DormantMask {
-    l2: Vec<bool>,
-    llc: Vec<bool>,
-    pf: Vec<bool>,
-}
-
 /// One page's worth of a window's DRAM transactions of one kind.
 #[derive(Debug, Clone, Copy)]
 struct Group {
@@ -186,7 +175,6 @@ struct Memo {
     /// forward by `m + 1` windows.
     snap: StateSnapshot,
     clocks: ClockDeltas,
-    dormant: DormantMask,
     /// `feedback(true)` calls per window, advanced in closed form.
     pf_useful_per_window: u64,
     /// First line of the confirming window; replayed window `k` starts at
@@ -211,8 +199,8 @@ enum Mode {
 pub(crate) enum ReplayTransition {
     /// Window replay engaged.
     Engaged,
-    /// Window replay exited, with the reason (`pattern-break`, `hard-reset`
-    /// or `cache-reset`).
+    /// Window replay exited, with the reason (`pattern-break` or
+    /// `hard-reset`).
     Exited(&'static str),
 }
 
@@ -327,23 +315,13 @@ impl ReplayEngine {
         matches!(self.mode, Mode::Replay(_))
     }
 
-    /// Drops all state without materializing. Only valid when the caches are
-    /// being reset, or right after [`CacheSim::materialize_replay`].
+    /// Drops all state without materializing. Only valid right after
+    /// [`CacheSim::materialize_replay`].
     pub(crate) fn discard(&mut self) {
         debug_assert!(matches!(self.mode, Mode::Detect));
         self.streak = false;
         self.det_live = true;
         self.clear_window_detection();
-    }
-
-    /// Forced variant of [`ReplayEngine::discard`] for cache resets, where
-    /// the state replay would materialize is itself being thrown away.
-    pub(crate) fn discard_for_reset(&mut self) {
-        if self.in_replay() {
-            self.note_transition(ReplayTransition::Exited("cache-reset"));
-        }
-        self.mode = Mode::Detect;
-        self.discard();
     }
 
     /// Clears window-accumulation and fingerprint state (guarded by the
@@ -417,6 +395,16 @@ fn events_shifted_eq(
             .all(|(p, c)| c.0 == p.0 + shift && c.1 == p.1)
 }
 
+/// `y` is `x` advanced by `tag_shift` lines and `clock_delta` ticks, with
+/// equal flags.
+fn line_pair_shifted(x: &CacheLine, y: &CacheLine, tag_shift: u64, clock_delta: u64) -> bool {
+    y.tag == x.tag + tag_shift
+        && y.stamp == x.stamp + clock_delta
+        && x.dirty == y.dirty
+        && x.prefetched == y.prefetched
+        && x.used == y.used
+}
+
 /// Checks that `b`'s sets hold `a`'s contents advanced uniformly by
 /// `tag_shift` lines and `clock_delta` ticks.
 ///
@@ -426,30 +414,19 @@ fn events_shifted_eq(
 /// minimum-stamp line and invalid-way preference never changes an outcome —
 /// so only the stamp-ordered contents participate in the steady-state
 /// fingerprint. Invalid ways must match in count per set (their slots hold
-/// canonical default contents).
-fn line_pair_shifted(x: &CacheLine, y: &CacheLine, tag_shift: u64, clock_delta: u64) -> bool {
-    y.tag == x.tag + tag_shift
-        && y.stamp == x.stamp + clock_delta
-        && x.dirty == y.dirty
-        && x.prefetched == y.prefetched
-        && x.used == y.used
-}
-
+/// canonical default contents). Every valid line must shift: a line the
+/// window left untouched keeps its tag and stamp and fails the comparison.
 fn cache_shifted_eq(
     a: &[CacheLine],
     b: &[CacheLine],
     ways: usize,
     tag_shift: u64,
     clock_delta: u64,
-    mask: &mut Vec<bool>,
 ) -> bool {
     debug_assert_eq!(a.len(), b.len());
-    mask.clear();
-    mask.resize(a.len(), false);
-    let mut any_dormant = false;
-    let mut va: Vec<(usize, CacheLine)> = Vec::with_capacity(ways);
+    let mut va: Vec<CacheLine> = Vec::with_capacity(ways);
     let mut vb: Vec<CacheLine> = Vec::with_capacity(ways);
-    'sets: for (set_idx, (sa, sb)) in a.chunks_exact(ways).zip(b.chunks_exact(ways)).enumerate() {
+    for (sa, sb) in a.chunks_exact(ways).zip(b.chunks_exact(ways)) {
         // Fast path: in steady state, insertions replace the unique LRU line
         // in cyclic slot order, so consecutive window states of a fully
         // valid set differ by a pure slot rotation. Find the candidate
@@ -463,65 +440,27 @@ fn cache_shifted_eq(
                 && (0..ways)
                     .all(|i| line_pair_shifted(&sa[i], &sb[(r + i) % ways], tag_shift, clock_delta))
             {
-                continue 'sets;
+                continue;
             }
         }
-        // General path: pair off dormant lines first — stamps are globally
-        // unique and monotonically increasing, so a live line identical to a
-        // snapshot line (same tag AND same stamp) can only be the same
-        // physical line untouched across the whole window, never a
-        // reinserted coincidence.
+        // General path: canonicalize both sets' valid lines by stamp (the
+        // physical arrangement is unobservable) and pair them in order.
         va.clear();
         vb.clear();
-        for (i, l) in sa.iter().enumerate() {
-            if l.valid {
-                va.push((set_idx * ways + i, *l));
-            }
-        }
+        va.extend(sa.iter().filter(|l| l.valid));
         vb.extend(sb.iter().filter(|l| l.valid));
         if va.len() != vb.len() {
             return false;
         }
-        // Prefer the pure uniform-shift interpretation: a steady-state
-        // stream set (insert one line, evict the oldest, middle lines
-        // untouched) is *also* explainable as everything-dormant-plus-two-
-        // survivors, but those survivors are generations apart and fail the
-        // shift check. Both interpretations restore the identical set, so
-        // when the whole set matches as a shift no dormant marks are needed.
-        va.sort_unstable_by_key(|(_, l)| l.stamp);
+        va.sort_unstable_by_key(|l| l.stamp);
         vb.sort_unstable_by_key(|l| l.stamp);
-        if va
+        if !va
             .iter()
             .zip(&vb)
-            .all(|((_, x), y)| line_pair_shifted(x, y, tag_shift, clock_delta))
+            .all(|(x, y)| line_pair_shifted(x, y, tag_shift, clock_delta))
         {
-            continue 'sets;
-        }
-        let mut k = 0;
-        while k < va.len() {
-            if let Some(j) = vb.iter().position(|y| *y == va[k].1) {
-                mask[va[k].0] = true;
-                any_dormant = true;
-                vb.swap_remove(j);
-                va.swap_remove(k);
-            } else {
-                k += 1;
-            }
-        }
-        // Every remaining line must be uniformly shifted; canonicalize the
-        // survivors by stamp (the physical arrangement is unobservable).
-        va.sort_unstable_by_key(|(_, l)| l.stamp);
-        vb.sort_unstable_by_key(|l| l.stamp);
-        let ok = va
-            .iter()
-            .zip(&vb)
-            .all(|((_, x), y)| line_pair_shifted(x, y, tag_shift, clock_delta));
-        if !ok {
             return false;
         }
-    }
-    if !any_dormant {
-        mask.clear();
     }
     true
 }
@@ -538,98 +477,44 @@ impl CacheSim {
         s1: &StateSnapshot,
         window_lines: u64,
         window_pages: u64,
-    ) -> Option<(ClockDeltas, DormantMask)> {
+    ) -> Option<ClockDeltas> {
         let pfl = &self.prefetcher;
         let l2 = self.l2.clock.checked_sub(s1.l2_clock)?;
         let llc = self.llc.clock.checked_sub(s1.llc_clock)?;
         let pf = pfl.clock.checked_sub(s1.pf.clock)?;
-        if s1.pf.enabled != pfl.enabled() {
-            return None;
-        }
-        let mut mask = DormantMask::default();
-        if !cache_shifted_eq(
-            &s1.l2_lines,
-            &self.l2.lines,
-            s1.l2_ways,
-            window_lines,
-            l2,
-            &mut mask.l2,
-        ) {
-            return None;
-        }
-        if !cache_shifted_eq(
-            &s1.llc_lines,
-            &self.llc.lines,
-            s1.llc_ways,
-            window_lines,
-            llc,
-            &mut mask.llc,
-        ) {
+        if !cache_shifted_eq(&s1.l2_lines, &self.l2.lines, s1.l2_ways, window_lines, l2)
+            || !cache_shifted_eq(
+                &s1.llc_lines,
+                &self.llc.lines,
+                s1.llc_ways,
+                window_lines,
+                llc,
+            )
+        {
             return None;
         }
         // The stream table is a single LRU pool: canonicalize by stamp
         // exactly like a cache set (entry lookups match on the unique page,
         // eviction on the unique minimum stamp — slot positions are
-        // unobservable), with the same dormant-first pairing as the caches.
+        // unobservable). A prefetch-off run never trains it, so both sides
+        // are empty then.
         if s1.pf.entries.len() != pfl.entries.len() {
             return None;
         }
-        let mut ea: Vec<(usize, StreamEntry)> = s1
-            .pf
-            .entries
-            .iter()
-            .copied()
-            .enumerate()
-            .filter(|(_, e)| e.valid)
-            .collect();
+        let mut ea: Vec<StreamEntry> = s1.pf.entries.iter().copied().filter(|e| e.valid).collect();
         let mut eb: Vec<StreamEntry> = pfl.entries.iter().copied().filter(|e| e.valid).collect();
         if ea.len() != eb.len() {
             return None;
         }
-        let entries_ok = if pf == 0 {
-            // No prefetcher activity at all: the stream table is untouched
-            // (and never restored during replay — see the `clocks.pf > 0`
-            // guards — so no dormant bookkeeping is needed).
-            ea.sort_unstable_by_key(|(_, e)| e.stamp);
-            eb.sort_unstable_by_key(|e| e.stamp);
-            ea.iter().map(|(_, e)| e).eq(eb.iter())
-        } else {
-            let shifted_pair = |x: &StreamEntry, y: &StreamEntry| {
-                y.page == x.page + window_pages
-                    && y.stamp == x.stamp + pf
-                    && x.last_line == y.last_line
-                    && x.run == y.run
-            };
-            // Prefer the pure uniform-shift interpretation, exactly as for
-            // the cache sets above: a replaced-oldest table also matches as
-            // mostly-dormant, but with shift-incompatible survivors.
-            ea.sort_unstable_by_key(|(_, e)| e.stamp);
-            eb.sort_unstable_by_key(|e| e.stamp);
-            if ea.iter().zip(&eb).all(|((_, x), y)| shifted_pair(x, y)) {
-                true
-            } else {
-                let mut k = 0;
-                while k < ea.len() {
-                    if let Some(j) = eb.iter().position(|y| *y == ea[k].1) {
-                        if mask.pf.is_empty() {
-                            mask.pf.resize(s1.pf.entries.len(), false);
-                        }
-                        mask.pf[ea[k].0] = true;
-                        eb.swap_remove(j);
-                        ea.swap_remove(k);
-                    } else {
-                        k += 1;
-                    }
-                }
-                ea.sort_unstable_by_key(|(_, e)| e.stamp);
-                eb.sort_unstable_by_key(|e| e.stamp);
-                ea.iter().zip(&eb).all(|((_, x), y)| shifted_pair(x, y))
-            }
-        };
-        if !entries_ok {
-            return None;
-        }
-        Some((ClockDeltas { l2, llc, pf }, mask))
+        ea.sort_unstable_by_key(|e| e.stamp);
+        eb.sort_unstable_by_key(|e| e.stamp);
+        let entries_ok = ea.iter().zip(&eb).all(|(x, y)| {
+            y.page == x.page + window_pages
+                && y.stamp == x.stamp + pf
+                && x.last_line == y.last_line
+                && x.run == y.run
+        });
+        entries_ok.then_some(ClockDeltas { l2, llc, pf })
     }
 }
 
@@ -724,28 +609,18 @@ impl CacheSim {
             memo.snap.l2_clock,
             tag_shift,
             shift * memo.clocks.l2,
-            &memo.dormant.l2,
         );
         self.llc.restore_shifted(
             &memo.snap.llc_lines,
             memo.snap.llc_clock,
             tag_shift,
             shift * memo.clocks.llc,
-            &memo.dormant.llc,
         );
-        // A zero prefetcher-clock delta means the windows ran with no
-        // prefetcher activity at all (verify accepted the stream table
-        // frozen, not shifted), and replay never touches it — the live
-        // entries are already exact. Shifting them here would corrupt a
-        // stream trained before the prefetcher was disabled.
-        if memo.clocks.pf > 0 {
-            self.prefetcher.restore_shifted(
-                &memo.snap.pf,
-                shift * self.replay.window_pages,
-                shift * memo.clocks.pf,
-                &memo.dormant.pf,
-            );
-        }
+        self.prefetcher.restore_shifted(
+            &memo.snap.pf,
+            shift * self.replay.window_pages,
+            shift * memo.clocks.pf,
+        );
         self.stream_hint = usize::MAX;
     }
 
@@ -921,14 +796,13 @@ impl CacheSim {
                 } else {
                     None
                 };
-                if let Some((clocks, dormant)) = verdict {
+                if let Some(clocks) = verdict {
                     self.replay.mode = Mode::Replay(Box::new(Memo {
                         groups: group_events(&events, confirm_base),
                         pf_useful_per_window: delta.pf_useful,
                         delta,
                         snap: *prev_snap,
                         clocks,
-                        dormant,
                         base_line: confirm_base,
                         windows_done: 0,
                     }));
@@ -1054,6 +928,60 @@ mod tests {
         assert!(events_shifted_eq(&a, &b, 512));
         assert!(!events_shifted_eq(&a, &b, 256));
         assert!(!events_shifted_eq(&a, &b[..1], 512));
+    }
+
+    fn line(tag: u64, stamp: u64) -> CacheLine {
+        CacheLine {
+            tag,
+            valid: true,
+            stamp,
+            ..CacheLine::default()
+        }
+    }
+
+    #[test]
+    fn cache_shift_requires_every_valid_line_to_shift() {
+        let (ways, tag_shift, clock_delta) = (4, 512, 100);
+        let shifted = |l: CacheLine| CacheLine {
+            tag: l.tag + tag_shift,
+            stamp: l.stamp + clock_delta,
+            ..l
+        };
+        // Set 0 is full; set 1 has one invalid way.
+        let a = [
+            line(0, 1),
+            line(4, 2),
+            line(8, 3),
+            line(12, 4),
+            line(1, 5),
+            line(5, 6),
+            CacheLine::default(),
+            line(9, 7),
+        ];
+        // Set 0 rotated by one slot, set 1 rearranged, every valid line
+        // shifted.
+        let b = [
+            shifted(a[3]),
+            shifted(a[0]),
+            shifted(a[1]),
+            shifted(a[2]),
+            shifted(a[7]),
+            CacheLine::default(),
+            shifted(a[4]),
+            shifted(a[5]),
+        ];
+        assert!(cache_shifted_eq(&a, &b, ways, tag_shift, clock_delta));
+        // One valid line of set 1 kept its tag and stamp: the window left it
+        // untouched, so the set is not a uniform shift.
+        let mut untouched = b;
+        untouched[6] = a[4];
+        assert!(!cache_shifted_eq(
+            &a,
+            &untouched,
+            ways,
+            tag_shift,
+            clock_delta
+        ));
     }
 
     #[test]

@@ -252,14 +252,6 @@ impl TierOccupancy {
             None => u64::MAX,
         }
     }
-
-    /// Free pool pages (`u64::MAX` when unbounded).
-    pub fn pool_free(&self) -> u64 {
-        match self.pool_capacity {
-            Some(cap) => cap.saturating_sub(self.pool_used),
-            None => u64::MAX,
-        }
-    }
 }
 
 /// One migration decided by a policy: rebind `page` to `to`.
@@ -884,7 +876,6 @@ mod tests {
     fn occupancy_free_accounting() {
         let occ = occupancy(3, 8);
         assert_eq!(occ.local_free(), 5);
-        assert_eq!(occ.pool_free(), u64::MAX);
         let over = occupancy(9, 8);
         assert_eq!(over.local_free(), 0);
     }

@@ -196,12 +196,6 @@ impl TimingModel {
             }
         }
     }
-
-    /// Convenience: total time of a sequence of chunks under constant
-    /// interference.
-    pub fn total_time(&self, chunks: &[Counters], loi: f64) -> f64 {
-        chunks.iter().map(|c| self.chunk_time(c, loi).total_s).sum()
-    }
 }
 
 #[cfg(test)]
@@ -408,14 +402,5 @@ mod tests {
             .map(f64::to_bits);
             assert_eq!(got, bits, "chunk {chunk:?} at LoI {loi}");
         }
-    }
-
-    #[test]
-    fn total_time_sums_chunks() {
-        let m = model();
-        let chunks = vec![local_streaming_chunk(), pool_streaming_chunk()];
-        let sum = m.total_time(&chunks, 0.0);
-        let manual = m.chunk_time(&chunks[0], 0.0).total_s + m.chunk_time(&chunks[1], 0.0).total_s;
-        assert!((sum - manual).abs() < 1e-15);
     }
 }

@@ -92,7 +92,7 @@ pub enum TraceEvent {
         app_lines: u64,
         /// Closed form that exited.
         mode: ReplayMode,
-        /// Why it exited: `pattern-break`, `hard-reset` or `cache-reset`.
+        /// Why it exited: `pattern-break` or `hard-reset`.
         reason: String,
     },
     /// First-touch placement spilled pages to the pool because the local

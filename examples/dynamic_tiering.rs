@@ -75,14 +75,10 @@ fn main() {
 
     let dir = std::env::var("DISMEM_RESULTS_DIR").unwrap_or_else(|_| "target".to_string());
     let path = std::path::Path::new(&dir).join("CAMPAIGN_tiering.json");
-    match serde_json::to_string_pretty(&sweep) {
-        Ok(json) => {
-            if let Err(e) = std::fs::write(&path, json) {
-                eprintln!("warning: could not write {}: {e}", path.display());
-            } else {
-                println!("[results written to {}]", path.display());
-            }
-        }
-        Err(e) => eprintln!("warning: could not serialize sweep: {e}"),
+    let json = serde_json::to_string_pretty(&sweep).expect("the sweep serializes");
+    if let Err(e) = std::fs::create_dir_all(&dir).and_then(|()| std::fs::write(&path, json)) {
+        eprintln!("could not write {}: {e}", path.display());
+        std::process::exit(1);
     }
+    println!("[results written to {}]", path.display());
 }

@@ -54,7 +54,7 @@ fn report_json_normalized(report: &CampaignReport) -> String {
 }
 
 fn main() {
-    let quick = std::env::var("DISMEM_QUICK").is_ok();
+    let quick = dismem_bench::is_quick();
     let config = MachineConfig::scaled_testbed();
     let spec = if quick {
         FleetSpec {
@@ -217,12 +217,12 @@ fn main() {
     match serde_json::to_string_pretty(&reference) {
         Ok(json) => {
             if let Err(e) = std::fs::write(&report_path, json) {
-                eprintln!("warning: could not write {}: {e}", report_path.display());
+                failures.push(format!("could not write {}: {e}", report_path.display()));
             } else {
                 println!("[reference report written to {}]", report_path.display());
             }
         }
-        Err(e) => eprintln!("warning: could not serialize report: {e}"),
+        Err(e) => failures.push(format!("could not serialize the reference report: {e}")),
     }
 
     if failures.is_empty() {

@@ -60,7 +60,7 @@ fn specs_for(workload: &dyn Workload) -> Vec<TieringSpec> {
 }
 
 fn main() {
-    let quick = std::env::var("DISMEM_QUICK").is_ok();
+    let quick = dismem_bench::is_quick();
     let scale = InputScale::X1;
     let config = MachineConfig::scaled_testbed();
     let campaign = CampaignConfig {
@@ -145,16 +145,12 @@ fn main() {
     };
     let dir = std::env::var("DISMEM_RESULTS_DIR").unwrap_or_else(|_| "target".to_string());
     let path = std::path::Path::new(&dir).join("CAMPAIGN_tiering_workloads.json");
-    match serde_json::to_string_pretty(&campaign_out) {
-        Ok(json) => {
-            if let Err(e) = std::fs::write(&path, json) {
-                eprintln!("warning: could not write {}: {e}", path.display());
-            } else {
-                println!("\n[results written to {}]", path.display());
-            }
-        }
-        Err(e) => eprintln!("warning: could not serialize campaign: {e}"),
+    let json = serde_json::to_string_pretty(&campaign_out).expect("the campaign serializes");
+    if let Err(e) = std::fs::create_dir_all(&dir).and_then(|()| std::fs::write(&path, json)) {
+        eprintln!("could not write {}: {e}", path.display());
+        std::process::exit(1);
     }
+    println!("\n[results written to {}]", path.display());
 }
 
 fn print_study(study: &WorkloadTieringStudy, guidance: &Guidance) {

@@ -53,7 +53,7 @@ fn normalized_json(report: &CampaignReport) -> String {
 }
 
 fn main() {
-    let quick = std::env::var("DISMEM_QUICK").is_ok();
+    let quick = dismem_bench::is_quick();
     let config = MachineConfig::scaled_testbed();
     let base_seed = 0xD15C_u64;
     let spec = if quick {
@@ -168,12 +168,12 @@ fn main() {
     match serde_json::to_string(&warm) {
         Ok(json) => {
             if let Err(e) = std::fs::write(&report_path, json) {
-                eprintln!("warning: could not write {}: {e}", report_path.display());
+                failures.push(format!("could not write {}: {e}", report_path.display()));
             } else {
                 println!("[warm report written to {}]", report_path.display());
             }
         }
-        Err(e) => eprintln!("warning: could not serialize report: {e}"),
+        Err(e) => failures.push(format!("could not serialize the warm report: {e}")),
     }
 
     if failures.is_empty() {

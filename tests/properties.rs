@@ -232,58 +232,21 @@ fn replay_is_exact_for_runs_ending_mid_page() {
     );
 }
 
-/// The prefetcher is toggled off and on again in the middle of a contiguous
-/// stream: the toggle must flush replay state and the reports must stay
-/// identical, including prefetch counters.
+/// Level 1's second profile runs with the prefetcher off for the whole run:
+/// the stream table stays empty, replay must still engage on a contiguous
+/// stream split over several calls, and the reports must stay identical.
 #[test]
-fn replay_is_exact_when_prefetcher_toggles_mid_run() {
-    let config = MachineConfig::test_config();
+fn replay_is_exact_with_prefetcher_off() {
+    let config = MachineConfig::test_config().with_prefetch(false);
     let engagement = assert_replay_bit_identical(&config, |m| {
         let bytes = 60 * PAGE_SIZE;
         let a = m.alloc("stream", "t", bytes);
         m.phase_start("p");
         m.touch(a, bytes);
         m.read(a, 0, 30 * PAGE_SIZE);
-        m.set_prefetch_enabled(false);
-        // Contiguous continuation of the same stream, prefetcher now off.
         m.read(a, 30 * PAGE_SIZE, 20 * PAGE_SIZE);
-        m.set_prefetch_enabled(true);
         m.read(a, 50 * PAGE_SIZE, 10 * PAGE_SIZE);
         m.read(a, 0, bytes);
-        m.phase_end();
-    });
-    assert!(
-        engagement.engaged(),
-        "scenario must exercise the replay engine"
-    );
-}
-
-/// A stream trained while the prefetcher was on, then interrupted by a long
-/// replayed run with the prefetcher *off*, must resume with its stream-table
-/// entry intact: replay materialization must not shift a frozen stream
-/// table (regression test — the entries are only shifted when the windows
-/// actually advanced the prefetcher clock).
-#[test]
-fn replay_with_prefetcher_off_preserves_foreign_stream_training() {
-    let config = MachineConfig::test_config();
-    let engagement = assert_replay_bit_identical(&config, |m| {
-        let b = m.alloc("trained", "t", 4 * PAGE_SIZE);
-        let stream_bytes = 90 * PAGE_SIZE;
-        let a = m.alloc("stream", "t", stream_bytes);
-        m.phase_start("p");
-        m.touch(b, 4 * PAGE_SIZE);
-        m.touch(a, stream_bytes);
-        // Train a stream mid-page on `b` with the prefetcher on.
-        m.read(b, 0, 24 * 64);
-        // Replay-length run with the prefetcher off: the stream table stays
-        // frozen while windows are replayed.
-        m.set_prefetch_enabled(false);
-        m.read(a, 0, stream_bytes);
-        m.read(a, 0, stream_bytes);
-        // Resume `b`'s interrupted sequential run with the prefetcher on:
-        // the trained entry must still be found.
-        m.set_prefetch_enabled(true);
-        m.read(b, 24 * 64, 24 * 64);
         m.phase_end();
     });
     assert!(
@@ -355,36 +318,6 @@ fn replay_final_partial_pass_is_exact() {
         m.read(a, 0, bytes / 2 + 7 * 64 + 13);
         m.phase_end();
     });
-}
-
-/// The prefetcher is toggled off and back on between whole-object passes:
-/// each toggle hard-resets replay, and each segment must re-engage and stay
-/// bit-identical including prefetch counters.
-#[test]
-fn replay_prefetcher_toggle_between_passes_is_exact() {
-    let config = MachineConfig::test_config();
-    let engagement = assert_replay_bit_identical(&config, |m| {
-        let bytes = 32 * PAGE_SIZE;
-        let a = m.alloc("loop", "t", bytes);
-        m.phase_start("p");
-        m.touch(a, bytes);
-        for _ in 0..5 {
-            m.read(a, 0, bytes);
-        }
-        m.set_prefetch_enabled(false);
-        for _ in 0..5 {
-            m.read(a, 0, bytes);
-        }
-        m.set_prefetch_enabled(true);
-        for _ in 0..5 {
-            m.read(a, 0, bytes);
-        }
-        m.phase_end();
-    });
-    assert!(
-        engagement.windows > 0,
-        "repeated whole-object calls must replay windows: {engagement:?}"
-    );
 }
 
 /// A long-run script mixing whole-object streams (which engage replay) with
@@ -756,10 +689,12 @@ proptest! {
 
     /// Replay-on, replay-off and per-line execution of arbitrary mixed
     /// scripts with runs long enough to engage the replay engine must
-    /// produce bit-identical run reports.
+    /// produce bit-identical run reports, with the prefetcher on or off.
     #[test]
-    fn replay_execution_is_bit_identical(script in replay_script()) {
-        let config = MachineConfig::test_config().with_local_capacity(80 * PAGE_SIZE);
+    fn replay_execution_is_bit_identical(script in replay_script(), prefetch in any::<bool>()) {
+        let config = MachineConfig::test_config()
+            .with_local_capacity(80 * PAGE_SIZE)
+            .with_prefetch(prefetch);
         // Not every random script reaches steady state; the deterministic
         // tests above pin engagement. This one pins only equivalence.
         let _ = assert_replay_bit_identical(&config, replay_script_body(&script));
