@@ -44,9 +44,9 @@
 //! exits non-zero if the stream replay speedup (a machine-independent ratio,
 //! unlike absolute lines/s) or the six-workload lockstep pricing speedup
 //! regresses more than 20% against the baseline, and — outside the quick
-//! profile — if any paper workload replays fewer windows than committed or
-//! the six-workload replay-vs-batched or replay-vs-per-line ratio regresses
-//! more than 20%.
+//! profile — if any stream row or paper workload replays fewer windows than
+//! committed or the six-workload replay-vs-batched or replay-vs-per-line
+//! ratio regresses more than 20%.
 
 // The bench harness is the one sanctioned wall-clock observer in the
 // workspace: it measures real simulator throughput.
@@ -790,6 +790,8 @@ fn print_pricing(pricing: &PricingBench) {
 struct Baseline {
     /// `speedup_replay` of the stream rows.
     stream_speedups: Vec<f64>,
+    /// `(stream-<tier>, replay_windows)` of the stream rows.
+    stream_windows: Vec<(String, u64)>,
     /// `(workload, replay_windows)` of each `workloads` row.
     workload_windows: Vec<(String, u64)>,
     /// The `workloads` section's aggregate ratios.
@@ -811,6 +813,18 @@ fn number(value: &JsonValue, key: &str) -> f64 {
         .unwrap_or_else(|| panic!("baseline `{key}` is not a number"))
 }
 
+fn text<'a>(value: &'a JsonValue, key: &str) -> &'a str {
+    member(value, key)
+        .as_str()
+        .unwrap_or_else(|| panic!("baseline `{key}` is not a string"))
+}
+
+fn count(value: &JsonValue, key: &str) -> u64 {
+    member(value, key)
+        .as_u64()
+        .unwrap_or_else(|| panic!("baseline `{key}` is not a count"))
+}
+
 fn array<'a>(value: &'a JsonValue, key: &str) -> &'a [JsonValue] {
     member(value, key)
         .as_array()
@@ -823,26 +837,32 @@ impl Baseline {
     fn read(json: &str) -> Baseline {
         let root = serde_json::parse_value(json)
             .unwrap_or_else(|e| panic!("baseline is not valid JSON: {e}"));
-        let stream_speedups = array(&root, "throughput")
+        let stream_rows: Vec<&JsonValue> = array(&root, "throughput")
             .iter()
-            .filter(|row| member(row, "pattern").as_str() == Some("stream"))
+            .filter(|row| text(row, "pattern") == "stream")
+            .collect();
+        let stream_speedups = stream_rows
+            .iter()
             .map(|row| number(row, "speedup_replay"))
+            .collect();
+        let stream_windows = stream_rows
+            .iter()
+            .map(|row| {
+                let name = format!("stream-{}", text(row, "tier"));
+                (name, count(row, "replay_windows"))
+            })
             .collect();
         let workloads = member(&root, "workloads");
         let workload_windows = array(workloads, "rows")
             .iter()
             .map(|row| {
-                let name = member(row, "workload")
-                    .as_str()
-                    .unwrap_or_else(|| panic!("baseline `workload` is not a string"));
-                let windows = member(row, "replay_windows")
-                    .as_u64()
-                    .unwrap_or_else(|| panic!("baseline `replay_windows` is not a count"));
-                (name.to_string(), windows)
+                let name = text(row, "workload").to_string();
+                (name, count(row, "replay_windows"))
             })
             .collect();
         Baseline {
             stream_speedups,
+            stream_windows,
             workload_windows,
             replay_vs_per_line: number(workloads, "replay_vs_per_line"),
             replay_vs_batched: number(workloads, "replay_vs_batched"),
@@ -851,23 +871,33 @@ impl Baseline {
     }
 }
 
+/// One failure for each committed `(row, replay_windows)` entry whose row
+/// is missing from the current run or replays fewer windows.
+fn window_failures(
+    committed: &[(String, u64)],
+    current: impl Fn(&str) -> Option<u64>,
+) -> Vec<String> {
+    committed
+        .iter()
+        .filter_map(|(name, committed)| {
+            let windows = current(name);
+            (!matches!(windows, Some(w) if w >= *committed)).then(|| {
+                format!("{name}: replay windows fell below the committed {committed} ({windows:?})")
+            })
+        })
+        .collect()
+}
+
 /// The `workloads` gate: a workload replaying fewer windows than committed,
 /// or an aggregate ratio more than 20% below the committed one. Returns the
 /// failures, empty when the section passes.
 fn workloads_failures(base: &Baseline, cur: &WorkloadsBench) -> Vec<String> {
-    let mut failures = Vec::new();
-    for (name, committed) in &base.workload_windows {
-        let windows = cur
-            .rows
+    let mut failures = window_failures(&base.workload_windows, |name| {
+        cur.rows
             .iter()
-            .find(|r| &r.workload == name)
-            .map(|r| r.replay_windows);
-        if !matches!(windows, Some(w) if w >= *committed) {
-            failures.push(format!(
-                "{name}: replay windows fell below the committed {committed} ({windows:?})"
-            ));
-        }
-    }
+            .find(|r| r.workload == name)
+            .map(|r| r.replay_windows)
+    });
     for (label, now, committed) in [
         (
             "replay-vs-per-line",
@@ -1129,8 +1159,8 @@ fn main() {
     write_json("BENCH_throughput", &report);
 
     // Regression gate against a committed baseline (CI): compare the
-    // machine-independent replay and pricing ratios and the workloads'
-    // window counts.
+    // machine-independent replay and pricing ratios and the stream rows' and
+    // workloads' window counts.
     if let Ok(path) = std::env::var("DISMEM_BASELINE") {
         // `cargo bench` runs with the crate directory as cwd; resolve
         // relative baseline paths against the workspace root as a fallback.
@@ -1232,8 +1262,9 @@ fn main() {
             std::process::exit(1);
         }
 
-        // The quick profile runs the paper workloads on tiny inputs, which
-        // the committed X1 rows do not describe.
+        // The quick profile streams smaller arrays and runs the paper
+        // workloads on tiny inputs, so the committed window counts do not
+        // describe it.
         if quick {
             return;
         }
@@ -1249,6 +1280,15 @@ fn main() {
             retry.replay_vs_batched = retry.replay_vs_batched.max(first.replay_vs_batched);
             failures = workloads_failures(&base, &retry);
         }
+        // Window counts are deterministic, so the stream rows' counts need
+        // no re-measure.
+        failures.extend(window_failures(&base.stream_windows, |name| {
+            report
+                .throughput
+                .iter()
+                .find(|r| r.pattern == "stream" && name == format!("stream-{}", r.tier))
+                .map(|r| r.replay_windows)
+        }));
         if !failures.is_empty() {
             for failure in &failures {
                 eprintln!("error: {failure}");

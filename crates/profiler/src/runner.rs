@@ -1,6 +1,6 @@
 //! Helpers for running workloads on configured machines.
 
-use dismem_sim::{InterferenceProfile, Machine, MachineConfig, RunReport, TieringSpec};
+use dismem_sim::{Machine, MachineConfig, RunReport, TieringSpec};
 use dismem_trace::Recorder;
 use dismem_workloads::Workload;
 
@@ -11,27 +11,18 @@ pub struct RunOptions {
     /// used as given: `config.prefetch.enabled` is the prefetcher switch,
     /// and every shipped `MachineConfig` constructor turns it on.
     pub config: MachineConfig,
-    /// Background interference on the pool link.
-    pub interference: InterferenceProfile,
     /// Dynamic tiering policy.
     pub tiering: TieringSpec,
 }
 
 impl RunOptions {
-    /// Run options for a given machine configuration with an idle pool and
-    /// static (first-touch) placement.
+    /// Run options for a given machine configuration with static
+    /// (first-touch) placement.
     pub fn new(config: MachineConfig) -> Self {
         Self {
             config,
-            interference: InterferenceProfile::Idle,
             tiering: TieringSpec::Static,
         }
-    }
-
-    /// Sets the interference profile.
-    pub fn with_interference(mut self, interference: InterferenceProfile) -> Self {
-        self.interference = interference;
-        self
     }
 
     /// Sets the dynamic tiering policy.
@@ -44,7 +35,6 @@ impl RunOptions {
 /// A fresh machine set up as `options` describe.
 fn machine_for(options: &RunOptions) -> Machine {
     let mut machine = Machine::new(options.config.clone());
-    machine.set_interference(options.interference.clone());
     machine.set_tiering_spec(&options.tiering);
     machine
 }
@@ -93,6 +83,7 @@ pub fn pooled_config(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dismem_sim::InterferenceProfile;
     use dismem_workloads::WorkloadKind;
 
     fn test_base() -> MachineConfig {
@@ -152,15 +143,13 @@ mod tests {
         assert!(recorder.metrics().counter("sim.spilled_pages_total") > 0);
     }
 
+    /// Interference is priced on the idle report, by re-timing it.
     #[test]
     fn interference_option_slows_down_pooled_run() {
         let w = WorkloadKind::Hypre.instantiate_tiny();
         let cfg = pooled_config(&test_base(), w.as_ref(), 0.25);
-        let idle = run_workload(w.as_ref(), &RunOptions::new(cfg.clone()));
-        let busy = run_workload(
-            w.as_ref(),
-            &RunOptions::new(cfg).with_interference(InterferenceProfile::Constant(0.5)),
-        );
+        let idle = run_workload(w.as_ref(), &RunOptions::new(cfg));
+        let busy = idle.retime(&InterferenceProfile::Constant(0.5));
         assert!(busy.total_runtime_s > idle.total_runtime_s);
     }
 }

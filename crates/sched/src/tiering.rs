@@ -84,13 +84,6 @@ impl TieringSweep {
         self.outcomes.iter().find(|o| o.policy == "static")
     }
 
-    /// The best (lowest idle runtime) outcome.
-    pub fn best(&self) -> Option<&TieringOutcome> {
-        self.outcomes
-            .iter()
-            .min_by(|a, b| a.runtime_s.total_cmp(&b.runtime_s))
-    }
-
     /// The first outcome that actually measured hotness epochs (and with
     /// them the phase-dwell counters) — the run to derive dwell-based
     /// guidance from. `None` when only static policies were swept.
@@ -466,16 +459,6 @@ mod tests {
         assert!(study.best_speedup_vs_static() >= 1.0);
     }
 
-    #[test]
-    fn best_outcome_lookup() {
-        let (workload, config) = sweep_setup();
-        let specs = default_specs(2048, 12.0);
-        let sweep = sweep_tiering_policies(&workload, &config, &specs, &small_campaign());
-        let best = sweep.best().unwrap();
-        assert!(sweep.outcomes.iter().all(|o| o.runtime_s >= best.runtime_s));
-        assert!(sweep.failed_policies.is_empty());
-    }
-
     /// A workload whose simulation always panics, for exercising the
     /// quarantine path of the sweeps.
     struct PoisonedWorkload;
@@ -511,7 +494,6 @@ mod tests {
             .contains("poisoned workload cell"));
         // Lookup helpers degrade to None instead of panicking on the gap.
         assert!(sweep.static_outcome().is_none());
-        assert!(sweep.best().is_none());
         assert!(sweep.measured().is_none());
     }
 

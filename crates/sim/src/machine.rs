@@ -617,12 +617,6 @@ impl Machine {
                 .local
                 .capacity_bytes
                 .map(dismem_trace::access::pages_for),
-            pool_used: self.space.pool_pages_used(),
-            pool_capacity: self
-                .config
-                .pool
-                .capacity_bytes
-                .map(dismem_trace::access::pages_for),
         };
         let orders = self.tiering.spec.plan(epoch, &samples, &occupancy);
 

@@ -17,6 +17,8 @@ use dismem_trace::{CACHE_LINE_SIZE, PAGE_SIZE};
 /// Cache lines per page.
 const LINES_PER_PAGE: u64 = PAGE_SIZE / CACHE_LINE_SIZE;
 
+/// One tracked stream. The table only grows until it is full and then
+/// replaces its LRU entry, so every entry in it is live.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct StreamEntry {
     pub(crate) page: u64,
@@ -25,7 +27,6 @@ pub(crate) struct StreamEntry {
     pub(crate) run: u32,
     /// LRU timestamp.
     pub(crate) stamp: u64,
-    pub(crate) valid: bool,
 }
 
 /// Frozen copy of the prefetcher state taken by the replay engine at a
@@ -140,14 +141,12 @@ impl StreamPrefetcher {
     ) {
         self.clock = snap.clock + clock_shift;
         self.entries.clear();
-        self.entries.extend(snap.entries.iter().map(|e| {
-            let mut e = *e;
-            if e.valid {
-                e.page += page_shift;
-                e.stamp += clock_shift;
-            }
-            e
-        }));
+        self.entries
+            .extend(snap.entries.iter().map(|e| StreamEntry {
+                page: e.page + page_shift,
+                stamp: e.stamp + clock_shift,
+                ..*e
+            }));
     }
 
     /// Advances the feedback state exactly as `n` consecutive
@@ -193,17 +192,11 @@ impl StreamPrefetcher {
 
         // Find existing stream for this page: through the caller's memoized
         // entry index when it still matches, by scanning otherwise.
-        let mut found: Option<usize> = hint.as_deref().copied().filter(|&i| {
-            i < self.entries.len() && self.entries[i].valid && self.entries[i].page == page
-        });
-        if found.is_none() {
-            for (i, e) in self.entries.iter().enumerate() {
-                if e.valid && e.page == page {
-                    found = Some(i);
-                    break;
-                }
-            }
-        }
+        let found = hint
+            .as_deref()
+            .copied()
+            .filter(|&i| i < self.entries.len() && self.entries[i].page == page)
+            .or_else(|| self.entries.iter().position(|e| e.page == page));
 
         let idx = match found {
             Some(i) => i,
@@ -214,7 +207,6 @@ impl StreamPrefetcher {
                     last_line: line_in_page,
                     run: 1,
                     stamp: self.clock,
-                    valid: true,
                 };
                 let slot = if self.entries.len() < self.params.max_streams {
                     self.entries.push(fresh);
@@ -424,7 +416,7 @@ mod tests {
         let mut q = pf();
         q.restore_shifted(&snap, 10, 1000);
         // The restored entry tracks the original page shifted by 10 pages.
-        let e = q.entries.iter().find(|e| e.valid).unwrap();
+        let e = q.entries.first().unwrap();
         assert_eq!(e.page, 100 / 64 + 10);
         assert_eq!(q.clock, snap.clock + 1000);
     }

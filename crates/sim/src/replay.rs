@@ -40,6 +40,14 @@
 //! * — once consecutive fingerprints match — a full snapshot of the L2, LLC
 //!   and prefetcher state at the window boundary.
 //!
+//! Arming follows one rule. A window whose fingerprint repeats its
+//! predecessor's and that moved DRAM traffic takes the snapshot (a window
+//! without DRAM transactions filled no lines, so its tags cannot have
+//! shifted). The next repeating window runs the feedback gate below and the
+//! shift check against it. A failed check drops the snapshot and the next
+//! repeat arms again; it stops at the first set that differs, so it is
+//! cheap.
+//!
 //! Replay engages when window `n+1` reproduces window `n` exactly under a
 //! uniform shift: equal counter deltas, transaction lists equal with every
 //! line address advanced by the window length, and the post-window
@@ -50,7 +58,7 @@
 //! addresses, and all of its index arithmetic is congruent under the shift —
 //! so if the state after window `n+1` is the state after window `n` shifted
 //! by one window, then by induction every following window behaves
-//! identically-shifted until an invariant breaks. Every valid line and
+//! identically-shifted until an invariant breaks. Every valid line and every
 //! stream entry must shift, including one the window never touched, so
 //! foreign resident lines, partially-warm caches, aliasing hot lines and
 //! mid-stream perturbations all surface as a snapshot or delta mismatch and
@@ -86,7 +94,7 @@
 
 use crate::cache::{CacheLine, CacheSim, DramEventKind, DramSink};
 use crate::counters::Counters;
-use crate::prefetch::{PrefetcherSnapshot, StreamEntry};
+use crate::prefetch::PrefetcherSnapshot;
 use dismem_trace::{CACHE_LINE_SIZE, PAGE_SIZE};
 // The grouping index is entry-only (never iterated), so arbitrary order
 // cannot leak into the replayed event stream.
@@ -100,11 +108,6 @@ const LINES_PER_PAGE: u64 = PAGE_SIZE / CACHE_LINE_SIZE;
 /// within realistic runs; the engine disables itself rather than fingerprint
 /// multi-MiB windows.
 const MAX_WINDOW_PAGES: u64 = 1024;
-
-/// Cap (in windows) of the exponential arming backoff after a failed
-/// snapshot comparison, bounding the snapshot cost on never-periodic
-/// traffic.
-const MAX_BACKOFF: u32 = 16;
 
 fn gcd(a: u64, b: u64) -> u64 {
     if b == 0 {
@@ -238,18 +241,6 @@ pub(crate) struct ReplayEngine {
     /// Snapshot taken at the end of the last completed window (armed for a
     /// shift comparison at the end of the next one).
     armed: Option<Box<StateSnapshot>>,
-    /// Windows to skip before arming again (backoff countdown).
-    skip_windows: u32,
-    /// Consecutive failed snapshot comparisons (drives the backoff).
-    fail_streak: u32,
-    /// Valid-line population (L2 + LLC) observed at the last completed
-    /// window; arming waits until it is stable (a filling cache cannot be in
-    /// steady state).
-    last_valid_count: Option<u64>,
-    /// Windows to skip before scanning residency again (set from how far
-    /// ahead of the stream the furthest foreign line sits, so warm-up
-    /// transients are not scanned every window).
-    scan_skip: u32,
 
     /// Whether engage/exit transitions are recorded for the flight recorder
     /// ([`CacheSim::set_replay_trace`]). Off by default: with tracing off the
@@ -282,10 +273,6 @@ impl ReplayEngine {
             events: Vec::new(),
             prev: None,
             armed: None,
-            skip_windows: 0,
-            fail_streak: 0,
-            last_valid_count: None,
-            scan_skip: 0,
             trace: false,
             transitions: Vec::new(),
             mode: Mode::Detect,
@@ -334,10 +321,6 @@ impl ReplayEngine {
             self.events.clear();
             self.prev = None;
             self.armed = None;
-            self.skip_windows = 0;
-            self.fail_streak = 0;
-            self.last_valid_count = None;
-            self.scan_skip = 0;
         }
     }
 
@@ -501,11 +484,8 @@ impl CacheSim {
         if s1.pf.entries.len() != pfl.entries.len() {
             return None;
         }
-        let mut ea: Vec<StreamEntry> = s1.pf.entries.iter().copied().filter(|e| e.valid).collect();
-        let mut eb: Vec<StreamEntry> = pfl.entries.iter().copied().filter(|e| e.valid).collect();
-        if ea.len() != eb.len() {
-            return None;
-        }
+        let mut ea = s1.pf.entries.clone();
+        let mut eb = pfl.entries.clone();
         ea.sort_unstable_by_key(|e| e.stamp);
         eb.sort_unstable_by_key(|e| e.stamp);
         let entries_ok = ea.iter().zip(&eb).all(|(x, y)| {
@@ -622,22 +602,6 @@ impl CacheSim {
             shift * memo.clocks.pf,
         );
         self.stream_hint = usize::MAX;
-    }
-
-    /// One cheap pass over both caches: how many valid lines sit at or
-    /// beyond `boundary_line`, and the total valid-line population.
-    fn scan_residency(&self, boundary_line: u64) -> (u64, u64) {
-        let mut ahead = 0u64;
-        let mut valid = 0u64;
-        for l in self.l2.lines.iter() {
-            valid += l.valid as u64;
-            ahead += (l.valid && l.tag >= boundary_line) as u64;
-        }
-        for l in self.llc.lines.iter() {
-            valid += l.valid as u64;
-            ahead += (l.valid && l.tag >= boundary_line) as u64;
-        }
-        (ahead, valid)
     }
 
     fn take_snapshot(&self) -> StateSnapshot {
@@ -796,6 +760,8 @@ impl CacheSim {
                 } else {
                     None
                 };
+                // A failed gate or shift check just drops the snapshot, and
+                // the next repeating window arms again.
                 if let Some(clocks) = verdict {
                     self.replay.mode = Mode::Replay(Box::new(Memo {
                         groups: group_events(&events, confirm_base),
@@ -807,55 +773,15 @@ impl CacheSim {
                         windows_done: 0,
                     }));
                     self.replay.note_transition(ReplayTransition::Engaged);
-                } else {
-                    // Deltas repeat but the state is not uniformly shifted
-                    // (or the feedback gate failed): back off before paying
-                    // for the next snapshot.
-                    self.replay.fail_streak = self.replay.fail_streak.saturating_add(1);
-                    self.replay.skip_windows =
-                        (1u32 << self.replay.fail_streak.min(4)).min(MAX_BACKOFF);
                 }
-            } else if self.replay.skip_windows > 0 {
-                self.replay.skip_windows -= 1;
-            } else if self.replay.scan_skip > 0 {
-                self.replay.scan_skip -= 1;
             } else if !events.is_empty() {
-                // Only pay for a snapshot when it could possibly verify:
-                // * a window without DRAM transactions filled no lines, so
-                //   resident tags cannot have shifted by a window (checked
-                //   above);
-                // * a resident line *ahead* of the stream (the prefetcher
-                //   never crosses the page boundary at the window end, so
-                //   nothing legitimate is ahead) is leftover foreign state
-                //   that must wash out first;
-                // * a changing valid-line population means the caches are
-                //   still filling.
-                // These cheap scans keep engagement prompt right after a
-                // warm-up transient instead of backoff-delayed; when foreign
-                // lines are found ahead, the next scans are skipped for
-                // about the windows it takes this window's fill rate to
-                // evict them (foreign lines are older than every stream
-                // line, so they are preferred victims).
-                let boundary = confirm_base + wl;
-                let (ahead, valid_count) = self.scan_residency(boundary);
-                let stable = self.replay.last_valid_count == Some(valid_count);
-                self.replay.last_valid_count = Some(valid_count);
-                if ahead > 0 {
-                    let fills = events
-                        .iter()
-                        .filter(|(_, k)| *k != DramEventKind::Writeback)
-                        .count() as u64;
-                    self.replay.scan_skip =
-                        ((ahead / fills.max(1)).saturating_sub(1) as u32).clamp(1, 64);
-                } else if stable {
-                    self.replay.armed = Some(Box::new(self.take_snapshot()));
-                }
+                // A window without DRAM transactions filled no lines, so
+                // resident tags cannot have shifted by a window: only a
+                // window that moved traffic is worth a snapshot.
+                self.replay.armed = Some(Box::new(self.take_snapshot()));
             }
         } else {
             self.replay.armed = None;
-            self.replay.fail_streak = 0;
-            self.replay.skip_windows = 0;
-            self.replay.last_valid_count = None;
         }
 
         // Recycle the previous window's event buffer for the next window.

@@ -326,17 +326,6 @@ impl RunReport {
         }
         runs
     }
-
-    /// Relative performance under `interference` compared with an idle pool
-    /// (1.0 = no slowdown, lower = slower), the paper's sensitivity metric.
-    pub fn relative_performance(&self, interference: &InterferenceProfile) -> f64 {
-        let idle = self.retime(&InterferenceProfile::Idle).total_runtime_s;
-        let loaded = self.retime(interference).total_runtime_s;
-        if loaded == 0.0 {
-            return 1.0;
-        }
-        idle / loaded
-    }
 }
 
 #[cfg(test)]
@@ -407,15 +396,6 @@ mod tests {
         let r = report_with_pool_traffic();
         let rt = r.retime(&InterferenceProfile::Constant(0.5));
         assert!(rt.total_runtime_s > r.total_runtime_s);
-        let rel = r.relative_performance(&InterferenceProfile::Constant(0.5));
-        assert!(rel < 1.0 && rel > 0.2);
-    }
-
-    #[test]
-    fn relative_performance_idle_is_one() {
-        let r = report_with_pool_traffic();
-        let rel = r.relative_performance(&InterferenceProfile::Idle);
-        assert!((rel - 1.0).abs() < 1e-9);
     }
 
     #[test]

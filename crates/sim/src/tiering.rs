@@ -238,10 +238,6 @@ pub struct TierOccupancy {
     pub local_used: u64,
     /// Local-tier capacity in pages (`None` = unbounded).
     pub local_capacity: Option<u64>,
-    /// Pages currently bound to the pool tier.
-    pub pool_used: u64,
-    /// Pool-tier capacity in pages (`None` = unbounded).
-    pub pool_capacity: Option<u64>,
 }
 
 impl TierOccupancy {
@@ -579,8 +575,6 @@ mod tests {
         TierOccupancy {
             local_used,
             local_capacity: Some(local_cap),
-            pool_used: 0,
-            pool_capacity: None,
         }
     }
 

@@ -24,8 +24,9 @@ use dismem::core::{derive_guidance, Guidance};
 use dismem::sched::{default_specs, sweep_tiering_matrix, CampaignConfig, WorkloadTieringStudy};
 use dismem::sim::{MachineConfig, TieringSpec};
 use dismem::workloads::{InputScale, Workload, WorkloadKind};
-use dismem_profiler::level2::level2_profile;
-use dismem_profiler::level3::{level3_profile, PAPER_LOI_LEVELS};
+use dismem_profiler::level2::level2_from_report;
+use dismem_profiler::level3::{level3_from_report, PAPER_LOI_LEVELS};
+use dismem_profiler::{pooled_config, run_workload, RunOptions};
 use serde::Serialize;
 
 /// The paper's `setup_waste` local-capacity points.
@@ -92,13 +93,14 @@ fn main() {
         // Placement and deployment guidance from the paper's three-level
         // methodology at the mid pooling point, extended with the
         // dwell-derived migration advice measured by the dynamic policies.
-        let level2 = level2_profile(workload.as_ref(), &config, GUIDANCE_FRACTION);
-        let level3 = level3_profile(
+        // Levels 2 and 3 share one pooled simulation.
+        let pooled = run_workload(
             workload.as_ref(),
-            &config,
-            GUIDANCE_FRACTION,
-            &PAPER_LOI_LEVELS,
+            &RunOptions::new(pooled_config(&config, workload.as_ref(), GUIDANCE_FRACTION)),
         );
+        let name = workload.name();
+        let level2 = level2_from_report(name, GUIDANCE_FRACTION, &pooled);
+        let level3 = level3_from_report(name, GUIDANCE_FRACTION, &pooled, &PAPER_LOI_LEVELS);
         let mut guidance = derive_guidance(&level2, &level3);
         if let Some(measured) = study.measured_at(GUIDANCE_FRACTION) {
             guidance = guidance.with_migration_advice(&measured.tiering);

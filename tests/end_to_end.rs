@@ -137,8 +137,8 @@ fn interference_aware_scheduling_reduces_variability() {
 
 #[test]
 fn lbench_injects_interference_that_hurts_pool_bound_workloads() {
-    // Close the loop: calibrate LBench for a target LoI, inject that LoI into
-    // a pooled Hypre run, and observe the slowdown.
+    // Close the loop: calibrate LBench for a target LoI, re-time a pooled
+    // Hypre run under that LoI, and observe the slowdown.
     let cfg = config();
     let model = LBenchModel::from_config(&cfg);
     let cal = model.calibrate(40.0, 2);
@@ -146,13 +146,10 @@ fn lbench_injects_interference_that_hurts_pool_bound_workloads() {
 
     let w = WorkloadKind::Hypre.instantiate_tiny();
     let pooled = pooled_config(&cfg, w.as_ref(), 0.25);
-    let idle = run_workload(w.as_ref(), &RunOptions::new(pooled.clone()));
-    let busy = run_workload(
-        w.as_ref(),
-        &RunOptions::new(pooled).with_interference(InterferenceProfile::constant_percent(
-            cal.measured_loi_percent,
-        )),
-    );
+    let idle = run_workload(w.as_ref(), &RunOptions::new(pooled));
+    let busy = idle.retime(&InterferenceProfile::constant_percent(
+        cal.measured_loi_percent,
+    ));
     assert!(busy.total_runtime_s > idle.total_runtime_s);
 }
 

@@ -208,6 +208,30 @@ fn replay_is_exact_with_aliasing_hot_line() {
     );
 }
 
+/// A second object allocated after the stream object and touched last: its
+/// lines sit ahead of the stream in every set when the stream is read
+/// again. Arming does not wait for them to leave; the shift check rejects
+/// the windows they spoil, and replay engages once they are evicted.
+#[test]
+fn replay_is_exact_with_foreign_lines_ahead_of_the_stream() {
+    let config = MachineConfig::test_config();
+    let engagement = assert_replay_bit_identical(&config, |m| {
+        let stream_bytes = 64 * PAGE_SIZE;
+        let foreign_bytes = 16 * PAGE_SIZE;
+        let a = m.alloc("stream", "t", stream_bytes);
+        let b = m.alloc("foreign", "t", foreign_bytes);
+        m.phase_start("p");
+        m.touch(a, stream_bytes);
+        m.touch(b, foreign_bytes);
+        m.read(a, 0, stream_bytes);
+        m.phase_end();
+    });
+    assert!(
+        engagement.windows >= 32,
+        "replay must not wait for the foreign lines to leave: {engagement:?}"
+    );
+}
+
 /// Ranges that start and end mid-page: replay must hand the partial tail
 /// back to the exact walk with a fully materialized cache state.
 #[test]
