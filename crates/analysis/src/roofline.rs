@@ -105,11 +105,6 @@ impl MultiTierRoofline {
         }
     }
 
-    /// Roofline using only the local tier.
-    pub fn local_only(&self) -> Roofline {
-        Roofline::new(self.peak_flops, self.local_bandwidth)
-    }
-
     /// Roofline using both tiers concurrently (the dashed line of Figure 5):
     /// the aggregate bandwidth ceiling.
     pub fn aggregate(&self) -> Roofline {
@@ -197,7 +192,7 @@ mod tests {
     #[test]
     fn aggregate_roofline_raises_the_memory_ceiling() {
         let m = MultiTierRoofline::new(460.0e9, 73.0e9, 34.0e9);
-        let local = m.local_only();
+        let local = Roofline::new(460.0e9, 73.0e9);
         let agg = m.aggregate();
         assert!(agg.attainable(1.0) > local.attainable(1.0));
         assert!((agg.attainable(1.0) - 107.0e9).abs() < 1.0);

@@ -18,11 +18,6 @@ pub struct FiveNumberSummary {
 }
 
 impl FiveNumberSummary {
-    /// Inter-quartile range.
-    pub fn iqr(&self) -> f64 {
-        self.q3 - self.q1
-    }
-
     /// Total range.
     pub fn range(&self) -> f64 {
         self.max - self.min
@@ -103,7 +98,6 @@ mod tests {
         assert_eq!(s.min, 1.0);
         assert_eq!(s.max, 100.0);
         assert!((s.median - 50.5).abs() < 1e-9);
-        assert!(s.iqr() > 0.0);
         assert_eq!(s.range(), 99.0);
     }
 

@@ -27,7 +27,8 @@ pub fn workload(kind: WorkloadKind, scale: InputScale) -> Box<dyn Workload> {
     }
 }
 
-/// Directory where JSON result copies are written.
+/// Directory where JSON result copies are written; [`write_json`] creates
+/// it.
 ///
 /// Anchored at the cargo target directory rather than the process working
 /// directory: `cargo bench` runs bench binaries with the crate directory as
@@ -41,7 +42,7 @@ pub fn workload(kind: WorkloadKind, scale: InputScale) -> Box<dyn Workload> {
 ///    from its path at run time, so a binary writes into its own checkout;
 /// 4. `target/` under the current directory.
 pub fn results_dir() -> PathBuf {
-    let dir = if let Ok(dir) = std::env::var("DISMEM_RESULTS_DIR") {
+    if let Ok(dir) = std::env::var("DISMEM_RESULTS_DIR") {
         PathBuf::from(dir)
     } else if let Ok(target) = std::env::var("CARGO_TARGET_DIR") {
         PathBuf::from(target).join("dismem-results")
@@ -51,9 +52,7 @@ pub fn results_dir() -> PathBuf {
             .and_then(|exe| target_dir_of(&exe))
             .unwrap_or_else(|| PathBuf::from("target"))
             .join("dismem-results")
-    };
-    let _ = fs::create_dir_all(&dir);
-    dir
+    }
 }
 
 /// The cargo target directory an executable at `exe` was built into.
@@ -73,19 +72,30 @@ fn target_dir_of(exe: &Path) -> Option<PathBuf> {
     }
 }
 
-/// Writes a serializable result next to the printed table.
+/// Writes a serializable result next to the printed table, as
+/// `<name>.json` in [`results_dir`].
+///
+/// A result that cannot be written ends the process with a non-zero exit
+/// code, so a harness never passes while leaving an older file in place.
 pub fn write_json<T: Serialize>(name: &str, value: &T) {
-    let path = results_dir().join(format!("{name}.json"));
-    match serde_json::to_string_pretty(value) {
-        Ok(json) => {
-            if let Err(e) = fs::write(&path, json) {
-                eprintln!("warning: could not write {}: {e}", path.display());
-            } else {
-                println!("  [results written to {}]", path.display());
-            }
+    match write_json_in(&results_dir(), name, value) {
+        Ok(path) => println!("  [results written to {}]", path.display()),
+        Err(e) => {
+            eprintln!("error: {e}");
+            std::process::exit(1);
         }
-        Err(e) => eprintln!("warning: could not serialize {name}: {e}"),
     }
+}
+
+/// Writes `<name>.json` into `dir`, creating `dir` first; returns the path
+/// written, or an error naming the path that failed.
+fn write_json_in<T: Serialize>(dir: &Path, name: &str, value: &T) -> Result<PathBuf, String> {
+    let json = serde_json::to_string_pretty(value)
+        .map_err(|e| format!("could not serialize {name}: {e}"))?;
+    fs::create_dir_all(dir).map_err(|e| format!("could not create {}: {e}", dir.display()))?;
+    let path = dir.join(format!("{name}.json"));
+    fs::write(&path, json).map_err(|e| format!("could not write {}: {e}", path.display()))?;
+    Ok(path)
 }
 
 /// A row of a printed table: a label plus formatted cells.
@@ -199,9 +209,6 @@ mod tests {
         let exe = std::env::current_exe().unwrap();
         let target = target_dir_of(&exe).expect("test executables sit in <target>/<profile>/deps");
         assert_eq!(results_dir(), target.join("dismem-results"));
-
-        let _ = std::fs::remove_dir_all(tmp.join("dismem-target"));
-        let _ = std::fs::remove_dir_all(tmp.join("dismem-explicit"));
     }
 
     #[test]
@@ -216,6 +223,16 @@ mod tests {
         for exe in ["/usr/bin/x", "/t/release/deps/sub/x", "/tmp/deps/x", "x"] {
             assert_eq!(target_dir_of(Path::new(exe)), None, "{exe}");
         }
+    }
+
+    #[test]
+    fn json_writing_below_a_regular_file_fails() {
+        let file = std::env::temp_dir().join(format!("dismem-not-a-dir-{}", std::process::id()));
+        std::fs::write(&file, b"").unwrap();
+        let dir = file.join("results");
+        let err = write_json_in(&dir, "harness-selftest", &vec![1, 2, 3]).unwrap_err();
+        assert!(err.contains(&dir.display().to_string()), "{err}");
+        let _ = std::fs::remove_file(file);
     }
 
     #[test]

@@ -17,13 +17,10 @@
 //!     WorkloadKind::Hypre.instantiate_tiny(),
 //!     MachineConfig::test_config(),
 //! );
-//! let level1 = study.level1();
-//! let level2 = study.level2(0.5);
-//! let level3 = study.level3(0.5, &[0.0, 25.0, 50.0]);
-//! let guidance = dismem_core::derive_guidance(&level2, &level3);
-//! assert!(!level1.phases.is_empty());
-//! assert!(level3.worst_case_performance() <= 1.0);
-//! let _ = guidance;
+//! let report = study.full_study(&[0.5]);
+//! assert!(!report.level1.phases.is_empty());
+//! assert!(report.level3[0].worst_case_performance() <= 1.0);
+//! assert!(!report.guidance.notes.is_empty());
 //! ```
 
 #![forbid(unsafe_code)]

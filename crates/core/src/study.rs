@@ -3,8 +3,8 @@
 use crate::guidance::{derive_guidance, Guidance};
 use dismem_lbench::{app_interference_coefficient, LBenchModel};
 use dismem_profiler::level1::{level1_profile, Level1Report};
-use dismem_profiler::level2::{level2_from_report, level2_profile, Level2Report};
-use dismem_profiler::level3::{level3_from_report, level3_profile, Level3Report, PAPER_LOI_LEVELS};
+use dismem_profiler::level2::{level2_from_report, Level2Report};
+use dismem_profiler::level3::{level3_from_report, Level3Report, PAPER_LOI_LEVELS};
 use dismem_profiler::{pooled_config, run_workload, RunOptions};
 use dismem_sim::{MachineConfig, RunReport};
 use dismem_workloads::Workload;
@@ -59,58 +59,24 @@ impl QuantitativeStudy {
         level1_profile(self.workload.as_ref(), &self.base_config)
     }
 
-    /// Level 2: tier access ratios when the local tier holds `local_fraction`
-    /// of the footprint.
-    ///
-    /// Runs its own pooled simulation. To read several levels at one
-    /// fraction, call [`pooled_run`](Self::pooled_run) once and pass its
-    /// report to [`level2_from_report`], [`level3_from_report`] and
-    /// [`app_interference_coefficient`].
-    pub fn level2(&self, local_fraction: f64) -> Level2Report {
-        level2_profile(self.workload.as_ref(), &self.base_config, local_fraction)
-    }
-
-    /// Level 3: interference sensitivity for the given LoI levels (percent).
-    ///
-    /// Runs its own pooled simulation, then re-times it at each level.
-    pub fn level3(&self, local_fraction: f64, loi_percent_levels: &[f64]) -> Level3Report {
-        level3_profile(
-            self.workload.as_ref(),
-            &self.base_config,
-            local_fraction,
-            loi_percent_levels,
-        )
-    }
-
     /// Raw pooled run report (useful for scheduling campaigns and custom
-    /// analyses). Each call runs one simulation; Levels 2 and 3 and the
-    /// interference coefficient can all be derived from the same report.
+    /// analyses): the workload on a machine whose local tier holds
+    /// `local_fraction` of its footprint. Each call runs one simulation;
+    /// [`level2_from_report`], [`level3_from_report`] and
+    /// [`app_interference_coefficient`] all read the same report.
     pub fn pooled_run(&self, local_fraction: f64) -> RunReport {
         let config = pooled_config(&self.base_config, self.workload.as_ref(), local_fraction);
         run_workload(self.workload.as_ref(), &RunOptions::new(config))
-    }
-
-    /// Interference coefficient the workload induces on the pool at the given
-    /// local-capacity fraction. Runs its own pooled simulation.
-    pub fn interference_coefficient(&self, local_fraction: f64) -> f64 {
-        let report = self.pooled_run(local_fraction);
-        let model = LBenchModel::from_config(&self.base_config);
-        app_interference_coefficient(&report, &model, self.workload.name())
-            .0
-            .coefficient
     }
 
     /// Runs the full three-level study across a set of local-capacity
     /// fractions (the paper uses 0.75, 0.50 and 0.25).
     ///
     /// Runs `2 + n` simulations for `n` fractions: Level 1's two, then one
-    /// pooled run per fraction, from which Level 2, Level 3 and the
-    /// interference coefficient are all derived. A simulation is a pure
-    /// function of the workload and its run options, so the report equals
-    /// one assembled from [`level1`](Self::level1), [`level2`](Self::level2),
-    /// [`level3`](Self::level3) at [`PAPER_LOI_LEVELS`] and
-    /// [`interference_coefficient`](Self::interference_coefficient). Each
-    /// pooled report is dropped before the next fraction runs.
+    /// [`pooled_run`](Self::pooled_run) per fraction, from which Level 2,
+    /// Level 3 at [`PAPER_LOI_LEVELS`] and the interference coefficient are
+    /// all derived. Each pooled report is dropped before the next fraction
+    /// runs.
     pub fn full_study(&self, local_fractions: &[f64]) -> StudyReport {
         assert!(!local_fractions.is_empty());
         let name = self.workload.name();
@@ -190,7 +156,8 @@ mod tests {
     }
 
     /// `full_study` simulates each distinct configuration once, and its
-    /// report is byte-identical to one assembled from the per-level methods.
+    /// report is byte-identical to one assembled from a separate pooled run
+    /// for each level at each fraction.
     fn assert_one_run_per_configuration(kind: WorkloadKind) {
         let fractions = [0.75, 0.5, 0.25];
         let runs = Arc::new(AtomicUsize::new(0));
@@ -202,19 +169,28 @@ mod tests {
         let report = s.full_study(&fractions);
         assert_eq!(runs.load(Ordering::Relaxed), 2 + fractions.len());
 
-        let level2: Vec<_> = fractions.iter().map(|&f| s.level2(f)).collect();
+        let name = s.workload_name();
+        let model = LBenchModel::from_config(s.config());
+        let level2: Vec<_> = fractions
+            .iter()
+            .map(|&f| level2_from_report(name, f, &s.pooled_run(f)))
+            .collect();
         let level3: Vec<_> = fractions
             .iter()
-            .map(|&f| s.level3(f, &PAPER_LOI_LEVELS))
+            .map(|&f| level3_from_report(name, f, &s.pooled_run(f), &PAPER_LOI_LEVELS))
             .collect();
         let tightest = fractions.len() - 1;
         let guidance = derive_guidance(&level2[tightest], &level3[tightest]);
         let assembled = StudyReport {
-            workload: s.workload_name().to_string(),
+            workload: name.to_string(),
             level1: s.level1(),
             interference_coefficient: fractions
                 .iter()
-                .map(|&f| s.interference_coefficient(f))
+                .map(|&f| {
+                    app_interference_coefficient(&s.pooled_run(f), &model, name)
+                        .0
+                        .coefficient
+                })
                 .collect(),
             level2,
             level3,
@@ -300,10 +276,9 @@ mod tests {
 
     #[test]
     fn interference_coefficient_larger_for_pool_heavy_configs() {
-        let s = study(WorkloadKind::Hypre);
-        let ic_tight = s.interference_coefficient(0.25);
-        let ic_roomy = s.interference_coefficient(1.0);
-        assert!(ic_tight >= ic_roomy);
+        let report = study(WorkloadKind::Hypre).full_study(&[1.0, 0.25]);
+        let ic = &report.interference_coefficient;
+        assert!(ic[1] >= ic[0], "25% local {} vs all local {}", ic[1], ic[0]);
     }
 
     #[test]

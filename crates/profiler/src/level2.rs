@@ -9,9 +9,7 @@
 //! * the **bandwidth ratio** `R_BW` — accesses beyond a tier's share of the
 //!   aggregate bandwidth make that tier the bottleneck (upper bound).
 
-use crate::runner::{pooled_config, run_workload, RunOptions};
 use dismem_sim::{MachineConfig, RunReport};
-use dismem_workloads::Workload;
 use serde::{Deserialize, Serialize};
 
 /// Tier access breakdown of one phase.
@@ -126,30 +124,25 @@ pub fn level2_from_report(
     }
 }
 
-/// Runs the Level-2 profiling protocol: the workload executes on a machine
-/// whose local tier holds `local_fraction` of the expected footprint, the
-/// rest spilling to the pool.
-pub fn level2_profile(
-    workload: &dyn Workload,
-    base_config: &MachineConfig,
-    local_fraction: f64,
-) -> Level2Report {
-    let config = pooled_config(base_config, workload, local_fraction);
-    let report = run_workload(workload, &RunOptions::new(config));
-    level2_from_report(workload.name(), local_fraction, &report)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::{pooled_config, run_workload, RunOptions};
     use dismem_workloads::WorkloadKind;
+
+    /// Level 2 of a tiny workload on `test_config` with `local_fraction` of
+    /// its footprint local.
+    fn profile(kind: WorkloadKind, local_fraction: f64) -> Level2Report {
+        let w = kind.instantiate_tiny();
+        let config = pooled_config(&MachineConfig::test_config(), w.as_ref(), local_fraction);
+        let report = run_workload(w.as_ref(), &RunOptions::new(config));
+        level2_from_report(w.name(), local_fraction, &report)
+    }
 
     #[test]
     fn remote_access_grows_as_local_capacity_shrinks() {
-        let w = WorkloadKind::Hypre.instantiate_tiny();
-        let base = MachineConfig::test_config();
-        let r75 = level2_profile(w.as_ref(), &base, 0.75);
-        let r25 = level2_profile(w.as_ref(), &base, 0.25);
+        let r75 = profile(WorkloadKind::Hypre, 0.75);
+        let r25 = profile(WorkloadKind::Hypre, 0.25);
         assert!(
             r25.remote_access_ratio > r75.remote_access_ratio,
             "25% local ({}) should see more remote access than 75% local ({})",
@@ -167,8 +160,7 @@ mod tests {
 
     #[test]
     fn phases_and_objects_are_reported() {
-        let w = WorkloadKind::Bfs.instantiate_tiny();
-        let report = level2_profile(w.as_ref(), &MachineConfig::test_config(), 0.25);
+        let report = profile(WorkloadKind::Bfs, 0.25);
         assert!(report.phases.len() >= 2);
         assert!(!report.object_remote_ratios.is_empty());
         // Objects are sorted by access count.
@@ -180,8 +172,7 @@ mod tests {
 
     #[test]
     fn reference_point_helpers() {
-        let w = WorkloadKind::Hypre.instantiate_tiny();
-        let report = level2_profile(w.as_ref(), &MachineConfig::test_config(), 0.25);
+        let report = profile(WorkloadKind::Hypre, 0.25);
         // With only 25% of the footprint local, at least one phase should sit
         // above the bandwidth reference ratio (34/107 ≈ 0.32).
         assert!(!report.phases_above_bandwidth_ratio().is_empty());
@@ -196,9 +187,8 @@ mod tests {
         // The paper uses this as a validation of the profiler: AI measured on
         // the two-tier system should match the single-tier measurement.
         let w = WorkloadKind::Hpl.instantiate_tiny();
-        let base = MachineConfig::test_config();
-        let l1 = crate::level1::level1_profile(w.as_ref(), &base);
-        let l2 = level2_profile(w.as_ref(), &base, 0.5);
+        let l1 = crate::level1::level1_profile(w.as_ref(), &MachineConfig::test_config());
+        let l2 = profile(WorkloadKind::Hpl, 0.5);
         let ai1 = l1.phases[1].arithmetic_intensity;
         let ai2 = l2.phases[1].arithmetic_intensity;
         let ratio = ai1 / ai2;

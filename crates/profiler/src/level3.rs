@@ -12,9 +12,7 @@
 //! the idle pool and every LoI together (see
 //! [`dismem_sim::RunReport::retime_many`]).
 
-use crate::runner::{pooled_config, run_workload, RunOptions};
-use dismem_sim::{InterferenceProfile, MachineConfig, RunReport};
-use dismem_workloads::Workload;
+use dismem_sim::{InterferenceProfile, RunReport};
 use serde::{Deserialize, Serialize};
 
 /// Relative performance at one level of interference.
@@ -130,32 +128,20 @@ pub fn level3_from_report(
     }
 }
 
-/// Runs the Level-3 protocol: simulate once on the pooled configuration, then
-/// re-time under every LoI level.
-pub fn level3_profile(
-    workload: &dyn Workload,
-    base_config: &MachineConfig,
-    local_fraction: f64,
-    loi_percent_levels: &[f64],
-) -> Level3Report {
-    let config = pooled_config(base_config, workload, local_fraction);
-    let report = run_workload(workload, &RunOptions::new(config));
-    level3_from_report(workload.name(), local_fraction, &report, loi_percent_levels)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::{pooled_config, run_workload, RunOptions};
+    use dismem_sim::MachineConfig;
     use dismem_workloads::WorkloadKind;
 
+    /// Level 3 of a tiny workload on `test_config` with `local_fraction` of
+    /// its footprint local, at the paper's LoI levels.
     fn profile(kind: WorkloadKind, local_fraction: f64) -> Level3Report {
         let w = kind.instantiate_tiny();
-        level3_profile(
-            w.as_ref(),
-            &MachineConfig::test_config(),
-            local_fraction,
-            &PAPER_LOI_LEVELS,
-        )
+        let config = pooled_config(&MachineConfig::test_config(), w.as_ref(), local_fraction);
+        let report = run_workload(w.as_ref(), &RunOptions::new(config));
+        level3_from_report(w.name(), local_fraction, &report, &PAPER_LOI_LEVELS)
     }
 
     #[test]

@@ -373,7 +373,7 @@ impl Machine {
     /// onwards.
     pub fn set_recorder(&mut self, recorder: Box<dyn Recorder>) {
         self.spilled_seen = self.space.spilled_pages();
-        self.cache.set_replay_trace(recorder.enabled());
+        self.cache.set_replay_trace(true);
         self.recorder = Some(recorder);
     }
 

@@ -19,11 +19,6 @@ pub enum AccessKind {
 }
 
 impl AccessKind {
-    /// Returns `true` for [`AccessKind::Read`].
-    pub fn is_read(self) -> bool {
-        matches!(self, AccessKind::Read)
-    }
-
     /// Returns `true` for [`AccessKind::Write`].
     pub fn is_write(self) -> bool {
         matches!(self, AccessKind::Write)
@@ -103,16 +98,6 @@ pub fn line_of(addr: u64) -> u64 {
     addr / CACHE_LINE_SIZE
 }
 
-/// First address of a page index.
-pub fn page_base(page: u64) -> u64 {
-    page * PAGE_SIZE
-}
-
-/// First address of a cache-line index.
-pub fn line_base(line: u64) -> u64 {
-    line * CACHE_LINE_SIZE
-}
-
 /// Number of pages needed to hold `bytes` bytes.
 pub fn pages_for(bytes: u64) -> u64 {
     bytes.div_ceil(PAGE_SIZE)
@@ -137,14 +122,12 @@ mod tests {
     fn page_boundaries() {
         assert_eq!(page_of(PAGE_SIZE - 1), 0);
         assert_eq!(page_of(PAGE_SIZE), 1);
-        assert_eq!(page_base(3), 3 * PAGE_SIZE);
     }
 
     #[test]
     fn line_boundaries() {
         assert_eq!(line_of(CACHE_LINE_SIZE - 1), 0);
         assert_eq!(line_of(CACHE_LINE_SIZE), 1);
-        assert_eq!(line_base(7), 7 * CACHE_LINE_SIZE);
     }
 
     #[test]
@@ -180,7 +163,6 @@ mod tests {
 
     #[test]
     fn access_kind_predicates() {
-        assert!(AccessKind::Read.is_read());
         assert!(!AccessKind::Read.is_write());
         assert!(AccessKind::Write.is_write());
         assert!(MemAccess::write(0, 4).kind.is_write());

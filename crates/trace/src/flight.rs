@@ -211,35 +211,8 @@ pub trait Recorder {
     /// Record one event.
     fn record_event(&mut self, event: TraceEvent);
 
-    /// Whether the recorder wants events at all. Emission points may skip
-    /// event construction entirely when this is false.
-    fn enabled(&self) -> bool {
-        true
-    }
-
     /// Recover the concrete recorder after the engine is done with it.
     fn into_any(self: Box<Self>) -> Box<dyn Any>;
-}
-
-/// The recorder that records nothing.
-///
-/// This is the explicit spelling of the default: an engine with no recorder
-/// installed behaves exactly like one with a `NullRecorder`, but skips even
-/// the virtual call. `enabled()` returns false so emission points drop
-/// events before constructing them.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NullRecorder;
-
-impl Recorder for NullRecorder {
-    fn record_event(&mut self, _event: TraceEvent) {}
-
-    fn enabled(&self) -> bool {
-        false
-    }
-
-    fn into_any(self: Box<Self>) -> Box<dyn Any> {
-        self
-    }
 }
 
 /// The in-memory flight recorder: keeps every event in emission order and
@@ -358,12 +331,6 @@ mod tests {
         assert_eq!(snap.counters.get("sim.migrations_applied"), Some(&1));
         assert_eq!(snap.counters.get("sim.migrated_pages_total"), Some(&2));
         assert_eq!(snap.counters.get("trace.events_total"), Some(&2));
-    }
-
-    #[test]
-    fn null_recorder_is_disabled() {
-        let rec = NullRecorder;
-        assert!(!rec.enabled());
     }
 
     #[test]

@@ -12,9 +12,10 @@
 //!
 //! The crate is also the workspace's **flight recorder** ([`flight`],
 //! [`metrics`], [`export`]): a typed [`TraceEvent`] stream stamped by
-//! simulated clocks only, the passive [`Recorder`] sink trait with the
-//! zero-cost [`NullRecorder`] default and the in-memory [`FlightRecorder`],
-//! a deterministic [`MetricsRegistry`], and JSONL / Chrome-trace exporters.
+//! simulated clocks only, the passive [`Recorder`] sink trait (an engine
+//! with no recorder installed constructs no events) and the in-memory
+//! [`FlightRecorder`], a deterministic [`MetricsRegistry`], and JSONL /
+//! Chrome-trace exporters.
 //! See `docs/ARCHITECTURE.md` §7 for the observability contract.
 
 #![forbid(unsafe_code)]
@@ -34,7 +35,7 @@ pub use access::{AccessKind, MemAccess, CACHE_LINE_SIZE, PAGE_SIZE};
 pub use alloc::{AllocationRecord, ObjectHandle, PlacementPolicy};
 pub use engine::MemoryEngine;
 pub use export::{schema_json, to_chrome_trace, to_jsonl, validate_jsonl};
-pub use flight::{FlightRecorder, NullRecorder, Recorder, ReplayMode, TraceEvent, TraceTier};
+pub use flight::{FlightRecorder, Recorder, ReplayMode, TraceEvent, TraceTier};
 pub use histogram::PageHistogram;
 pub use metrics::{
     Histogram, HistogramBucket, HistogramSnapshot, MetricsRegistry, MetricsSnapshot,

@@ -31,11 +31,6 @@ impl PhaseRecord {
             name: name.into(),
         }
     }
-
-    /// Conventional label used by the paper's figures: `"<workload>-pN"`.
-    pub fn paper_label(&self, workload: &str) -> String {
-        format!("{workload}-p{}", self.id.0 + 1)
-    }
 }
 
 #[cfg(test)]
@@ -45,7 +40,7 @@ mod tests {
     #[test]
     fn phase_record_label() {
         let p = PhaseRecord::new(PhaseId(1), "solve");
-        assert_eq!(p.paper_label("Hypre"), "Hypre-p2");
+        assert_eq!(p.name, "solve");
         assert_eq!(p.id.index(), 1);
     }
 }

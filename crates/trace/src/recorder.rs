@@ -117,11 +117,6 @@ impl TraceRecorder {
         &self.histogram
     }
 
-    /// Peak footprint in bytes.
-    pub fn peak_footprint(&self) -> u64 {
-        self.peak_bytes
-    }
-
     fn current(&mut self) -> &mut PhaseStats {
         match self.current_phase {
             Some(i) => &mut self.phases[i],
@@ -219,7 +214,6 @@ mod tests {
         let mut rec = TraceRecorder::new();
         let a = rec.alloc("A", "t", 10_000);
         let _b = rec.alloc("B", "t", 20_000);
-        assert_eq!(rec.peak_footprint(), 30_000);
         rec.free(a);
         let stats = rec.stats();
         assert_eq!(stats.peak_footprint_bytes, 30_000);

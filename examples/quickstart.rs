@@ -15,11 +15,13 @@ fn main() {
     // with caches scaled to the proxy workloads' footprints.
     let machine = MachineConfig::scaled_testbed();
 
-    // Study Hypre — the paper's most interference-sensitive workload.
+    // Study Hypre — the paper's most interference-sensitive workload — with
+    // 50% of its footprint in node-local memory.
     let study = QuantitativeStudy::new(WorkloadKind::Hypre.instantiate_tiny(), machine);
+    let report = study.full_study(&[0.5]);
 
     println!("== Level 1: general characteristics ==");
-    let l1 = study.level1();
+    let l1 = &report.level1;
     println!(
         "  footprint: {:.1} MiB",
         l1.footprint_bytes as f64 / (1 << 20) as f64
@@ -38,7 +40,7 @@ fn main() {
     );
 
     println!("\n== Level 2: multi-tier memory access (50% of the footprint fits locally) ==");
-    let l2 = study.level2(0.5);
+    let l2 = &report.level2[0];
     println!(
         "  remote capacity ratio {:.0}%, remote bandwidth ratio {:.0}%",
         100.0 * l2.remote_capacity_ratio,
@@ -53,8 +55,7 @@ fn main() {
     }
 
     println!("\n== Level 3: interference on the memory pool ==");
-    let l3 = study.level3(0.5, &[0.0, 10.0, 20.0, 30.0, 40.0, 50.0]);
-    for p in &l3.sensitivity {
+    for p in &report.level3[0].sensitivity {
         println!(
             "  LoI = {:>2.0}%  relative performance {:.3}",
             p.loi_percent, p.relative_performance
@@ -62,7 +63,7 @@ fn main() {
     }
 
     println!("\n== Guidance ==");
-    let guidance = dismem::core::derive_guidance(&l2, &l3);
+    let guidance = &report.guidance;
     match &guidance.placement {
         PlacementPriority::LittleOpportunity => {
             println!("  placement: access ratios already match the tier design")

@@ -33,10 +33,10 @@
 //!     WorkloadKind::Bfs.instantiate_tiny(),
 //!     MachineConfig::test_config(),
 //! );
-//! let level2 = study.level2(0.25);
+//! let report = study.full_study(&[0.25]);
 //! println!(
 //!     "BFS sends {:.0}% of its accesses to the pool when only 25% of its footprint fits locally",
-//!     100.0 * level2.remote_access_ratio
+//!     100.0 * report.level2[0].remote_access_ratio
 //! );
 //! ```
 

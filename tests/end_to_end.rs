@@ -1,9 +1,8 @@
 //! Cross-crate integration tests: run the whole methodology end to end on
 //! small inputs and check that the paper's qualitative findings hold.
 
-use dismem::core::{bfs_placement_study, derive_guidance, QuantitativeStudy};
+use dismem::core::{bfs_placement_study, QuantitativeStudy};
 use dismem::lbench::{app_interference_coefficient, LBenchKernel, LBenchModel, LBenchParams};
-use dismem::profiler::level3::PAPER_LOI_LEVELS;
 use dismem::profiler::{pooled_config, run_workload, RunOptions};
 use dismem::sched::{campaign::compare_policies, CampaignConfig};
 use dismem::sim::{InterferenceProfile, Machine, MachineConfig};
@@ -16,9 +15,9 @@ fn config() -> MachineConfig {
 #[test]
 fn remote_access_grows_as_local_capacity_shrinks_for_every_workload() {
     for kind in WorkloadKind::all() {
-        let study = QuantitativeStudy::new(kind.instantiate_tiny(), config());
-        let roomy = study.level2(0.75);
-        let tight = study.level2(0.25);
+        let report =
+            QuantitativeStudy::new(kind.instantiate_tiny(), config()).full_study(&[0.75, 0.25]);
+        let (roomy, tight) = (&report.level2[0], &report.level2[1]);
         assert!(
             tight.remote_access_ratio >= roomy.remote_access_ratio - 1e-9,
             "{}: remote access should not shrink when local capacity shrinks ({} vs {})",
@@ -36,11 +35,17 @@ fn xsbench_keeps_remote_access_low_in_all_configurations() {
     // hot structures are small and allocated first. On the tiny test inputs
     // the ratio is not as extreme as the paper's <6%, so the check is that it
     // stays well below the other workloads and below the capacity ratio.
-    let xs = QuantitativeStudy::new(WorkloadKind::XsBench.instantiate_tiny(), config());
-    let hypre = QuantitativeStudy::new(WorkloadKind::Hypre.instantiate_tiny(), config());
-    let bfs = QuantitativeStudy::new(WorkloadKind::Bfs.instantiate_tiny(), config());
-    for fraction in [0.75, 0.5, 0.25] {
-        let xs_l2 = xs.level2(fraction);
+    let fractions = [0.75, 0.5, 0.25];
+    let study = |kind: WorkloadKind| {
+        QuantitativeStudy::new(kind.instantiate_tiny(), config()).full_study(&fractions)
+    };
+    let (xs, hypre, bfs) = (
+        study(WorkloadKind::XsBench),
+        study(WorkloadKind::Hypre),
+        study(WorkloadKind::Bfs),
+    );
+    for (i, fraction) in fractions.into_iter().enumerate() {
+        let xs_l2 = &xs.level2[i];
         assert!(
             xs_l2.remote_access_ratio < 0.45,
             "XSBench remote access ratio {} too high at {} local",
@@ -51,8 +56,8 @@ fn xsbench_keeps_remote_access_low_in_all_configurations() {
             xs_l2.remote_access_ratio <= xs_l2.remote_capacity_ratio + 0.05,
             "XSBench accesses the pool less than its share of capacity"
         );
-        assert!(xs_l2.remote_access_ratio < hypre.level2(fraction).remote_access_ratio);
-        assert!(xs_l2.remote_access_ratio < bfs.level2(fraction).remote_access_ratio);
+        assert!(xs_l2.remote_access_ratio < hypre.level2[i].remote_access_ratio);
+        assert!(xs_l2.remote_access_ratio < bfs.level2[i].remote_access_ratio);
     }
 }
 
@@ -60,8 +65,8 @@ fn xsbench_keeps_remote_access_low_in_all_configurations() {
 fn memory_bound_workloads_are_most_interference_sensitive() {
     // Section 6.1: Hypre/NekRS most sensitive, HPL and XSBench least.
     let slowdown = |kind: WorkloadKind| {
-        let study = QuantitativeStudy::new(kind.instantiate_tiny(), config());
-        study.level3(0.5, &PAPER_LOI_LEVELS).max_slowdown_percent()
+        let report = QuantitativeStudy::new(kind.instantiate_tiny(), config()).full_study(&[0.5]);
+        report.level3[0].max_slowdown_percent()
     };
     let hypre = slowdown(WorkloadKind::Hypre);
     let nekrs = slowdown(WorkloadKind::NekRs);
@@ -74,9 +79,8 @@ fn memory_bound_workloads_are_most_interference_sensitive() {
 #[test]
 fn sensitivity_decreases_monotonically_with_interference_for_all_workloads() {
     for kind in WorkloadKind::all() {
-        let study = QuantitativeStudy::new(kind.instantiate_tiny(), config());
-        let l3 = study.level3(0.25, &PAPER_LOI_LEVELS);
-        for w in l3.sensitivity.windows(2) {
+        let report = QuantitativeStudy::new(kind.instantiate_tiny(), config()).full_study(&[0.25]);
+        for w in report.level3[0].sensitivity.windows(2) {
             assert!(
                 w[1].relative_performance <= w[0].relative_performance + 1e-9,
                 "{}: performance should not improve with more interference",
@@ -172,8 +176,9 @@ fn lbench_kernel_and_coefficient_are_consistent() {
 #[test]
 fn guidance_distinguishes_compute_bound_from_memory_bound_workloads() {
     let guidance_for = |kind: WorkloadKind| {
-        let study = QuantitativeStudy::new(kind.instantiate_tiny(), config());
-        derive_guidance(&study.level2(0.25), &study.level3(0.25, &PAPER_LOI_LEVELS))
+        QuantitativeStudy::new(kind.instantiate_tiny(), config())
+            .full_study(&[0.25])
+            .guidance
     };
     let hpl = guidance_for(WorkloadKind::Hpl);
     let hypre = guidance_for(WorkloadKind::Hypre);

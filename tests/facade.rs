@@ -120,8 +120,8 @@ fn core_reexports_work() {
         WorkloadKind::XsBench.instantiate_tiny(),
         MachineConfig::test_config(),
     );
-    let level2 = study.level2(0.5);
-    let level3 = study.level3(0.5, &[0.0, 25.0]);
-    let guidance = derive_guidance(&level2, &level3);
+    let report = study.full_study(&[0.5]);
+    let guidance = derive_guidance(&report.level2[0], &report.level3[0]);
+    assert_eq!(guidance.notes, report.guidance.notes);
     assert!(!guidance.notes.is_empty());
 }
