@@ -406,8 +406,8 @@ struct SnapshotBench {
     /// warm / cold — above 1.0 means the memo beats re-simulating.
     warm_speedup: f64,
     /// Mean wall-clock seconds per cell of a second campaign on the warm
-    /// runner, whose memo is populated (all hits): memo clone plus pricing
-    /// and journaling.
+    /// runner, whose memo is populated (all hits): memo lookup plus
+    /// pricing and journaling.
     hit_latency_s: f64,
 }
 

@@ -35,7 +35,10 @@ pub fn workload(kind: WorkloadKind, scale: InputScale) -> Box<dyn Workload> {
 /// cwd, which would otherwise scatter `crates/bench/target/`. Resolution
 /// order:
 ///
-/// 1. `DISMEM_RESULTS_DIR` — explicit override, used verbatim;
+/// 1. `DISMEM_RESULTS_DIR` — explicit override; a relative value is
+///    resolved against the directory cargo was run from (the shell's
+///    `PWD`), as the examples resolve it, although `cargo bench` runs a
+///    harness from its crate directory;
 /// 2. `CARGO_TARGET_DIR` — honored at runtime, so redirected target
 ///    directories receive the results;
 /// 3. the target directory the running executable was built into, read
@@ -43,7 +46,9 @@ pub fn workload(kind: WorkloadKind, scale: InputScale) -> Box<dyn Workload> {
 /// 4. `target/` under the current directory.
 pub fn results_dir() -> PathBuf {
     if let Ok(dir) = std::env::var("DISMEM_RESULTS_DIR") {
-        PathBuf::from(dir)
+        let pwd = std::env::var_os("PWD").map(PathBuf::from);
+        let cwd = std::env::current_dir().unwrap_or_default();
+        resolve_results_dir(Path::new(&dir), pwd.as_deref(), &cwd)
     } else if let Ok(target) = std::env::var("CARGO_TARGET_DIR") {
         PathBuf::from(target).join("dismem-results")
     } else {
@@ -53,6 +58,20 @@ pub fn results_dir() -> PathBuf {
             .unwrap_or_else(|| PathBuf::from("target"))
             .join("dismem-results")
     }
+}
+
+/// Resolves a `DISMEM_RESULTS_DIR` value. An absolute value is used as
+/// given. A relative one is joined to `pwd`, the shell's `PWD`: the
+/// directory cargo was run from, which cargo passes through unchanged while
+/// `cargo bench` runs a harness from its crate directory. When `pwd` is
+/// unset or not absolute, the working directory `cwd` stands in.
+fn resolve_results_dir(value: &Path, pwd: Option<&Path>, cwd: &Path) -> PathBuf {
+    if value.is_absolute() {
+        return value.to_path_buf();
+    }
+    pwd.filter(|pwd| pwd.is_absolute())
+        .unwrap_or(cwd)
+        .join(value)
 }
 
 /// The cargo target directory an executable at `exe` was built into.
@@ -209,6 +228,28 @@ mod tests {
         let exe = std::env::current_exe().unwrap();
         let target = target_dir_of(&exe).expect("test executables sit in <target>/<profile>/deps");
         assert_eq!(results_dir(), target.join("dismem-results"));
+    }
+
+    #[test]
+    fn relative_results_dir_resolves_against_the_invocation_directory() {
+        let cwd = Path::new("/repo/crates/bench");
+        let pwd = Some(Path::new("/repo"));
+        assert_eq!(
+            resolve_results_dir(Path::new("paper-figures"), pwd, cwd),
+            PathBuf::from("/repo/paper-figures")
+        );
+        assert_eq!(
+            resolve_results_dir(Path::new("/abs/out"), pwd, cwd),
+            PathBuf::from("/abs/out"),
+            "an absolute value is used as given"
+        );
+        for pwd in [None, Some(Path::new("relative/pwd"))] {
+            assert_eq!(
+                resolve_results_dir(Path::new("out"), pwd, cwd),
+                PathBuf::from("/repo/crates/bench/out"),
+                "without an absolute PWD the working directory stands in"
+            );
+        }
     }
 
     #[test]

@@ -44,6 +44,7 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
 use std::panic::AssertUnwindSafe;
 use std::path::Path;
+use std::rc::Rc;
 
 /// Campaign configuration.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
@@ -162,12 +163,17 @@ pub fn trial_schedules(
 /// Runs a campaign for one workload (represented by its profiled pooled run)
 /// under one policy.
 ///
-/// The job is re-timed once on an idle pool, which sizes the interference
+/// The report's own runtime, its idle-pool runtime, sizes the interference
 /// epochs; [`trial_schedules`] then draws every trial's schedule, and one
 /// [`RunReport::retime_many`] call prices all trials together, in lockstep
 /// through the timeline, on the calling thread. A trial re-times only a few
 /// chunks, too little work to pay for a thread; callers that want
 /// parallelism run independent campaigns concurrently.
+///
+/// `report` must have been timed on an idle pool, as every report of
+/// `run_workload` is: its `total_runtime_s` must equal
+/// `report.retime(&InterferenceProfile::Idle).total_runtime_s` bit for bit.
+/// Debug builds assert this.
 pub fn run_campaign(
     workload_name: &str,
     report: &RunReport,
@@ -175,7 +181,15 @@ pub fn run_campaign(
     config: &CampaignConfig,
 ) -> CampaignResult {
     assert!(config.runs > 0 && config.epochs_per_run > 0);
-    let idle = report.retime(&InterferenceProfile::Idle).total_runtime_s;
+    let idle = report.total_runtime_s;
+    debug_assert_eq!(
+        idle.to_bits(),
+        report
+            .retime(&InterferenceProfile::Idle)
+            .total_runtime_s
+            .to_bits(),
+        "run_campaign needs a report timed on an idle pool"
+    );
     let runtimes_s: Vec<f64> = report
         .retime_many(&trial_schedules(idle, policy, config))
         .into_iter()
@@ -266,21 +280,31 @@ impl FleetSpec {
     /// Every cell of the grid, in deterministic axis-nested order
     /// (workload → scale → policy → capacity → link → seed).
     pub fn cells(&self) -> Vec<CellKey> {
+        self.shard_cells(None)
+    }
+
+    /// The cells `shard` owns (every cell when `None`), in grid order. The
+    /// shard filter runs on the grid position before a key is built.
+    fn shard_cells(&self, shard: Option<Shard>) -> Vec<CellKey> {
         let mut cells = Vec::new();
+        let mut index = 0;
         for workload in &self.workloads {
             for scale in &self.scales {
                 for policy in &self.policies {
                     for &capacity_permille in &self.capacities_permille {
                         for link in &self.links {
                             for &seed in &self.seeds {
-                                cells.push(CellKey {
-                                    workload: workload.clone(),
-                                    scale: scale.clone(),
-                                    policy: policy.clone(),
-                                    capacity_permille,
-                                    link: link.clone(),
-                                    seed,
-                                });
+                                if shard.map_or(true, |s| s.owns(index)) {
+                                    cells.push(CellKey {
+                                        workload: workload.clone(),
+                                        scale: scale.clone(),
+                                        policy: policy.clone(),
+                                        capacity_permille,
+                                        link: link.clone(),
+                                        seed,
+                                    });
+                                }
+                                index += 1;
                             }
                         }
                     }
@@ -402,8 +426,8 @@ impl SimCellRunner {
     }
 
     /// Attaches a warm-start memo: cells sharing a warm prefix
-    /// (workload/scale/capacity/link/config) reuse the first such cell's
-    /// profiled report instead of re-simulating it. Reports stay
+    /// (workload/scale/capacity/link) and a configuration share the first
+    /// such cell's profiled report instead of re-simulating it. Reports stay
     /// bit-identical to cold runs (see [`crate::snapshot_cache`]).
     pub fn with_snapshot_cache(mut self, cache: SnapshotCache) -> SimCellRunner {
         self.snapshots = Some(cache);
@@ -454,7 +478,7 @@ impl CellRunner for SimCellRunner {
         let config = pooled_config(&base, workload.as_ref(), local_fraction);
         let report = match &self.snapshots {
             Some(cache) => cache.profiled_report(key, workload.as_ref(), &config),
-            None => run_workload(workload.as_ref(), &RunOptions::new(config)),
+            None => Rc::new(run_workload(workload.as_ref(), &RunOptions::new(config))),
         };
         let campaign = run_campaign(
             &key.workload,
@@ -711,14 +735,13 @@ fn drive(
     // Warm-start memo counters are differenced across this drive, so a memo
     // shared between campaigns attributes each cell to the right report.
     let snapshot_before = runner.snapshot_stats();
-    let cells: Vec<CellKey> = spec
-        .cells()
+    let cells: Vec<(String, CellKey)> = spec
+        .shard_cells(shard)
         .into_iter()
-        .enumerate()
-        .filter(|(i, _)| shard.map_or(true, |s| s.owns(*i)))
-        .map(|(_, key)| key)
+        .map(|key| (key.id(), key))
         .collect();
-    let cell_ids: BTreeSet<String> = cells.iter().map(CellKey::id).collect();
+    let total_cells = cells.len() as u64;
+    let cell_ids: BTreeSet<&str> = cells.iter().map(|(id, _)| id.as_str()).collect();
 
     // The writer repairs a torn or unterminated tail before the replay
     // consumes the records; the repair keeps every intact record.
@@ -734,7 +757,7 @@ fn drive(
         let reason = if record.digest != digest {
             stats.digest_rejected += 1;
             "foreign-digest"
-        } else if !cell_ids.contains(&id) {
+        } else if !cell_ids.contains(id.as_str()) {
             stats.unknown_cells += 1;
             "unknown-cell"
         } else {
@@ -765,15 +788,14 @@ fn drive(
     // failed attempt re-enters at the back — that attempt-counted backoff
     // lets every other pending cell run before the retry, with no wall
     // clocks involved.
-    let mut queue: VecDeque<(u64, CellKey, u32)> = cells
-        .iter()
+    let mut queue: VecDeque<(u64, String, CellKey, u32)> = cells
+        .into_iter()
         .enumerate()
-        .filter(|(_, key)| !done.contains_key(&key.id()))
-        .map(|(i, key)| (i as u64, key.clone(), 1))
+        .filter(|(_, (id, _))| !done.contains_key(id))
+        .map(|(i, (id, key))| (i as u64, id, key, 1))
         .collect();
 
-    while let Some((cell_index, key, attempt)) = queue.pop_front() {
-        let id = key.id();
+    while let Some((cell_index, id, key, attempt)) = queue.pop_front() {
         if let Some(rec) = recorder.as_deref_mut() {
             rec.record_event(TraceEvent::CampaignCellStarted {
                 cell_index,
@@ -804,7 +826,7 @@ fn drive(
                             attempt,
                         });
                     }
-                    queue.push_back((cell_index, key, attempt + 1));
+                    queue.push_back((cell_index, id, key, attempt + 1));
                     continue;
                 }
                 JournalRecord {
@@ -852,7 +874,7 @@ fn drive(
             .fallbacks
             .saturating_sub(snapshot_before.fallbacks),
     };
-    let report = build_report(&digest, cells.len() as u64, &done, &stats, snapshot)?;
+    let report = build_report(&digest, total_cells, &done, &stats, snapshot)?;
     Ok((report, stats))
 }
 
@@ -1021,6 +1043,51 @@ mod tests {
             );
             assert_eq!(campaign.mean_s, mean(&reference));
         }
+    }
+
+    /// `run_campaign` takes a report's own runtime as its idle runtime: every
+    /// `run_workload` report, static or tiered, is timed on an idle pool.
+    #[test]
+    fn run_workload_reports_are_timed_on_an_idle_pool() {
+        let specs = crate::tiering::default_specs(2048, 12.0);
+        for kind in WorkloadKind::all() {
+            let w = kind.instantiate_tiny();
+            for local_fraction in [0.25, 0.5, 0.75] {
+                let cfg = pooled_config(&MachineConfig::test_config(), w.as_ref(), local_fraction);
+                for &spec in &specs {
+                    let options = RunOptions::new(cfg.clone()).with_tiering(spec);
+                    let report = run_workload(w.as_ref(), &options);
+                    assert_eq!(
+                        report.total_runtime_s.to_bits(),
+                        report
+                            .retime(&InterferenceProfile::Idle)
+                            .total_runtime_s
+                            .to_bits(),
+                        "{} at {local_fraction} local under {}",
+                        kind.name(),
+                        spec.label()
+                    );
+                }
+            }
+        }
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "run_campaign needs a report timed on an idle pool")]
+    fn campaign_rejects_a_report_timed_under_interference() {
+        let w = WorkloadKind::Hypre.instantiate_tiny();
+        let cfg = pooled_config(&MachineConfig::test_config(), w.as_ref(), 0.5);
+        let mut machine = dismem_sim::Machine::new(cfg);
+        machine.set_interference(InterferenceProfile::Constant(0.5));
+        w.run(&mut machine);
+        let report = machine.finish();
+        run_campaign(
+            "Hypre",
+            &report,
+            SchedulingPolicy::RandomBaseline,
+            &small_config(),
+        );
     }
 
     #[test]

@@ -52,7 +52,7 @@ pub use journal::{
     LoadedJournal,
 };
 pub use policy::SchedulingPolicy;
-pub use snapshot_cache::{warm_key_digest, SnapshotCache, SnapshotStats};
+pub use snapshot_cache::{SnapshotCache, SnapshotStats};
 pub use tiering::{
     default_specs, sweep_tiering_matrix, sweep_tiering_policies, CapacityTieringSweep,
     PolicyFailure, TieringOutcome, TieringSweep, WorkloadTieringStudy,

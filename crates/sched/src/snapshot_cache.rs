@@ -3,19 +3,23 @@
 //! Every cell of a fleet grid begins with the same expensive step: simulate
 //! the workload once under the cell's pooling configuration to obtain the
 //! profiled [`RunReport`] the Monte Carlo pricing retimes. That run depends
-//! only on the cell's *warm prefix* — workload, scale, capacity, link and
-//! the machine-config digest — not on the policy or seed axes, so a grid of
-//! `P policies × S seeds` would re-simulate each prefix `P × S` times.
+//! only on the cell's *warm prefix* — workload, scale, capacity and link —
+//! and the machine configuration those derive, not on the policy or seed
+//! axes, so a grid of `P policies × S seeds` would re-simulate each prefix
+//! `P × S` times.
 //!
-//! A [`SnapshotCache`] memoizes the profiled report per warm prefix, keyed
-//! by [`warm_key_digest`] (FNV-1a over the prefix, the journal's digest
-//! scheme). The first cell of a prefix runs the cold path — exactly
-//! [`run_workload`], which cache-less runners call — and stores the report;
-//! every later cell of the prefix gets a clone. A warm campaign's report is
-//! therefore bit-identical to a cold one's by construction, apart from the
-//! [`SnapshotStats`] block that counts the hits and misses.
+//! A [`SnapshotCache`] memoizes the profiled reports of each warm prefix,
+//! keyed by `(workload, scale, capacity_permille, link)`. A memoized report
+//! serves a cell only when the report's `config`, the configuration it ran
+//! under, equals the cell's, so two configurations never share a report.
+//! The first cell of a prefix and configuration runs the cold path —
+//! exactly [`run_workload`], which cache-less runners call — and stores the
+//! report; every later such cell gets a shared handle to it. A warm
+//! campaign's report is therefore bit-identical to a cold one's by
+//! construction, apart from the [`SnapshotStats`] block that counts the
+//! hits and misses.
 
-use dismem_core::{fnv1a64, CellKey};
+use dismem_core::CellKey;
 use dismem_profiler::{run_workload, RunOptions};
 use dismem_sim::{MachineConfig, RunReport};
 use dismem_workloads::Workload;
@@ -23,6 +27,7 @@ use serde::{Deserialize, Serialize};
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
+use std::rc::Rc;
 
 /// Warm-start activity counters for one campaign, reported on
 /// [`CampaignReport::snapshot`](crate::campaign::CampaignReport::snapshot).
@@ -33,53 +38,31 @@ use std::path::{Path, PathBuf};
 pub struct SnapshotStats {
     /// Cells whose profiled report came from the memo.
     pub hits: u64,
-    /// Cells that found no memoized report for their warm prefix, ran the
-    /// workload and stored the report.
+    /// Cells that found no memoized report for their warm prefix and
+    /// configuration, ran the workload and stored the report.
     pub misses: u64,
     /// Always 0: an in-memory memo has no unusable entries to fall back
     /// from. The field keeps the serialized campaign report's schema.
     pub fallbacks: u64,
 }
 
-/// The warm prefix of a [`CellKey`]: every axis that shapes the profiled
-/// run. Policy and seed only steer the Monte Carlo pricing of the
-/// already-profiled report, so they are deliberately absent — cells differing
-/// only in policy/seed share one memoized report.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
-struct WarmKey {
-    workload: String,
-    scale: String,
-    capacity_permille: u32,
-    link: String,
-    config_digest: u64,
-}
+/// The warm prefix of a [`CellKey`]: workload, scale, capacity‰ and link,
+/// every axis that shapes the profiled run. Policy and seed only steer the
+/// Monte Carlo pricing of the already-profiled report, so they are
+/// deliberately absent.
+type WarmPrefix = (String, String, u32, String);
 
-/// Digest of the warm prefix of `key` under `config` (the fully derived
-/// pooled configuration the cell runs with). FNV-1a over the serialized
-/// warm-key record — the journal's digest scheme, applied to the prefix.
-pub fn warm_key_digest(key: &CellKey, config: &MachineConfig) -> u64 {
-    let warm = WarmKey {
-        workload: key.workload.clone(),
-        scale: key.scale.clone(),
-        capacity_permille: key.capacity_permille,
-        link: key.link.clone(),
-        config_digest: config.config_digest(),
-    };
-    let mut json = String::new();
-    Serialize::serialize_json(&warm, &mut json);
-    fnv1a64(json.as_bytes())
-}
-
-/// A memo from warm-prefix digest to profiled [`RunReport`], shared by every
-/// cell a [`SimCellRunner`](crate::campaign::SimCellRunner) executes.
-/// Interior mutability keeps [`CellRunner::run`]'s `&self` contract (the
-/// fleet driver is sequential, so plain `Cell`/`RefCell` suffice).
+/// A memo from warm prefix to the profiled [`RunReport`]s of that prefix,
+/// shared by every cell a [`SimCellRunner`](crate::campaign::SimCellRunner)
+/// executes. Interior mutability keeps [`CellRunner::run`]'s `&self`
+/// contract (the fleet driver is sequential, so plain `Cell`/`RefCell`
+/// suffice).
 ///
 /// [`CellRunner::run`]: crate::campaign::CellRunner::run
 #[derive(Debug, Clone)]
 pub struct SnapshotCache {
     dir: PathBuf,
-    memo: RefCell<BTreeMap<u64, RunReport>>,
+    memo: RefCell<BTreeMap<WarmPrefix, Vec<Rc<RunReport>>>>,
     hits: Cell<u64>,
     misses: Cell<u64>,
 }
@@ -113,24 +96,42 @@ impl SnapshotCache {
         }
     }
 
-    /// Produces the profiled report for one cell: a clone of the memoized
-    /// report of the cell's warm prefix, or — on the prefix's first cell —
-    /// `run_workload(workload, &RunOptions::new(config))`, which is then
-    /// memoized. Exactly one of `hits` and `misses` is incremented per call.
+    /// Produces the profiled report for one cell: the memoized report of the
+    /// cell's warm prefix that ran under `config`, or — on the first such
+    /// cell — `run_workload(workload, &RunOptions::new(config))`, which is
+    /// then memoized. Exactly one of `hits` and `misses` is incremented per
+    /// call.
     pub fn profiled_report(
         &self,
         key: &CellKey,
         workload: &dyn Workload,
         config: &MachineConfig,
-    ) -> RunReport {
-        let digest = warm_key_digest(key, config);
-        if let Some(report) = self.memo.borrow().get(&digest) {
+    ) -> Rc<RunReport> {
+        let prefix = (
+            key.workload.clone(),
+            key.scale.clone(),
+            key.capacity_permille,
+            key.link.clone(),
+        );
+        // `RunOptions` runs `config` as given, so a report's `config` is the
+        // configuration it ran under.
+        let memoized = self.memo.borrow().get(&prefix).and_then(|reports| {
+            reports
+                .iter()
+                .find(|report| report.config == *config)
+                .cloned()
+        });
+        if let Some(report) = memoized {
             self.hits.set(self.hits.get() + 1);
-            return report.clone();
+            return report;
         }
         self.misses.set(self.misses.get() + 1);
-        let report = run_workload(workload, &RunOptions::new(config.clone()));
-        self.memo.borrow_mut().insert(digest, report.clone());
+        let report = Rc::new(run_workload(workload, &RunOptions::new(config.clone())));
+        self.memo
+            .borrow_mut()
+            .entry(prefix)
+            .or_default()
+            .push(Rc::clone(&report));
         report
     }
 }
@@ -157,15 +158,51 @@ mod tests {
         (w, cfg)
     }
 
+    fn stats(hits: u64, misses: u64) -> SnapshotStats {
+        SnapshotStats {
+            hits,
+            misses,
+            fallbacks: 0,
+        }
+    }
+
     #[test]
-    fn digest_ignores_policy_and_seed_but_not_capacity() {
-        let (_, cfg) = pooled();
-        let a = warm_key_digest(&cell("baseline", 1), &cfg);
-        let b = warm_key_digest(&cell("aware", 99), &cfg);
-        assert_eq!(a, b, "policy/seed are not part of the warm prefix");
+    fn memo_hits_only_the_same_prefix_and_config() {
+        let tmp = std::env::temp_dir().join(format!("dismem-snapmemo-{}", std::process::id()));
+        let cache = SnapshotCache::new(&tmp).unwrap();
+        let (w, cfg) = pooled();
+
+        let first = cache.profiled_report(&cell("baseline", 1), w.as_ref(), &cfg);
+        assert_eq!(cache.stats(), stats(0, 1));
+        let other_policy = cache.profiled_report(&cell("aware", 99), w.as_ref(), &cfg);
+        assert_eq!(
+            cache.stats(),
+            stats(1, 1),
+            "policy and seed are not part of the warm prefix"
+        );
+        assert!(Rc::ptr_eq(&first, &other_policy), "a hit shares the report");
+
         let mut narrower = cell("baseline", 1);
         narrower.capacity_permille = 250;
-        assert_ne!(warm_key_digest(&narrower, &cfg), a);
+        cache.profiled_report(&narrower, w.as_ref(), &cfg);
+        assert_eq!(cache.stats(), stats(1, 2), "capacity is part of the prefix");
+
+        let mut faster = cfg.clone();
+        faster.link.data_bandwidth_bps *= 2.0;
+        let second = cache.profiled_report(&cell("baseline", 1), w.as_ref(), &faster);
+        assert_eq!(
+            cache.stats(),
+            stats(1, 3),
+            "another config under the same prefix misses"
+        );
+        assert_eq!(second.config, faster);
+        let again = cache.profiled_report(&cell("aware", 2), w.as_ref(), &cfg);
+        assert_eq!(cache.stats(), stats(2, 3), "the first config still hits");
+        assert!(Rc::ptr_eq(&first, &again));
+        let second_again = cache.profiled_report(&cell("aware", 2), w.as_ref(), &faster);
+        assert_eq!(cache.stats(), stats(3, 3));
+        assert!(Rc::ptr_eq(&second, &second_again));
+        std::fs::remove_dir_all(&tmp).ok();
     }
 
     #[test]
@@ -177,17 +214,10 @@ mod tests {
         let cold = run_workload(w.as_ref(), &RunOptions::new(cfg.clone()));
 
         let miss = cache.profiled_report(&cell("baseline", 1), w.as_ref(), &cfg);
-        assert_eq!(miss, cold, "miss path must equal cold");
+        assert_eq!(*miss, cold, "miss path must equal cold");
         let hit = cache.profiled_report(&cell("aware", 2), w.as_ref(), &cfg);
-        assert_eq!(hit, cold, "hit path (memo clone) must equal cold");
-        assert_eq!(
-            cache.stats(),
-            SnapshotStats {
-                hits: 1,
-                misses: 1,
-                fallbacks: 0
-            }
-        );
+        assert_eq!(*hit, cold, "hit path (shared memo entry) must equal cold");
+        assert_eq!(cache.stats(), stats(1, 1));
         std::fs::remove_dir_all(&tmp).ok();
     }
 }

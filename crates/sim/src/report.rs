@@ -201,7 +201,13 @@ pub struct RunReport {
     pub phases: Vec<PhaseReport>,
     /// Counters over the whole run (including work outside phases).
     pub total: Counters,
-    /// Total simulated runtime in seconds.
+    /// Total simulated runtime in seconds: the chunk durations summed from
+    /// 0.0 in timeline order, each priced at the machine's interference at
+    /// the chunk's start. On an idle pool, the only interference a
+    /// `run_workload` report sees, this equals
+    /// `retime(&InterferenceProfile::Idle).total_runtime_s` bit for bit;
+    /// only [`Machine::set_interference`](crate::Machine::set_interference)
+    /// with another profile makes the two differ.
     pub total_runtime_s: f64,
     /// Allocation summaries in allocation order.
     pub allocations: Vec<AllocationSummary>,

@@ -98,11 +98,12 @@ impl TimingModel {
     /// `lois`, writing `chunk_time(chunk, lois[i])` to `out[i]`.
     ///
     /// The levels ("lanes") are solved in blocks of eight, whose bisections
-    /// advance in lockstep. Every lane runs the same operations in the same
-    /// order as a lone call and reads nothing from its neighbours, so each
-    /// result is bit-identical to the one-lane call wherever the lane sits;
-    /// the lanes only share the processor, which overlaps their independent
-    /// division chains.
+    /// advance in lockstep. A lane whose bracket is open runs the same
+    /// operations in the same order as a lone call, a lane whose bracket is
+    /// empty takes its latency at `t_base` whether or not its block bisects,
+    /// and no lane reads its neighbours, so each result is bit-identical to
+    /// the one-lane call wherever the lane sits; the lanes only share the
+    /// processor, which overlaps their independent division chains.
     ///
     /// # Panics
     ///
@@ -166,11 +167,13 @@ impl TimingModel {
             let bisects: [bool; LANES] = std::array::from_fn(|l| hi[l] > 0.0 && lo[l] < hi[l]);
             let mut latency_s = [0.0; LANES];
             let mut utilization = [0.0; LANES];
-            // Every lane takes all 60 steps, and a step selects its new
-            // bracket instead of branching, so the lanes advance side by
-            // side. A lane with an empty bracket bisects harmlessly; its
-            // latency is taken at `t_base` below.
-            for _ in 0..60 {
+            // A block with any open bracket takes all 60 steps in every
+            // lane, and a step selects its new bracket instead of branching,
+            // so the lanes advance side by side. A lane with an empty bracket
+            // bisects harmlessly; its latency is taken at `t_base` below, so
+            // a block whose brackets are all empty skips the steps.
+            let steps = if bisects.contains(&true) { 60 } else { 0 };
+            for _ in 0..steps {
                 for l in 0..LANES {
                     let mid = 0.5 * (lo[l] + hi[l]);
                     let (lat, util) = latency_at(mid, loi[l]);

@@ -1004,6 +1004,102 @@ fn breakdown_bits(b: &TimeBreakdown) -> [u64; 6] {
     .map(f64::to_bits)
 }
 
+/// The timing kernel for one level of interference as a plain scalar
+/// bisection that always takes all 60 steps, with no skip for an empty
+/// bracket. Returns the breakdown and whether the bracket was open.
+fn reference_chunk_time(model: &TimingModel, chunk: &Counters, loi: f64) -> (TimeBreakdown, bool) {
+    let config = model.config();
+    let link = model.link();
+    let line = config.cache.line_bytes;
+    let bytes_local = (chunk.bytes_local(line) + chunk.migration_lines_local * line) as f64;
+    let bytes_pool = (chunk.bytes_pool(line) + chunk.migration_lines_pool * line) as f64;
+    let compute_s = chunk.flops as f64 / config.peak_flops;
+    let local_bw_s = bytes_local / config.local.bandwidth_bps;
+    let local_latency_total = chunk.demand_dram_lines_local as f64 * config.local.latency_s;
+    let pool_demand_lines = chunk.demand_dram_lines_pool as f64;
+    let raw_bytes = chunk.link_raw_bytes as f64;
+    let latency_at = |t: f64| {
+        let raw_rate = if t > 0.0 { raw_bytes / t } else { 0.0 };
+        let utilization = link.utilization(raw_rate, loi);
+        let pool_latency = link.effective_latency(config.pool.latency_s, utilization);
+        let latency = (local_latency_total + pool_demand_lines * pool_latency) / config.mlp;
+        (latency, utilization)
+    };
+    let worst_latency = link.effective_latency(config.pool.latency_s, f64::INFINITY);
+    let lat_upper = (local_latency_total + pool_demand_lines * worst_latency) / config.mlp;
+    let pool_bw_s = bytes_pool / link.available_data_bandwidth(config.pool.bandwidth_bps, loi);
+    let t_base = compute_s.max(local_bw_s).max(pool_bw_s);
+    let (mut lo, mut hi) = (t_base, t_base.max(lat_upper));
+    let open = hi > 0.0 && lo < hi;
+    let (mut latency_s, mut utilization) = (0.0, 0.0);
+    for _ in 0..60 {
+        let mid = 0.5 * (lo + hi);
+        (latency_s, utilization) = latency_at(mid);
+        if t_base.max(latency_s) > mid {
+            lo = mid;
+        } else {
+            hi = mid;
+        }
+    }
+    if !open {
+        (latency_s, utilization) = latency_at(t_base.max(1e-30));
+    }
+    let breakdown = TimeBreakdown {
+        compute_s,
+        local_bw_s,
+        pool_bw_s,
+        latency_s,
+        total_s: t_base.max(latency_s),
+        link_utilization: utilization,
+    };
+    (breakdown, open)
+}
+
+/// Three blocks of eight lanes on one chunk whose bracket closes where the
+/// pool-bandwidth time reaches the latency bound, near LoI 0.43: one block
+/// with no open bracket, which skips the bisection, one where every lane
+/// bisects, and one mixing both. Every lane equals the reference.
+#[test]
+fn chunk_times_blocks_with_and_without_open_brackets_match_the_reference() {
+    let model = TimingModel::new(MachineConfig::test_config());
+    let chunk = Counters {
+        dram_lines_pool: 1_000_000,
+        demand_dram_lines_pool: 9_000,
+        link_raw_bytes: 1_000_000 * 64 * 85 / 34,
+        ..Counters::default()
+    };
+    #[rustfmt::skip]
+    let blocks: [([f64; 8], &str); 3] = [
+        ([0.5, 0.6, 0.7, 0.8, 0.9, 1.0, 1.2, 1.5], "closed"),
+        ([-0.5, 0.0, 0.05, 0.1, 0.2, 0.3, 0.35, 0.4], "open"),
+        ([0.1, 0.42, 0.44, 0.9, 0.25, 0.6, 0.0, 1.1], "mixed"),
+    ];
+    let lois: Vec<f64> = blocks.iter().flat_map(|(lois, _)| *lois).collect();
+    let mut out = vec![TimeBreakdown::default(); lois.len()];
+    model.chunk_times(&chunk, &lois, &mut out);
+    for (block, (block_lois, kind)) in blocks.iter().enumerate() {
+        let open: Vec<bool> = block_lois
+            .iter()
+            .map(|&loi| reference_chunk_time(&model, &chunk, loi).1)
+            .collect();
+        let expected = match *kind {
+            "closed" => !open.contains(&true),
+            "open" => !open.contains(&false),
+            _ => open.contains(&true) && open.contains(&false),
+        };
+        assert!(expected, "block {block} is not {kind}: {open:?}");
+        for (lane, &loi) in block_lois.iter().enumerate() {
+            let reference = breakdown_bits(&reference_chunk_time(&model, &chunk, loi).0);
+            assert_eq!(
+                breakdown_bits(&out[block * 8 + lane]),
+                reference,
+                "{kind} block, lane {lane}, LoI {loi}"
+            );
+            assert_eq!(breakdown_bits(&model.chunk_time(&chunk, loi)), reference);
+        }
+    }
+}
+
 /// A run with two phases and work outside them, under a small local tier.
 fn two_phase_report(script: &[(u64, u64, bool)]) -> dismem::sim::RunReport {
     let config = MachineConfig::test_config().with_local_capacity(8 * PAGE_SIZE);
@@ -1061,6 +1157,31 @@ proptest! {
                     lanes
                 );
             }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `chunk_time` and every lane of `chunk_times` equal the all-steps
+    /// scalar reference bit for bit, so skipping the bisection of a block
+    /// with no open bracket changes no result.
+    #[test]
+    fn chunk_times_equal_the_reference_bisection(
+        shape in 0u8..6,
+        traffic in (0u64..1 << 34, 0u64..1 << 24, 0u64..1 << 24, 0u64..1 << 24, 0u64..1 << 24),
+        background in (0u64..1 << 22, 0u64..1 << 22, 0u64..1 << 20, 0u64..1 << 20),
+        lois in prop::collection::vec(-0.5f64..1.5, 1..21),
+    ) {
+        let model = TimingModel::new(MachineConfig::test_config());
+        let chunk = timing_chunk(shape, traffic, background);
+        let mut out = vec![TimeBreakdown::default(); lois.len()];
+        model.chunk_times(&chunk, &lois, &mut out);
+        for (&loi, lane) in lois.iter().zip(&out) {
+            let reference = breakdown_bits(&reference_chunk_time(&model, &chunk, loi).0);
+            prop_assert_eq!(breakdown_bits(lane), reference, "LoI {} among {} lanes", loi, lois.len());
+            prop_assert_eq!(breakdown_bits(&model.chunk_time(&chunk, loi)), reference, "LoI {}", loi);
         }
     }
 }
