@@ -40,6 +40,44 @@ impl Studied {
     }
 }
 
+/// One thread-pool item: a workload's x1 study (`None`) or its Level 1 at
+/// a larger input.
+type Item = (WorkloadKind, Option<InputScale>);
+
+/// What an [`Item`] yields.
+enum Profile {
+    Study(StudyReport),
+    Level1(Level1Report),
+}
+
+/// Every item of the full profile, costliest first, so that the pool's
+/// threads finish together: one-thread seconds on a 2-vCPU host were BFS x4
+/// 32.3, BFS x2 15.6, BFS study 15.5, XSBench study 6.3, Hypre x4 5.2,
+/// HPL x4 4.0, NekRS x4 3.5, Hypre study 3.3, XSBench x4 2.9, Hypre x2 2.8,
+/// NekRS study 2.7, XSBench x2 2.3, NekRS x2 1.6, HPL x2 1.6, HPL study 1.5,
+/// SuperLU x4 1.1, SuperLU study 1.1 and SuperLU x2 0.6. The quick profile
+/// runs the six studies, in this order.
+const CLAIM_ORDER: [Item; 18] = [
+    (WorkloadKind::Bfs, Some(InputScale::X4)),
+    (WorkloadKind::Bfs, Some(InputScale::X2)),
+    (WorkloadKind::Bfs, None),
+    (WorkloadKind::XsBench, None),
+    (WorkloadKind::Hypre, Some(InputScale::X4)),
+    (WorkloadKind::Hpl, Some(InputScale::X4)),
+    (WorkloadKind::NekRs, Some(InputScale::X4)),
+    (WorkloadKind::Hypre, None),
+    (WorkloadKind::XsBench, Some(InputScale::X4)),
+    (WorkloadKind::Hypre, Some(InputScale::X2)),
+    (WorkloadKind::NekRs, None),
+    (WorkloadKind::XsBench, Some(InputScale::X2)),
+    (WorkloadKind::NekRs, Some(InputScale::X2)),
+    (WorkloadKind::Hpl, Some(InputScale::X2)),
+    (WorkloadKind::Hpl, None),
+    (WorkloadKind::SuperLu, Some(InputScale::X4)),
+    (WorkloadKind::SuperLu, None),
+    (WorkloadKind::SuperLu, Some(InputScale::X2)),
+];
+
 fn main() {
     let config = base_config();
     let larger_scales: &[InputScale] = if is_quick() {
@@ -48,21 +86,57 @@ fn main() {
         &[InputScale::X2, InputScale::X4]
     };
 
-    // Every workload's runs are independent simulated machines: study the
-    // workloads concurrently on the thread pool.
-    let studied: Vec<Studied> = WorkloadKind::all()
+    // Every run is an independent simulated machine: the pool's threads
+    // claim the items costliest first.
+    let items: Vec<Item> = CLAIM_ORDER
+        .into_iter()
+        .filter(|(_, scale)| scale.map_or(true, |scale| larger_scales.contains(&scale)))
+        .collect();
+    let profiles: Vec<Profile> = items
         .par_iter()
-        .map(|&kind| {
-            let study = QuantitativeStudy::new(workload(kind, InputScale::X1), config.clone())
-                .full_study(&FRACTIONS);
+        .map(|&(kind, scale)| {
+            let profile = match scale {
+                None => Profile::Study(
+                    QuantitativeStudy::new(workload(kind, InputScale::X1), config.clone())
+                        .full_study(&FRACTIONS),
+                ),
+                Some(scale) => {
+                    Profile::Level1(level1_profile(workload(kind, scale).as_ref(), &config))
+                }
+            };
+            eprintln!(
+                "  [study_figures] profiled {} {}",
+                kind.name(),
+                scale.map_or("study", InputScale::label)
+            );
+            profile
+        })
+        .collect();
+
+    // Reassemble each workload's profiles in the paper's order.
+    let mut profiles: Vec<(Item, Profile)> = items.into_iter().zip(profiles).collect();
+    let mut take = |item: Item| {
+        let i = profiles
+            .iter()
+            .position(|(done, _)| *done == item)
+            .expect("every item is profiled");
+        profiles.swap_remove(i).1
+    };
+    let studied: Vec<Studied> = WorkloadKind::all()
+        .into_iter()
+        .map(|kind| {
+            let Profile::Study(study) = take((kind, None)) else {
+                unreachable!("a study item yields a study")
+            };
             let larger_inputs = larger_scales
                 .iter()
                 .map(|&scale| {
-                    let w = workload(kind, scale);
-                    (scale, level1_profile(w.as_ref(), &config))
+                    let Profile::Level1(level1) = take((kind, Some(scale))) else {
+                        unreachable!("a larger-input item yields Level 1")
+                    };
+                    (scale, level1)
                 })
                 .collect();
-            eprintln!("  [study_figures] studied {}", kind.name());
             Studied {
                 kind,
                 study,

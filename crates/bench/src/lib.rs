@@ -12,10 +12,16 @@
 //! * `DISMEM_RESULTS_DIR` — where to write the JSON copies of the results
 //!   (defaults to `dismem-results` in the cargo target directory; see
 //!   [`results_dir`]).
+//! * `DISMEM_BASELINE` — the committed `BENCH_throughput.json` the
+//!   throughput bench gates against; a relative path is resolved by
+//!   [`invocation_path`], as `DISMEM_RESULTS_DIR` is.
 
 #![forbid(unsafe_code)]
 
 pub mod harness;
 pub mod paper;
 
-pub use harness::{base_config, is_quick, print_table, results_dir, workload, write_json, Row};
+pub use harness::{
+    base_config, invocation_path, is_quick, print_table, remeasure, results_dir, workload,
+    write_json, Row,
+};

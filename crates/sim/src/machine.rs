@@ -675,8 +675,8 @@ impl Machine {
             self.chunk.migration_lines_pool += lines;
             self.chunk_pool_link_lines += lines;
             // Rebinding pages changes where replayed DRAM events land: every
-            // applied migration must drop ALL replay state — window, pass
-            // and strided alike (the reset materializes first, so the cache
+            // applied migration must drop all window-replay state, an armed
+            // snapshot included (the reset materializes first, so the cache
             // state stays exact).
             self.cache.replay_hard_reset();
         }
