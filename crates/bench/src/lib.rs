@@ -1,9 +1,9 @@
 //! # dismem-bench
 //!
-//! Shared infrastructure for the experiment harnesses that regenerate every
-//! table and figure of the paper. Each harness lives in `benches/` as a
-//! `harness = false` bench target, so `cargo bench` reruns the whole
-//! evaluation and prints paper-vs-measured rows.
+//! Shared infrastructure for the experiment harnesses in `benches/`, each a
+//! `harness = false` bench target: `paper` regenerates every table and
+//! figure of the paper in one pass and prints paper-vs-measured rows, and
+//! `throughput` measures the simulator itself.
 //!
 //! Environment variables:
 //!

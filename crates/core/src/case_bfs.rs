@@ -15,9 +15,9 @@
 //! the three panels of Figure 12.
 
 use dismem_profiler::level3::{level3_from_report, SensitivityPoint};
-use dismem_profiler::{run_workload, RunOptions};
-use dismem_sim::MachineConfig;
-use dismem_workloads::{Bfs, BfsOptimization, BfsParams, Workload};
+use dismem_profiler::{pooled_config, run_workload, RunOptions};
+use dismem_sim::{MachineConfig, RunReport};
+use dismem_workloads::{Bfs, BfsOptimization, BfsParams, WorkloadKind};
 use serde::{Deserialize, Serialize};
 
 /// Result of one BFS variant on one pooling configuration.
@@ -84,7 +84,8 @@ impl BfsCaseStudy {
 ///
 /// `pooled_fractions` are the pool shares of the footprint (the paper uses
 /// 0.5 and 0.75); `loi_percent_levels` is the interference sweep for the
-/// sensitivity panel.
+/// sensitivity panel. Runs every [`BfsOptimization`] at each fraction, one
+/// simulation each, and reads each run with [`bfs_variant_result`].
 pub fn bfs_placement_study(
     params: BfsParams,
     base_config: &MachineConfig,
@@ -99,34 +100,50 @@ pub fn bfs_placement_study(
         );
         for opt in BfsOptimization::all() {
             let workload = Bfs::new(params.with_optimization(opt));
-            let local_fraction = 1.0 - pooled;
-            let config = base_config
-                .clone()
-                .with_pooling(workload.expected_footprint_bytes(), local_fraction);
+            let config = pooled_config(base_config, &workload, 1.0 - pooled);
             let report = run_workload(&workload, &RunOptions::new(config));
-            let level3 =
-                level3_from_report(workload.name(), local_fraction, &report, loi_percent_levels);
-            let parents_remote_ratio = report
-                .allocation("Parents")
-                .map(|a| a.remote_access_ratio())
-                .unwrap_or(0.0);
-            variants.push(BfsVariantResult {
-                optimization: opt.label().to_string(),
-                pooled_fraction: pooled,
-                runtime_s: report.total_runtime_s,
-                remote_access_ratio: report.remote_access_ratio(),
-                remote_bytes: report.remote_bytes(),
-                parents_remote_ratio,
-                sensitivity: level3.sensitivity,
-            });
+            variants.push(bfs_variant_result(opt, pooled, &report, loi_percent_levels));
         }
     }
     BfsCaseStudy { variants }
 }
 
+/// One row of the case study, read from `report`: a run of the
+/// `optimization` variant with `pooled_fraction` of its footprint on the
+/// pool (local capacity `1 - pooled_fraction`), its sensitivity swept over
+/// `loi_percent_levels`. Simulates nothing, so a report equal to the run
+/// [`bfs_placement_study`] makes gives its row, wherever the report came
+/// from.
+pub fn bfs_variant_result(
+    optimization: BfsOptimization,
+    pooled_fraction: f64,
+    report: &RunReport,
+    loi_percent_levels: &[f64],
+) -> BfsVariantResult {
+    let level3 = level3_from_report(
+        WorkloadKind::Bfs.name(),
+        1.0 - pooled_fraction,
+        report,
+        loi_percent_levels,
+    );
+    BfsVariantResult {
+        optimization: optimization.label().to_string(),
+        pooled_fraction,
+        runtime_s: report.total_runtime_s,
+        remote_access_ratio: report.remote_access_ratio(),
+        remote_bytes: report.remote_bytes(),
+        parents_remote_ratio: report
+            .allocation("Parents")
+            .map(|a| a.remote_access_ratio())
+            .unwrap_or(0.0),
+        sensitivity: level3.sensitivity,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::QuantitativeStudy;
 
     fn tiny_study() -> BfsCaseStudy {
         bfs_placement_study(
@@ -183,6 +200,42 @@ mod tests {
         assert!(
             full_worst >= base_worst - 1e-9,
             "optimized {full_worst} should be no more sensitive than baseline {base_worst}"
+        );
+    }
+
+    /// Rows read from the three-level study's pooled BFS reports, where the
+    /// paper harness takes its baseline rows, and from fresh runs of the
+    /// optimized variants equal the case study's rows at both of the
+    /// paper's pooled fractions.
+    #[test]
+    fn rows_read_from_pooled_reports_match_the_case_study() {
+        let config = MachineConfig::test_config();
+        let pooled = [0.5, 0.75];
+        let loi = [0.0, 25.0, 50.0];
+        let study = bfs_placement_study(BfsParams::tiny(), &config, &pooled, &loi);
+
+        let local = pooled.map(|p| 1.0 - p);
+        let (_, baselines) =
+            QuantitativeStudy::new(WorkloadKind::Bfs.instantiate_tiny(), config.clone())
+                .full_study_with_runs(&local);
+        let run_variant = |opt, pooled: f64| {
+            let workload = Bfs::new(BfsParams::tiny().with_optimization(opt));
+            let config = pooled_config(&config, &workload, 1.0 - pooled);
+            run_workload(&workload, &RunOptions::new(config))
+        };
+        let rows: Vec<BfsVariantResult> = pooled
+            .iter()
+            .zip(&baselines)
+            .flat_map(|(&p, baseline)| {
+                BfsOptimization::all().map(|opt| match opt {
+                    BfsOptimization::Baseline => bfs_variant_result(opt, p, baseline, &loi),
+                    _ => bfs_variant_result(opt, p, &run_variant(opt, p), &loi),
+                })
+            })
+            .collect();
+        assert_eq!(
+            serde_json::to_string(&rows).unwrap(),
+            serde_json::to_string(&study.variants).unwrap()
         );
     }
 

@@ -31,7 +31,7 @@ pub mod cellkey;
 pub mod guidance;
 pub mod study;
 
-pub use case_bfs::{bfs_placement_study, BfsCaseStudy, BfsVariantResult};
+pub use case_bfs::{bfs_placement_study, bfs_variant_result, BfsCaseStudy, BfsVariantResult};
 pub use cellkey::{fnv1a64, CellKey};
 pub use guidance::{
     derive_guidance, derive_migration_advice, DeploymentAdvice, Guidance, MigrationAdvice,

@@ -59,12 +59,11 @@ impl QuantitativeStudy {
         level1_profile(self.workload.as_ref(), &self.base_config)
     }
 
-    /// Raw pooled run report (useful for scheduling campaigns and custom
-    /// analyses): the workload on a machine whose local tier holds
-    /// `local_fraction` of its footprint. Each call runs one simulation;
+    /// The workload on a machine whose local tier holds `local_fraction` of
+    /// its footprint: one simulation, whose report
     /// [`level2_from_report`], [`level3_from_report`] and
-    /// [`app_interference_coefficient`] all read the same report.
-    pub fn pooled_run(&self, local_fraction: f64) -> RunReport {
+    /// [`app_interference_coefficient`] all read.
+    fn pooled_run(&self, local_fraction: f64) -> RunReport {
         let config = pooled_config(&self.base_config, self.workload.as_ref(), local_fraction);
         run_workload(self.workload.as_ref(), &RunOptions::new(config))
     }
@@ -73,11 +72,28 @@ impl QuantitativeStudy {
     /// fractions (the paper uses 0.75, 0.50 and 0.25).
     ///
     /// Runs `2 + n` simulations for `n` fractions: Level 1's two, then one
-    /// [`pooled_run`](Self::pooled_run) per fraction, from which Level 2,
-    /// Level 3 at [`PAPER_LOI_LEVELS`] and the interference coefficient are
-    /// all derived. Each pooled report is dropped before the next fraction
+    /// pooled run per fraction, from which Level 2, Level 3 at
+    /// [`PAPER_LOI_LEVELS`] and the interference coefficient are all
+    /// derived. Each pooled report is dropped before the next fraction
     /// runs.
     pub fn full_study(&self, local_fractions: &[f64]) -> StudyReport {
+        self.study(local_fractions, drop)
+    }
+
+    /// [`full_study`](Self::full_study), also handing back the pooled run
+    /// report of each fraction, in the order of `local_fractions`, for
+    /// analyses the study does not make (scheduling campaigns, per-phase
+    /// interference coefficients). Makes the same `2 + n` simulations and
+    /// the same report; it holds the `n` pooled reports until it returns.
+    pub fn full_study_with_runs(&self, local_fractions: &[f64]) -> (StudyReport, Vec<RunReport>) {
+        let mut runs = Vec::with_capacity(local_fractions.len());
+        let report = self.study(local_fractions, |run| runs.push(run));
+        (report, runs)
+    }
+
+    /// The study loop of both entry points: each pooled report goes to
+    /// `keep` once the study has read it.
+    fn study(&self, local_fractions: &[f64], mut keep: impl FnMut(RunReport)) -> StudyReport {
         assert!(!local_fractions.is_empty());
         let name = self.workload.name();
         let level1 = self.level1();
@@ -91,6 +107,7 @@ impl QuantitativeStudy {
             level3.push(level3_from_report(name, f, &report, &PAPER_LOI_LEVELS));
             let (whole_run, _) = app_interference_coefficient(&report, &model, name);
             interference_coefficient.push(whole_run.coefficient);
+            keep(report);
         }
         // Guidance from the most pool-heavy configuration studied.
         let (tightest_idx, _) = local_fractions
@@ -157,7 +174,9 @@ mod tests {
 
     /// `full_study` simulates each distinct configuration once, and its
     /// report is byte-identical to one assembled from a separate pooled run
-    /// for each level at each fraction.
+    /// for each level at each fraction. `full_study_with_runs` makes the
+    /// same simulations and the same report, and hands back reports equal
+    /// to fresh pooled runs.
     fn assert_one_run_per_configuration(kind: WorkloadKind) {
         let fractions = [0.75, 0.5, 0.25];
         let runs = Arc::new(AtomicUsize::new(0));
@@ -168,6 +187,18 @@ mod tests {
         let s = QuantitativeStudy::new(workload, MachineConfig::test_config());
         let report = s.full_study(&fractions);
         assert_eq!(runs.load(Ordering::Relaxed), 2 + fractions.len());
+
+        runs.store(0, Ordering::Relaxed);
+        let (with_runs, pooled) = s.full_study_with_runs(&fractions);
+        assert_eq!(runs.load(Ordering::Relaxed), 2 + fractions.len());
+        assert_eq!(
+            serde_json::to_string(&with_runs).unwrap(),
+            serde_json::to_string(&report).unwrap()
+        );
+        assert_eq!(pooled.len(), fractions.len());
+        for (&f, run) in fractions.iter().zip(&pooled) {
+            assert!(*run == s.pooled_run(f), "the pooled report at {f} differs");
+        }
 
         let name = s.workload_name();
         let model = LBenchModel::from_config(s.config());

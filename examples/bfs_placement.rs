@@ -12,7 +12,7 @@ use dismem::workloads::{BfsOptimization, BfsParams};
 fn main() {
     let machine = MachineConfig::scaled_testbed();
     // A small R-MAT instance so the example also runs quickly in debug builds;
-    // use `cargo bench --bench fig12_bfs_optimization` for the full-size run.
+    // `cargo bench --bench paper` renders Figure 12 from the full-size runs.
     let params = BfsParams {
         log_vertices: 15,
         avg_degree: 8,
