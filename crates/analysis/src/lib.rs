@@ -10,8 +10,6 @@
 //!   the DDR/HBM cost model (Table 1) and the memory-evolution timeline
 //!   (Figure 1).
 
-#![forbid(unsafe_code)]
-
 pub mod roofline;
 pub mod stats;
 pub mod systems;

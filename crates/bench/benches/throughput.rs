@@ -46,9 +46,11 @@
 //! the bench prints every failure and exits non-zero, so a failing run
 //! still leaves its numbers.
 
-// The bench harness is the one sanctioned wall-clock observer in the
-// workspace: it measures real simulator throughput.
-#![allow(clippy::disallowed_types, clippy::disallowed_methods)]
+#![allow(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "the bench harness is the one sanctioned wall-clock observer in the workspace: it measures real simulator throughput"
+)]
 
 use dismem_bench::{
     base_config, invocation_path, is_quick, print_table, remeasure, write_json, Row,

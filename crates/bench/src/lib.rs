@@ -16,8 +16,6 @@
 //!   throughput bench gates against; a relative path is resolved by
 //!   [`invocation_path`], as `DISMEM_RESULTS_DIR` is.
 
-#![forbid(unsafe_code)]
-
 pub mod harness;
 pub mod paper;
 

@@ -23,7 +23,6 @@
 //! assert!(!report.guidance.notes.is_empty());
 //! ```
 
-#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 pub mod case_bfs;

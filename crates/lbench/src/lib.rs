@@ -16,8 +16,6 @@
 //!   coefficient (IC), which keeps growing past saturation because it
 //!   measures queueing rather than throughput.
 
-#![forbid(unsafe_code)]
-
 pub mod coefficient;
 pub mod kernel;
 pub mod model;

@@ -16,8 +16,6 @@
 //!   phase and of the whole application to increasing levels of interference
 //!   on the pool link.
 
-#![forbid(unsafe_code)]
-
 pub mod level1;
 pub mod level2;
 pub mod level3;

@@ -15,6 +15,11 @@
 //!
 //! [`CampaignError::Interrupted`]: crate::campaign::CampaignError::Interrupted
 
+// Quarantine, not abort: the fleet driver must turn a failing cell into a
+// `failed_cells` entry, so this module propagates errors instead of panicking
+// (test modules may unwrap; see clippy.toml).
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use crate::journal::JournalError;
 use std::collections::BTreeMap;
 use std::path::Path;

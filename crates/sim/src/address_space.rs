@@ -14,7 +14,7 @@ use dismem_trace::{AllocationRecord, ObjectHandle, PageHistogram, PlacementPolic
 use serde::{Deserialize, Serialize};
 // The page-tier map is consulted on every simulated line access; ordered
 // consumers go through sorted snapshots (see `bound_pages`).
-#[allow(clippy::disallowed_types)]
+#[allow(clippy::disallowed_types, reason = "hot path; iteration is linted")]
 use std::collections::HashMap;
 
 /// Memory tier a page can be bound to.
@@ -133,7 +133,7 @@ pub struct AddressSpace {
     /// Pages assigned so far per object (drives interleave patterns).
     assigned_pages: Vec<u64>,
     next_page: u64,
-    #[allow(clippy::disallowed_types)]
+    #[allow(clippy::disallowed_types, reason = "hot path; iteration is linted")]
     page_tier: HashMap<u64, (Tier, ObjectHandle)>,
     /// One-entry memo of the last [`AddressSpace::resolve_dram`] result
     /// (page, tier, owner): lines of the same page skip the hash lookup.
@@ -165,7 +165,7 @@ impl AddressSpace {
             placements: Vec::new(),
             assigned_pages: Vec::new(),
             next_page: 1, // keep page 0 unused so address 0 is never valid
-            #[allow(clippy::disallowed_types)]
+            #[allow(clippy::disallowed_types, reason = "hot path; iteration is linted")]
             page_tier: HashMap::new(),
             last_resolved: None,
             local_pages_used: 0,
@@ -343,9 +343,11 @@ impl AddressSpace {
 
     /// Iterates over every bound page and its tier, in no particular order
     /// (callers that need determinism must sort).
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "accessor documented as unordered; the tiering epoch sorts the samples it builds from this"
+    )]
     pub fn bound_pages(&self) -> impl Iterator<Item = (u64, Tier)> + '_ {
-        // dismem-lint: allow(hash-iteration) — accessor documented as
-        // unordered; the tiering epoch sorts the samples it builds from this.
         self.page_tier
             .iter()
             .map(|(&page, &(tier, _))| (page, tier))
@@ -545,6 +547,7 @@ impl AddressSpace {
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods, reason = "tests drive the audited calls")]
 mod tests {
     use super::*;
     use dismem_trace::PAGE_SIZE;

@@ -25,7 +25,6 @@
 //! batched, replay) and the dynamic-tiering subsystem must preserve are
 //! documented in `docs/ARCHITECTURE.md` at the repository root.
 
-#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 pub mod address_space;

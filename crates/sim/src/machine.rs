@@ -138,10 +138,11 @@ impl<'a> TallySink<'a> {
     fn flush(&mut self) {
         for slot in &mut self.memo {
             if slot.pending > 0 {
+                #[allow(
+                    clippy::disallowed_methods,
+                    reason = "the tally sink is the batched pipeline's feed into the recording point, not a second recording path"
+                )]
                 self.space
-                    // dismem-lint: allow(single-recording-point) — the tally
-                    // sink is the batched pipeline's feed into the recording
-                    // point, not a second recording path.
                     .record_dram_traffic(slot.owner, slot.tier, slot.page, slot.pending);
                 slot.pending = 0;
             }
@@ -166,9 +167,11 @@ impl<'a> TallySink<'a> {
         };
         let victim = &mut self.memo[other];
         if victim.pending > 0 {
+            #[allow(
+                clippy::disallowed_methods,
+                reason = "victim slot flush on memo miss; same feed path as `flush` above"
+            )]
             self.space
-                // dismem-lint: allow(single-recording-point) — victim slot
-                // flush on memo miss; same feed path as `flush` above.
                 .record_dram_traffic(victim.owner, victim.tier, victim.page, victim.pending);
         }
         self.memo[other] = MemoSlot {
@@ -402,6 +405,10 @@ impl Machine {
     /// Drains replay transitions collected since the last chunk close and
     /// the capacity-spill delta into the recorder, stamped with the current
     /// application-line clock. Only called with a recorder installed.
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "audited emission point: replay transitions and tier spills, stamped at chunk close"
+    )]
     fn emit_chunk_trace(&mut self) {
         let app_lines = self.app_lines_clock();
         let transitions = self.cache.drain_replay_transitions();
@@ -564,6 +571,10 @@ impl Machine {
     /// part of the environment a replayed window re-emits traffic against, so
     /// in-flight replay is materialized and all detection state (including an
     /// armed snapshot) is dropped before the next walk can arm or replay.
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "the audited migration-apply path: every applied rebind is paired with `CacheSim::replay_hard_reset` below, and the epoch's events are audited emission points"
+    )]
     fn run_tiering_epoch(&mut self) {
         let Some(tracker) = self.space.hotness_mut() else {
             return;
@@ -705,9 +716,10 @@ impl Machine {
         let mut tally = DramTally::default();
         for ev in events.drain(..) {
             let addr = ev.line_addr * CACHE_LINE_SIZE;
-            // dismem-lint: allow(single-recording-point) — the per-line
-            // reference pipeline resolves each event through the recording
-            // point itself; this is the call into it, not a bypass.
+            #[allow(
+                clippy::disallowed_methods,
+                reason = "the per-line reference pipeline resolves each event through the recording point itself; this is the call into it, not a bypass"
+            )]
             let tier = match self.space.dram_access(addr) {
                 Ok(t) => t,
                 Err(oom) => panic!("simulated OOM abort: {oom}"),
@@ -948,6 +960,10 @@ impl MemoryEngine for Machine {
         }
         if !self.batched {
             // Reference path: exactly the trait's default per-element loop.
+            #[allow(
+                clippy::disallowed_methods,
+                reason = "the per-line reference path is the trait's default per-element loop"
+            )]
             for &off in offsets {
                 self.access(handle, off, elem_bytes, kind);
             }
@@ -970,6 +986,10 @@ impl MemoryEngine for Machine {
         }
         if !self.batched {
             let mut offset = start;
+            #[allow(
+                clippy::disallowed_methods,
+                reason = "the per-line reference path is the trait's default per-element loop"
+            )]
             for _ in 0..count {
                 self.access(handle, offset, elem_bytes, kind);
                 offset += stride_bytes;

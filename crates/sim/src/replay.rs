@@ -98,7 +98,7 @@ use crate::prefetch::PrefetcherSnapshot;
 use dismem_trace::{CACHE_LINE_SIZE, PAGE_SIZE};
 // The grouping index is entry-only (never iterated), so arbitrary order
 // cannot leak into the replayed event stream.
-#[allow(clippy::disallowed_types)]
+#[allow(clippy::disallowed_types, reason = "entry-only index, never iterated")]
 use std::collections::HashMap;
 
 /// Cache lines per page.
@@ -513,7 +513,7 @@ fn feedback_gate(delta: &Counters, s1: &StateSnapshot, live_feedback_useless: u6
 /// walk's order.
 fn group_events(events: &[(u64, DramEventKind)], base_line: u64) -> Vec<Group> {
     let mut groups: Vec<Group> = Vec::new();
-    #[allow(clippy::disallowed_types)]
+    #[allow(clippy::disallowed_types, reason = "entry-only index, never iterated")]
     let mut index: HashMap<(u64, DramEventKind), usize> = HashMap::new();
     for &(line, kind) in events {
         let page = line / LINES_PER_PAGE;

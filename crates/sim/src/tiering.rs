@@ -56,9 +56,10 @@ use crate::address_space::Tier;
 use crate::report::TieringReport;
 use serde::{Deserialize, Serialize};
 // Hotness tracking is on the per-epoch hot path and only ever leaves the
-// hash containers through sorted samples or order-insensitive folds
-// (enforced by dismem-lint's hash-iteration rule).
-#[allow(clippy::disallowed_types)]
+// hash containers through sorted samples or order-insensitive folds (clippy's
+// `iter_over_hash_type` and the hash-iteration entries of `disallowed-methods`
+// flag any other iteration).
+#[allow(clippy::disallowed_types, reason = "hot path; iteration is linted")]
 use std::collections::{HashMap, HashSet};
 
 /// Heat scores below this are pruned at epoch boundaries, keeping the tracker
@@ -117,11 +118,11 @@ pub struct HotSetDelta {
 pub struct HotnessTracker {
     decay: f64,
     epochs_completed: u64,
-    #[allow(clippy::disallowed_types)]
+    #[allow(clippy::disallowed_types, reason = "hot path; iteration is linted")]
     heat: HashMap<u64, PageHeat>,
     /// Anchor hot set of the open dwell (the hot set observed when the dwell
     /// started), kept to detect hot-set shifts. Empty while no dwell is open.
-    #[allow(clippy::disallowed_types)]
+    #[allow(clippy::disallowed_types, reason = "hot path; iteration is linted")]
     anchor_hot: HashSet<u64>,
 }
 
@@ -136,9 +137,9 @@ impl HotnessTracker {
         Self {
             decay,
             epochs_completed: 0,
-            #[allow(clippy::disallowed_types)]
+            #[allow(clippy::disallowed_types, reason = "hot path; iteration is linted")]
             heat: HashMap::new(),
-            #[allow(clippy::disallowed_types)]
+            #[allow(clippy::disallowed_types, reason = "hot path; iteration is linted")]
             anchor_hot: HashSet::new(),
         }
     }
@@ -159,8 +160,11 @@ impl HotnessTracker {
     /// per-line, batched and replay pipelines, so the returned delta is too.
     pub fn end_epoch(&mut self) -> HotSetDelta {
         let decay = self.decay;
-        // dismem-lint: allow(hash-iteration) — per-page decay touches every
-        // entry independently; no cross-entry state, so order cannot matter.
+        #[allow(
+            clippy::iter_over_hash_type,
+            clippy::disallowed_methods,
+            reason = "per-page decay touches every entry independently; no cross-entry state, so order cannot matter"
+        )]
         for h in self.heat.values_mut() {
             h.score = h.score * decay + h.cur_lines as f64;
             h.cur_lines = 0;
@@ -168,10 +172,16 @@ impl HotnessTracker {
         self.heat.retain(|_, h| h.score >= HEAT_FLOOR);
         self.epochs_completed += 1;
 
-        // dismem-lint: allow(hash-iteration) — max over f64 scores is
-        // commutative and associative (no NaNs: scores are sums of counts).
+        #[allow(
+            clippy::disallowed_methods,
+            reason = "max over f64 scores is commutative and associative (no NaNs: scores are sums of counts)"
+        )]
         let max = self.heat.values().map(|h| h.score).fold(0.0f64, f64::max);
-        #[allow(clippy::disallowed_types)]
+        #[allow(
+            clippy::disallowed_types,
+            clippy::disallowed_methods,
+            reason = "the hot pages are collected into a set, which has no order; only membership and size are read"
+        )]
         let hot: HashSet<u64> = if max > 0.0 {
             self.heat
                 .iter()
@@ -187,6 +197,7 @@ impl HotnessTracker {
             self.anchor_hot = hot;
             false
         } else {
+            #[allow(clippy::disallowed_methods, reason = "a count is order-insensitive")]
             let still_hot = self.anchor_hot.iter().filter(|p| hot.contains(p)).count();
             let shifted = (still_hot * 2) <= self.anchor_hot.len();
             if shifted {
@@ -529,7 +540,7 @@ pub(crate) struct TieringRuntime {
     /// Index of the current epoch (1-based; incremented when an epoch fires).
     pub(crate) epoch: u64,
     /// Page → epoch of its last applied migration (ping-pong damper).
-    #[allow(clippy::disallowed_types)]
+    #[allow(clippy::disallowed_types, reason = "probed per page, never iterated")]
     pub(crate) last_migrated: HashMap<u64, u64>,
     /// Counters accumulated so far; `policy`, `migrated_pages` and
     /// `migrated_bytes` are filled in when the machine finishes the run.
@@ -542,7 +553,7 @@ impl TieringRuntime {
             spec,
             epoch_acc: 0,
             epoch: 0,
-            #[allow(clippy::disallowed_types)]
+            #[allow(clippy::disallowed_types, reason = "probed per page, never iterated")]
             last_migrated: HashMap::new(),
             report: TieringReport::default(),
         }

@@ -70,12 +70,14 @@ pub trait MemoryEngine {
     /// Bulk contiguous access: identical to [`MemoryEngine::access`], but
     /// explicitly marks the range as one batch for backends with a bulk fast
     /// path.
+    #[allow(clippy::disallowed_methods, reason = "defined as the per-element loop")]
     fn access_range(&mut self, handle: ObjectHandle, offset: u64, bytes: u64, kind: AccessKind) {
         self.access(handle, offset, bytes, kind);
     }
 
     /// Bulk scattered access: identical to calling [`MemoryEngine::access`]
     /// once per offset, in order, with `elem_bytes` bytes each.
+    #[allow(clippy::disallowed_methods, reason = "defined as the per-element loop")]
     fn gather_batch(
         &mut self,
         handle: ObjectHandle,
@@ -91,6 +93,7 @@ pub trait MemoryEngine {
     /// Bulk strided sweep: identical to calling [`MemoryEngine::access`] for
     /// `count` elements of `elem_bytes` bytes, `stride_bytes` apart, starting
     /// at `start`.
+    #[allow(clippy::disallowed_methods, reason = "defined as the per-element loop")]
     fn strided_batch(
         &mut self,
         handle: ObjectHandle,
@@ -117,11 +120,13 @@ pub trait MemoryEngine {
     }
 
     /// Reads `bytes` bytes at `offset`.
+    #[allow(clippy::disallowed_methods, reason = "one scalar access, not a loop")]
     fn read(&mut self, handle: ObjectHandle, offset: u64, bytes: u64) {
         self.access(handle, offset, bytes, AccessKind::Read);
     }
 
     /// Writes `bytes` bytes at `offset`.
+    #[allow(clippy::disallowed_methods, reason = "one scalar access, not a loop")]
     fn write(&mut self, handle: ObjectHandle, offset: u64, bytes: u64) {
         self.access(handle, offset, bytes, AccessKind::Write);
     }
@@ -171,6 +176,7 @@ pub trait MemoryEngine {
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods, reason = "tests compare defaults to loops")]
 mod tests {
     use super::*;
     use crate::recorder::TraceRecorder;

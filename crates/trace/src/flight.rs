@@ -304,6 +304,7 @@ impl Recorder for FlightRecorder {
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods, reason = "tests feed the recorder")]
 mod tests {
     use super::*;
 

@@ -18,7 +18,6 @@
 //! Chrome-trace exporters.
 //! See `docs/ARCHITECTURE.md` §7 for the observability contract.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod access;

@@ -16,7 +16,6 @@
 //! same code runs on the full simulator (`dismem-sim`) or the lightweight
 //! trace recorder.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod apps;

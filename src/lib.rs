@@ -40,8 +40,6 @@
 //! );
 //! ```
 
-#![forbid(unsafe_code)]
-
 pub use dismem_analysis as analysis;
 pub use dismem_core as core;
 pub use dismem_lbench as lbench;

@@ -24,6 +24,29 @@ fn bulk_script() -> impl Strategy<Value = Vec<(u8, u64, u64, u64, bool)>> {
     )
 }
 
+/// Asserts the DRAM-line attribution identity: on each tier, the DRAM lines
+/// the run counted (demand and prefetch fills plus writebacks) equal the
+/// lines the recording point attributed to allocations. A counter write that
+/// bypasses the recording point breaks it even when every pipeline makes the
+/// same write. Migration lines are not application traffic and sit on
+/// neither side.
+fn assert_dram_lines_attributed(report: &dismem::sim::RunReport) {
+    let (local, pool) = report.allocations.iter().fold((0, 0), |(l, p), a| {
+        (l + a.dram_lines_local, p + a.dram_lines_pool)
+    });
+    let total = &report.total;
+    assert_eq!(
+        local,
+        total.dram_lines_local + total.writeback_lines_local,
+        "local lines not attributed"
+    );
+    assert_eq!(
+        pool,
+        total.dram_lines_pool + total.writeback_lines_pool,
+        "pool lines not attributed"
+    );
+}
+
 /// Replays one mixed script of bulk and scalar engine calls on a machine.
 ///
 /// `big_cache` switches from the tiny test hierarchy (32 L2 sets) to the
@@ -88,6 +111,7 @@ fn run_bulk_script(
                 }
             }
             4 => m.flops(len * 1000),
+            #[allow(clippy::disallowed_methods, reason = "the scripts mix in scalar calls")]
             _ => m.access(handle, offset, len.min(256), kind),
         }
         if i == script.len() / 2 {
@@ -96,7 +120,9 @@ fn run_bulk_script(
         }
     }
     m.phase_end();
-    m.finish()
+    let report = m.finish();
+    assert_dram_lines_attributed(&report);
+    report
 }
 
 /// How a machine executes accesses in the replay equivalence tests.
@@ -145,7 +171,9 @@ fn assert_replay_bit_identical(config: &MachineConfig, body: impl Fn(&mut Machin
         pipeline.configure(&mut m);
         body(&mut m);
         let engagement = Engagement::of(&m);
-        (m.finish(), engagement)
+        let report = m.finish();
+        assert_dram_lines_attributed(&report);
+        (report, engagement)
     };
     let (per_line, e0) = run(Pipeline::PerLine);
     let (batched, e1) = run(Pipeline::Batched);
@@ -319,6 +347,7 @@ fn replay_pass_count_change_between_runs_is_exact() {
                 m.read(a, 0, bytes);
             }
             // A scalar access hard-resets replay between runs.
+            #[allow(clippy::disallowed_methods, reason = "the scenario under test")]
             m.access(a, (run as u64) * 192, 64, AccessKind::Write);
         }
         m.phase_end();
@@ -375,7 +404,9 @@ fn run_tiered(
     }
     body(&mut m);
     let engagement = Engagement::of(&m);
-    (m.finish(), engagement)
+    let report = m.finish();
+    assert_dram_lines_attributed(&report);
+    (report, engagement)
 }
 
 /// A hot/cold working set under capacity pressure: the cold object fills the
@@ -674,6 +705,7 @@ fn replay_script_body<'a>(script: &'a [(u8, u64, u64, u64, bool)]) -> impl Fn(&m
                     }
                 }
                 4 => m.flops(len * 1000),
+                #[allow(clippy::disallowed_methods, reason = "the scripts mix in scalar calls")]
                 _ => m.access(handle, offset, (len % 256).max(1), kind),
             }
             if i == script.len() / 2 {
@@ -698,6 +730,7 @@ fn run_tiered_recorded(
     m.set_recorder(Box::new(FlightRecorder::new()));
     body(&mut m);
     let report = m.finish();
+    assert_dram_lines_attributed(&report);
     let recorder = m
         .take_recorder()
         .expect("recorder installed above survives the run")
@@ -825,6 +858,10 @@ proptest! {
             let offset = page * PAGE_SIZE;
             let len = len.min(64 * PAGE_SIZE - offset);
             let kind = if write { AccessKind::Write } else { AccessKind::Read };
+            #[allow(
+                clippy::disallowed_methods,
+                reason = "scripts drive the scalar path"
+            )]
             m.access(obj, offset, len, kind);
         }
         m.phase_end();
@@ -853,6 +890,10 @@ proptest! {
             let offset = page * PAGE_SIZE;
             let len = len.min(64 * PAGE_SIZE - offset);
             let kind = if write { AccessKind::Write } else { AccessKind::Read };
+            #[allow(
+                clippy::disallowed_methods,
+                reason = "scripts drive the scalar path"
+            )]
             m.access(obj, offset, len, kind);
         }
         m.phase_end();
@@ -1121,6 +1162,7 @@ fn two_phase_report(script: &[(u64, u64, bool)]) -> dismem::sim::RunReport {
             } else {
                 AccessKind::Read
             };
+            #[allow(clippy::disallowed_methods, reason = "scripts drive the scalar path")]
             m.access(obj, offset, len, kind);
         }
         if phase.is_some() {
