@@ -47,8 +47,8 @@ pub fn sneak_traffic(space: &mut AddressSpace, owner: ObjectHandle) {
     let _tier = space.dram_access(0x1000); //~ AddressSpace::dram_access`
 }
 
-/// `replay-reset`: a page rebind off the migration-apply path, with no
-/// replay hard reset after it.
+/// `audited-rebind`: a page rebind off the migration-apply path, where the
+/// move is neither charged as migration traffic nor counted.
 pub fn sneak_promotion(space: &mut AddressSpace) {
     let _ = space.rebind_page(7, Tier::Local); //~ AddressSpace::rebind_page`
 }

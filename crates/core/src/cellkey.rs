@@ -4,9 +4,9 @@
 //! capacity × link × seed. Crash-consistent resume and shard merging both need
 //! a key that (a) is stable across processes, (b) orders totally, and (c)
 //! round-trips through the JSON-lines journal byte-for-byte. [`CellKey`] is
-//! that key; [`fnv1a64`] is the digest primitive used to fingerprint the
-//! campaign spec so a journal written under one configuration is never
-//! silently replayed under another.
+//! that key; [`dismem_trace::fnv1a64`] is the digest primitive used to
+//! fingerprint the campaign spec so a journal written under one configuration
+//! is never silently replayed under another.
 
 use serde::{Deserialize, Serialize};
 
@@ -42,20 +42,6 @@ impl CellKey {
     }
 }
 
-/// 64-bit FNV-1a over a byte string.
-///
-/// Used to fingerprint campaign specs and machine configurations. Not
-/// cryptographic — it guards against configuration drift between a journal
-/// and the process resuming it, not against an adversary.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -85,14 +71,6 @@ mod tests {
         let mut c = key();
         c.workload = "XSBench".to_string();
         assert!(a < c);
-    }
-
-    #[test]
-    fn fnv1a64_matches_reference_vectors() {
-        // Published FNV-1a test vectors.
-        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_eq!(fnv1a64(b"foobar"), 0x85944171f73967e8);
     }
 
     #[test]

@@ -31,7 +31,10 @@ pub mod guidance;
 pub mod study;
 
 pub use case_bfs::{bfs_placement_study, bfs_variant_result, BfsCaseStudy, BfsVariantResult};
-pub use cellkey::{fnv1a64, CellKey};
+pub use cellkey::CellKey;
+// Defined in `dismem-trace`, where the simulator's configuration digest
+// uses it too.
+pub use dismem_trace::fnv1a64;
 pub use guidance::{
     derive_guidance, derive_migration_advice, DeploymentAdvice, Guidance, MigrationAdvice,
     PlacementPriority,

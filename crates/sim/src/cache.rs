@@ -8,9 +8,9 @@
 //!
 //! A hierarchy lives for one run. It is built from the machine
 //! configuration with the prefetcher on or off for the whole run (the
-//! paper's Level-1 profile is one run of each) and is never reset; the
-//! replay engine's switch ([`CacheSim::set_replay_enabled`]) is the only
-//! setting that changes mid-run.
+//! paper's Level-1 profile is one run of each), its replay switch is set
+//! before the first access, and it is never reset: no setting changes
+//! mid-run.
 
 use crate::config::CacheParams;
 use crate::counters::Counters;
@@ -18,11 +18,11 @@ use crate::prefetch::StreamPrefetcher;
 
 /// A request that reached DRAM and must be routed to a memory tier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DramEvent {
+pub(crate) struct DramEvent {
     /// Cache-line address (line index, not byte address).
-    pub line_addr: u64,
+    pub(crate) line_addr: u64,
     /// What kind of DRAM transaction this is.
-    pub kind: DramEventKind,
+    pub(crate) kind: DramEventKind,
 }
 
 /// Consumer of DRAM transactions produced by the batched cache walk.
@@ -31,7 +31,7 @@ pub struct DramEvent {
 /// and drains it; the batched pipeline hands each transaction to a sink the
 /// moment it is produced (same order, no queue), which lets the machine
 /// tally tiers and counters inline.
-pub trait DramSink {
+pub(crate) trait DramSink {
     /// Accepts one DRAM transaction.
     fn event(&mut self, line_addr: u64, kind: DramEventKind);
 
@@ -50,7 +50,7 @@ pub trait DramSink {
 
 /// Kind of DRAM transaction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum DramEventKind {
+pub(crate) enum DramEventKind {
     /// Line fill triggered by a demand miss: its latency is exposed to the
     /// core (up to the available memory-level parallelism).
     DemandFill,
@@ -319,16 +319,10 @@ impl CacheSim {
     }
 
     /// Enables or disables the steady-state page-replay engine (enabled by
-    /// default). Disabling mid-run first materializes any in-flight replay so
-    /// the cache state stays exact.
-    pub fn set_replay_enabled(&mut self, enabled: bool) {
-        self.replay_hard_reset();
+    /// default). Only [`crate::Machine::set_replay`] calls it, before the
+    /// first access.
+    pub(crate) fn set_replay_enabled(&mut self, enabled: bool) {
         self.replay.set_enabled(enabled);
-    }
-
-    /// Whether the steady-state page-replay engine is enabled.
-    pub fn replay_enabled(&self) -> bool {
-        self.replay.enabled
     }
 
     /// Total number of whole windows applied by the replay engine so far
@@ -347,18 +341,15 @@ impl CacheSim {
     ///
     /// Updates `counters` and appends any DRAM transactions (fills and
     /// writebacks, including those triggered by prefetches) to `dram_events`.
-    pub fn demand_access(
+    /// This is the per-line reference pipeline, which runs only when batching
+    /// is off for the whole run, so the replay engine is never live here.
+    pub(crate) fn demand_access(
         &mut self,
         line_addr: u64,
         is_write: bool,
         counters: &mut Counters,
         dram_events: &mut Vec<DramEvent>,
     ) {
-        // Traffic outside `demand_access_range` invalidates the replay
-        // detector's view of the cache state (single cheap branch when idle).
-        if self.replay.is_active() {
-            self.replay_hard_reset();
-        }
         if is_write {
             counters.demand_write_lines += 1;
         } else {
@@ -409,7 +400,7 @@ impl CacheSim {
     /// which skips the set scans entirely for whole pages whose behaviour it
     /// has proven periodic (see `crate::replay`). Replayed windows reach the
     /// sink through [`DramSink::bulk_event`].
-    pub fn demand_access_range<S: DramSink>(
+    pub(crate) fn demand_access_range<S: DramSink>(
         &mut self,
         first_line: u64,
         line_count: u64,

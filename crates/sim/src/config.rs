@@ -314,12 +314,7 @@ impl MachineConfig {
     pub fn config_digest(&self) -> u64 {
         let mut json = String::new();
         serde::Serialize::serialize_json(self, &mut json);
-        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-        for &b in json.as_bytes() {
-            hash ^= u64::from(b);
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        hash
+        dismem_trace::fnv1a64(json.as_bytes())
     }
 
     /// Ridge point of the machine's roofline (flops per byte of local DRAM

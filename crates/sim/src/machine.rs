@@ -287,37 +287,44 @@ impl Machine {
         &self.config
     }
 
-    /// Sets the background interference profile on the pool link.
+    /// Panics unless nothing has been simulated yet. A machine is configured
+    /// before its first access, as the paper fixes each run's configuration
+    /// before the run starts, so no setting changes mid-run.
+    fn assert_unstarted(&self, setter: &str) {
+        assert!(
+            self.chunk == Counters::default() && self.timeline.is_empty(),
+            "Machine::{setter} called after the run started; configure a machine before its first access"
+        );
+    }
+
+    /// Sets the background interference profile on the pool link. Panics
+    /// once the run has started.
     pub fn set_interference(&mut self, profile: InterferenceProfile) {
+        self.assert_unstarted("set_interference");
         self.interference = profile;
     }
 
-    /// Installs a dynamic tiering policy (see [`crate::tiering`]).
+    /// Installs a dynamic tiering policy (see [`crate::tiering`]). Panics once
+    /// the run has started.
     ///
-    /// Install before driving traffic: installation resets the hotness
-    /// tracker, the epoch accumulator and the ping-pong damper history
-    /// (migration statistics already accumulated are kept, so a report still
-    /// reflects the whole run, under the label of the policy installed
-    /// last). With [`TieringSpec::Static`] (the default) the machine never
-    /// fires an epoch and behaves bit-identically to the pre-tiering
-    /// simulator.
+    /// With [`TieringSpec::Static`] (the default) the machine never fires an
+    /// epoch and behaves bit-identically to the pre-tiering simulator.
     pub fn set_tiering_spec(&mut self, spec: &TieringSpec) {
+        self.assert_unstarted("set_tiering_spec");
         let tracker = spec
             .epoch_lines()
             .map(|_| HotnessTracker::new(spec.decay()));
         self.space.set_hotness(tracker);
-        self.tiering = TieringRuntime {
-            report: std::mem::take(&mut self.tiering.report),
-            ..TieringRuntime::new(*spec)
-        };
+        self.tiering = TieringRuntime::new(*spec);
     }
 
     /// Enables or disables the batched line-walk fast path (enabled by
     /// default). With batching off the machine processes every access with
     /// the per-line reference pipeline; results are bit-identical either way
     /// (guaranteed by the workspace property tests), only the wall-clock
-    /// speed differs.
+    /// speed differs. Panics once the run has started.
     pub fn set_batched_access(&mut self, enabled: bool) {
+        self.assert_unstarted("set_batched_access");
         self.batched = enabled;
     }
 
@@ -326,15 +333,10 @@ impl Machine {
     /// sequential streams whose per-page cache behaviour has been proven
     /// periodic are applied in closed form instead of walked line by line;
     /// reports stay bit-identical either way (guaranteed by the workspace
-    /// property tests). Disabling mid-run is safe: any in-flight replay is
-    /// materialized to the exact cache state first.
+    /// property tests). Panics once the run has started.
     pub fn set_replay(&mut self, enabled: bool) {
+        self.assert_unstarted("set_replay");
         self.cache.set_replay_enabled(enabled);
-    }
-
-    /// Whether the steady-state page-replay engine is enabled.
-    pub fn replay_enabled(&self) -> bool {
-        self.cache.replay_enabled()
     }
 
     /// Number of whole windows the replay engine has applied so far (each
@@ -372,10 +374,9 @@ impl Machine {
     /// clock and the tiering epoch ordinal — so a recorded run's event
     /// stream is as deterministic as its [`RunReport`]. Recording is
     /// strictly read-only: the report of a recorded run is bit-identical to
-    /// an unrecorded one. Capacity spills are reported from installation
-    /// onwards.
+    /// an unrecorded one. Panics once the run has started.
     pub fn set_recorder(&mut self, recorder: Box<dyn Recorder>) {
-        self.spilled_seen = self.space.spilled_pages();
+        self.assert_unstarted("set_recorder");
         self.cache.set_replay_trace(true);
         self.recorder = Some(recorder);
     }
@@ -422,10 +423,10 @@ impl Machine {
                     app_lines,
                     mode: ReplayMode::Window,
                 },
-                ReplayTransition::Exited(reason) => TraceEvent::ReplayExited {
+                ReplayTransition::Exited => TraceEvent::ReplayExited {
                     app_lines,
                     mode: ReplayMode::Window,
-                    reason: reason.to_string(),
+                    reason: "pattern-break".to_string(),
                 },
             });
         }
@@ -516,11 +517,8 @@ impl Machine {
             self.chunk_pool_link_lines = 0;
         }
         if self.chunk == Counters::default() {
-            // Nothing to time, but transitions recorded since the last close
-            // (e.g. a reset with no traffic after it) still need draining.
-            if self.recorder.is_some() {
-                self.emit_chunk_trace();
-            }
+            // Nothing to time, and nothing to trace: replay transitions and
+            // spills only happen inside walks, which count demand lines.
             return;
         }
         let loi = self.interference.loi_at(self.clock_s);
@@ -567,13 +565,12 @@ impl Machine {
     /// prices it at the placement it created).
     ///
     /// Runs only between cache walks (chunk closes never happen mid-walk).
-    /// Any applied migration hard-resets the replay engine: tier bindings are
-    /// part of the environment a replayed window re-emits traffic against, so
-    /// in-flight replay is materialized and all detection state (including an
-    /// armed snapshot) is dropped before the next walk can arm or replay.
+    /// The cache walk never reads a page's tier, so a move leaves the replay
+    /// engine alone: replayed windows resolve each page's tier in the sink at
+    /// the current binding, as the exact walk does.
     #[allow(
         clippy::disallowed_methods,
-        reason = "the audited migration-apply path: every applied rebind is paired with `CacheSim::replay_hard_reset` below, and the epoch's events are audited emission points"
+        reason = "the audited migration-apply path: every applied rebind is charged as migration traffic and counted, and the epoch's events are audited emission points"
     )]
     fn run_tiering_epoch(&mut self) {
         let Some(tracker) = self.space.hotness_mut() else {
@@ -685,11 +682,6 @@ impl Machine {
             self.chunk.migration_lines_local += lines;
             self.chunk.migration_lines_pool += lines;
             self.chunk_pool_link_lines += lines;
-            // Rebinding pages changes where replayed DRAM events land: every
-            // applied migration must drop all window-replay state, an armed
-            // snapshot included (the reset materializes first, so the cache
-            // state stays exact).
-            self.cache.replay_hard_reset();
         }
     }
 
@@ -1371,23 +1363,47 @@ mod tests {
     }
 
     #[test]
-    fn reinstalling_a_policy_keeps_the_counters_and_reports_the_last_label() {
-        let promoted = run_hot_cold(Some(hot_promote_policy()), 12);
-        assert!(promoted.tiering.promotions > 0, "{:?}", promoted.tiering);
-        // The same run with a second policy installed after the traffic: it
-        // fires no epoch of its own, so every counter is the first policy's,
-        // reported under the second policy's label.
-        let mut m = hot_cold_machine(Some(hot_promote_policy()), 12);
-        let rebalance = crate::tiering::PeriodicRebalance::new(4096, 2, 64);
-        m.set_tiering_spec(&TieringSpec::PeriodicRebalance(rebalance));
-        let switched = m.finish();
-        assert_eq!(
-            switched.tiering,
-            TieringReport {
-                policy: "periodic-rebalance".to_string(),
-                ..promoted.tiering
+    #[should_panic(expected = "Machine::set_tiering_spec called after the run started")]
+    fn installing_a_policy_after_the_first_access_panics() {
+        let mut m = hot_cold_machine(Some(hot_promote_policy()), 1);
+        m.set_tiering_spec(&TieringSpec::PeriodicRebalance(
+            crate::tiering::PeriodicRebalance::new(4096, 2, 64),
+        ));
+    }
+
+    #[test]
+    fn every_setter_panics_once_the_run_has_started() {
+        type Setter = fn(&mut Machine);
+        let setters: [(&str, Setter); 5] = [
+            ("set_interference", |m| {
+                m.set_interference(InterferenceProfile::Idle)
+            }),
+            ("set_tiering_spec", |m| {
+                m.set_tiering_spec(&TieringSpec::Static)
+            }),
+            ("set_batched_access", |m| m.set_batched_access(true)),
+            ("set_replay", |m| m.set_replay(true)),
+            ("set_recorder", |m| {
+                m.set_recorder(Box::new(dismem_trace::FlightRecorder::new()))
+            }),
+        ];
+        // Allocating simulates nothing; an access starts the run, whether
+        // its chunk is still open or already timed (a free closes it).
+        for (name, set) in setters {
+            let mut m = Machine::new(MachineConfig::test_config());
+            let a = m.alloc("A", "t", PAGE_SIZE);
+            set(&mut m);
+            m.touch(a, PAGE_SIZE);
+            for timed in [false, true] {
+                if timed {
+                    m.free(a);
+                }
+                let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| set(&mut m)))
+                    .expect_err(name);
+                let msg = err.downcast_ref::<String>().expect("formatted message");
+                assert!(msg.contains(&format!("Machine::{name} called")), "{msg}");
             }
-        );
+        }
     }
 
     #[test]
@@ -1515,13 +1531,10 @@ mod tests {
             .filter(|e| matches!(e, TraceEvent::ReplayEngaged { .. }))
             .count();
         assert!(engaged > 0, "warm stream must engage replay");
-        // Every exit carries a vocabulary reason.
+        // A broken streak is the engine's only exit.
         for event in recorder.events() {
             if let TraceEvent::ReplayExited { reason, .. } = event {
-                assert!(
-                    ["pattern-break", "hard-reset"].contains(&reason.as_str()),
-                    "unexpected exit reason {reason}"
-                );
+                assert_eq!(reason, "pattern-break");
             }
         }
         assert_eq!(recorder.metrics().counter("replay.engaged"), engaged as u64);

@@ -13,9 +13,9 @@
 //!
 //! The load-bearing contracts this engine must uphold — bit-identity with
 //! the per-line and batched pipelines, and the interaction rules with the
-//! dynamic-tiering subsystem (epochs only at chunk closes, applied migrations
-//! hard-reset *all* replay state) — are spelled out in `docs/ARCHITECTURE.md`
-//! at the repository root; `tests/properties.rs` enforces them.
+//! dynamic-tiering subsystem (epochs only at chunk closes, a cache walk that
+//! never reads a page's tier) — are spelled out in `docs/ARCHITECTURE.md` at
+//! the repository root; `tests/properties.rs` enforces them.
 //!
 //! # Windows, not single pages
 //!
@@ -84,13 +84,14 @@
 //! decisions in the same order* as the exact walk, because the cache walk is
 //! tier-blind and the bulk events preserve first-occurrence page order.
 //!
-//! On any exit — the run ends mid-window, the pattern breaks, foreign
-//! traffic arrives, a migration epoch applies moves, or the engine is
-//! reconfigured — the cache and prefetcher state is *materialized*: rebuilt
-//! from the engagement snapshot with all tags, pages and timestamps shifted
-//! by the number of replayed windows. The workspace property tests assert
-//! full `RunReport` bit-identity between replay-on, replay-off and the
-//! per-line reference pipeline.
+//! On either exit — a partial final window or a broken streak — the cache
+//! and prefetcher state is *materialized*: rebuilt from the engagement
+//! snapshot with all tags, pages and timestamps shifted by the number of
+//! replayed windows. Nothing resets the engine from outside: its switch is
+//! set before the first access, and a migration epoch moves pages without
+//! touching the walk, whose replayed windows resolve tiers in the sink. The
+//! workspace property tests assert full `RunReport` bit-identity between
+//! replay-on, replay-off and the per-line reference pipeline.
 
 use crate::cache::{CacheLine, CacheSim, DramEventKind, DramSink};
 use crate::counters::Counters;
@@ -202,9 +203,9 @@ enum Mode {
 pub(crate) enum ReplayTransition {
     /// Window replay engaged.
     Engaged,
-    /// Window replay exited, with the reason (`pattern-break` or
-    /// `hard-reset`).
-    Exited(&'static str),
+    /// Window replay exited: a partial final window or a broken streak, both
+    /// traced as `pattern-break`.
+    Exited,
 }
 
 /// Detector + memo state machine owned by [`CacheSim`].
@@ -293,22 +294,8 @@ impl ReplayEngine {
         self.enabled = enabled && self.geometry_ok;
     }
 
-    /// Whether any streak / detection / replay state is live.
-    pub(crate) fn is_active(&self) -> bool {
-        self.streak || self.in_replay()
-    }
-
     fn in_replay(&self) -> bool {
         matches!(self.mode, Mode::Replay(_))
-    }
-
-    /// Drops all state without materializing. Only valid right after
-    /// [`CacheSim::materialize_replay`].
-    pub(crate) fn discard(&mut self) {
-        debug_assert!(matches!(self.mode, Mode::Detect));
-        self.streak = false;
-        self.det_live = true;
-        self.clear_window_detection();
     }
 
     /// Clears window-accumulation and fingerprint state (guarded by the
@@ -535,15 +522,6 @@ fn group_events(events: &[(u64, DramEventKind)], base_line: u64) -> Vec<Group> {
 }
 
 impl CacheSim {
-    /// Leaves replay (materializing the exact state) and drops all detector
-    /// state. Called whenever traffic or reconfiguration outside the batched
-    /// walk invalidates the detector's view of the caches — including every
-    /// applied migration epoch.
-    pub(crate) fn replay_hard_reset(&mut self) {
-        self.materialize_replay("hard-reset");
-        self.replay.discard();
-    }
-
     /// Turns transition recording for the flight recorder on or off.
     /// Turning it off drops anything not yet drained.
     pub(crate) fn set_replay_trace(&mut self, on: bool) {
@@ -569,12 +547,11 @@ impl CacheSim {
     /// which must stay as cheap as the batched walk's.
     #[cold]
     #[inline(never)]
-    fn materialize_replay(&mut self, reason: &'static str) {
+    fn materialize_replay(&mut self) {
         let Mode::Replay(memo) = std::mem::take(&mut self.replay.mode) else {
             return;
         };
-        self.replay
-            .note_transition(ReplayTransition::Exited(reason));
+        self.replay.note_transition(ReplayTransition::Exited);
         let m = memo.windows_done;
         // The snapshot is the state one window *before* engagement; the live
         // caches already hold the state at engagement (snapshot + 1 window),
@@ -653,7 +630,7 @@ impl CacheSim {
     #[inline]
     fn restart_streak(&mut self, first_line: u64, is_write: bool) {
         if self.replay.in_replay() {
-            self.materialize_replay("pattern-break");
+            self.materialize_replay();
         }
         self.replay.begin_streak(first_line, is_write);
     }
@@ -699,7 +676,7 @@ impl CacheSim {
                 }
                 // Tail shorter than a window: resume the exact walk from the
                 // materialized state.
-                self.materialize_replay("pattern-break");
+                self.materialize_replay();
                 self.replay.resume_detection(line);
             }
 

@@ -37,20 +37,18 @@
 //!
 //! # Interaction with the replay engine
 //!
-//! Tier bindings are part of the environment the steady-state replay engine's
-//! fingerprints implicitly assume: a replayed window re-emits its DRAM
-//! transactions against the *current* bindings. Migration epochs therefore
-//! only ever fire between cache walks (at chunk closes), and any epoch that
-//! actually moves a page hard-resets the replay engine — in-flight replay is
-//! materialized to the exact cache state and all detection state (including
-//! an armed snapshot) is dropped before the next walk starts. With the
+//! The cache walk never reads a page's tier: first-touch binding, spills and
+//! migrations all happen on the DRAM side, where the machine's sink resolves
+//! each page's tier at its current binding, replayed windows included. So a
+//! migration epoch leaves the replay engine alone, and for one workload every
+//! local capacity and every policy produce the same walk, chunk by chunk.
+//! Epochs only ever fire between cache walks (at chunk closes). With the
 //! [`TieringSpec::Static`] policy no epoch ever fires and the machine is
 //! bit-identical to the pre-tiering simulator.
 //!
-//! Both contracts — the epoch/chunk-close rule and the migration/replay
-//! hard-reset — are part of the workspace-wide invariants documented in
-//! `docs/ARCHITECTURE.md` at the repository root and enforced by
-//! `tests/properties.rs`.
+//! Both contracts — the epoch/chunk-close rule and the tier-blind walk — are
+//! part of the workspace-wide invariants documented in `docs/ARCHITECTURE.md`
+//! at the repository root and enforced by `tests/properties.rs`.
 
 use crate::address_space::Tier;
 use crate::report::TieringReport;

@@ -92,7 +92,8 @@ pub enum TraceEvent {
         app_lines: u64,
         /// Closed form that exited.
         mode: ReplayMode,
-        /// Why it exited: `pattern-break` or `hard-reset`.
+        /// Why it exited: `pattern-break` (a partial final window or a broken
+        /// streak), the window engine's only reason.
         reason: String,
     },
     /// First-touch placement spilled pages to the pool because the local

@@ -1,8 +1,9 @@
 //! # dismem-trace
 //!
-//! Foundational vocabulary for the dismem workspace: memory-access events,
-//! allocation records, phase markers, the [`MemoryEngine`] trait that workloads
-//! are written against, and a simple in-memory [`TraceRecorder`].
+//! Foundational vocabulary for the dismem workspace: access kinds, allocation
+//! records, the [`MemoryEngine`] trait that workloads are written against
+//! (phase markers included), a simple in-memory [`TraceRecorder`], and the
+//! [`fnv1a64`] digest the workspace fingerprints configurations with.
 //!
 //! The layering mirrors the paper's tooling: applications are instrumented with
 //! allocation hooks and `pf_start`/`pf_stop` phase markers, and the profiler
@@ -22,16 +23,17 @@
 
 pub mod access;
 pub mod alloc;
+pub mod digest;
 pub mod engine;
 pub mod export;
 pub mod flight;
 pub mod histogram;
 pub mod metrics;
-pub mod phase;
 pub mod recorder;
 
-pub use access::{AccessKind, MemAccess, CACHE_LINE_SIZE, PAGE_SIZE};
+pub use access::{AccessKind, CACHE_LINE_SIZE, PAGE_SIZE};
 pub use alloc::{AllocationRecord, ObjectHandle, PlacementPolicy};
+pub use digest::fnv1a64;
 pub use engine::MemoryEngine;
 pub use export::{schema_json, to_chrome_trace, to_jsonl, validate_jsonl};
 pub use flight::{FlightRecorder, Recorder, ReplayMode, TraceEvent, TraceTier};
@@ -39,5 +41,4 @@ pub use histogram::PageHistogram;
 pub use metrics::{
     Histogram, HistogramBucket, HistogramSnapshot, MetricsRegistry, MetricsSnapshot,
 };
-pub use phase::{PhaseId, PhaseRecord};
 pub use recorder::{TraceRecorder, TraceStats};

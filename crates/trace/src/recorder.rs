@@ -6,7 +6,6 @@ use crate::access::{pages_for, AccessKind, PAGE_SIZE};
 use crate::alloc::{AllocationRecord, ObjectHandle, PlacementPolicy};
 use crate::engine::MemoryEngine;
 use crate::histogram::PageHistogram;
-use crate::phase::{PhaseId, PhaseRecord};
 use serde::{Deserialize, Serialize};
 
 /// Per-phase statistics captured by the recorder.
@@ -68,7 +67,6 @@ pub struct TraceRecorder {
     live_bytes: u64,
     peak_bytes: u64,
     phases: Vec<PhaseStats>,
-    phase_records: Vec<PhaseRecord>,
     current_phase: Option<usize>,
     /// Stats accumulated outside any phase.
     ambient: PhaseStats,
@@ -105,11 +103,6 @@ impl TraceRecorder {
     /// Allocation records in allocation order.
     pub fn allocations(&self) -> &[AllocationRecord] {
         &self.allocations
-    }
-
-    /// Phase records in start order.
-    pub fn phase_records(&self) -> &[PhaseRecord] {
-        &self.phase_records
     }
 
     /// Page access histogram over the whole run.
@@ -157,8 +150,6 @@ impl MemoryEngine for TraceRecorder {
             "phase_start while phase '{}' is still open",
             self.phases[self.current_phase.unwrap()].name
         );
-        let id = PhaseId(self.phases.len() as u32);
-        self.phase_records.push(PhaseRecord::new(id, name));
         self.phases.push(PhaseStats {
             name: name.to_string(),
             ..Default::default()

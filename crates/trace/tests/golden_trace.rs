@@ -55,7 +55,7 @@ fn golden_events() -> Vec<TraceEvent> {
         TraceEvent::ReplayExited {
             app_lines: 2560,
             mode: ReplayMode::Window,
-            reason: "hard-reset".into(),
+            reason: "pattern-break".into(),
         },
         TraceEvent::EpochClosed {
             epoch: 2,

@@ -22,6 +22,33 @@ fn version_is_plumbed_from_the_workspace_manifest() {
     );
 }
 
+/// The root package and every workspace member opt into
+/// `[workspace.lints]`: a manifest without `[lints] workspace = true`
+/// silently loses the unsafe ban and the deny-level clippy lints.
+#[test]
+fn every_manifest_opts_into_the_workspace_lints() {
+    let read = |dir: &str| {
+        let path = format!("{}/{dir}/Cargo.toml", env!("CARGO_MANIFEST_DIR"));
+        std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"))
+    };
+    // The lines after the one starting with `start`, up to one starting with
+    // `end`, without spaces, quotes and commas.
+    let block = |text: &str, start: &str, end: char| -> Vec<String> {
+        let mut lines = text.lines().map(str::trim);
+        lines.find(|l| l.starts_with(start));
+        let lines = lines.take_while(|l| !l.starts_with(end));
+        lines.map(|l| l.replace([' ', '"', ','], "")).collect()
+    };
+    let members = block(&read("."), "members = [", ']');
+    assert!(!members.is_empty(), "no members in the root manifest");
+    for dir in std::iter::once(".".to_string()).chain(members) {
+        assert!(
+            block(&read(&dir), "[lints]", '[').contains(&"workspace=true".to_string()),
+            "{dir}/Cargo.toml lacks `[lints] workspace = true`"
+        );
+    }
+}
+
 /// `dismem::trace` — constants and the trace recorder engine.
 // The trace constants are compile-time checkable.
 const _: () = assert!(CACHE_LINE_SIZE == 64 && PAGE_SIZE >= CACHE_LINE_SIZE);
