@@ -7,8 +7,8 @@
 //! run reports feed the case studies: each workload's 50%-local run gives
 //! the interference it causes (Fig 11, right) and its scheduling campaigns
 //! (Fig 13), and BFS's 50%- and 25%-local runs are Fig 12's baseline rows.
-//! Fig 12's two optimized variants at both pooled fractions are the only
-//! other simulations. Fig 1, Tables 1 and 2 and Fig 11's LBench panels
+//! Fig 12's two optimized variants are the only other simulations: each
+//! runs once, its one walk serving both pooled fractions. Fig 1, Tables 1 and 2 and Fig 11's LBench panels
 //! simulate nothing.
 //!
 //! Each figure and table keeps its own JSON file:
@@ -25,16 +25,16 @@ use dismem_analysis::{
 };
 use dismem_bench::{base_config, is_quick, paper, print_table, workload, write_json, Row};
 use dismem_core::{
-    bfs_variant_result, BfsCaseStudy, BfsVariantResult, QuantitativeStudy, StudyReport,
+    bfs_variant_result, bfs_variant_rows, BfsCaseStudy, BfsVariantResult, QuantitativeStudy,
+    StudyReport,
 };
 use dismem_lbench::{app_interference_coefficient, CalibrationPoint, LBenchModel};
 use dismem_profiler::level1::{level1_profile, Level1Report};
 use dismem_profiler::level3::{Level3Report, PAPER_LOI_LEVELS};
-use dismem_profiler::{pooled_config, run_workload, RunOptions};
 use dismem_sched::{campaign::compare_policies, CampaignConfig};
 use dismem_sim::{MachineConfig, RunReport};
 use dismem_trace::histogram::ScalingPoint;
-use dismem_workloads::{Bfs, BfsOptimization, BfsParams, InputScale, WorkloadKind};
+use dismem_workloads::{BfsOptimization, BfsParams, InputScale, WorkloadKind};
 use rayon::prelude::*;
 use serde::Serialize;
 
@@ -83,36 +83,37 @@ enum Item {
     Study(WorkloadKind),
     /// A workload's Level 1 at a larger input.
     Level1(WorkloadKind, InputScale),
-    /// An optimized BFS variant at one of [`FIG12_POOLED`].
-    Bfs(BfsOptimization, f64),
+    /// An optimized BFS variant at every one of [`FIG12_POOLED`].
+    Bfs(BfsOptimization),
 }
 
 /// What an [`Item`] yields: a study with its pooled run reports, Level 1
-/// at a larger input, or a BFS variant's Fig 12 row.
+/// at a larger input, or a BFS variant's Fig 12 rows, one per
+/// [`FIG12_POOLED`] fraction.
 enum Profile {
     Study(Box<StudyReport>, Vec<RunReport>),
     Level1(Level1Report),
-    Bfs(BfsVariantResult),
+    Bfs(Vec<BfsVariantResult>),
 }
 
-/// Every item of the full profile, costliest first, so that the pool's
-/// threads finish together: one-thread seconds on a 2-vCPU host were BFS x4
-/// 33.0, BFS study 15.7, BFS x2 14.8, Hypre x4 6.5, XSBench study 6.1, the
-/// four BFS variants 5.1, 4.8, 4.8 and 4.8, NekRS x4 4.6, HPL x4 4.3, Hypre
-/// study 4.3, NekRS study 3.8, Hypre x2 3.7, XSBench x4 3.6, XSBench x2
-/// 3.1, NekRS x2 2.3, HPL x2 1.9, HPL study 1.9, SuperLU x4 1.3, SuperLU
-/// study 1.1 and SuperLU x2 0.7. The quick profile runs the six studies and
-/// the four BFS variants, in this order.
-const CLAIM_ORDER: [Item; 22] = [
+/// Every item of the full profile, in the order that was costliest first
+/// when each placement took its own walk, so that the pool's threads
+/// finish together. One-thread seconds on a 2-vCPU host were BFS x4 33.0,
+/// BFS x2 14.8, Hypre x4 6.5, NekRS x4 4.6, HPL x4 4.3, Hypre x2 3.7,
+/// XSBench x4 3.6, XSBench x2 3.1, NekRS x2 2.3, HPL x2 1.9, SuperLU x4 1.3
+/// and SuperLU x2 0.7 for Level 1 at the larger inputs. Walking once per
+/// walk, the studies took BFS 4.8, XSBench 1.8, Hypre 1.6, NekRS 1.1,
+/// HPL 0.4 and SuperLU 0.2, and the two BFS variants 3.8 and 3.4, each
+/// generating its own graph (a later run of the same host). The quick
+/// profile runs the six studies and the two BFS variants, in this order.
+const CLAIM_ORDER: [Item; 20] = [
     Item::Level1(WorkloadKind::Bfs, InputScale::X4),
     Item::Study(WorkloadKind::Bfs),
     Item::Level1(WorkloadKind::Bfs, InputScale::X2),
     Item::Level1(WorkloadKind::Hypre, InputScale::X4),
     Item::Study(WorkloadKind::XsBench),
-    Item::Bfs(BfsOptimization::ReorderAndFreeTemp, 0.50),
-    Item::Bfs(BfsOptimization::ReorderAllocations, 0.75),
-    Item::Bfs(BfsOptimization::ReorderAndFreeTemp, 0.75),
-    Item::Bfs(BfsOptimization::ReorderAllocations, 0.50),
+    Item::Bfs(BfsOptimization::ReorderAndFreeTemp),
+    Item::Bfs(BfsOptimization::ReorderAllocations),
     Item::Level1(WorkloadKind::NekRs, InputScale::X4),
     Item::Level1(WorkloadKind::Hpl, InputScale::X4),
     Item::Study(WorkloadKind::Hypre),
@@ -160,14 +161,21 @@ fn main() {
                 eprintln!("  [paper] profiled {} {}", kind.name(), scale.label());
                 Profile::Level1(level1)
             }
-            Item::Bfs(optimization, pooled) => {
-                let row = bfs_variant(&config, optimization, pooled);
-                eprintln!(
-                    "  [paper] ran BFS {} at {:.0}% pooled",
-                    optimization.label(),
-                    pooled * 100.0
+            Item::Bfs(optimization) => {
+                let params = if is_quick() {
+                    BfsParams::tiny()
+                } else {
+                    BfsParams::bench(InputScale::X1)
+                };
+                let rows = bfs_variant_rows(
+                    params,
+                    &config,
+                    optimization,
+                    &FIG12_POOLED,
+                    &PAPER_LOI_LEVELS,
                 );
-                Profile::Bfs(row)
+                eprintln!("  [paper] ran BFS {}", optimization.label());
+                Profile::Bfs(rows)
             }
         })
         .collect();
@@ -210,24 +218,27 @@ fn main() {
         .iter()
         .find(|s| s.kind == WorkloadKind::Bfs)
         .expect("every workload is studied");
-    let bfs_variants: Vec<BfsVariantResult> = FIG12_POOLED
-        .iter()
-        .flat_map(|&pooled| {
-            BfsOptimization::all().map(|optimization| match optimization {
-                BfsOptimization::Baseline => bfs_variant_result(
+    let by_variant = BfsOptimization::all().map(|optimization| match optimization {
+        BfsOptimization::Baseline => FIG12_POOLED
+            .iter()
+            .map(|&pooled| {
+                bfs_variant_result(
                     optimization,
                     pooled,
                     bfs.pooled_run(1.0 - pooled),
                     &PAPER_LOI_LEVELS,
-                ),
-                _ => {
-                    let Profile::Bfs(row) = take(Item::Bfs(optimization, pooled)) else {
-                        unreachable!("a BFS variant item yields its row")
-                    };
-                    row
-                }
+                )
             })
-        })
+            .collect(),
+        _ => {
+            let Profile::Bfs(rows) = take(Item::Bfs(optimization)) else {
+                unreachable!("a BFS variant item yields its rows")
+            };
+            rows
+        }
+    });
+    let bfs_variants: Vec<BfsVariantResult> = (0..FIG12_POOLED.len())
+        .flat_map(|i| by_variant.iter().map(move |rows| rows[i].clone()))
         .collect();
 
     fig01_memory_evolution();
@@ -244,24 +255,6 @@ fn main() {
         variants: bfs_variants,
     });
     fig13_interference_scheduling(&studied);
-}
-
-/// Fig 12's run of an optimized BFS variant with `pooled` of its footprint
-/// on the pool, on the input the study profiles BFS at, read into its row.
-fn bfs_variant(
-    config: &MachineConfig,
-    optimization: BfsOptimization,
-    pooled: f64,
-) -> BfsVariantResult {
-    let params = if is_quick() {
-        BfsParams::tiny()
-    } else {
-        BfsParams::bench(InputScale::X1)
-    };
-    let workload = Bfs::new(params.with_optimization(optimization));
-    let config = pooled_config(config, &workload, 1.0 - pooled);
-    let report = run_workload(&workload, &RunOptions::new(config));
-    bfs_variant_result(optimization, pooled, &report, &PAPER_LOI_LEVELS)
 }
 
 /// Figure 1: evolution of memory characteristics of leadership

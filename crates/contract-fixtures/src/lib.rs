@@ -40,11 +40,10 @@ pub fn measure() -> u128 {
     t0.elapsed().as_nanos()
 }
 
-/// `single-recording-point`: DRAM traffic recorded outside `Machine`'s two
-/// feeds.
-pub fn sneak_traffic(space: &mut AddressSpace, owner: ObjectHandle) {
-    space.record_dram_traffic(owner, Tier::Local, 7, 4); //~ AddressSpace::record_dram_traffic`
-    let _tier = space.dram_access(0x1000); //~ AddressSpace::dram_access`
+/// `single-recording-point`: DRAM traffic recorded outside `Machine`'s
+/// placement sink.
+pub fn sneak_traffic(space: &mut AddressSpace) {
+    let _tier = space.record_dram(7, 4); //~ AddressSpace::record_dram`
 }
 
 /// `audited-rebind`: a page rebind off the migration-apply path, where the

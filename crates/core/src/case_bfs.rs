@@ -15,7 +15,7 @@
 //! the three panels of Figure 12.
 
 use dismem_profiler::level3::{level3_from_report, SensitivityPoint};
-use dismem_profiler::{pooled_config, run_workload, RunOptions};
+use dismem_profiler::{pooled_config, run_workload_lockstep, RunOptions};
 use dismem_sim::{MachineConfig, RunReport};
 use dismem_workloads::{Bfs, BfsOptimization, BfsParams, WorkloadKind};
 use serde::{Deserialize, Serialize};
@@ -84,28 +84,59 @@ impl BfsCaseStudy {
 ///
 /// `pooled_fractions` are the pool shares of the footprint (the paper uses
 /// 0.5 and 0.75); `loi_percent_levels` is the interference sweep for the
-/// sensitivity panel. Runs every [`BfsOptimization`] at each fraction, one
-/// simulation each, and reads each run with [`bfs_variant_result`].
+/// sensitivity panel. Runs every [`BfsOptimization`] once, its one walk
+/// serving every fraction ([`bfs_variant_rows`]), and lists the rows by
+/// fraction, then variant.
 pub fn bfs_placement_study(
     params: BfsParams,
     base_config: &MachineConfig,
     pooled_fractions: &[f64],
     loi_percent_levels: &[f64],
 ) -> BfsCaseStudy {
-    let mut variants = Vec::new();
-    for &pooled in pooled_fractions {
-        assert!(
-            (0.0..1.0).contains(&pooled),
-            "pooled fraction must be in [0,1)"
-        );
-        for opt in BfsOptimization::all() {
-            let workload = Bfs::new(params.with_optimization(opt));
-            let config = pooled_config(base_config, &workload, 1.0 - pooled);
-            let report = run_workload(&workload, &RunOptions::new(config));
-            variants.push(bfs_variant_result(opt, pooled, &report, loi_percent_levels));
-        }
-    }
+    let by_variant = BfsOptimization::all().map(|opt| {
+        bfs_variant_rows(
+            params,
+            base_config,
+            opt,
+            pooled_fractions,
+            loi_percent_levels,
+        )
+    });
+    let variants = (0..pooled_fractions.len())
+        .flat_map(|i| by_variant.iter().map(move |rows| rows[i].clone()))
+        .collect();
     BfsCaseStudy { variants }
+}
+
+/// The rows of one variant, one per pooled fraction in the order of
+/// `pooled_fractions`: the variant runs once, and its one walk serves every
+/// fraction in lockstep. Each row is read with [`bfs_variant_result`] from
+/// a report equal to the fraction's direct run.
+pub fn bfs_variant_rows(
+    params: BfsParams,
+    base_config: &MachineConfig,
+    optimization: BfsOptimization,
+    pooled_fractions: &[f64],
+    loi_percent_levels: &[f64],
+) -> Vec<BfsVariantResult> {
+    let workload = Bfs::new(params.with_optimization(optimization));
+    let options: Vec<RunOptions> = pooled_fractions
+        .iter()
+        .map(|&pooled| {
+            assert!(
+                (0.0..1.0).contains(&pooled),
+                "pooled fraction must be in [0,1)"
+            );
+            RunOptions::new(pooled_config(base_config, &workload, 1.0 - pooled))
+        })
+        .collect();
+    run_workload_lockstep(&workload, &options)
+        .iter()
+        .zip(pooled_fractions)
+        .map(|(report, &pooled)| {
+            bfs_variant_result(optimization, pooled, report, loi_percent_levels)
+        })
+        .collect()
 }
 
 /// One row of the case study, read from `report`: a run of the
@@ -144,6 +175,7 @@ pub fn bfs_variant_result(
 mod tests {
     use super::*;
     use crate::QuantitativeStudy;
+    use dismem_profiler::run_workload;
 
     fn tiny_study() -> BfsCaseStudy {
         bfs_placement_study(

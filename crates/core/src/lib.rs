@@ -30,7 +30,9 @@ pub mod cellkey;
 pub mod guidance;
 pub mod study;
 
-pub use case_bfs::{bfs_placement_study, bfs_variant_result, BfsCaseStudy, BfsVariantResult};
+pub use case_bfs::{
+    bfs_placement_study, bfs_variant_result, bfs_variant_rows, BfsCaseStudy, BfsVariantResult,
+};
 pub use cellkey::CellKey;
 // Defined in `dismem-trace`, where the simulator's configuration digest
 // uses it too.

@@ -2,10 +2,10 @@
 
 use crate::guidance::{derive_guidance, Guidance};
 use dismem_lbench::{app_interference_coefficient, LBenchModel};
-use dismem_profiler::level1::{level1_profile, Level1Report};
+use dismem_profiler::level1::{level1_config, level1_from_reports, level1_profile, Level1Report};
 use dismem_profiler::level2::{level2_from_report, Level2Report};
 use dismem_profiler::level3::{level3_from_report, Level3Report, PAPER_LOI_LEVELS};
-use dismem_profiler::{pooled_config, run_workload, RunOptions};
+use dismem_profiler::{pooled_config, run_workload_lockstep, RunOptions};
 use dismem_sim::{MachineConfig, RunReport};
 use dismem_workloads::Workload;
 use serde::{Deserialize, Serialize};
@@ -60,22 +60,32 @@ impl QuantitativeStudy {
     }
 
     /// The workload on a machine whose local tier holds `local_fraction` of
-    /// its footprint: one simulation, whose report
-    /// [`level2_from_report`], [`level3_from_report`] and
-    /// [`app_interference_coefficient`] all read.
+    /// its footprint: the options whose report [`level2_from_report`],
+    /// [`level3_from_report`] and [`app_interference_coefficient`] all read.
+    fn pooled_options(&self, local_fraction: f64) -> RunOptions {
+        RunOptions::new(pooled_config(
+            &self.base_config,
+            self.workload.as_ref(),
+            local_fraction,
+        ))
+    }
+
+    /// The pooled run at `local_fraction`, simulated on its own.
+    #[cfg(test)]
     fn pooled_run(&self, local_fraction: f64) -> RunReport {
-        let config = pooled_config(&self.base_config, self.workload.as_ref(), local_fraction);
-        run_workload(self.workload.as_ref(), &RunOptions::new(config))
+        dismem_profiler::run_workload(self.workload.as_ref(), &self.pooled_options(local_fraction))
     }
 
     /// Runs the full three-level study across a set of local-capacity
     /// fractions (the paper uses 0.75, 0.50 and 0.25).
     ///
-    /// Runs `2 + n` simulations for `n` fractions: Level 1's two, then one
-    /// pooled run per fraction, from which Level 2, Level 3 at
-    /// [`PAPER_LOI_LEVELS`] and the interference coefficient are all
-    /// derived. Each pooled report is dropped before the next fraction
-    /// runs.
+    /// Needs Level 1's two runs, prefetcher on and off, and one pooled run
+    /// per fraction, from which Level 2, Level 3 at [`PAPER_LOI_LEVELS`] and
+    /// the interference coefficient are all derived. The cache walk does
+    /// not depend on placement, so runs that share a walk share one
+    /// simulation: with the prefetcher on in `base_config`, one walk serves
+    /// Level 1's prefetch-on run and every pooled run, and a second serves
+    /// the prefetch-off run. Each report equals that of a direct run.
     pub fn full_study(&self, local_fractions: &[f64]) -> StudyReport {
         self.study(local_fractions, drop)
     }
@@ -83,8 +93,7 @@ impl QuantitativeStudy {
     /// [`full_study`](Self::full_study), also handing back the pooled run
     /// report of each fraction, in the order of `local_fractions`, for
     /// analyses the study does not make (scheduling campaigns, per-phase
-    /// interference coefficients). Makes the same `2 + n` simulations and
-    /// the same report; it holds the `n` pooled reports until it returns.
+    /// interference coefficients). Makes the same walks and the same report.
     pub fn full_study_with_runs(&self, local_fractions: &[f64]) -> (StudyReport, Vec<RunReport>) {
         let mut runs = Vec::with_capacity(local_fractions.len());
         let report = self.study(local_fractions, |run| runs.push(run));
@@ -96,13 +105,21 @@ impl QuantitativeStudy {
     fn study(&self, local_fractions: &[f64], mut keep: impl FnMut(RunReport)) -> StudyReport {
         assert!(!local_fractions.is_empty());
         let name = self.workload.name();
-        let level1 = self.level1();
+        let mut options = vec![
+            RunOptions::new(level1_config(&self.base_config, true)),
+            RunOptions::new(level1_config(&self.base_config, false)),
+        ];
+        options.extend(local_fractions.iter().map(|&f| self.pooled_options(f)));
+        let mut reports = run_each_walk_once(self.workload.as_ref(), &options).into_iter();
+        let (Some(with_pf), Some(without_pf)) = (reports.next(), reports.next()) else {
+            unreachable!("one report per option")
+        };
+        let level1 = level1_from_reports(self.workload.as_ref(), &with_pf, &without_pf);
         let model = LBenchModel::from_config(&self.base_config);
         let mut level2 = Vec::with_capacity(local_fractions.len());
         let mut level3 = Vec::with_capacity(local_fractions.len());
         let mut interference_coefficient = Vec::with_capacity(local_fractions.len());
-        for &f in local_fractions {
-            let report = self.pooled_run(f);
+        for (&f, report) in local_fractions.iter().zip(reports) {
             level2.push(level2_from_report(name, f, &report));
             level3.push(level3_from_report(name, f, &report, &PAPER_LOI_LEVELS));
             let (whole_run, _) = app_interference_coefficient(&report, &model, name);
@@ -125,6 +142,32 @@ impl QuantitativeStudy {
             guidance,
         }
     }
+}
+
+/// Runs `workload` under every entry of `options`, walking each distinct
+/// cache walk once: entries that share a walk (see
+/// [`MachineConfig::shares_walk_with`]) run in lockstep. Returns the reports
+/// in the order of `options`.
+fn run_each_walk_once(workload: &dyn Workload, options: &[RunOptions]) -> Vec<RunReport> {
+    let mut reports: Vec<Option<RunReport>> = options.iter().map(|_| None).collect();
+    let mut pending: Vec<usize> = (0..options.len()).collect();
+    while let Some(&first) = pending.first() {
+        let (walk, rest): (Vec<usize>, Vec<usize>) = pending
+            .iter()
+            .partition(|&&i| options[first].config.shares_walk_with(&options[i].config));
+        let walk_options: Vec<RunOptions> = walk.iter().map(|&i| options[i].clone()).collect();
+        for (&i, report) in walk
+            .iter()
+            .zip(run_workload_lockstep(workload, &walk_options))
+        {
+            reports[i] = Some(report);
+        }
+        pending = rest;
+    }
+    reports
+        .into_iter()
+        .map(|report| report.expect("every option ran"))
+        .collect()
 }
 
 #[cfg(test)]
@@ -172,11 +215,11 @@ mod tests {
         }
     }
 
-    /// `full_study` simulates each distinct configuration once, and its
-    /// report is byte-identical to one assembled from a separate pooled run
-    /// for each level at each fraction. `full_study_with_runs` makes the
-    /// same simulations and the same report, and hands back reports equal
-    /// to fresh pooled runs.
+    /// `full_study` walks the workload twice, prefetcher on and off, and its
+    /// report is byte-identical to one assembled from Level 1's two runs
+    /// and a separate pooled run for each level at each fraction.
+    /// `full_study_with_runs` makes the same walks and the same report, and
+    /// hands back reports equal to fresh pooled runs.
     fn assert_one_run_per_configuration(kind: WorkloadKind) {
         let fractions = [0.75, 0.5, 0.25];
         let runs = Arc::new(AtomicUsize::new(0));
@@ -186,11 +229,11 @@ mod tests {
         });
         let s = QuantitativeStudy::new(workload, MachineConfig::test_config());
         let report = s.full_study(&fractions);
-        assert_eq!(runs.load(Ordering::Relaxed), 2 + fractions.len());
+        assert_eq!(runs.load(Ordering::Relaxed), 2);
 
         runs.store(0, Ordering::Relaxed);
         let (with_runs, pooled) = s.full_study_with_runs(&fractions);
-        assert_eq!(runs.load(Ordering::Relaxed), 2 + fractions.len());
+        assert_eq!(runs.load(Ordering::Relaxed), 2);
         assert_eq!(
             serde_json::to_string(&with_runs).unwrap(),
             serde_json::to_string(&report).unwrap()

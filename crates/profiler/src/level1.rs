@@ -106,20 +106,37 @@ fn timeline_buckets(report: &RunReport, buckets: usize, bucket_s: f64) -> Vec<u6
     out
 }
 
-/// Runs the Level-1 profiling protocol: one run with prefetching enabled and
-/// one with it disabled, both with an unbounded local tier (matching the
-/// paper's Level-1 setup, which uses only node-local memory).
-pub fn level1_profile(workload: &dyn Workload, base_config: &MachineConfig) -> Level1Report {
-    let mut config = base_config.clone();
+/// The configuration of a Level-1 run: `base` with unbounded tiers (the
+/// paper's Level-1 setup uses only node-local memory) and the prefetcher
+/// on or off.
+pub fn level1_config(base: &MachineConfig, prefetch: bool) -> MachineConfig {
+    let mut config = base.clone().with_prefetch(prefetch);
     config.local.capacity_bytes = None;
     config.pool.capacity_bytes = None;
+    config
+}
 
-    let with_pf = run_workload(
-        workload,
-        &RunOptions::new(config.clone().with_prefetch(true)),
-    );
-    let without_pf = run_workload(workload, &RunOptions::new(config.with_prefetch(false)));
+/// Runs the Level-1 profiling protocol: one run with prefetching enabled and
+/// one with it disabled, both on [`level1_config`], read by
+/// [`level1_from_reports`].
+pub fn level1_profile(workload: &dyn Workload, base_config: &MachineConfig) -> Level1Report {
+    let run = |prefetch| {
+        run_workload(
+            workload,
+            &RunOptions::new(level1_config(base_config, prefetch)),
+        )
+    };
+    level1_from_reports(workload, &run(true), &run(false))
+}
 
+/// The Level-1 report of `workload`, read from its two Level-1 runs: with
+/// the prefetcher on (`with_pf`) and off (`without_pf`), both on
+/// [`level1_config`]. Simulates nothing.
+pub fn level1_from_reports(
+    workload: &dyn Workload,
+    with_pf: &RunReport,
+    without_pf: &RunReport,
+) -> Level1Report {
     let line = with_pf.config.cache.line_bytes;
     let phases = with_pf
         .phases
@@ -163,8 +180,8 @@ pub fn level1_profile(workload: &dyn Workload, base_config: &MachineConfig) -> L
     let bucket_s = longest / TIMELINE_BUCKETS as f64;
     let timeline = TimelineSeries {
         bucket_s,
-        with_prefetch: timeline_buckets(&with_pf, TIMELINE_BUCKETS, bucket_s),
-        without_prefetch: timeline_buckets(&without_pf, TIMELINE_BUCKETS, bucket_s),
+        with_prefetch: timeline_buckets(with_pf, TIMELINE_BUCKETS, bucket_s),
+        without_prefetch: timeline_buckets(without_pf, TIMELINE_BUCKETS, bucket_s),
     };
 
     Level1Report {

@@ -24,4 +24,6 @@ pub mod runner;
 pub use level1::{Level1Report, PhasePoint, PrefetchMetrics, TimelineSeries};
 pub use level2::{Level2Report, PhaseTierAccess};
 pub use level3::{Level3Report, SensitivityPoint};
-pub use runner::{pooled_config, run_workload, run_workload_recorded, RunOptions};
+pub use runner::{
+    pooled_config, run_workload, run_workload_lockstep, run_workload_recorded, RunOptions,
+};

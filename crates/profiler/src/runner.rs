@@ -32,19 +32,37 @@ impl RunOptions {
     }
 }
 
-/// A fresh machine set up as `options` describe.
-fn machine_for(options: &RunOptions) -> Machine {
-    let mut machine = Machine::new(options.config.clone());
-    machine.set_tiering_spec(&options.tiering);
-    machine
+/// A fresh machine with one placement per entry of `options`, all served
+/// by one cache walk.
+fn machine_for(options: &[RunOptions]) -> Machine {
+    Machine::lockstep(
+        options
+            .iter()
+            .map(|options| (options.config.clone(), options.tiering)),
+    )
 }
 
 /// Runs a workload on a freshly created machine and returns the report.
 /// The machine uses `options.config` as given, prefetcher setting included.
+/// The one-element call of [`run_workload_lockstep`].
 pub fn run_workload(workload: &dyn Workload, options: &RunOptions) -> RunReport {
+    run_workload_lockstep(workload, std::slice::from_ref(options))
+        .pop()
+        .expect("one report per option")
+}
+
+/// Runs a workload once for every entry of `options`: one cache walk serves
+/// them all in lockstep, so the workload runs once. Returns one report per
+/// entry, in order, each equal to [`run_workload`]'s for that entry.
+///
+/// Panics unless every entry shares a walk: equal `cache`, `prefetch`,
+/// `chunk_bytes` and `chunk_flops` (see
+/// [`MachineConfig::shares_walk_with`]). Panics with a simulated OOM if any
+/// entry's direct run would.
+pub fn run_workload_lockstep(workload: &dyn Workload, options: &[RunOptions]) -> Vec<RunReport> {
     let mut machine = machine_for(options);
     workload.run(&mut machine);
-    machine.finish()
+    machine.finish_lockstep()
 }
 
 /// [`run_workload`] with a flight recorder attached: the machine emits trace
@@ -56,7 +74,7 @@ pub fn run_workload_recorded(
     options: &RunOptions,
     recorder: Box<dyn Recorder>,
 ) -> (RunReport, Box<dyn Recorder>) {
-    let mut machine = machine_for(options);
+    let mut machine = machine_for(std::slice::from_ref(options));
     machine.set_recorder(recorder);
     workload.run(&mut machine);
     let report = machine.finish();
@@ -151,5 +169,34 @@ mod tests {
         let idle = run_workload(w.as_ref(), &RunOptions::new(cfg));
         let busy = idle.retime(&InterferenceProfile::Constant(0.5));
         assert!(busy.total_runtime_s > idle.total_runtime_s);
+    }
+
+    /// One walk serves every local capacity: the lockstep reports equal the
+    /// direct runs.
+    #[test]
+    fn lockstep_reports_equal_direct_runs() {
+        let w = WorkloadKind::Hypre.instantiate_tiny();
+        let options: Vec<RunOptions> = [1.0, 0.5, 0.25]
+            .iter()
+            .map(|&f| RunOptions::new(pooled_config(&test_base(), w.as_ref(), f)))
+            .collect();
+        let lockstep = run_workload_lockstep(w.as_ref(), &options);
+        assert_eq!(lockstep.len(), options.len());
+        for (report, options) in lockstep.iter().zip(&options) {
+            assert!(*report == run_workload(w.as_ref(), options));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "lockstep placements must share a walk")]
+    fn lockstep_rejects_options_that_do_not_share_a_walk() {
+        let w = WorkloadKind::Hpl.instantiate_tiny();
+        let _ = run_workload_lockstep(
+            w.as_ref(),
+            &[
+                RunOptions::new(test_base()),
+                RunOptions::new(test_base().with_prefetch(false)),
+            ],
+        );
     }
 }

@@ -8,14 +8,10 @@
 //! which is what makes allocation order and early frees effective placement
 //! optimizations (the BFS case study).
 
-use crate::tiering::HotnessTracker;
+use crate::tiering::{HotSetDelta, HotnessTracker};
 use dismem_trace::access::pages_for;
 use dismem_trace::{AllocationRecord, ObjectHandle, PageHistogram, PlacementPolicy};
 use serde::{Deserialize, Serialize};
-// The page-tier map is consulted on every simulated line access; ordered
-// consumers go through sorted snapshots (see `bound_pages`).
-#[allow(clippy::disallowed_types, reason = "hot path; iteration is linted")]
-use std::collections::HashMap;
 
 /// Memory tier a page can be bound to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -119,10 +115,27 @@ impl std::error::Error for RebindError {}
 struct Extent {
     first_page: u64,
     page_count: u64,
-    handle: ObjectHandle,
+}
+
+/// One page of the page table.
+#[derive(Debug, Clone, Copy)]
+struct PageEntry {
+    /// The allocation the page belongs to; `None` for page 0, which no
+    /// allocation covers.
+    owner: Option<ObjectHandle>,
+    /// The tier the page is bound to; `None` before its first touch and
+    /// after its object is freed.
+    tier: Option<Tier>,
+    /// DRAM lines recorded against the page over the run.
+    lines: u64,
 }
 
 /// The tiered, page-granular address space.
+///
+/// Pages are handed out densely from 1 and never reused, so the page table
+/// is a `Vec` indexed by page number: every DRAM transaction resolves its
+/// page's tier and owner with one indexed load. A page beyond the table, or
+/// page 0, is unmapped.
 #[derive(Debug, Clone)]
 pub struct AddressSpace {
     local_capacity_pages: Option<u64>,
@@ -132,13 +145,9 @@ pub struct AddressSpace {
     placements: Vec<ObjectPlacement>,
     /// Pages assigned so far per object (drives interleave patterns).
     assigned_pages: Vec<u64>,
-    next_page: u64,
-    #[allow(clippy::disallowed_types, reason = "hot path; iteration is linted")]
-    page_tier: HashMap<u64, (Tier, ObjectHandle)>,
-    /// One-entry memo of the last [`AddressSpace::resolve_dram`] result
-    /// (page, tier, owner): lines of the same page skip the hash lookup.
-    /// Invalidated on free (the only operation that unbinds pages).
-    last_resolved: Option<(u64, Tier, ObjectHandle)>,
+    /// The page table, indexed by page number; its length is the next free
+    /// page.
+    pages: Vec<PageEntry>,
     local_pages_used: u64,
     pool_pages_used: u64,
     /// Monotone count of local-preferring pages that fell through to the
@@ -146,11 +155,13 @@ pub struct AddressSpace {
     spilled_pages: u64,
     live_bytes: u64,
     peak_bytes: u64,
-    histogram: PageHistogram,
     /// Per-page hotness tracking for the dynamic tiering subsystem; `None`
-    /// (the default, and always under the `Static` policy) makes the traffic
-    /// recording paths exactly as cheap as before tiering existed.
+    /// (the default, and always under the `Static` policy) tracks nothing.
     hotness: Option<HotnessTracker>,
+    /// Each page's line count as of the last hotness epoch, so an epoch
+    /// hands the tracker only the lines recorded since. Grows with the page
+    /// table when an epoch ends; empty without a tracker.
+    hotness_base: Vec<u64>,
 }
 
 impl AddressSpace {
@@ -164,17 +175,19 @@ impl AddressSpace {
             extents: Vec::new(),
             placements: Vec::new(),
             assigned_pages: Vec::new(),
-            next_page: 1, // keep page 0 unused so address 0 is never valid
-            #[allow(clippy::disallowed_types, reason = "hot path; iteration is linted")]
-            page_tier: HashMap::new(),
-            last_resolved: None,
+            // Page 0 stays unmapped so address 0 is never valid.
+            pages: vec![PageEntry {
+                owner: None,
+                tier: None,
+                lines: 0,
+            }],
             local_pages_used: 0,
             pool_pages_used: 0,
             spilled_pages: 0,
             live_bytes: 0,
             peak_bytes: 0,
-            histogram: PageHistogram::new(),
             hotness: None,
+            hotness_base: Vec::new(),
         }
     }
 
@@ -190,9 +203,19 @@ impl AddressSpace {
         self.hotness.as_ref()
     }
 
-    /// Mutable access to the installed hotness tracker, if any.
-    pub fn hotness_mut(&mut self) -> Option<&mut HotnessTracker> {
-        self.hotness.as_mut()
+    /// Ends the installed tracker's epoch: hands it each page's DRAM lines
+    /// since the previous epoch, in page order, then completes the epoch
+    /// (see [`HotnessTracker::end_epoch`]). `None` without a tracker.
+    pub fn end_hotness_epoch(&mut self) -> Option<HotSetDelta> {
+        let tracker = self.hotness.as_mut()?;
+        self.hotness_base.resize(self.pages.len(), 0);
+        for (page, (entry, base)) in self.pages.iter().zip(&mut self.hotness_base).enumerate() {
+            if entry.lines > *base {
+                tracker.record(page as u64, entry.lines - *base);
+                *base = entry.lines;
+            }
+        }
+        Some(tracker.end_epoch())
     }
 
     /// Allocates an object and returns its handle. Pages are *not* bound to a
@@ -209,11 +232,15 @@ impl AddressSpace {
             AllocationRecord::new(handle, name, site, bytes, self.allocations.len(), policy);
         let pages = pages_for(bytes).max(1);
         self.extents.push(Extent {
-            first_page: self.next_page,
+            first_page: self.pages.len() as u64,
             page_count: pages,
-            handle,
         });
-        self.next_page += pages;
+        let entry = PageEntry {
+            owner: Some(handle),
+            tier: None,
+            lines: 0,
+        };
+        self.pages.resize(self.pages.len() + pages as usize, entry);
         self.allocations.push(record);
         self.placements.push(ObjectPlacement::default());
         self.assigned_pages.push(0);
@@ -238,21 +265,20 @@ impl AddressSpace {
             });
         }
         self.allocations[idx].freed = true;
-        self.last_resolved = None;
         self.live_bytes = self.live_bytes.saturating_sub(self.allocations[idx].bytes);
-        let extent = self.extents[idx].clone();
-        for page in extent.first_page..extent.first_page + extent.page_count {
-            if let Some((tier, _)) = self.page_tier.remove(&page) {
-                match tier {
-                    Tier::Local => {
-                        self.local_pages_used -= 1;
-                        self.placements[idx].pages_local -= 1;
-                    }
-                    Tier::Pool => {
-                        self.pool_pages_used -= 1;
-                        self.placements[idx].pages_pool -= 1;
-                    }
+        let extent = &self.extents[idx];
+        let range = extent.first_page as usize..(extent.first_page + extent.page_count) as usize;
+        for entry in &mut self.pages[range] {
+            match entry.tier.take() {
+                Some(Tier::Local) => {
+                    self.local_pages_used -= 1;
+                    self.placements[idx].pages_local -= 1;
                 }
+                Some(Tier::Pool) => {
+                    self.pool_pages_used -= 1;
+                    self.placements[idx].pages_pool -= 1;
+                }
+                None => {}
             }
         }
         Ok(())
@@ -268,103 +294,67 @@ impl AddressSpace {
         self.allocations[handle.index()].bytes
     }
 
-    /// Resolves the tier serving a DRAM access to `addr`, binding the page on
-    /// first touch and updating per-page and per-object accounting.
-    pub fn dram_access(&mut self, addr: u64) -> Result<Tier, OutOfMemory> {
-        let page = addr / dismem_trace::PAGE_SIZE;
-        self.histogram.record(page, 1);
-        if let Some(h) = &mut self.hotness {
-            h.record(page, 1);
-        }
-        if let Some(&(tier, owner)) = self.page_tier.get(&page) {
-            self.bump_object_traffic(owner, tier);
-            return Ok(tier);
-        }
-        let owner = self.owner_of_page(page).ok_or_else(|| OutOfMemory {
+    /// Records `lines` DRAM line transactions against `page` and returns the
+    /// tier that serves them, binding the page on first touch. The lines
+    /// count towards the page's histogram entry and its owner's per-tier
+    /// traffic. The single DRAM recording point: every pipeline feeds its
+    /// transactions through here.
+    ///
+    /// A page outside the table, or page 0, is unmapped; a lookup never
+    /// grows the table.
+    #[inline]
+    pub fn record_dram(&mut self, page: u64, lines: u64) -> Result<Tier, OutOfMemory> {
+        let unmapped = || OutOfMemory {
             page,
             object: "<unmapped>".to_string(),
-        })?;
-        let policy = self.allocations[owner.index()].policy;
-        let tier = self.place_page(page, owner, policy)?;
-        self.bump_object_traffic(owner, tier);
-        Ok(tier)
-    }
-
-    /// Resolves the tier and owner serving a DRAM access to `addr`, binding
-    /// the page on first touch, *without* recording per-page or per-object
-    /// traffic (see [`AddressSpace::record_dram_traffic`]).
-    ///
-    /// This is the bulk-pipeline half of [`AddressSpace::dram_access`]: a
-    /// one-entry memo makes repeated resolutions within the same page O(1),
-    /// so a batch of contiguous cache lines pays the hash lookup (and, on
-    /// first touch, the placement walk) once per page instead of once per
-    /// line.
-    pub fn resolve_dram(&mut self, addr: u64) -> Result<(Tier, ObjectHandle), OutOfMemory> {
-        let page = addr / dismem_trace::PAGE_SIZE;
-        if let Some((p, tier, owner)) = self.last_resolved {
-            if p == page {
-                return Ok((tier, owner));
-            }
-        }
-        let (tier, owner) = if let Some(&(tier, owner)) = self.page_tier.get(&page) {
-            (tier, owner)
-        } else {
-            let owner = self.owner_of_page(page).ok_or_else(|| OutOfMemory {
-                page,
-                object: "<unmapped>".to_string(),
-            })?;
-            let policy = self.allocations[owner.index()].policy;
-            (self.place_page(page, owner, policy)?, owner)
         };
-        self.last_resolved = Some((page, tier, owner));
-        Ok((tier, owner))
-    }
-
-    /// Records `lines` DRAM line accesses to `page`, served from `tier` on
-    /// behalf of `owner`. Together with [`AddressSpace::resolve_dram`] this
-    /// is equivalent to `lines` calls of [`AddressSpace::dram_access`] for
-    /// addresses within one page, with the bookkeeping batched.
-    pub fn record_dram_traffic(&mut self, owner: ObjectHandle, tier: Tier, page: u64, lines: u64) {
-        self.histogram.record(page, lines);
-        if let Some(h) = &mut self.hotness {
-            h.record(page, lines);
-        }
-        let p = &mut self.placements[owner.index()];
+        let entry = self.pages.get_mut(page as usize).ok_or_else(unmapped)?;
+        let owner = entry.owner.ok_or_else(unmapped)?;
+        entry.lines += lines;
+        let tier = match entry.tier {
+            Some(tier) => tier,
+            None => self.place_page(page, owner)?,
+        };
+        let placement = &mut self.placements[owner.index()];
         match tier {
-            Tier::Local => p.dram_lines_local += lines,
-            Tier::Pool => p.dram_lines_pool += lines,
+            Tier::Local => placement.dram_lines_local += lines,
+            Tier::Pool => placement.dram_lines_pool += lines,
         }
+        Ok(tier)
     }
 
     /// Tier currently bound to a page number, if any.
     pub fn tier_of_page(&self, page: u64) -> Option<Tier> {
-        self.page_tier.get(&page).map(|&(t, _)| t)
+        self.pages.get(page as usize).and_then(|entry| entry.tier)
     }
 
-    /// Iterates over every bound page and its tier, in no particular order
-    /// (callers that need determinism must sort).
-    #[allow(
-        clippy::disallowed_methods,
-        reason = "accessor documented as unordered; the tiering epoch sorts the samples it builds from this"
-    )]
+    /// Iterates over every bound page and its tier, in page order.
     pub fn bound_pages(&self) -> impl Iterator<Item = (u64, Tier)> + '_ {
-        self.page_tier
+        self.pages
             .iter()
-            .map(|(&page, &(tier, _))| (page, tier))
+            .enumerate()
+            .filter_map(|(page, entry)| entry.tier.map(|tier| (page as u64, tier)))
     }
 
     /// Rebinds an already-bound page to another tier — the migration
     /// primitive of the dynamic tiering subsystem, and the only way a page
     /// changes tier after its first touch.
     ///
-    /// Keeps every piece of derived state consistent: tier page counts, the
-    /// owning object's [`ObjectPlacement`] page counts, and the resolve memo.
-    /// Extents, the page histogram, per-object traffic counters and the
-    /// first-touch interleave cursor (`assigned_pages`) are untouched — a
-    /// migration moves data, it does not re-run placement. Returns the tier
-    /// the page was bound to before.
+    /// Keeps every piece of derived state consistent: tier page counts and
+    /// the owning object's [`ObjectPlacement`] page counts. Extents, the
+    /// page's line count, per-object traffic counters and the first-touch
+    /// interleave cursor (`assigned_pages`) are untouched — a migration moves
+    /// data, it does not re-run placement. Returns the tier the page was
+    /// bound to before.
     pub fn rebind_page(&mut self, page: u64, to: Tier) -> Result<Tier, RebindError> {
-        let &(from, owner) = self.page_tier.get(&page).ok_or(RebindError::Unbound)?;
+        let entry = self
+            .pages
+            .get(page as usize)
+            .copied()
+            .ok_or(RebindError::Unbound)?;
+        let (Some(from), Some(owner)) = (entry.tier, entry.owner) else {
+            return Err(RebindError::Unbound);
+        };
         if from == to {
             return Ok(from);
         }
@@ -394,30 +384,8 @@ impl AddressSpace {
                 placement.pages_pool += 1;
             }
         }
-        self.page_tier.insert(page, (to, owner));
-        self.last_resolved = None;
+        self.pages[page as usize].tier = Some(to);
         Ok(from)
-    }
-
-    fn bump_object_traffic(&mut self, owner: ObjectHandle, tier: Tier) {
-        let p = &mut self.placements[owner.index()];
-        match tier {
-            Tier::Local => p.dram_lines_local += 1,
-            Tier::Pool => p.dram_lines_pool += 1,
-        }
-    }
-
-    fn owner_of_page(&self, page: u64) -> Option<ObjectHandle> {
-        // Extents are appended in increasing page order, so binary search works.
-        let idx = self
-            .extents
-            .partition_point(|e| e.first_page + e.page_count <= page);
-        let extent = self.extents.get(idx)?;
-        if page >= extent.first_page && page < extent.first_page + extent.page_count {
-            Some(extent.handle)
-        } else {
-            None
-        }
     }
 
     fn local_has_room(&self) -> bool {
@@ -434,13 +402,10 @@ impl AddressSpace {
         }
     }
 
-    fn place_page(
-        &mut self,
-        page: u64,
-        owner: ObjectHandle,
-        policy: PlacementPolicy,
-    ) -> Result<Tier, OutOfMemory> {
-        let prefer_local = match policy {
+    /// Binds an unbound page of `owner` on its first touch, following the
+    /// owner's placement policy.
+    fn place_page(&mut self, page: u64, owner: ObjectHandle) -> Result<Tier, OutOfMemory> {
+        let prefer_local = match self.allocations[owner.index()].policy {
             PlacementPolicy::FirstTouch | PlacementPolicy::ForceLocal => true,
             PlacementPolicy::ForceRemote => false,
             PlacementPolicy::Interleave { local, remote } => {
@@ -478,7 +443,7 @@ impl AddressSpace {
             }
         }
         self.assigned_pages[owner.index()] += 1;
-        self.page_tier.insert(page, (tier, owner));
+        self.pages[page as usize].tier = Some(tier);
         Ok(tier)
     }
 
@@ -530,9 +495,16 @@ impl AddressSpace {
         self.live_bytes
     }
 
-    /// Page-access histogram over all DRAM accesses.
-    pub fn histogram(&self) -> &PageHistogram {
-        &self.histogram
+    /// Page-access histogram over all DRAM accesses, built from the page
+    /// table's line counts: every page with at least one recorded line.
+    pub fn histogram(&self) -> PageHistogram {
+        let mut histogram = PageHistogram::new();
+        for (page, entry) in self.pages.iter().enumerate() {
+            if entry.lines > 0 {
+                histogram.record(page as u64, entry.lines);
+            }
+        }
+        histogram
     }
 
     /// Ratio of pool capacity usage to total bound pages — the paper's remote
@@ -552,8 +524,10 @@ mod tests {
     use super::*;
     use dismem_trace::PAGE_SIZE;
 
-    fn addr_of(space: &AddressSpace, h: ObjectHandle, offset: u64) -> u64 {
-        space.base_addr(h) + offset
+    /// Records one DRAM line at byte `offset` of object `h`.
+    fn touch(space: &mut AddressSpace, h: ObjectHandle, offset: u64) -> Result<Tier, OutOfMemory> {
+        let page = (space.base_addr(h) + offset) / PAGE_SIZE;
+        space.record_dram(page, 1)
     }
 
     #[test]
@@ -562,9 +536,7 @@ mod tests {
         let mut space = AddressSpace::new(Some(2 * PAGE_SIZE), None);
         let a = space.alloc("A", "t", 4 * PAGE_SIZE, PlacementPolicy::FirstTouch);
         for p in 0..4 {
-            space
-                .dram_access(addr_of(&space, a, p * PAGE_SIZE))
-                .unwrap();
+            touch(&mut space, a, p * PAGE_SIZE).unwrap();
         }
         assert_eq!(space.local_pages_used(), 2);
         assert_eq!(space.pool_pages_used(), 2);
@@ -578,8 +550,8 @@ mod tests {
     fn force_remote_goes_to_pool_even_with_local_room() {
         let mut space = AddressSpace::new(Some(100 * PAGE_SIZE), None);
         let a = space.alloc("A", "t", 2 * PAGE_SIZE, PlacementPolicy::ForceRemote);
-        space.dram_access(addr_of(&space, a, 0)).unwrap();
-        space.dram_access(addr_of(&space, a, PAGE_SIZE)).unwrap();
+        touch(&mut space, a, 0).unwrap();
+        touch(&mut space, a, PAGE_SIZE).unwrap();
         assert_eq!(space.local_pages_used(), 0);
         assert_eq!(space.pool_pages_used(), 2);
     }
@@ -589,9 +561,7 @@ mod tests {
         let mut space = AddressSpace::new(None, None);
         let a = space.alloc("A", "t", 6 * PAGE_SIZE, PlacementPolicy::interleave(1, 2));
         for p in 0..6 {
-            space
-                .dram_access(addr_of(&space, a, p * PAGE_SIZE))
-                .unwrap();
+            touch(&mut space, a, p * PAGE_SIZE).unwrap();
         }
         let pl = space.placement(a);
         assert_eq!(pl.pages_local, 2);
@@ -604,8 +574,8 @@ mod tests {
         // dynamic allocations land locally.
         let mut space = AddressSpace::new(Some(2 * PAGE_SIZE), None);
         let temp = space.alloc("temp", "init", 2 * PAGE_SIZE, PlacementPolicy::FirstTouch);
-        space.dram_access(addr_of(&space, temp, 0)).unwrap();
-        space.dram_access(addr_of(&space, temp, PAGE_SIZE)).unwrap();
+        touch(&mut space, temp, 0).unwrap();
+        touch(&mut space, temp, PAGE_SIZE).unwrap();
         assert_eq!(space.local_pages_used(), 2);
         space.free(temp).unwrap();
         assert_eq!(space.local_pages_used(), 0);
@@ -616,10 +586,8 @@ mod tests {
             2 * PAGE_SIZE,
             PlacementPolicy::FirstTouch,
         );
-        space.dram_access(addr_of(&space, frontier, 0)).unwrap();
-        space
-            .dram_access(addr_of(&space, frontier, PAGE_SIZE))
-            .unwrap();
+        touch(&mut space, frontier, 0).unwrap();
+        touch(&mut space, frontier, PAGE_SIZE).unwrap();
         let pl = space.placement(frontier);
         assert_eq!(pl.pages_local, 2);
         assert_eq!(pl.pages_pool, 0);
@@ -629,19 +597,13 @@ mod tests {
     fn repeated_access_does_not_rebind_pages() {
         let mut space = AddressSpace::new(Some(PAGE_SIZE), None);
         let a = space.alloc("A", "t", 2 * PAGE_SIZE, PlacementPolicy::FirstTouch);
-        let t0 = space.dram_access(addr_of(&space, a, 0)).unwrap();
-        let t1 = space.dram_access(addr_of(&space, a, PAGE_SIZE)).unwrap();
+        let t0 = touch(&mut space, a, 0).unwrap();
+        let t1 = touch(&mut space, a, PAGE_SIZE).unwrap();
         assert_eq!(t0, Tier::Local);
         assert_eq!(t1, Tier::Pool);
         // Accessing again keeps the original binding and counts traffic.
-        assert_eq!(
-            space.dram_access(addr_of(&space, a, 0)).unwrap(),
-            Tier::Local
-        );
-        assert_eq!(
-            space.dram_access(addr_of(&space, a, PAGE_SIZE)).unwrap(),
-            Tier::Pool
-        );
+        assert_eq!(touch(&mut space, a, 0).unwrap(), Tier::Local);
+        assert_eq!(touch(&mut space, a, PAGE_SIZE).unwrap(), Tier::Pool);
         let pl = space.placement(a);
         assert_eq!(pl.dram_lines_local, 2);
         assert_eq!(pl.dram_lines_pool, 2);
@@ -652,11 +614,9 @@ mod tests {
     fn oom_when_both_tiers_full() {
         let mut space = AddressSpace::new(Some(PAGE_SIZE), Some(PAGE_SIZE));
         let a = space.alloc("A", "t", 3 * PAGE_SIZE, PlacementPolicy::FirstTouch);
-        space.dram_access(addr_of(&space, a, 0)).unwrap();
-        space.dram_access(addr_of(&space, a, PAGE_SIZE)).unwrap();
-        let err = space
-            .dram_access(addr_of(&space, a, 2 * PAGE_SIZE))
-            .unwrap_err();
+        touch(&mut space, a, 0).unwrap();
+        touch(&mut space, a, PAGE_SIZE).unwrap();
+        let err = touch(&mut space, a, 2 * PAGE_SIZE).unwrap_err();
         assert_eq!(err.object, "A");
         assert!(err.to_string().contains("out of memory"));
     }
@@ -665,7 +625,7 @@ mod tests {
     fn double_free_and_unknown_handle_are_typed_errors() {
         let mut space = AddressSpace::new(None, None);
         let a = space.alloc("A", "t", PAGE_SIZE, PlacementPolicy::FirstTouch);
-        space.dram_access(addr_of(&space, a, 0)).unwrap();
+        touch(&mut space, a, 0).unwrap();
         space.free(a).unwrap();
         let err = space.free(a).unwrap_err();
         assert_eq!(
@@ -688,9 +648,7 @@ mod tests {
         let mut space = AddressSpace::new(Some(2 * PAGE_SIZE), Some(4 * PAGE_SIZE));
         let a = space.alloc("A", "t", 4 * PAGE_SIZE, PlacementPolicy::FirstTouch);
         for p in 0..4 {
-            space
-                .dram_access(addr_of(&space, a, p * PAGE_SIZE))
-                .unwrap();
+            touch(&mut space, a, p * PAGE_SIZE).unwrap();
         }
         let first_page = space.base_addr(a) / PAGE_SIZE;
         assert_eq!(space.tier_of_page(first_page + 2), Some(Tier::Pool));
@@ -718,12 +676,7 @@ mod tests {
             Err(RebindError::Unbound)
         );
         // Traffic keeps flowing to the migrated page's new tier.
-        assert_eq!(
-            space
-                .dram_access(addr_of(&space, a, 2 * PAGE_SIZE))
-                .unwrap(),
-            Tier::Local
-        );
+        assert_eq!(touch(&mut space, a, 2 * PAGE_SIZE).unwrap(), Tier::Local);
     }
 
     #[test]
@@ -731,9 +684,7 @@ mod tests {
         let mut space = AddressSpace::new(Some(4 * PAGE_SIZE), None);
         let a = space.alloc("A", "t", 4 * PAGE_SIZE, PlacementPolicy::interleave(1, 1));
         for p in 0..4 {
-            space
-                .dram_access(addr_of(&space, a, p * PAGE_SIZE))
-                .unwrap();
+            touch(&mut space, a, p * PAGE_SIZE).unwrap();
         }
         let first_page = space.base_addr(a) / PAGE_SIZE;
         // Promote one pool page, demote one local page, then free the object.
@@ -754,14 +705,19 @@ mod tests {
         space.set_hotness(Some(HotnessTracker::new(0.5)));
         let a = space.alloc("A", "t", 2 * PAGE_SIZE, PlacementPolicy::FirstTouch);
         let page = space.base_addr(a) / PAGE_SIZE;
-        space.dram_access(addr_of(&space, a, 0)).unwrap();
-        space.dram_access(addr_of(&space, a, 64)).unwrap();
-        let (tier, owner) = space.resolve_dram(addr_of(&space, a, PAGE_SIZE)).unwrap();
-        space.record_dram_traffic(owner, tier, page + 1, 5);
-        let tracker = space.hotness_mut().unwrap();
-        tracker.end_epoch();
+        touch(&mut space, a, 0).unwrap();
+        touch(&mut space, a, 64).unwrap();
+        space.record_dram(page + 1, 5).unwrap();
+        space.end_hotness_epoch().expect("tracker installed");
+        let tracker = space.hotness().unwrap();
         assert_eq!(tracker.heat_of(page), 2.0);
         assert_eq!(tracker.heat_of(page + 1), 5.0);
+        // The next epoch sees only the lines recorded since.
+        space.record_dram(page, 2).unwrap();
+        space.end_hotness_epoch().unwrap();
+        let tracker = space.hotness().unwrap();
+        assert_eq!(tracker.heat_of(page), 3.0);
+        assert_eq!(tracker.heat_of(page + 1), 2.5);
     }
 
     #[test]
@@ -776,9 +732,7 @@ mod tests {
             PlacementPolicy::interleave(u32::MAX, u32::MAX),
         );
         for p in 0..4 {
-            space
-                .dram_access(addr_of(&space, a, p * PAGE_SIZE))
-                .unwrap();
+            touch(&mut space, a, p * PAGE_SIZE).unwrap();
         }
         let pl = space.placement(a);
         assert_eq!(pl.pages_local, 4);
@@ -801,8 +755,8 @@ mod tests {
         let mut space = AddressSpace::new(None, None);
         let a = space.alloc("A", "t", 2 * PAGE_SIZE, PlacementPolicy::FirstTouch);
         let b = space.alloc("B", "t", 2 * PAGE_SIZE, PlacementPolicy::ForceRemote);
-        space.dram_access(addr_of(&space, a, 0)).unwrap();
-        space.dram_access(addr_of(&space, b, 0)).unwrap();
+        touch(&mut space, a, 0).unwrap();
+        touch(&mut space, b, 0).unwrap();
         assert_eq!(space.placement(a).pages_local, 1);
         assert_eq!(space.placement(b).pages_pool, 1);
     }
@@ -812,9 +766,51 @@ mod tests {
         let mut space = AddressSpace::new(None, None);
         let a = space.alloc("A", "t", PAGE_SIZE, PlacementPolicy::FirstTouch);
         for _ in 0..5 {
-            space.dram_access(addr_of(&space, a, 0)).unwrap();
+            touch(&mut space, a, 0).unwrap();
         }
         assert_eq!(space.histogram().total_accesses(), 5);
         assert_eq!(space.histogram().touched_pages(), 1);
+    }
+
+    #[test]
+    fn access_beyond_the_mapped_pages_is_unmapped_and_never_grows_the_table() {
+        let mut space = AddressSpace::new(None, None);
+        let a = space.alloc("A", "t", 2 * PAGE_SIZE, PlacementPolicy::FirstTouch);
+        let len = space.pages.len();
+        assert_eq!(len, 3, "page 0 plus the object's two pages");
+        let beyond = space.base_addr(a) / PAGE_SIZE + 2;
+        for page in [0, beyond, beyond + 1_000_000] {
+            let err = space.record_dram(page, 1).unwrap_err();
+            assert_eq!(
+                err,
+                OutOfMemory {
+                    page,
+                    object: "<unmapped>".to_string()
+                }
+            );
+        }
+        assert_eq!(space.pages.len(), len);
+        assert_eq!(space.tier_of_page(beyond), None);
+        assert_eq!(space.histogram().touched_pages(), 0);
+        assert_eq!(space.bound_pages().count(), 0);
+    }
+
+    #[test]
+    fn bound_pages_iterate_in_page_order() {
+        let mut space = AddressSpace::new(Some(PAGE_SIZE), None);
+        let a = space.alloc("A", "t", 3 * PAGE_SIZE, PlacementPolicy::FirstTouch);
+        let first = space.base_addr(a) / PAGE_SIZE;
+        for offset in [2, 0, 1] {
+            touch(&mut space, a, offset * PAGE_SIZE).unwrap();
+        }
+        let bound: Vec<(u64, Tier)> = space.bound_pages().collect();
+        assert_eq!(
+            bound,
+            vec![
+                (first, Tier::Pool),
+                (first + 1, Tier::Pool),
+                (first + 2, Tier::Local)
+            ]
+        );
     }
 }

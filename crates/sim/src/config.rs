@@ -303,6 +303,18 @@ impl MachineConfig {
         self
     }
 
+    /// Whether a run under `other` walks the caches exactly as one under
+    /// this configuration: equal cache geometry, prefetcher and chunk sizes.
+    /// Tier capacities, bandwidths, latencies, the link and the timing
+    /// parameters may differ, because the walk never reads them; such
+    /// configurations can share one walk (see [`crate::Machine::lockstep`]).
+    pub fn shares_walk_with(&self, other: &MachineConfig) -> bool {
+        self.cache == other.cache
+            && self.prefetch == other.prefetch
+            && self.chunk_bytes == other.chunk_bytes
+            && self.chunk_flops == other.chunk_flops
+    }
+
     /// Stable content digest of this configuration.
     ///
     /// FNV-1a over the serialized JSON form: any field change — tier

@@ -1,12 +1,17 @@
 //! The [`Machine`]: the simulated compute node with tiered memory.
 //!
 //! A `Machine` implements [`MemoryEngine`], so any workload written against
-//! `dismem-trace` can run on it. It combines the address space (placement),
-//! the cache hierarchy (traffic filtering and prefetching), the link model
-//! (interference) and the timing model (runtime) and produces a [`RunReport`].
-//! A [`TieringSpec`] installed with [`Machine::set_tiering_spec`] migrates
-//! pages between the tiers at hotness epochs; the default,
-//! [`TieringSpec::Static`], never does.
+//! `dismem-trace` can run on it. It is one cache walk and one or more
+//! placements that run in lockstep. The walk is the cache hierarchy with its
+//! prefetcher and replay engine: it filters every access into DRAM
+//! transactions and never reads a page's tier. Each placement records and
+//! times every transaction the walk emits: its own address space (placement),
+//! link and timing model and tiering policy produce its own [`RunReport`].
+//! [`Machine::new`] is the one-placement case; [`Machine::lockstep`] runs
+//! several placements that share a walk, so one walk serves every local
+//! capacity and tiering policy. A [`TieringSpec`] migrates a placement's pages
+//! between the tiers at hotness epochs; the default, [`TieringSpec::Static`],
+//! never does.
 
 use crate::address_space::{AddressSpace, FreeError, Tier};
 use crate::cache::{CacheSim, DramEvent, DramEventKind, DramSink};
@@ -26,263 +31,527 @@ use dismem_trace::{
 /// Cache lines per page (pages and cache lines are both powers of two).
 const LINES_PER_PAGE: u64 = dismem_trace::PAGE_SIZE / CACHE_LINE_SIZE;
 
-/// One page's worth of pending DRAM traffic in the batched tally sink.
-#[derive(Clone, Copy)]
-struct MemoSlot {
-    page: u64,
-    tier: Tier,
-    owner: ObjectHandle,
-    /// DRAM lines recorded against this page since the slot was loaded.
-    pending: u64,
-}
-
-const EMPTY_SLOT: MemoSlot = MemoSlot {
-    page: u64::MAX,
-    tier: Tier::Local,
-    owner: ObjectHandle(u32::MAX),
-    pending: 0,
-};
-
-/// DRAM-traffic deltas produced by one batched cache walk, folded into the
-/// open chunk after the walk (u64 additions commute, so folding at element
-/// boundaries instead of per event leaves every chunk-close decision — and
-/// therefore the timeline — bit-identical to the per-line reference path).
-#[derive(Default, Clone, Copy)]
-struct DramTally {
-    dram_lines_local: u64,
-    dram_lines_pool: u64,
-    demand_dram_lines_local: u64,
-    demand_dram_lines_pool: u64,
-    writeback_lines_local: u64,
-    writeback_lines_pool: u64,
-    pool_link_lines: u64,
-}
-
-impl DramTally {
-    /// The single (tier, kind) → counter mapping shared by both pipelines:
-    /// the per-line drain folds a tally per event, the batched sink per
-    /// element/walk — u64 additions commute, so totals agree bit for bit.
-    #[inline]
-    fn tally(&mut self, tier: Tier, kind: DramEventKind) {
-        self.tally_n(tier, kind, 1);
-    }
-
-    /// Aggregated form of [`DramTally::tally`]: `n` transactions of the same
-    /// kind against the same tier (multiplication distributes over the u64
-    /// additions, so this equals `n` single tallies bit for bit).
-    #[inline]
-    fn tally_n(&mut self, tier: Tier, kind: DramEventKind, n: u64) {
-        match (tier, kind) {
-            (Tier::Local, DramEventKind::DemandFill) => {
-                self.dram_lines_local += n;
-                self.demand_dram_lines_local += n;
-            }
-            (Tier::Local, DramEventKind::PrefetchFill) => {
-                self.dram_lines_local += n;
-            }
-            (Tier::Local, DramEventKind::Writeback) => {
-                self.writeback_lines_local += n;
-            }
-            (Tier::Pool, DramEventKind::DemandFill) => {
-                self.dram_lines_pool += n;
-                self.demand_dram_lines_pool += n;
-            }
-            (Tier::Pool, DramEventKind::PrefetchFill) => {
-                self.dram_lines_pool += n;
-            }
-            (Tier::Pool, DramEventKind::Writeback) => {
-                self.writeback_lines_pool += n;
-            }
-        }
-        if tier == Tier::Pool {
-            self.pool_link_lines += n;
-        }
-    }
-
-    fn fold_into(&mut self, chunk: &mut Counters, pool_link_lines: &mut u64) {
-        chunk.dram_lines_local += self.dram_lines_local;
-        chunk.dram_lines_pool += self.dram_lines_pool;
-        chunk.demand_dram_lines_local += self.demand_dram_lines_local;
-        chunk.demand_dram_lines_pool += self.demand_dram_lines_pool;
-        chunk.writeback_lines_local += self.writeback_lines_local;
-        chunk.writeback_lines_pool += self.writeback_lines_pool;
-        *pool_link_lines += self.pool_link_lines;
-        *self = DramTally::default();
-    }
-}
-
-/// Inline consumer of the batched cache walk's DRAM transactions: resolves
-/// the serving tier with a two-slot page memo (fills and victim writebacks
-/// usually alternate between two pages), tallies counters, and batches the
-/// per-page histogram / per-object traffic recording.
-struct TallySink<'a> {
-    space: &'a mut AddressSpace,
-    memo: [MemoSlot; 2],
-    /// Which memo slot was used last (victim preference for reloads).
-    last_hit: usize,
-    tally: DramTally,
-}
-
-impl<'a> TallySink<'a> {
-    fn new(space: &'a mut AddressSpace) -> Self {
-        Self {
-            space,
-            memo: [EMPTY_SLOT; 2],
-            last_hit: 0,
-            tally: DramTally::default(),
-        }
-    }
-
-    /// Writes the pending per-page traffic of both memo slots back to the
-    /// address space. Must be called before the sink is dropped.
-    fn flush(&mut self) {
-        for slot in &mut self.memo {
-            if slot.pending > 0 {
-                #[allow(
-                    clippy::disallowed_methods,
-                    reason = "the tally sink is the batched pipeline's feed into the recording point, not a second recording path"
-                )]
-                self.space
-                    .record_dram_traffic(slot.owner, slot.tier, slot.page, slot.pending);
-                slot.pending = 0;
-            }
-        }
-    }
-
-    #[inline]
-    fn slot_for(&mut self, line_addr: u64) -> usize {
-        let page = line_addr / LINES_PER_PAGE;
-        if self.memo[self.last_hit].page == page {
-            return self.last_hit;
-        }
-        let other = 1 - self.last_hit;
-        if self.memo[other].page == page {
-            self.last_hit = other;
-            return other;
-        }
-        // Miss: resolve the page and load it into the slot not just used.
-        let (tier, owner) = match self.space.resolve_dram(line_addr * CACHE_LINE_SIZE) {
-            Ok(resolved) => resolved,
-            Err(oom) => panic!("simulated OOM abort: {oom}"),
-        };
-        let victim = &mut self.memo[other];
-        if victim.pending > 0 {
-            #[allow(
-                clippy::disallowed_methods,
-                reason = "victim slot flush on memo miss; same feed path as `flush` above"
-            )]
-            self.space
-                .record_dram_traffic(victim.owner, victim.tier, victim.page, victim.pending);
-        }
-        self.memo[other] = MemoSlot {
-            page,
-            tier,
-            owner,
-            pending: 0,
-        };
-        self.last_hit = other;
-        other
-    }
-}
-
-impl DramSink for TallySink<'_> {
-    #[inline]
-    fn event(&mut self, line_addr: u64, kind: DramEventKind) {
-        let slot = self.slot_for(line_addr);
-        let memo = &mut self.memo[slot];
-        memo.pending += 1;
-        let tier = memo.tier;
-        self.tally.tally(tier, kind);
-    }
-
-    #[inline]
-    fn bulk_event(&mut self, line_addr: u64, kind: DramEventKind, count: u64) {
-        if count == 0 {
-            return;
-        }
-        let slot = self.slot_for(line_addr);
-        let memo = &mut self.memo[slot];
-        memo.pending += count;
-        let tier = memo.tier;
-        self.tally.tally_n(tier, kind, count);
-    }
-}
-
-/// The simulated compute node.
-pub struct Machine {
+/// What one placement of the walk owns: an address space, its tier tally
+/// and pool-link lines, a timing model, an interference profile, a clock,
+/// a timeline, phase times and totals, and a tiering runtime.
+struct Placement {
     config: MachineConfig,
     space: AddressSpace,
-    cache: CacheSim,
     timing: TimingModel,
     interference: InterferenceProfile,
-
-    clock_s: f64,
-    chunk: Counters,
-    dram_events: Vec<DramEvent>,
-    /// Pool-tier DRAM lines accumulated in the open chunk; folded into
-    /// `chunk.link_raw_bytes` (payload × protocol overhead, rounded once)
-    /// when the chunk closes, so the protocol overhead is exact instead of
-    /// accumulating per-line rounding drift.
-    chunk_pool_link_lines: u64,
-    /// Whether the batched line-walk fast path is used (default). Disabled,
-    /// the machine walks every access line by line exactly as the reference
-    /// implementation does — the two paths produce bit-identical reports.
-    batched: bool,
     /// Dynamic tiering: installed policy, epoch accumulator, damper history
     /// and migration statistics. Defaults to [`TieringSpec::Static`], which
     /// never fires an epoch.
     tiering: TieringRuntime,
-
-    phase_names: Vec<String>,
+    clock_s: f64,
+    /// The open chunk's tier counters: fills, demand fills and writebacks on
+    /// each tier, and an epoch's migration lines. The walk's counters join
+    /// them when the chunk closes.
+    chunk: Counters,
+    /// Pool-tier DRAM lines accumulated in the open chunk; folded into
+    /// `link_raw_bytes` (payload × protocol overhead, rounded once) when the
+    /// chunk closes, so the protocol overhead is exact instead of
+    /// accumulating per-line rounding drift.
+    chunk_pool_link_lines: u64,
     phase_counters: Vec<Counters>,
     phase_runtimes: Vec<f64>,
-    current_phase: Option<usize>,
-
     total: Counters,
     timeline: Vec<TimelineSample>,
-
-    /// Optional flight recorder ([`Machine::set_recorder`]). `None` (the
-    /// default) keeps every hot path free of event construction; the
-    /// recorded/unrecorded bit-identity of [`RunReport`]s is pinned by the
-    /// workspace property tests.
-    recorder: Option<Box<dyn Recorder>>,
     /// Capacity spills already reported to the recorder (the address-space
     /// counter is monotone; the delta since this mark is emitted as one
     /// [`TraceEvent::TierSpill`] per chunk close).
     spilled_seen: u64,
 }
 
-impl Machine {
-    /// Creates a machine from a configuration.
-    pub fn new(config: MachineConfig) -> Self {
-        let space = AddressSpace::new(config.local.capacity_bytes, config.pool.capacity_bytes);
-        let prefetcher = StreamPrefetcher::new(config.prefetch);
-        let cache = CacheSim::new(config.cache, prefetcher);
-        let timing = TimingModel::new(config.clone());
-        Self {
+impl Placement {
+    fn new(config: MachineConfig, spec: &TieringSpec) -> Self {
+        let mut placement = Self {
+            space: AddressSpace::new(config.local.capacity_bytes, config.pool.capacity_bytes),
+            timing: TimingModel::new(config.clone()),
             config,
-            space,
-            cache,
-            timing,
             interference: InterferenceProfile::Idle,
+            tiering: TieringRuntime::new(TieringSpec::Static),
             clock_s: 0.0,
             chunk: Counters::default(),
-            dram_events: Vec::with_capacity(64),
             chunk_pool_link_lines: 0,
-            batched: true,
-            tiering: TieringRuntime::new(TieringSpec::Static),
-            phase_names: Vec::new(),
             phase_counters: Vec::new(),
             phase_runtimes: Vec::new(),
-            current_phase: None,
             total: Counters::default(),
             timeline: Vec::new(),
-            recorder: None,
             spilled_seen: 0,
+        };
+        placement.set_tiering_spec(spec);
+        placement
+    }
+
+    fn set_tiering_spec(&mut self, spec: &TieringSpec) {
+        let tracker = spec
+            .epoch_lines()
+            .map(|_| HotnessTracker::new(spec.decay()));
+        self.space.set_hotness(tracker);
+        self.tiering = TieringRuntime::new(*spec);
+    }
+
+    /// Records `count` DRAM transactions of `kind` against `page` and
+    /// tallies them by the tier that serves them. A simulated OOM aborts the
+    /// run, as the placement's direct run would.
+    #[inline]
+    fn record_dram(&mut self, page: u64, kind: DramEventKind, count: u64) {
+        #[allow(
+            clippy::disallowed_methods,
+            reason = "the placement sink's call into the single DRAM recording point; every pipeline's transactions arrive here"
+        )]
+        let tier = match self.space.record_dram(page, count) {
+            Ok(tier) => tier,
+            Err(oom) => panic!("simulated OOM abort: {oom}"),
+        };
+        let chunk = &mut self.chunk;
+        match (tier, kind) {
+            (Tier::Local, DramEventKind::DemandFill) => {
+                chunk.dram_lines_local += count;
+                chunk.demand_dram_lines_local += count;
+            }
+            (Tier::Local, DramEventKind::PrefetchFill) => chunk.dram_lines_local += count,
+            (Tier::Local, DramEventKind::Writeback) => chunk.writeback_lines_local += count,
+            (Tier::Pool, DramEventKind::DemandFill) => {
+                chunk.dram_lines_pool += count;
+                chunk.demand_dram_lines_pool += count;
+            }
+            (Tier::Pool, DramEventKind::PrefetchFill) => chunk.dram_lines_pool += count,
+            (Tier::Pool, DramEventKind::Writeback) => chunk.writeback_lines_pool += count,
+        }
+        if tier == Tier::Pool {
+            self.chunk_pool_link_lines += count;
         }
     }
 
-    /// The machine configuration.
+    /// Closes the open chunk: joins the walk's counters `walk` to this
+    /// placement's tier counters and times the result at the placement's
+    /// interference, in phase `phase`. Returns the chunk's application DRAM
+    /// lines, or `None` for an empty chunk, which takes no time. The walk's
+    /// chunk may be empty while this one holds an epoch's migration lines.
+    fn close_chunk(&mut self, walk: &Counters, phase: Option<usize>) -> Option<u64> {
+        let mut chunk = std::mem::take(&mut self.chunk);
+        chunk.add(walk);
+        if self.chunk_pool_link_lines > 0 {
+            // Fold the chunk's pool traffic into raw link bytes in one step:
+            // exact payload × protocol overhead, rounded once per chunk
+            // instead of once per line.
+            let payload = (self.chunk_pool_link_lines * self.config.cache.line_bytes) as f64;
+            chunk.link_raw_bytes = (payload * self.config.link.protocol_overhead()).round() as u64;
+            self.chunk_pool_link_lines = 0;
+        }
+        if chunk == Counters::default() {
+            return None;
+        }
+        let loi = self.interference.loi_at(self.clock_s);
+        let duration = self.timing.chunk_time(&chunk, loi).total_s;
+        self.timeline.push(TimelineSample {
+            start_s: self.clock_s,
+            duration_s: duration,
+            counters: chunk,
+            phase,
+        });
+        if let Some(p) = phase {
+            self.phase_counters[p].add(&chunk);
+            self.phase_runtimes[p] += duration;
+        }
+        self.total.add(&chunk);
+        self.clock_s += duration;
+        Some(
+            chunk.dram_lines_local
+                + chunk.dram_lines_pool
+                + chunk.writeback_lines_local
+                + chunk.writeback_lines_pool,
+        )
+    }
+
+    /// Advances the tiering epoch clock by a closed chunk's application DRAM
+    /// lines and says whether an epoch is due. Migration lines are left out,
+    /// so a migration burst cannot re-fire an epoch on its own.
+    fn epoch_due(&mut self, app_dram_lines: u64) -> bool {
+        let Some(epoch_lines) = self.tiering.spec.epoch_lines() else {
+            return false;
+        };
+        self.tiering.epoch_acc += app_dram_lines;
+        if self.tiering.epoch_acc < epoch_lines {
+            return false;
+        }
+        self.tiering.epoch_acc = 0;
+        true
+    }
+
+    /// The application-DRAM-line trace clock: demand/prefetch fills plus
+    /// writebacks on both tiers, folded into the totals at chunk closes.
+    /// Pipeline-identical (per-line, batched and replay agree bit for bit)
+    /// and monotone, which makes it a sound timestamp base.
+    fn app_lines_clock(&self) -> u64 {
+        self.total.dram_lines_local
+            + self.total.dram_lines_pool
+            + self.total.writeback_lines_local
+            + self.total.writeback_lines_pool
+    }
+
+    /// Emits the walk's replay `transitions` since the last chunk close and
+    /// the capacity-spill delta, stamped with the current application-line
+    /// clock.
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "audited emission point: replay transitions and tier spills, stamped at chunk close"
+    )]
+    fn emit_chunk_trace(
+        &mut self,
+        recorder: &mut dyn Recorder,
+        transitions: Vec<ReplayTransition>,
+    ) {
+        let app_lines = self.app_lines_clock();
+        for transition in transitions {
+            recorder.record_event(match transition {
+                ReplayTransition::Engaged => TraceEvent::ReplayEngaged {
+                    app_lines,
+                    mode: ReplayMode::Window,
+                },
+                ReplayTransition::Exited => TraceEvent::ReplayExited {
+                    app_lines,
+                    mode: ReplayMode::Window,
+                    reason: "pattern-break".to_string(),
+                },
+            });
+        }
+        let spilled = self.space.spilled_pages();
+        if spilled > self.spilled_seen {
+            recorder.record_event(TraceEvent::TierSpill {
+                app_lines,
+                pages: spilled - self.spilled_seen,
+            });
+            self.spilled_seen = spilled;
+        }
+    }
+
+    /// Completes a hotness epoch: folds the tracker, asks the policy for
+    /// migrations, applies them to the address space and charges the moved
+    /// pages as page-sized traffic on both tiers and the pool link (the
+    /// charge lands in the chunk that is just opening, so the timing model
+    /// prices it at the placement it created).
+    ///
+    /// Runs only between cache walks (chunk closes never happen mid-walk).
+    /// The cache walk never reads a page's tier, so a move leaves the walk
+    /// alone: replayed windows resolve each page's tier in the placement at
+    /// the current binding, as the exact walk does.
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "the audited migration-apply path: every applied rebind is charged as migration traffic and counted, and the epoch's events are audited emission points"
+    )]
+    fn run_tiering_epoch(&mut self, mut recorder: Option<&mut (dyn Recorder + 'static)>) {
+        let Some(dwell) = self.space.end_hotness_epoch() else {
+            return;
+        };
+        let hot_pages = dwell.pages;
+        {
+            // Phase-dwell bookkeeping: each epoch extends the open dwell, and
+            // a hot-set shift closes it (the new hot set starts a dwell of
+            // one epoch). An epoch whose hot set vanished entirely leaves no
+            // open dwell behind.
+            let s = &mut self.tiering.report;
+            s.hot_set_pages_max = s.hot_set_pages_max.max(dwell.pages);
+            if dwell.shifted {
+                s.hot_set_shifts += 1;
+                s.dwell_epochs_total += s.open_dwell_epochs;
+                s.open_dwell_epochs = u64::from(dwell.pages > 0);
+            } else if dwell.pages > 0 {
+                s.open_dwell_epochs += 1;
+            }
+        }
+        self.tiering.epoch += 1;
+        let epoch = self.tiering.epoch;
+        let cooldown = self.tiering.spec.cooldown_epochs();
+        if cooldown > 0 {
+            self.tiering
+                .last_migrated
+                .retain(|_, last| epoch - *last <= cooldown);
+        }
+
+        // Sample every bound page with its decayed heat, sorted hottest-first
+        // (page number as tie-break) so policy decisions are deterministic.
+        let tracker = self.space.hotness().expect("tracker installed above");
+        let mut samples: Vec<PageSample> = self
+            .space
+            .bound_pages()
+            .map(|(page, tier)| PageSample {
+                page,
+                tier,
+                heat: tracker.heat_of(page),
+                cooling: self.tiering.damped(page, epoch, cooldown),
+            })
+            .collect();
+        samples
+            .sort_unstable_by(|a, b| b.heat.total_cmp(&a.heat).then_with(|| a.page.cmp(&b.page)));
+        let occupancy = TierOccupancy {
+            local_used: self.space.local_pages_used(),
+            local_capacity: self
+                .config
+                .local
+                .capacity_bytes
+                .map(dismem_trace::access::pages_for),
+        };
+        let orders = self.tiering.spec.plan(epoch, &samples, &occupancy);
+
+        // Epoch events share one timestamp: the application-line clock at the
+        // chunk close that fired this epoch (totals already include it).
+        let app_lines = self.app_lines_clock();
+        let mut moved = 0u64;
+        for order in orders {
+            if self.tiering.damped(order.page, epoch, cooldown) {
+                self.tiering.report.ping_pongs_damped += 1;
+                continue;
+            }
+            match self.space.rebind_page(order.page, order.to) {
+                Ok(from) if from != order.to => {
+                    moved += 1;
+                    self.tiering.last_migrated.insert(order.page, epoch);
+                    match order.to {
+                        Tier::Local => self.tiering.report.promotions += 1,
+                        Tier::Pool => self.tiering.report.demotions += 1,
+                    }
+                    if let Some(recorder) = recorder.as_deref_mut() {
+                        recorder.record_event(TraceEvent::MigrationApplied {
+                            epoch,
+                            app_lines,
+                            page: order.page,
+                            from: trace_tier(from),
+                            to: trace_tier(order.to),
+                        });
+                    }
+                }
+                Ok(_) => {}
+                Err(crate::address_space::RebindError::NoCapacity) => {
+                    self.tiering.report.skipped_capacity += 1;
+                }
+                Err(crate::address_space::RebindError::Unbound) => {}
+            }
+        }
+        self.tiering.report.epochs += 1;
+        if let Some(recorder) = recorder {
+            recorder.record_event(TraceEvent::EpochClosed {
+                epoch,
+                app_lines,
+                hot_pages,
+                dwell_epochs: self.tiering.report.open_dwell_epochs,
+                hot_set_shifts: self.tiering.report.hot_set_shifts,
+                migrated_pages: moved,
+            });
+        }
+        if moved > 0 {
+            // Each migrated page is read from one tier and written to the
+            // other; one side is always the pool, so the whole payload also
+            // crosses the link (folded into `link_raw_bytes` with protocol
+            // overhead when this chunk closes).
+            let lines = moved * LINES_PER_PAGE;
+            self.chunk.migration_lines_local += lines;
+            self.chunk.migration_lines_pool += lines;
+            self.chunk_pool_link_lines += lines;
+        }
+    }
+
+    /// This placement's report of the run, whose phases are `phase_names`.
+    fn report(&self, phase_names: &[String]) -> RunReport {
+        let line_bytes = self.config.cache.line_bytes;
+        let phases = phase_names
+            .iter()
+            .zip(&self.phase_counters)
+            .zip(&self.phase_runtimes)
+            .map(|((name, counters), runtime)| PhaseReport {
+                name: name.clone(),
+                counters: *counters,
+                runtime_s: *runtime,
+                line_bytes,
+            })
+            .collect();
+        let allocations = self
+            .space
+            .allocations()
+            .iter()
+            .zip(self.space.placements())
+            .map(|(rec, pl)| AllocationSummary {
+                name: rec.name.clone(),
+                site: rec.site.clone(),
+                bytes: rec.bytes,
+                order: rec.order,
+                freed: rec.freed,
+                pages_local: pl.pages_local,
+                pages_pool: pl.pages_pool,
+                dram_lines_local: pl.dram_lines_local,
+                dram_lines_pool: pl.dram_lines_pool,
+            })
+            .collect();
+        let report = &self.tiering.report;
+        let migrated_pages = report.promotions + report.demotions;
+        RunReport {
+            config: self.config.clone(),
+            phases,
+            total: self.total,
+            total_runtime_s: self.clock_s,
+            allocations,
+            timeline: self.timeline.clone(),
+            page_histogram: self.space.histogram(),
+            peak_footprint_bytes: self.space.peak_footprint_bytes(),
+            local_pages_used: self.space.local_pages_used(),
+            pool_pages_used: self.space.pool_pages_used(),
+            tiering: TieringReport {
+                policy: self.tiering.spec.label().to_string(),
+                migrated_pages,
+                migrated_bytes: migrated_pages * dismem_trace::PAGE_SIZE,
+                ..report.clone()
+            },
+        }
+    }
+}
+
+/// The walk's consumer of DRAM transactions: counts the walk's DRAM lines,
+/// the tier-independent sum that chunks close on, and hands each transaction
+/// to every placement. The per-line drain and the batched and replayed
+/// walks all feed it, so every pipeline records traffic through one path.
+///
+/// Transactions reach the placements in runs: one kind against one page
+/// with a count, so a stream's fills, or its fills alternating with the
+/// writebacks of another page, cost one record per page and kind. Two runs
+/// stay open, and the older is handed over first, so pages reach the
+/// placements in the order of their first transaction, which is what first
+/// touch binds by; the counts only ever add up.
+struct PlacementSink<'a> {
+    placements: &'a mut [Placement],
+    dram_lines: &'a mut u64,
+    /// The open runs, older first: (page, kind) and transaction count.
+    runs: [((u64, DramEventKind), u64); 2],
+}
+
+/// An empty run: a count of zero is never handed over.
+const NO_RUN: ((u64, DramEventKind), u64) = ((0, DramEventKind::DemandFill), 0);
+
+impl<'a> PlacementSink<'a> {
+    fn new(placements: &'a mut [Placement], dram_lines: &'a mut u64) -> Self {
+        Self {
+            placements,
+            dram_lines,
+            runs: [NO_RUN; 2],
+        }
+    }
+
+    fn hand_over(&mut self, ((page, kind), count): ((u64, DramEventKind), u64)) {
+        if count == 0 {
+            return;
+        }
+        for placement in self.placements.iter_mut() {
+            placement.record_dram(page, kind, count);
+        }
+    }
+
+    /// Hands the open runs to every placement. A walk calls it before
+    /// anything reads the placements.
+    fn flush(&mut self) {
+        let [older, newer] = std::mem::replace(&mut self.runs, [NO_RUN; 2]);
+        self.hand_over(older);
+        self.hand_over(newer);
+    }
+}
+
+impl DramSink for PlacementSink<'_> {
+    #[inline]
+    fn event(&mut self, line_addr: u64, kind: DramEventKind) {
+        self.bulk_event(line_addr, kind, 1);
+    }
+
+    #[inline]
+    fn bulk_event(&mut self, line_addr: u64, kind: DramEventKind, count: u64) {
+        *self.dram_lines += count;
+        let key = (line_addr / LINES_PER_PAGE, kind);
+        if let Some(run) = self.runs.iter_mut().rev().find(|run| run.0 == key) {
+            run.1 += count;
+            return;
+        }
+        let older = self.runs[0];
+        self.hand_over(older);
+        self.runs = [self.runs[1], (key, count)];
+    }
+}
+
+/// The simulated compute node: one cache walk and the placements it serves.
+pub struct Machine {
+    /// The first placement's configuration. Its cache, prefetcher and chunk
+    /// sizes are the walk's, which every placement shares.
+    config: MachineConfig,
+    cache: CacheSim,
+    /// The walk's open chunk: flops and the cache counters. Tier counters
+    /// live in each placement's chunk.
+    chunk: Counters,
+    /// DRAM lines moved in the open chunk, over both tiers: fills and
+    /// writebacks, never migration lines. Chunks close on this sum, which
+    /// does not depend on placement, so every placement closes its chunks at
+    /// the same points.
+    chunk_dram_lines: u64,
+    dram_events: Vec<DramEvent>,
+    /// Whether the batched line-walk fast path is used (default). Disabled,
+    /// the machine walks every access line by line exactly as the reference
+    /// implementation does — the two paths produce bit-identical reports.
+    batched: bool,
+    phase_names: Vec<String>,
+    current_phase: Option<usize>,
+    placements: Vec<Placement>,
+    /// Optional flight recorder ([`Machine::set_recorder`]), accepted only
+    /// with a single placement. `None` (the default) keeps every hot path
+    /// free of event construction; the recorded/unrecorded bit-identity of
+    /// [`RunReport`]s is pinned by the workspace property tests.
+    recorder: Option<Box<dyn Recorder>>,
+}
+
+impl Machine {
+    /// Creates a machine from a configuration: one walk with one placement,
+    /// under static placement.
+    pub fn new(config: MachineConfig) -> Self {
+        Self::lockstep([(config, TieringSpec::Static)])
+    }
+
+    /// Creates a machine whose one cache walk serves one placement per
+    /// `(config, tiering)` pair, in lockstep: every placement records and
+    /// times every DRAM transaction the walk emits, and
+    /// [`Machine::finish_lockstep`] returns their reports in this order,
+    /// each equal to a direct run of its configuration and policy.
+    ///
+    /// Panics without a placement, or unless every configuration shares the
+    /// first one's walk (see [`MachineConfig::shares_walk_with`]).
+    pub fn lockstep(placements: impl IntoIterator<Item = (MachineConfig, TieringSpec)>) -> Self {
+        let placements: Vec<Placement> = placements
+            .into_iter()
+            .map(|(config, spec)| Placement::new(config, &spec))
+            .collect();
+        let config = placements
+            .first()
+            .expect("a machine needs at least one placement")
+            .config
+            .clone();
+        for placement in &placements[1..] {
+            assert!(
+                config.shares_walk_with(&placement.config),
+                "lockstep placements must share a walk: equal cache, prefetch, chunk_bytes and chunk_flops"
+            );
+        }
+        let prefetcher = StreamPrefetcher::new(config.prefetch);
+        let cache = CacheSim::new(config.cache, prefetcher);
+        Self {
+            config,
+            cache,
+            chunk: Counters::default(),
+            chunk_dram_lines: 0,
+            dram_events: Vec::with_capacity(64),
+            batched: true,
+            phase_names: Vec::new(),
+            current_phase: None,
+            placements,
+            recorder: None,
+        }
+    }
+
+    /// The machine configuration (the first placement's).
     pub fn config(&self) -> &MachineConfig {
         &self.config
     }
@@ -292,30 +561,31 @@ impl Machine {
     /// before the run starts, so no setting changes mid-run.
     fn assert_unstarted(&self, setter: &str) {
         assert!(
-            self.chunk == Counters::default() && self.timeline.is_empty(),
+            self.chunk == Counters::default()
+                && self.placements.iter().all(|p| p.timeline.is_empty()),
             "Machine::{setter} called after the run started; configure a machine before its first access"
         );
     }
 
-    /// Sets the background interference profile on the pool link. Panics
-    /// once the run has started.
+    /// Sets the background interference profile on every placement's pool
+    /// link. Panics once the run has started.
     pub fn set_interference(&mut self, profile: InterferenceProfile) {
         self.assert_unstarted("set_interference");
-        self.interference = profile;
+        for placement in &mut self.placements {
+            placement.interference = profile.clone();
+        }
     }
 
-    /// Installs a dynamic tiering policy (see [`crate::tiering`]). Panics once
-    /// the run has started.
+    /// Installs a dynamic tiering policy (see [`crate::tiering`]) on every
+    /// placement. Panics once the run has started.
     ///
     /// With [`TieringSpec::Static`] (the default) the machine never fires an
     /// epoch and behaves bit-identically to the pre-tiering simulator.
     pub fn set_tiering_spec(&mut self, spec: &TieringSpec) {
         self.assert_unstarted("set_tiering_spec");
-        let tracker = spec
-            .epoch_lines()
-            .map(|_| HotnessTracker::new(spec.decay()));
-        self.space.set_hotness(tracker);
-        self.tiering = TieringRuntime::new(*spec);
+        for placement in &mut self.placements {
+            placement.set_tiering_spec(spec);
+        }
     }
 
     /// Enables or disables the batched line-walk fast path (enabled by
@@ -364,9 +634,9 @@ impl Machine {
         0
     }
 
-    /// Current simulated time in seconds.
+    /// Current simulated time of the first placement, in seconds.
     pub fn now(&self) -> f64 {
-        self.clock_s
+        self.placements[0].clock_s
     }
 
     /// Installs a flight recorder (see `dismem_trace::flight`). Events are
@@ -374,9 +644,15 @@ impl Machine {
     /// clock and the tiering epoch ordinal — so a recorded run's event
     /// stream is as deterministic as its [`RunReport`]. Recording is
     /// strictly read-only: the report of a recorded run is bit-identical to
-    /// an unrecorded one. Panics once the run has started.
+    /// an unrecorded one. Panics once the run has started, and on a machine
+    /// with more than one placement.
     pub fn set_recorder(&mut self, recorder: Box<dyn Recorder>) {
         self.assert_unstarted("set_recorder");
+        assert_eq!(
+            self.placements.len(),
+            1,
+            "a recorder is only accepted with a single placement"
+        );
         self.cache.set_replay_trace(true);
         self.recorder = Some(recorder);
     }
@@ -385,348 +661,103 @@ impl Machine {
     /// transitions and spill deltas into it first. Call after
     /// [`Machine::finish`] so the final chunk's events are included.
     pub fn take_recorder(&mut self) -> Option<Box<dyn Recorder>> {
-        if self.recorder.is_some() {
-            self.emit_chunk_trace();
+        if let Some(recorder) = self.recorder.as_deref_mut() {
+            let transitions = self.cache.drain_replay_transitions();
+            self.placements[0].emit_chunk_trace(recorder, transitions);
         }
         self.cache.set_replay_trace(false);
         self.recorder.take()
     }
 
-    /// The application-DRAM-line trace clock: demand/prefetch fills plus
-    /// writebacks on both tiers, folded into the totals at chunk closes.
-    /// Pipeline-identical (per-line, batched and replay agree bit for bit)
-    /// and monotone, which makes it a sound timestamp base.
-    fn app_lines_clock(&self) -> u64 {
-        self.total.dram_lines_local
-            + self.total.dram_lines_pool
-            + self.total.writeback_lines_local
-            + self.total.writeback_lines_pool
-    }
-
-    /// Drains replay transitions collected since the last chunk close and
-    /// the capacity-spill delta into the recorder, stamped with the current
-    /// application-line clock. Only called with a recorder installed.
-    #[allow(
-        clippy::disallowed_methods,
-        reason = "audited emission point: replay transitions and tier spills, stamped at chunk close"
-    )]
-    fn emit_chunk_trace(&mut self) {
-        let app_lines = self.app_lines_clock();
-        let transitions = self.cache.drain_replay_transitions();
-        let spilled = self.space.spilled_pages();
-        let Some(recorder) = self.recorder.as_deref_mut() else {
-            return;
-        };
-        for transition in transitions {
-            recorder.record_event(match transition {
-                ReplayTransition::Engaged => TraceEvent::ReplayEngaged {
-                    app_lines,
-                    mode: ReplayMode::Window,
-                },
-                ReplayTransition::Exited => TraceEvent::ReplayExited {
-                    app_lines,
-                    mode: ReplayMode::Window,
-                    reason: "pattern-break".to_string(),
-                },
-            });
-        }
-        if spilled > self.spilled_seen {
-            recorder.record_event(TraceEvent::TierSpill {
-                app_lines,
-                pages: spilled - self.spilled_seen,
-            });
-            self.spilled_seen = spilled;
-        }
-    }
-
-    /// Finishes the run and produces the report. The machine can keep being
-    /// used afterwards (e.g. to run another phase), but typically a fresh
-    /// machine is created per run.
+    /// Finishes the run of a one-placement machine and produces its report.
+    /// The machine can keep being used afterwards (e.g. to run another
+    /// phase), but typically a fresh machine is created per run. Panics on a
+    /// machine with more than one placement; see [`Machine::finish_lockstep`].
     pub fn finish(&mut self) -> RunReport {
+        assert_eq!(
+            self.placements.len(),
+            1,
+            "Machine::finish reports one placement; call finish_lockstep"
+        );
+        self.finish_lockstep()
+            .pop()
+            .expect("one report per placement")
+    }
+
+    /// Finishes the run and produces every placement's report, in the order
+    /// the placements were given to [`Machine::lockstep`].
+    pub fn finish_lockstep(&mut self) -> Vec<RunReport> {
         self.close_chunk();
         // A tiering epoch firing at that close deposits its migration traffic
         // into a fresh chunk; close again so it is timed and reported. The
         // second close cannot fire another epoch (migration traffic does not
         // count towards the epoch accumulator), so two closes always drain.
         self.close_chunk();
-        debug_assert_eq!(self.chunk, Counters::default());
-        let line_bytes = self.config.cache.line_bytes;
-        let phases = self
-            .phase_names
+        debug_assert!(self
+            .placements
             .iter()
-            .zip(&self.phase_counters)
-            .zip(&self.phase_runtimes)
-            .map(|((name, counters), runtime)| PhaseReport {
-                name: name.clone(),
-                counters: *counters,
-                runtime_s: *runtime,
-                line_bytes,
-            })
-            .collect();
-        let allocations = self
-            .space
-            .allocations()
+            .all(|p| p.chunk == Counters::default()));
+        self.placements
             .iter()
-            .zip(self.space.placements())
-            .map(|(rec, pl)| AllocationSummary {
-                name: rec.name.clone(),
-                site: rec.site.clone(),
-                bytes: rec.bytes,
-                order: rec.order,
-                freed: rec.freed,
-                pages_local: pl.pages_local,
-                pages_pool: pl.pages_pool,
-                dram_lines_local: pl.dram_lines_local,
-                dram_lines_pool: pl.dram_lines_pool,
-            })
-            .collect();
-        RunReport {
-            config: self.config.clone(),
-            phases,
-            total: self.total,
-            total_runtime_s: self.clock_s,
-            allocations,
-            timeline: self.timeline.clone(),
-            page_histogram: self.space.histogram().clone(),
-            peak_footprint_bytes: self.space.peak_footprint_bytes(),
-            local_pages_used: self.space.local_pages_used(),
-            pool_pages_used: self.space.pool_pages_used(),
-            tiering: self.tiering_report(),
-        }
+            .map(|placement| placement.report(&self.phase_names))
+            .collect()
     }
 
-    fn tiering_report(&self) -> TieringReport {
-        let report = &self.tiering.report;
-        let migrated_pages = report.promotions + report.demotions;
-        TieringReport {
-            policy: self.tiering.spec.label().to_string(),
-            migrated_pages,
-            migrated_bytes: migrated_pages * dismem_trace::PAGE_SIZE,
-            ..report.clone()
-        }
-    }
-
+    /// Closes the walk's open chunk in every placement at once. Each
+    /// placement times its own chunk, emits the chunk's trace and may run a
+    /// tiering epoch, whose migration lines open its next chunk.
     fn close_chunk(&mut self) {
-        if self.chunk_pool_link_lines > 0 {
-            // Fold the chunk's pool traffic into raw link bytes in one step:
-            // exact payload × protocol overhead, rounded once per chunk
-            // instead of once per line.
-            let payload = (self.chunk_pool_link_lines * self.config.cache.line_bytes) as f64;
-            self.chunk.link_raw_bytes =
-                (payload * self.config.link.protocol_overhead()).round() as u64;
-            self.chunk_pool_link_lines = 0;
-        }
-        if self.chunk == Counters::default() {
-            // Nothing to time, and nothing to trace: replay transitions and
-            // spills only happen inside walks, which count demand lines.
-            return;
-        }
-        let loi = self.interference.loi_at(self.clock_s);
-        let breakdown = self.timing.chunk_time(&self.chunk, loi);
-        let duration = breakdown.total_s;
-        self.timeline.push(TimelineSample {
-            start_s: self.clock_s,
-            duration_s: duration,
-            counters: self.chunk,
-            phase: self.current_phase,
-        });
-        if let Some(p) = self.current_phase {
-            self.phase_counters[p].add(&self.chunk);
-            self.phase_runtimes[p] += duration;
-        }
-        self.total.add(&self.chunk);
-        self.clock_s += duration;
-        // Application DRAM lines drive the tiering epoch clock (migration
-        // lines deliberately excluded, so a migration burst cannot re-fire an
-        // epoch on its own).
-        let app_dram_lines = self.chunk.dram_lines_local
-            + self.chunk.dram_lines_pool
-            + self.chunk.writeback_lines_local
-            + self.chunk.writeback_lines_pool;
-        self.chunk = Counters::default();
-        if self.recorder.is_some() {
-            // Emit before a possible tiering epoch so replay transitions from
-            // this chunk's walks order ahead of the epoch's events.
-            self.emit_chunk_trace();
-        }
-        if let Some(epoch_lines) = self.tiering.spec.epoch_lines() {
-            self.tiering.epoch_acc += app_dram_lines;
-            if self.tiering.epoch_acc >= epoch_lines {
-                self.tiering.epoch_acc = 0;
-                self.run_tiering_epoch();
-            }
-        }
-    }
-
-    /// Completes a hotness epoch: folds the tracker, asks the policy for
-    /// migrations, applies them to the address space and charges the moved
-    /// pages as page-sized traffic on both tiers and the pool link (the
-    /// charge lands in the chunk that is just opening, so the timing model
-    /// prices it at the placement it created).
-    ///
-    /// Runs only between cache walks (chunk closes never happen mid-walk).
-    /// The cache walk never reads a page's tier, so a move leaves the replay
-    /// engine alone: replayed windows resolve each page's tier in the sink at
-    /// the current binding, as the exact walk does.
-    #[allow(
-        clippy::disallowed_methods,
-        reason = "the audited migration-apply path: every applied rebind is charged as migration traffic and counted, and the epoch's events are audited emission points"
-    )]
-    fn run_tiering_epoch(&mut self) {
-        let Some(tracker) = self.space.hotness_mut() else {
-            return;
-        };
-        let dwell = tracker.end_epoch();
-        let hot_pages = dwell.pages;
-        {
-            // Phase-dwell bookkeeping: each epoch extends the open dwell, and
-            // a hot-set shift closes it (the new hot set starts a dwell of
-            // one epoch). An epoch whose hot set vanished entirely leaves no
-            // open dwell behind.
-            let s = &mut self.tiering.report;
-            s.hot_set_pages_max = s.hot_set_pages_max.max(dwell.pages);
-            if dwell.shifted {
-                s.hot_set_shifts += 1;
-                s.dwell_epochs_total += s.open_dwell_epochs;
-                s.open_dwell_epochs = u64::from(dwell.pages > 0);
-            } else if dwell.pages > 0 {
-                s.open_dwell_epochs += 1;
-            }
-        }
-        self.tiering.epoch += 1;
-        let epoch = self.tiering.epoch;
-        let cooldown = self.tiering.spec.cooldown_epochs();
-        if cooldown > 0 {
-            self.tiering
-                .last_migrated
-                .retain(|_, last| epoch - *last <= cooldown);
-        }
-
-        // Sample every bound page with its decayed heat, sorted hottest-first
-        // (page number as tie-break) so policy decisions are deterministic
-        // regardless of hash-map iteration order.
-        let tracker = self.space.hotness().expect("tracker installed above");
-        let mut samples: Vec<PageSample> = self
-            .space
-            .bound_pages()
-            .map(|(page, tier)| PageSample {
-                page,
-                tier,
-                heat: tracker.heat_of(page),
-                cooling: self.tiering.damped(page, epoch, cooldown),
-            })
-            .collect();
-        samples
-            .sort_unstable_by(|a, b| b.heat.total_cmp(&a.heat).then_with(|| a.page.cmp(&b.page)));
-        let occupancy = TierOccupancy {
-            local_used: self.space.local_pages_used(),
-            local_capacity: self
-                .config
-                .local
-                .capacity_bytes
-                .map(dismem_trace::access::pages_for),
-        };
-        let orders = self.tiering.spec.plan(epoch, &samples, &occupancy);
-
-        // Epoch events share one timestamp: the application-line clock at the
-        // chunk close that fired this epoch (totals already include it).
-        let app_lines = self.app_lines_clock();
-        let mut moved = 0u64;
-        for order in orders {
-            if self.tiering.damped(order.page, epoch, cooldown) {
-                self.tiering.report.ping_pongs_damped += 1;
+        let walk = std::mem::take(&mut self.chunk);
+        self.chunk_dram_lines = 0;
+        for placement in &mut self.placements {
+            let Some(app_dram_lines) = placement.close_chunk(&walk, self.current_phase) else {
+                // Nothing to time, and nothing to trace: replay transitions
+                // and spills only happen inside walks, which count demand
+                // lines.
                 continue;
+            };
+            if let Some(recorder) = self.recorder.as_deref_mut() {
+                // Emit before a possible tiering epoch so replay transitions
+                // from this chunk's walks order ahead of the epoch's events.
+                let transitions = self.cache.drain_replay_transitions();
+                placement.emit_chunk_trace(recorder, transitions);
             }
-            match self.space.rebind_page(order.page, order.to) {
-                Ok(from) if from != order.to => {
-                    moved += 1;
-                    self.tiering.last_migrated.insert(order.page, epoch);
-                    match order.to {
-                        Tier::Local => self.tiering.report.promotions += 1,
-                        Tier::Pool => self.tiering.report.demotions += 1,
-                    }
-                    if let Some(recorder) = self.recorder.as_deref_mut() {
-                        recorder.record_event(TraceEvent::MigrationApplied {
-                            epoch,
-                            app_lines,
-                            page: order.page,
-                            from: trace_tier(from),
-                            to: trace_tier(order.to),
-                        });
-                    }
-                }
-                Ok(_) => {}
-                Err(crate::address_space::RebindError::NoCapacity) => {
-                    self.tiering.report.skipped_capacity += 1;
-                }
-                Err(crate::address_space::RebindError::Unbound) => {}
+            if placement.epoch_due(app_dram_lines) {
+                placement.run_tiering_epoch(self.recorder.as_deref_mut());
             }
-        }
-        self.tiering.report.epochs += 1;
-        if let Some(recorder) = self.recorder.as_deref_mut() {
-            recorder.record_event(TraceEvent::EpochClosed {
-                epoch,
-                app_lines,
-                hot_pages,
-                dwell_epochs: self.tiering.report.open_dwell_epochs,
-                hot_set_shifts: self.tiering.report.hot_set_shifts,
-                migrated_pages: moved,
-            });
-        }
-        if moved > 0 {
-            // Each migrated page is read from one tier and written to the
-            // other; one side is always the pool, so the whole payload also
-            // crosses the link (folded into `link_raw_bytes` with protocol
-            // overhead when this chunk closes).
-            let lines = moved * LINES_PER_PAGE;
-            self.chunk.migration_lines_local += lines;
-            self.chunk.migration_lines_pool += lines;
-            self.chunk_pool_link_lines += lines;
         }
     }
 
-    /// The chunk-close policy, shared by `maybe_close_chunk` and the batched
-    /// element walk so the two pipelines can never disagree on boundaries.
-    /// An associated function over the fields it needs, so callers holding
-    /// disjoint field borrows (the batched walk's tally sink) can use it.
-    fn chunk_full(config: &MachineConfig, chunk: &Counters) -> bool {
-        chunk.bytes_dram(config.cache.line_bytes) >= config.chunk_bytes
+    /// The chunk-close policy of every pipeline, so they can never disagree
+    /// on boundaries: the walk's DRAM bytes or flops reached a chunk's worth.
+    /// An associated function over the fields it needs, so the batched
+    /// element walk can check it while its sink borrows the placements.
+    fn chunk_full(config: &MachineConfig, chunk: &Counters, dram_lines: u64) -> bool {
+        dram_lines * config.cache.line_bytes >= config.chunk_bytes
             || chunk.flops >= config.chunk_flops
     }
 
     fn maybe_close_chunk(&mut self) {
-        if Self::chunk_full(&self.config, &self.chunk) {
+        if Self::chunk_full(&self.config, &self.chunk, self.chunk_dram_lines) {
             self.close_chunk();
         }
     }
 
-    /// Per-line reference drain: resolves the serving tier event by event
-    /// through the shared counter mapping, folded once per drain.
+    /// Per-line reference drain: hands the queued events to the placements
+    /// one by one.
     fn process_dram_events(&mut self) {
-        // Drain into a local buffer to avoid borrowing issues.
-        let mut events = std::mem::take(&mut self.dram_events);
-        let mut tally = DramTally::default();
-        for ev in events.drain(..) {
-            let addr = ev.line_addr * CACHE_LINE_SIZE;
-            #[allow(
-                clippy::disallowed_methods,
-                reason = "the per-line reference pipeline resolves each event through the recording point itself; this is the call into it, not a bypass"
-            )]
-            let tier = match self.space.dram_access(addr) {
-                Ok(t) => t,
-                Err(oom) => panic!("simulated OOM abort: {oom}"),
-            };
-            tally.tally(tier, ev.kind);
+        let mut sink = PlacementSink::new(&mut self.placements, &mut self.chunk_dram_lines);
+        for ev in self.dram_events.drain(..) {
+            sink.event(ev.line_addr, ev.kind);
         }
-        tally.fold_into(&mut self.chunk, &mut self.chunk_pool_link_lines);
-        self.dram_events = events;
+        sink.flush();
     }
 
     /// Batched walk over a contiguous run of cache lines: the cache walks
-    /// the whole run in one call and every DRAM transaction is tallied
-    /// inline by a [`TallySink`] — no event queue, no per-line drain.
+    /// the whole run in one call and hands every DRAM transaction straight
+    /// to the placements — no event queue, no per-line drain.
     fn walk_lines_batched(&mut self, first_line: u64, last_line: u64, is_write: bool) {
-        let mut sink = TallySink::new(&mut self.space);
+        let mut sink = PlacementSink::new(&mut self.placements, &mut self.chunk_dram_lines);
         self.cache.demand_access_range(
             first_line,
             last_line - first_line + 1,
@@ -735,29 +766,26 @@ impl Machine {
             &mut sink,
         );
         sink.flush();
-        let mut tally = sink.tally;
-        tally.fold_into(&mut self.chunk, &mut self.chunk_pool_link_lines);
     }
 
     /// Batched scattered-element walk shared by `gather_batch` and
-    /// `strided_batch`: element line-runs stream through one tally sink, and
-    /// *contiguous* consecutive elements (the next element's first line
-    /// exactly follows the previous element's last — dense sub-line strided
-    /// sweeps, multi-line elements laid out back to back, and sorted
-    /// gathers at the points where they cross a line boundary) are merged
-    /// into a single cache walk so repeated-page traffic hits the page
-    /// memos and the replay detector sees whole runs instead of
-    /// per-element fragments. Consecutive elements that *share* a line
-    /// (e.g. 8-byte gathers of neighbouring slots) deliberately do not
-    /// merge: each is a separate demand reference, and dropping the repeat
-    /// would break bit-identity with the per-element reference path.
+    /// `strided_batch`: *contiguous* consecutive elements (the next element's
+    /// first line exactly follows the previous element's last — dense
+    /// sub-line strided sweeps, multi-line elements laid out back to back,
+    /// and sorted gathers at the points where they cross a line boundary)
+    /// are merged into a single cache walk so the replay detector sees whole
+    /// runs instead of per-element fragments. Consecutive elements that
+    /// *share* a line (e.g. 8-byte gathers of neighbouring slots)
+    /// deliberately do not merge: each is a separate demand reference, and
+    /// dropping the repeat would break bit-identity with the per-element
+    /// reference path.
     ///
     /// Chunk-close decisions stay identical to the per-element reference
     /// path: a merge is only allowed while the worst-case DRAM traffic of
     /// the merged lines cannot reach the chunk threshold, which proves every
     /// skipped intermediate `chunk_full` check would have returned false
-    /// (flops do not change inside the walk, and the byte counters are
-    /// monotone).
+    /// (flops do not change inside the walk, and the walk's DRAM line count
+    /// is monotone).
     fn walk_elements_batched(
         &mut self,
         handle: ObjectHandle,
@@ -765,34 +793,25 @@ impl Machine {
         elem_bytes: u64,
         kind: AccessKind,
     ) {
-        let object_bytes = self.space.object_bytes(handle);
-        let base = self.space.base_addr(handle);
+        let layout = &self.placements[0].space;
+        let object_bytes = layout.object_bytes(handle);
+        let base = layout.base_addr(handle);
         let is_write = kind.is_write();
+        let line_bytes = self.config.cache.line_bytes;
         // Worst-case DRAM bytes one demand line can produce: its fill, a
         // dirty LLC victim writeback from that fill, and a second writeback
         // when its dirty L2 victim misses the LLC and evicts another dirty
         // line there — three transactions, and the same triple for each of
         // up to `degree` prefetches it can trigger.
-        let worst_bytes_per_line =
-            3 * (1 + self.config.prefetch.degree as u64) * self.config.cache.line_bytes;
-        let line_bytes = self.config.cache.line_bytes;
+        let worst_bytes_per_line = 3 * (1 + self.config.prefetch.degree as u64) * line_bytes;
 
-        let mut sink = TallySink::new(&mut self.space);
         // The contiguous run being accumulated, plus how many more lines may
         // be merged into it before a chunk_full check must be taken.
         let mut run: Option<(u64, u64)> = None;
         let mut merge_budget_lines = 0u64;
-        // Strictly below the threshold: `chunk_full` fires at >=, so the
-        // merged traffic must not be able to even *reach* `chunk_bytes` at a
-        // skipped intermediate element.
-        let fresh_budget = |chunk: &Counters, config: &MachineConfig| {
-            config
-                .chunk_bytes
-                .saturating_sub(chunk.bytes_dram(line_bytes))
-                .saturating_sub(1)
-                / worst_bytes_per_line.max(1)
-        };
-
+        // One sink serves every run of the call, so traffic against one page
+        // from consecutive elements reaches the placements as one record.
+        let mut sink = PlacementSink::new(&mut self.placements, &mut self.chunk_dram_lines);
         for offset in offsets {
             debug_assert!(
                 offset + elem_bytes <= object_bytes.max(dismem_trace::PAGE_SIZE),
@@ -821,17 +840,24 @@ impl Machine {
                     &mut self.chunk,
                     &mut sink,
                 );
-                sink.tally
-                    .fold_into(&mut self.chunk, &mut self.chunk_pool_link_lines);
-                if Self::chunk_full(&self.config, &self.chunk) {
-                    // The sink's borrow of `self.space` ends with this flush
-                    // (its last use), freeing `self` for the chunk close.
+                if Self::chunk_full(&self.config, &self.chunk, *sink.dram_lines) {
+                    // The sink's borrow of the placements ends with this
+                    // flush (its last use), freeing `self` for the close.
                     sink.flush();
                     self.close_chunk();
-                    sink = TallySink::new(&mut self.space);
+                    sink = PlacementSink::new(&mut self.placements, &mut self.chunk_dram_lines);
                 }
             }
-            merge_budget_lines = fresh_budget(&self.chunk, &self.config).saturating_sub(lines);
+            // Strictly below the threshold: `chunk_full` fires at >=, so the
+            // merged traffic must not be able to even *reach* `chunk_bytes`
+            // at a skipped intermediate element.
+            let fresh_budget = self
+                .config
+                .chunk_bytes
+                .saturating_sub(*sink.dram_lines * line_bytes)
+                .saturating_sub(1)
+                / worst_bytes_per_line.max(1);
+            merge_budget_lines = fresh_budget.saturating_sub(lines);
             run = Some((first_line, last_line));
         }
 
@@ -845,14 +871,13 @@ impl Machine {
             );
         }
         sink.flush();
-        let mut tally = sink.tally;
-        tally.fold_into(&mut self.chunk, &mut self.chunk_pool_link_lines);
         self.maybe_close_chunk();
     }
 
-    /// Direct access to the underlying address space (placement inspection).
+    /// Direct access to the first placement's address space (placement
+    /// inspection).
     pub fn address_space(&self) -> &AddressSpace {
-        &self.space
+        &self.placements[0].space
     }
 
     /// Frees an object, surfacing invalid frees (unknown handle, double
@@ -864,7 +889,13 @@ impl Machine {
         // Close the chunk first so traffic before the free is timed with the
         // placement that produced it.
         self.close_chunk();
-        self.space.free(handle)
+        let mut result = Ok(());
+        for placement in &mut self.placements {
+            // Every placement saw the same allocations and frees, so each
+            // returns the same result.
+            result = placement.space.free(handle);
+        }
+        result
     }
 }
 
@@ -883,7 +914,12 @@ impl MemoryEngine for Machine {
         bytes: u64,
         policy: PlacementPolicy,
     ) -> ObjectHandle {
-        self.space.alloc(name, site, bytes, policy)
+        let mut handle = None;
+        for placement in &mut self.placements {
+            // Every placement hands out the same handle and pages.
+            handle = Some(placement.space.alloc(name, site, bytes, policy));
+        }
+        handle.expect("a machine has a placement")
     }
 
     fn free(&mut self, handle: ObjectHandle) {
@@ -899,8 +935,10 @@ impl MemoryEngine for Machine {
             "phase_start('{name}') while another phase is open"
         );
         self.phase_names.push(name.to_string());
-        self.phase_counters.push(Counters::default());
-        self.phase_runtimes.push(0.0);
+        for placement in &mut self.placements {
+            placement.phase_counters.push(Counters::default());
+            placement.phase_runtimes.push(0.0);
+        }
         self.current_phase = Some(self.phase_names.len() - 1);
     }
 
@@ -917,12 +955,13 @@ impl MemoryEngine for Machine {
         if bytes == 0 {
             return;
         }
-        let object_bytes = self.space.object_bytes(handle);
+        let layout = &self.placements[0].space;
+        let object_bytes = layout.object_bytes(handle);
         debug_assert!(
             offset + bytes <= object_bytes.max(dismem_trace::PAGE_SIZE),
             "access beyond end of object (offset {offset} + {bytes} > {object_bytes})"
         );
-        let base = self.space.base_addr(handle) + offset;
+        let base = layout.base_addr(handle) + offset;
         let first_line = base / CACHE_LINE_SIZE;
         let last_line = (base + bytes - 1) / CACHE_LINE_SIZE;
         let is_write = kind.is_write();

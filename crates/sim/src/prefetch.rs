@@ -191,16 +191,36 @@ impl StreamPrefetcher {
         let line_in_page = line_addr % LINES_PER_PAGE;
 
         // Find existing stream for this page: through the caller's memoized
-        // entry index when it still matches, by scanning otherwise.
-        let found = hint
+        // entry index when it still matches, by scanning otherwise. The scan
+        // also finds the LRU victim, the first entry with the minimum stamp
+        // (stamps are unique), so a miss pays one pass over the table.
+        let hinted = hint
             .as_deref()
             .copied()
-            .filter(|&i| i < self.entries.len() && self.entries[i].page == page)
-            .or_else(|| self.entries.iter().position(|e| e.page == page));
+            .filter(|&i| i < self.entries.len() && self.entries[i].page == page);
+        let found = match hinted {
+            Some(i) => Ok(i),
+            None => {
+                let mut lru = 0;
+                let mut lru_stamp = u64::MAX;
+                let mut found = None;
+                for (i, e) in self.entries.iter().enumerate() {
+                    if e.page == page {
+                        found = Some(i);
+                        break;
+                    }
+                    if e.stamp < lru_stamp {
+                        lru_stamp = e.stamp;
+                        lru = i;
+                    }
+                }
+                found.ok_or(lru)
+            }
+        };
 
         let idx = match found {
-            Some(i) => i,
-            None => {
+            Ok(i) => i,
+            Err(lru) => {
                 // Allocate a new entry, evicting the LRU one if full.
                 let fresh = StreamEntry {
                     page,
@@ -212,13 +232,6 @@ impl StreamPrefetcher {
                     self.entries.push(fresh);
                     self.entries.len() - 1
                 } else {
-                    let lru = self
-                        .entries
-                        .iter()
-                        .enumerate()
-                        .min_by_key(|(_, e)| e.stamp)
-                        .map(|(i, _)| i)
-                        .unwrap();
                     self.entries[lru] = fresh;
                     lru
                 };

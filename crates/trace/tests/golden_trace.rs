@@ -72,7 +72,7 @@ fn golden_events() -> Vec<TraceEvent> {
         TraceEvent::ReplayExited {
             app_lines: 5120,
             mode: ReplayMode::Window,
-            reason: "cache-reset".into(),
+            reason: "pattern-break".into(),
         },
         TraceEvent::CampaignCellStarted {
             cell_index: 0,

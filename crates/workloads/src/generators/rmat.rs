@@ -6,7 +6,7 @@
 //! compressed sparse rows, which is what the BFS proxy traverses.
 
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::{RngCore, SeedableRng};
 
 /// A directed graph in compressed sparse row format.
 #[derive(Debug, Clone)]
@@ -60,57 +60,113 @@ impl CsrGraph {
 /// `num_edges` directed edges (duplicates are kept, self-loops dropped, and
 /// each generated edge is also inserted in the reverse direction so the graph
 /// is symmetric like the paper's inputs).
+///
+/// The edge list is never stored: the seeded edge stream is drawn twice,
+/// once to count degrees and once to fill the rows.
 pub fn rmat_graph(log_n: u32, num_edges: usize, seed: u64) -> CsrGraph {
     let n = 1usize << log_n;
-    let mut rng = StdRng::seed_from_u64(seed);
-    let (a, b, c) = (0.57f64, 0.19f64, 0.19f64);
+    let quadrants = Quadrants::new(0.57, 0.19, 0.19);
+    let edges = || RmatEdges {
+        rng: StdRng::seed_from_u64(seed),
+        quadrants,
+        log_n,
+        remaining: num_edges,
+    };
 
-    // Generate the edge list.
-    let mut pairs: Vec<(u32, u32)> = Vec::with_capacity(num_edges * 2);
-    for _ in 0..num_edges {
-        let mut src = 0usize;
-        let mut dst = 0usize;
-        for level in (0..log_n).rev() {
-            let r: f64 = rng.gen();
-            let (sbit, dbit) = if r < a {
-                (0, 0)
-            } else if r < a + b {
-                (0, 1)
-            } else if r < a + b + c {
-                (1, 0)
-            } else {
-                (1, 1)
-            };
-            src |= sbit << level;
-            dst |= dbit << level;
-        }
-        if src != dst {
-            pairs.push((src as u32, dst as u32));
-            pairs.push((dst as u32, src as u32));
-        }
-    }
-
-    // Count degrees and build CSR.
+    // Count degrees and build the row offsets.
     let mut degree = vec![0u64; n];
-    for &(s, _) in &pairs {
-        degree[s as usize] += 1;
+    for (src, dst) in edges() {
+        degree[src as usize] += 1;
+        degree[dst as usize] += 1;
     }
     let mut offsets = vec![0u64; n + 1];
     for v in 0..n {
         offsets[v + 1] = offsets[v] + degree[v];
     }
+    drop(degree);
+
+    // Fill the rows in stream order, each edge and then its reverse.
     let mut cursor = offsets.clone();
-    let mut edges = vec![0u32; pairs.len()];
-    for &(s, d) in &pairs {
-        let pos = cursor[s as usize];
-        edges[pos as usize] = d;
-        cursor[s as usize] += 1;
+    let mut edges_out = vec![0u32; offsets[n] as usize];
+    for (src, dst) in edges() {
+        for (s, d) in [(src, dst), (dst, src)] {
+            let pos = &mut cursor[s as usize];
+            edges_out[*pos as usize] = d;
+            *pos += 1;
+        }
     }
 
     CsrGraph {
         num_vertices: n,
         offsets,
-        edges,
+        edges: edges_out,
+    }
+}
+
+/// The recursive-matrix quadrant probabilities as integer thresholds on the
+/// 53-bit mantissa of a uniform draw: a draw `m = next_u64() >> 11` picks
+/// quadrant a, b, c or d as `m` falls below `a·2⁵³`, `(a+b)·2⁵³`,
+/// `(a+b+c)·2⁵³` or none. The uniform `f64` is `m · 2⁻⁵³`, exactly, so the
+/// integer comparisons choose what `f64` comparisons against `a`, `a + b`
+/// and `a + b + c` would.
+#[derive(Clone, Copy)]
+struct Quadrants {
+    thresholds: [u64; 3],
+}
+
+impl Quadrants {
+    fn new(a: f64, b: f64, c: f64) -> Self {
+        let scale = (1u64 << 53) as f64;
+        let threshold = |p: f64| {
+            let t = p * scale;
+            assert!(
+                t.fract() == 0.0 && (0.0..=scale).contains(&t),
+                "threshold {p}·2⁵³ is not an exact integer"
+            );
+            t as u64
+        };
+        Self {
+            thresholds: [threshold(a), threshold(a + b), threshold(a + b + c)],
+        }
+    }
+
+    /// The (source bit, destination bit) of the quadrant mantissa `m` picks,
+    /// without a branch: the source bit is set in quadrants c and d, the
+    /// destination bit in b and d.
+    #[inline]
+    fn pick(&self, m: u64) -> (usize, usize) {
+        let [past_a, past_b, past_c] = self.thresholds.map(|t| usize::from(m >= t));
+        (past_b, past_a ^ past_b ^ past_c)
+    }
+}
+
+/// The seeded R-MAT edge stream: `remaining` draws of one edge each, with
+/// self-loops dropped.
+struct RmatEdges {
+    rng: StdRng,
+    quadrants: Quadrants,
+    log_n: u32,
+    remaining: usize,
+}
+
+impl Iterator for RmatEdges {
+    type Item = (u32, u32);
+
+    fn next(&mut self) -> Option<(u32, u32)> {
+        while self.remaining > 0 {
+            self.remaining -= 1;
+            let mut src = 0usize;
+            let mut dst = 0usize;
+            for level in (0..self.log_n).rev() {
+                let (sbit, dbit) = self.quadrants.pick(self.rng.next_u64() >> 11);
+                src |= sbit << level;
+                dst |= dbit << level;
+            }
+            if src != dst {
+                return Some((src as u32, dst as u32));
+            }
+        }
+        None
     }
 }
 
@@ -178,6 +234,44 @@ mod tests {
             for &v in g.neighbours(u) {
                 assert_ne!(u as u32, v);
             }
+        }
+    }
+
+    /// The CSR arrays of a small graph, pinned by FNV-1a digests of their
+    /// little-endian bytes: the generator's output must not drift.
+    #[test]
+    fn csr_arrays_are_pinned() {
+        let g = rmat_graph(10, 4000, 7);
+        let offsets: Vec<u8> = g.offsets.iter().flat_map(|o| o.to_le_bytes()).collect();
+        let edges: Vec<u8> = g.edges.iter().flat_map(|e| e.to_le_bytes()).collect();
+        assert_eq!(g.edges.len(), 7928);
+        assert_eq!(dismem_trace::fnv1a64(&offsets), 0xc39f_c397_8dcc_31da);
+        assert_eq!(dismem_trace::fnv1a64(&edges), 0xb4a4_1535_3a37_626a);
+    }
+
+    #[test]
+    fn quadrant_thresholds_choose_as_the_float_comparisons_do() {
+        let (a, b, c) = (0.57f64, 0.19f64, 0.19f64);
+        let quadrants = Quadrants::new(a, b, c);
+        let float_pick = |m: u64| {
+            let r = m as f64 * (1.0 / (1u64 << 53) as f64);
+            if r < a {
+                (0, 0)
+            } else if r < a + b {
+                (0, 1)
+            } else if r < a + b + c {
+                (1, 0)
+            } else {
+                (1, 1)
+            }
+        };
+        for t in quadrants.thresholds {
+            for m in [t.saturating_sub(1), t, t + 1] {
+                assert_eq!(quadrants.pick(m), float_pick(m), "mantissa {m}");
+            }
+        }
+        for m in [0, (1u64 << 53) - 1] {
+            assert_eq!(quadrants.pick(m), float_pick(m));
         }
     }
 

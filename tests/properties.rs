@@ -672,6 +672,120 @@ fn periodic_rebalance_is_exact_across_pipelines() {
     assert_eq!(replay, per_line);
 }
 
+/// The tiering policy of a lockstep test placement, by index: Static,
+/// hot-promote or periodic-rebalance.
+fn test_policy(index: u8) -> TieringSpec {
+    match index % 3 {
+        0 => TieringSpec::Static,
+        1 => test_hot_promote(),
+        _ => TieringSpec::PeriodicRebalance(PeriodicRebalance::new(2048, 2, 64)),
+    }
+}
+
+/// The message of a caught panic.
+fn panic_message(err: &(dyn std::any::Any + Send)) -> String {
+    err.downcast_ref::<String>()
+        .cloned()
+        .or_else(|| err.downcast_ref::<&str>().map(|s| s.to_string()))
+        .unwrap_or_default()
+}
+
+/// Runs `body` once on a lockstep machine with one placement per
+/// `(config, policy)` pair and once directly per pair, on `pipeline`, and
+/// asserts that the lockstep run panics if and only if some direct run
+/// panics, and otherwise returns reports equal to the direct runs'.
+/// Returns the direct reports, or `None` when the runs panicked.
+fn assert_lockstep_equals_direct(
+    placements: &[(MachineConfig, TieringSpec)],
+    pipeline: Pipeline,
+    body: impl Fn(&mut Machine),
+) -> Option<Vec<dismem::sim::RunReport>> {
+    let catch = |f: &dyn Fn() -> Vec<dismem::sim::RunReport>| {
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(f))
+            .map_err(|err| panic_message(err.as_ref()))
+    };
+    let direct: Vec<_> = placements
+        .iter()
+        .map(|(config, spec)| catch(&|| vec![run_tiered(config, Some(spec), pipeline, &body).0]))
+        .collect();
+    let lockstep = catch(&|| {
+        let mut m = Machine::lockstep(placements.iter().cloned());
+        pipeline.configure(&mut m);
+        body(&mut m);
+        let reports = m.finish_lockstep();
+        reports.iter().for_each(assert_counter_identities);
+        reports
+    });
+    let direct_panics: Vec<&String> = direct.iter().filter_map(|r| r.as_ref().err()).collect();
+    match lockstep {
+        Err(msg) => {
+            assert!(
+                !direct_panics.is_empty(),
+                "lockstep panicked ({msg}) but no direct run did"
+            );
+            assert!(
+                msg.contains("simulated OOM abort"),
+                "unexpected panic: {msg}"
+            );
+            None
+        }
+        Ok(reports) => {
+            assert!(
+                direct_panics.is_empty(),
+                "direct runs panicked ({direct_panics:?}) but lockstep did not"
+            );
+            let direct: Vec<_> = direct.into_iter().flat_map(Result::unwrap).collect();
+            assert_eq!(reports.len(), direct.len());
+            for (i, (lockstep, direct)) in reports.iter().zip(&direct).enumerate() {
+                assert!(
+                    lockstep == direct,
+                    "placement {i} differs from its direct run"
+                );
+            }
+            Some(direct)
+        }
+    }
+}
+
+/// One walk serves many placements: a lockstep run of the hot/cold body at
+/// four local capacities under all three policies equals the four direct
+/// runs on every pipeline, migrations and spills included.
+#[test]
+fn lockstep_placements_equal_direct_runs() {
+    let base = MachineConfig::test_config();
+    let placements: Vec<(MachineConfig, TieringSpec)> =
+        [(None, 0), (Some(64), 1), (Some(40), 2), (Some(16), 1)]
+            .into_iter()
+            .map(|(pages, policy): (Option<u64>, u8)| {
+                let mut config = base.clone();
+                config.local.capacity_bytes = pages.map(|p| p * PAGE_SIZE);
+                (config, test_policy(policy))
+            })
+            .collect();
+    for pipeline in [Pipeline::PerLine, Pipeline::Batched, Pipeline::Replay] {
+        let reports = assert_lockstep_equals_direct(&placements, pipeline, hot_cold_body(10, None))
+            .expect("no tier is bounded on both sides");
+        let migrated: u64 = reports.iter().map(|r| r.tiering.migrated_pages).sum();
+        assert!(migrated > 0, "the dynamic placements must migrate");
+        assert!(reports[3].remote_access_ratio() > reports[0].remote_access_ratio());
+    }
+}
+
+/// A placement whose pool is too small aborts the lockstep run with its
+/// simulated OOM, as its direct run aborts.
+#[test]
+fn lockstep_run_aborts_when_one_placement_runs_out_of_memory() {
+    let base = MachineConfig::test_config();
+    let tight = base
+        .clone()
+        .with_local_capacity(16 * PAGE_SIZE)
+        .with_pool_capacity(16 * PAGE_SIZE);
+    let placements = [(base, TieringSpec::Static), (tight, TieringSpec::Static)];
+    let outcome =
+        assert_lockstep_equals_direct(&placements, Pipeline::Replay, hot_cold_body(2, None));
+    assert!(outcome.is_none(), "88 pages cannot fit in 32");
+}
+
 /// What the cache walk decides in one chunk, blind to placement: flops,
 /// demand lines, the L2 and prefetch counters, and the DRAM fills, demand
 /// fills and writebacks summed over both tiers.
@@ -933,6 +1047,36 @@ proptest! {
         for stream in rest {
             prop_assert_eq!(stream, first, "semantic events diverged across pipelines");
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// A lockstep run of one to four random placements equals their direct
+    /// runs, compared as full `RunReport`s, on a random pipeline: random
+    /// scripts, random local capacities, sometimes a bounded pool that runs
+    /// out of memory (then the lockstep run panics exactly when a direct
+    /// run does), and all three tiering policies.
+    #[test]
+    fn lockstep_runs_equal_direct_runs(
+        script in replay_script(),
+        placements in prop::collection::vec((0u64..260, 0u64..800, 0u8..3), 1..5),
+        pipeline in 0u8..3,
+    ) {
+        // Local capacity: 0 to 219 pages, or unbounded. Pool capacity: 40 to
+        // 239 pages a quarter of the time, unbounded otherwise.
+        let placements: Vec<(MachineConfig, TieringSpec)> = placements
+            .into_iter()
+            .map(|(local, pool, policy)| {
+                let mut config = MachineConfig::test_config();
+                config.local.capacity_bytes = (local < 220).then_some(local * PAGE_SIZE);
+                config.pool.capacity_bytes = (pool < 200).then_some((pool + 40) * PAGE_SIZE);
+                (config, test_policy(policy))
+            })
+            .collect();
+        let pipeline = [Pipeline::PerLine, Pipeline::Batched, Pipeline::Replay][pipeline as usize];
+        let _ = assert_lockstep_equals_direct(&placements, pipeline, replay_script_body(&script));
     }
 }
 
