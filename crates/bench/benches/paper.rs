@@ -34,7 +34,7 @@ use dismem_profiler::level3::{Level3Report, PAPER_LOI_LEVELS};
 use dismem_sched::{campaign::compare_policies, CampaignConfig};
 use dismem_sim::{MachineConfig, RunReport};
 use dismem_trace::histogram::ScalingPoint;
-use dismem_workloads::{BfsOptimization, BfsParams, InputScale, WorkloadKind};
+use dismem_workloads::{Bfs, BfsOptimization, BfsParams, InputScale, Workload, WorkloadKind};
 use rayon::prelude::*;
 use serde::Serialize;
 
@@ -104,8 +104,10 @@ enum Profile {
 /// and SuperLU x2 0.7 for Level 1 at the larger inputs. Walking once per
 /// walk, the studies took BFS 4.8, XSBench 1.8, Hypre 1.6, NekRS 1.1,
 /// HPL 0.4 and SuperLU 0.2, and the two BFS variants 3.8 and 3.4, each
-/// generating its own graph (a later run of the same host). The quick
-/// profile runs the six studies and the two BFS variants, in this order.
+/// then generating its own graph (a later run of the same host); BFS's
+/// study and both variants now share one graph, generated by whichever
+/// runs first. The quick profile runs the six studies and the two BFS
+/// variants, in this order.
 const CLAIM_ORDER: [Item; 20] = [
     Item::Level1(WorkloadKind::Bfs, InputScale::X4),
     Item::Study(WorkloadKind::Bfs),
@@ -137,6 +139,13 @@ fn main() {
         &[InputScale::X2, InputScale::X4]
     };
 
+    // One R-MAT graph serves BFS's study and both Fig 12 variants.
+    let bfs = Bfs::new(if is_quick() {
+        BfsParams::tiny()
+    } else {
+        BfsParams::bench(InputScale::X1)
+    });
+
     // Every run is an independent simulated machine: the pool's threads
     // claim the items costliest first.
     let items: Vec<Item> = CLAIM_ORDER
@@ -150,9 +159,12 @@ fn main() {
         .par_iter()
         .map(|&item| match item {
             Item::Study(kind) => {
+                let input: Box<dyn Workload> = match kind {
+                    WorkloadKind::Bfs => Box::new(bfs.clone()),
+                    _ => workload(kind, InputScale::X1),
+                };
                 let (study, pooled) =
-                    QuantitativeStudy::new(workload(kind, InputScale::X1), config.clone())
-                        .full_study_with_runs(&FRACTIONS);
+                    QuantitativeStudy::new(input, config.clone()).full_study_with_runs(&FRACTIONS);
                 eprintln!("  [paper] profiled {} study", kind.name());
                 Profile::Study(Box::new(study), pooled)
             }
@@ -162,13 +174,8 @@ fn main() {
                 Profile::Level1(level1)
             }
             Item::Bfs(optimization) => {
-                let params = if is_quick() {
-                    BfsParams::tiny()
-                } else {
-                    BfsParams::bench(InputScale::X1)
-                };
                 let rows = bfs_variant_rows(
-                    params,
+                    &bfs,
                     &config,
                     optimization,
                     &FIG12_POOLED,

@@ -93,33 +93,28 @@ pub fn bfs_placement_study(
     pooled_fractions: &[f64],
     loi_percent_levels: &[f64],
 ) -> BfsCaseStudy {
-    let by_variant = BfsOptimization::all().map(|opt| {
-        bfs_variant_rows(
-            params,
-            base_config,
-            opt,
-            pooled_fractions,
-            loi_percent_levels,
-        )
-    });
+    let bfs = Bfs::new(params);
+    let by_variant = BfsOptimization::all()
+        .map(|opt| bfs_variant_rows(&bfs, base_config, opt, pooled_fractions, loi_percent_levels));
     let variants = (0..pooled_fractions.len())
         .flat_map(|i| by_variant.iter().map(move |rows| rows[i].clone()))
         .collect();
     BfsCaseStudy { variants }
 }
 
-/// The rows of one variant, one per pooled fraction in the order of
-/// `pooled_fractions`: the variant runs once, and its one walk serves every
-/// fraction in lockstep. Each row is read with [`bfs_variant_result`] from
-/// a report equal to the fraction's direct run.
+/// The rows of `bfs`'s `optimization` variant, one per pooled fraction in
+/// the order of `pooled_fractions`: the variant shares `bfs`'s graph and
+/// runs once, and its one walk serves every fraction in lockstep. Each row
+/// is read with [`bfs_variant_result`] from a report equal to the
+/// fraction's direct run.
 pub fn bfs_variant_rows(
-    params: BfsParams,
+    bfs: &Bfs,
     base_config: &MachineConfig,
     optimization: BfsOptimization,
     pooled_fractions: &[f64],
     loi_percent_levels: &[f64],
 ) -> Vec<BfsVariantResult> {
-    let workload = Bfs::new(params.with_optimization(optimization));
+    let workload = bfs.with_optimization(optimization);
     let options: Vec<RunOptions> = pooled_fractions
         .iter()
         .map(|&pooled| {

@@ -19,9 +19,10 @@
 //! A second campaign axis, dynamic tiering, lives in [`tiering`]: the same
 //! workloads are re-simulated under page promotion/demotion policies
 //! (static / hot-promote / periodic-rebalance, the three
-//! [`dismem_sim::TieringSpec`] variants) through
-//! [`dismem_profiler::run_workload`], and each placement is then priced
-//! under the interference campaigns above.
+//! [`dismem_sim::TieringSpec`] variants) at one or more local capacities,
+//! every (capacity × policy) cell a placement of one walk through
+//! [`dismem_profiler::run_workload_lockstep`], and each placement is then
+//! priced under the interference campaigns above.
 //!
 //! Fleet-scale parameter campaigns are driven by the fault-tolerant
 //! work-queue in [`campaign`] (see [`campaign::run_fleet_campaign`] and

@@ -1,23 +1,28 @@
 //! Dynamic-tiering policy campaigns.
 //!
 //! Unlike the interference campaigns (which re-time a fixed profiled run),
-//! tiering policies change page placement itself, so each policy needs a full
-//! re-simulation. A sweep runs one simulation per [`TieringSpec`] — through
-//! [`dismem_profiler::run_workload`] with [`RunOptions::with_tiering`], in
-//! parallel on the thread pool — and then reuses the Monte Carlo machinery to
-//! price every policy's run under randomly drawn pool interference, so the
+//! tiering policies change page placement itself, so each policy needs its
+//! own simulated placement. The cache walk never reads a page's tier, so a
+//! sweep runs every (local capacity × [`TieringSpec`]) cell as a placement of
+//! one walk of the workload, through
+//! [`dismem_profiler::run_workload_lockstep`]: each cell's report equals its
+//! direct run's. The sweep then reuses the Monte Carlo machinery to price
+//! every policy's run under randomly drawn pool interference, so the
 //! comparison covers both the idle-pool runtime and behaviour on a busy
 //! rack: migration traffic competes with the interferers for the same link,
 //! which is exactly the trade-off an operator deciding on a tiering daemon
 //! cares about.
+//!
+//! The walk is the unit of failure: a panic in the walk or its pricing
+//! reports every cell that walk serves as a [`PolicyFailure`] carrying the
+//! panic message, and the caller's other workloads carry on.
 
 use crate::campaign::{panic_message, run_campaign, CampaignConfig};
 use crate::policy::SchedulingPolicy;
-use dismem_profiler::{pooled_config, run_workload, RunOptions};
+use dismem_profiler::{pooled_config, run_workload_lockstep, RunOptions};
 use dismem_sim::tiering::{HotPromote, PeriodicRebalance};
 use dismem_sim::{MachineConfig, RunReport, TieringReport, TieringSpec};
 use dismem_workloads::Workload;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::panic::AssertUnwindSafe;
 
@@ -52,15 +57,14 @@ pub struct TieringOutcome {
     pub link_raw_bytes: u64,
 }
 
-/// A policy whose simulation or pricing campaign panicked or failed. The
-/// sweep reports the gap here instead of unwinding and losing the rest of
-/// the matrix.
+/// A policy whose walk or pricing campaign panicked. The sweep reports the
+/// gap here instead of unwinding and losing the caller's other workloads.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct PolicyFailure {
     /// Label of the failed spec (`static`, `hot-promote`,
     /// `periodic-rebalance`).
     pub policy: String,
-    /// Panic or error message of the failed cell.
+    /// Panic message of the walk that served the cell.
     pub error: String,
 }
 
@@ -73,8 +77,8 @@ pub struct TieringSweep {
     pub input: String,
     /// One outcome per *successful* policy, in request order.
     pub outcomes: Vec<TieringOutcome>,
-    /// Policies whose cell panicked or failed, in request order. Empty on a
-    /// healthy sweep.
+    /// Policies whose walk panicked, in request order: every policy of the
+    /// sweep, since one walk serves them all. Empty on a healthy sweep.
     pub failed_policies: Vec<PolicyFailure>,
 }
 
@@ -153,12 +157,13 @@ impl WorkloadTieringStudy {
 /// for every fraction in `local_fractions`, the machine is derived with
 /// [`dismem_profiler::pooled_config`] (local tier = fraction × expected
 /// footprint, the paper's `setup_waste` step) and every spec in `specs` is
-/// re-simulated and priced under the Monte Carlo interference campaign.
+/// simulated and priced under the Monte Carlo interference campaign.
 ///
-/// Cells run sequentially; within a cell the policy simulations fan out on
-/// the thread pool ([`sweep_tiering_policies`]), which keeps the CPU busy
-/// without nesting scoped-thread fan-outs. The result is deterministic for a
-/// given `(workload, base, local_fractions, specs, campaign)` input.
+/// One walk of the workload serves every cell, so the workload runs once,
+/// and a panic in that walk or its pricing turns every cell into a
+/// [`PolicyFailure`]. Panics on a fraction outside [0, 1], a caller error.
+/// The result is deterministic for a given
+/// `(workload, base, local_fractions, specs, campaign)` input.
 pub fn sweep_tiering_matrix(
     workload: &dyn Workload,
     base: &MachineConfig,
@@ -166,42 +171,19 @@ pub fn sweep_tiering_matrix(
     specs: &[TieringSpec],
     campaign: &CampaignConfig,
 ) -> WorkloadTieringStudy {
+    let configs: Vec<MachineConfig> = local_fractions
+        .iter()
+        .map(|&local_fraction| pooled_config(base, workload, local_fraction))
+        .collect();
+    let sweeps = sweep_walk(workload, &configs, specs, campaign);
     let cells = local_fractions
         .iter()
-        .map(|&local_fraction| {
-            // Deriving the cell's machine config can itself panic (degenerate
-            // fractions); report the whole capacity point as failed policies
-            // rather than losing the matrix.
-            let config = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                pooled_config(base, workload, local_fraction)
-            }))
-            .map_err(panic_message);
-            match config {
-                Ok(config) => {
-                    let local_capacity_bytes = config.local.capacity_bytes.unwrap_or(0);
-                    CapacityTieringSweep {
-                        local_fraction,
-                        local_capacity_bytes,
-                        sweep: sweep_tiering_policies(workload, &config, specs, campaign),
-                    }
-                }
-                Err(error) => CapacityTieringSweep {
-                    local_fraction,
-                    local_capacity_bytes: 0,
-                    sweep: TieringSweep {
-                        workload: workload.name().to_string(),
-                        input: workload.input_description(),
-                        outcomes: Vec::new(),
-                        failed_policies: specs
-                            .iter()
-                            .map(|spec| PolicyFailure {
-                                policy: spec.label().to_string(),
-                                error: error.clone(),
-                            })
-                            .collect(),
-                    },
-                },
-            }
+        .zip(&configs)
+        .zip(sweeps)
+        .map(|((&local_fraction, config), sweep)| CapacityTieringSweep {
+            local_fraction,
+            local_capacity_bytes: config.local.capacity_bytes.unwrap_or(0),
+            sweep,
         })
         .collect();
     WorkloadTieringStudy {
@@ -223,9 +205,11 @@ pub fn default_specs(epoch_lines: u64, promote_heat: f64) -> Vec<TieringSpec> {
     ]
 }
 
-/// Sweeps `specs` for one workload: one full simulation per policy (in
-/// parallel), followed by a sequential interference campaign per run. The
-/// result is deterministic for a given `(config, specs, campaign)` input.
+/// Sweeps `specs` for one workload on one configuration: one walk serves
+/// every policy's placement, and each run is then priced under the
+/// interference campaign. A panic in the walk or its pricing turns every
+/// policy into a [`PolicyFailure`]. The result is deterministic for a given
+/// `(config, specs, campaign)` input.
 ///
 /// ```
 /// use dismem_sched::{default_specs, sweep_tiering_policies, CampaignConfig};
@@ -254,79 +238,119 @@ pub fn sweep_tiering_policies(
     specs: &[TieringSpec],
     campaign: &CampaignConfig,
 ) -> TieringSweep {
-    // Each policy cell — simulation plus pricing campaign — runs isolated:
-    // a panic becomes that cell's Err and the rest of the sweep completes.
-    let results: Vec<Result<(RunReport, f64), String>> = specs
-        .par_iter()
-        .map(|spec| {
-            std::panic::catch_unwind(AssertUnwindSafe(|| {
-                let options = RunOptions::new(config.clone()).with_tiering(*spec);
-                let report = run_workload(workload, &options);
-                let mean = run_campaign(
-                    workload.name(),
-                    &report,
-                    SchedulingPolicy::RandomBaseline,
-                    campaign,
-                )
-                .mean_s;
-                (report, mean)
-            }))
-            .map_err(panic_message)
+    sweep_walk(workload, std::slice::from_ref(config), specs, campaign)
+        .pop()
+        .expect("one sweep per configuration")
+}
+
+/// Runs every `configs` × `specs` cell as a placement of one walk of
+/// `workload`, prices each report under the random-baseline campaign and
+/// returns one sweep per configuration, in order. One `catch_unwind` covers
+/// the walk and its pricing: on a panic, every cell becomes a
+/// [`PolicyFailure`] carrying the panic message.
+fn sweep_walk(
+    workload: &dyn Workload,
+    configs: &[MachineConfig],
+    specs: &[TieringSpec],
+    campaign: &CampaignConfig,
+) -> Vec<TieringSweep> {
+    // Config-major, so each configuration's cells are one contiguous group.
+    let options: Vec<RunOptions> = configs
+        .iter()
+        .flat_map(|config| {
+            specs
+                .iter()
+                .map(|&spec| RunOptions::new(config.clone()).with_tiering(spec))
         })
         .collect();
+    let priced = if options.is_empty() {
+        Ok(Vec::new())
+    } else {
+        std::panic::catch_unwind(AssertUnwindSafe(|| {
+            run_workload_lockstep(workload, &options)
+                .into_iter()
+                .map(|report| {
+                    let mean = run_campaign(
+                        workload.name(),
+                        &report,
+                        SchedulingPolicy::RandomBaseline,
+                        campaign,
+                    )
+                    .mean_s;
+                    (report, mean)
+                })
+                .collect()
+        }))
+        .map_err(panic_message)
+    };
+    let n = specs.len();
+    (0..configs.len())
+        .map(|i| {
+            let (outcomes, failed_policies) = match &priced {
+                Ok(priced) => (outcomes(specs, &priced[i * n..(i + 1) * n]), Vec::new()),
+                Err(error) => (
+                    Vec::new(),
+                    specs
+                        .iter()
+                        .map(|spec| PolicyFailure {
+                            policy: spec.label().to_string(),
+                            error: error.clone(),
+                        })
+                        .collect(),
+                ),
+            };
+            TieringSweep {
+                workload: workload.name().to_string(),
+                input: workload.input_description(),
+                outcomes,
+                failed_policies,
+            }
+        })
+        .collect()
+}
 
-    // Without a *successful* static run in the sweep there is no reference
-    // to compare against, and the speedup fields stay at their documented 1.0.
-    let static_result = specs
+/// One configuration's outcomes from its priced runs, one per spec in
+/// request order. Without a static run in the sweep there is no reference
+/// to compare against, and the speedup fields stay at their documented 1.0.
+fn outcomes(specs: &[TieringSpec], priced: &[(RunReport, f64)]) -> Vec<TieringOutcome> {
+    let reference = specs
         .iter()
-        .zip(&results)
-        .find(|(spec, _)| matches!(spec, TieringSpec::Static))
-        .and_then(|(_, result)| result.as_ref().ok());
-    let static_runtime = static_result.map(|(report, _)| report.total_runtime_s);
-    let static_mean = static_result.map(|&(_, mean)| mean);
-
-    let mut outcomes = Vec::new();
-    let mut failed_policies = Vec::new();
-    for (spec, result) in specs.iter().zip(&results) {
-        match result {
-            Ok((report, mean_loaded)) => outcomes.push(TieringOutcome {
-                policy: report.tiering.policy.clone(),
-                spec: *spec,
-                runtime_s: report.total_runtime_s,
-                speedup_vs_static: match static_runtime {
-                    Some(s) if report.total_runtime_s > 0.0 => s / report.total_runtime_s,
-                    _ => 1.0,
-                },
-                mean_loaded_runtime_s: *mean_loaded,
-                loaded_speedup_vs_static: match static_mean {
-                    Some(s) if *mean_loaded > 0.0 => s / mean_loaded,
-                    _ => 1.0,
-                },
-                remote_access_ratio: report.remote_access_ratio(),
-                mean_dwell_epochs: report.tiering.mean_dwell_epochs(),
-                tiering: report.tiering.clone(),
-                migration_link_raw_bytes: report.migration_link_raw_bytes(),
-                link_raw_bytes: report.total.link_raw_bytes,
-            }),
-            Err(error) => failed_policies.push(PolicyFailure {
-                policy: spec.label().to_string(),
-                error: error.clone(),
-            }),
-        }
-    }
-    TieringSweep {
-        workload: workload.name().to_string(),
-        input: workload.input_description(),
-        outcomes,
-        failed_policies,
-    }
+        .position(|spec| matches!(spec, TieringSpec::Static))
+        .map(|i| &priced[i]);
+    let static_runtime = reference.map(|(report, _)| report.total_runtime_s);
+    let static_mean = reference.map(|&(_, mean)| mean);
+    specs
+        .iter()
+        .zip(priced)
+        .map(|(spec, (report, mean_loaded))| TieringOutcome {
+            policy: report.tiering.policy.clone(),
+            spec: *spec,
+            runtime_s: report.total_runtime_s,
+            speedup_vs_static: match static_runtime {
+                Some(s) if report.total_runtime_s > 0.0 => s / report.total_runtime_s,
+                _ => 1.0,
+            },
+            mean_loaded_runtime_s: *mean_loaded,
+            loaded_speedup_vs_static: match static_mean {
+                Some(s) if *mean_loaded > 0.0 => s / mean_loaded,
+                _ => 1.0,
+            },
+            remote_access_ratio: report.remote_access_ratio(),
+            mean_dwell_epochs: report.tiering.mean_dwell_epochs(),
+            tiering: report.tiering.clone(),
+            migration_link_raw_bytes: report.migration_link_raw_bytes(),
+            link_raw_bytes: report.total.link_raw_bytes,
+        })
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dismem_profiler::run_workload;
     use dismem_sim::Machine;
     use dismem_workloads::{PhaseShift, PhaseShiftParams};
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     const PAGE_SIZE: u64 = 4096;
 
@@ -457,6 +481,129 @@ mod tests {
         let measured = study.measured_at(0.5).unwrap();
         assert!(measured.tiering.epochs > 0);
         assert!(study.best_speedup_vs_static() >= 1.0);
+    }
+
+    /// Forwards to a workload and counts its runs: one run is one walk.
+    struct Counted {
+        inner: PhaseShift,
+        runs: AtomicUsize,
+    }
+
+    impl Workload for Counted {
+        fn name(&self) -> &'static str {
+            self.inner.name()
+        }
+        fn description(&self) -> &'static str {
+            self.inner.description()
+        }
+        fn input_description(&self) -> String {
+            self.inner.input_description()
+        }
+        fn expected_footprint_bytes(&self) -> u64 {
+            self.inner.expected_footprint_bytes()
+        }
+        fn run(&self, engine: &mut dyn dismem_trace::MemoryEngine) {
+            self.runs.fetch_add(1, Ordering::Relaxed);
+            self.inner.run(engine);
+        }
+    }
+
+    #[test]
+    fn each_sweep_walks_its_workload_once() {
+        let workload = Counted {
+            inner: PhaseShift::new(PhaseShiftParams::tiny()),
+            runs: AtomicUsize::new(0),
+        };
+        let specs = default_specs(2048, 12.0);
+        let study = sweep_tiering_matrix(
+            &workload,
+            &MachineConfig::test_config(),
+            &[0.75, 0.5, 0.25],
+            &specs,
+            &small_campaign(),
+        );
+        assert_eq!(
+            workload.runs.load(Ordering::Relaxed),
+            1,
+            "9 cells, one walk"
+        );
+        assert!(study.cells.iter().all(|c| c.sweep.outcomes.len() == 3));
+
+        workload.runs.store(0, Ordering::Relaxed);
+        let (_, config) = sweep_setup();
+        let sweep = sweep_tiering_policies(&workload, &config, &specs, &small_campaign());
+        assert_eq!(
+            workload.runs.load(Ordering::Relaxed),
+            1,
+            "3 cells, one walk"
+        );
+        assert_eq!(sweep.outcomes.len(), 3);
+    }
+
+    /// Every outcome of a matrix equals, bit for bit, a direct run of its
+    /// own capacity and policy priced on its own, so no report is matched
+    /// to the wrong spec or capacity.
+    #[test]
+    fn matrix_outcomes_equal_direct_runs() {
+        let workload = PhaseShift::new(PhaseShiftParams::tiny());
+        let base = MachineConfig::test_config();
+        let specs = default_specs(2048, 12.0);
+        let campaign = small_campaign();
+        let study = sweep_tiering_matrix(&workload, &base, &[0.75, 0.25], &specs, &campaign);
+        for cell in &study.cells {
+            let config = pooled_config(&base, &workload, cell.local_fraction);
+            assert_eq!(
+                cell.local_capacity_bytes,
+                config.local.capacity_bytes.unwrap()
+            );
+            assert_eq!(cell.sweep.outcomes.len(), specs.len());
+            for (spec, outcome) in specs.iter().zip(&cell.sweep.outcomes) {
+                let options = RunOptions::new(config.clone()).with_tiering(*spec);
+                let report = run_workload(&workload, &options);
+                let mean = run_campaign(
+                    workload.name(),
+                    &report,
+                    SchedulingPolicy::RandomBaseline,
+                    &campaign,
+                )
+                .mean_s;
+                let at = format!("{} at {}", spec.label(), cell.local_fraction);
+                assert_eq!(outcome.spec, *spec, "{at}");
+                assert_eq!(
+                    outcome.runtime_s.to_bits(),
+                    report.total_runtime_s.to_bits(),
+                    "{at}"
+                );
+                assert_eq!(
+                    outcome.mean_loaded_runtime_s.to_bits(),
+                    mean.to_bits(),
+                    "{at}"
+                );
+                assert_eq!(
+                    outcome.remote_access_ratio.to_bits(),
+                    report.remote_access_ratio().to_bits(),
+                    "{at}"
+                );
+                assert_eq!(outcome.tiering, report.tiering, "{at}");
+            }
+        }
+        // The two capacities differ, so a swapped pair of cells would show.
+        assert_ne!(
+            study.cells[0].sweep.outcomes[0].runtime_s,
+            study.cells[1].sweep.outcomes[0].runtime_s
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "local_fraction must be within")]
+    fn matrix_rejects_a_fraction_outside_the_unit_interval() {
+        let _ = sweep_tiering_matrix(
+            &PhaseShift::new(PhaseShiftParams::tiny()),
+            &MachineConfig::test_config(),
+            &[0.5, 1.5],
+            &default_specs(2048, 12.0),
+            &small_campaign(),
+        );
     }
 
     /// A workload whose simulation always panics, for exercising the

@@ -49,7 +49,7 @@ pub(crate) trait DramSink {
 }
 
 /// Kind of DRAM transaction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub(crate) enum DramEventKind {
     /// Line fill triggered by a demand miss: its latency is exposed to the
     /// core (up to the available memory-level parallelism).

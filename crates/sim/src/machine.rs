@@ -265,11 +265,6 @@ impl Placement {
         self.tiering.epoch += 1;
         let epoch = self.tiering.epoch;
         let cooldown = self.tiering.spec.cooldown_epochs();
-        if cooldown > 0 {
-            self.tiering
-                .last_migrated
-                .retain(|_, last| epoch - *last <= cooldown);
-        }
 
         // Sample every bound page with its decayed heat, sorted hottest-first
         // (page number as tie-break) so policy decisions are deterministic.
@@ -308,7 +303,7 @@ impl Placement {
             match self.space.rebind_page(order.page, order.to) {
                 Ok(from) if from != order.to => {
                     moved += 1;
-                    self.tiering.last_migrated.insert(order.page, epoch);
+                    self.tiering.migrated(order.page, epoch);
                     match order.to {
                         Tier::Local => self.tiering.report.promotions += 1,
                         Tier::Pool => self.tiering.report.demotions += 1,

@@ -97,10 +97,7 @@ use crate::cache::{CacheLine, CacheSim, DramEventKind, DramSink};
 use crate::counters::Counters;
 use crate::prefetch::PrefetcherSnapshot;
 use dismem_trace::{CACHE_LINE_SIZE, PAGE_SIZE};
-// The grouping index is entry-only (never iterated), so arbitrary order
-// cannot leak into the replayed event stream.
-#[allow(clippy::disallowed_types, reason = "entry-only index, never iterated")]
-use std::collections::HashMap;
+use std::collections::btree_map::{BTreeMap, Entry};
 
 /// Cache lines per page.
 const LINES_PER_PAGE: u64 = PAGE_SIZE / CACHE_LINE_SIZE;
@@ -500,15 +497,14 @@ fn feedback_gate(delta: &Counters, s1: &StateSnapshot, live_feedback_useless: u6
 /// walk's order.
 fn group_events(events: &[(u64, DramEventKind)], base_line: u64) -> Vec<Group> {
     let mut groups: Vec<Group> = Vec::new();
-    #[allow(clippy::disallowed_types, reason = "entry-only index, never iterated")]
-    let mut index: HashMap<(u64, DramEventKind), usize> = HashMap::new();
+    let mut index: BTreeMap<(u64, DramEventKind), usize> = BTreeMap::new();
     for &(line, kind) in events {
         let page = line / LINES_PER_PAGE;
         match index.entry((page, kind)) {
-            std::collections::hash_map::Entry::Occupied(e) => {
+            Entry::Occupied(e) => {
                 groups[*e.get()].count += 1;
             }
-            std::collections::hash_map::Entry::Vacant(e) => {
+            Entry::Vacant(e) => {
                 e.insert(groups.len());
                 groups.push(Group {
                     rel_line: line as i64 - base_line as i64,

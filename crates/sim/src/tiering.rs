@@ -53,15 +53,10 @@
 use crate::address_space::Tier;
 use crate::report::TieringReport;
 use serde::{Deserialize, Serialize};
-// Hotness tracking is on the per-epoch hot path and only ever leaves the
-// hash containers through sorted samples or order-insensitive folds (clippy's
-// `iter_over_hash_type` and the hash-iteration entries of `disallowed-methods`
-// flag any other iteration).
-#[allow(clippy::disallowed_types, reason = "hot path; iteration is linted")]
-use std::collections::{HashMap, HashSet};
 
-/// Heat scores below this are pruned at epoch boundaries, keeping the tracker
-/// O(recently touched pages).
+/// Heat scores below this are pruned to zero at epoch boundaries, so a page
+/// that has gone cold drops out of the tracked set and a re-touched one
+/// accrues from zero.
 const HEAT_FLOOR: f64 = 1e-3;
 
 /// A page belongs to the epoch's *hot set* when its decayed score is at least
@@ -70,17 +65,6 @@ const HEAT_FLOOR: f64 = 1e-3;
 /// maximum) by the same factor, so the hot set — and therefore the dwell
 /// clock — only moves when the access pattern actually moves.
 const HOT_SET_FRACTION: f64 = 0.5;
-
-#[derive(Debug, Clone, Copy, Default)]
-struct PageHeat {
-    /// Decayed score as of the last completed epoch.
-    score: f64,
-    /// DRAM lines recorded against the page in the current epoch (integer
-    /// accrual: additions commute, so the batched pipeline's per-page bulk
-    /// recording and the per-line pipeline's event-by-event recording agree
-    /// bit for bit at every epoch boundary).
-    cur_lines: u64,
-}
 
 /// One epoch's hot-set observation, returned by [`HotnessTracker::end_epoch`]
 /// and folded into the run's phase-dwell statistics by the machine.
@@ -109,19 +93,26 @@ pub struct HotSetDelta {
 
 /// Epoch-based per-page hotness tracker with exponential decay.
 ///
-/// `record` is O(1) per (page, lines) batch; `end_epoch` is O(tracked pages),
-/// and pruning keeps the tracked set proportional to the recently touched
-/// working set rather than the footprint.
+/// State is indexed by page number, like the address space's page table
+/// (pages are dense from 1): `record` is O(1) per (page, lines) batch and
+/// grows the arrays on demand, and `end_epoch` is O(pages seen so far).
 #[derive(Debug, Clone)]
 pub struct HotnessTracker {
     decay: f64,
     epochs_completed: u64,
-    #[allow(clippy::disallowed_types, reason = "hot path; iteration is linted")]
-    heat: HashMap<u64, PageHeat>,
-    /// Anchor hot set of the open dwell (the hot set observed when the dwell
-    /// started), kept to detect hot-set shifts. Empty while no dwell is open.
-    #[allow(clippy::disallowed_types, reason = "hot path; iteration is linted")]
-    anchor_hot: HashSet<u64>,
+    /// Decayed score per page as of the last completed epoch; 0 for pages
+    /// never touched or pruned below `HEAT_FLOOR`.
+    scores: Vec<f64>,
+    /// DRAM lines recorded per page in the current epoch (integer accrual:
+    /// additions commute, so the batched pipeline's per-page bulk recording
+    /// and the per-line pipeline's event-by-event recording agree bit for
+    /// bit at every epoch boundary).
+    lines: Vec<u64>,
+    /// Membership flags of the open dwell's anchor hot set (the hot set
+    /// observed when the dwell started), kept to detect hot-set shifts.
+    anchor: Vec<bool>,
+    /// Pages flagged in `anchor`; 0 while no dwell is open.
+    anchor_pages: u64,
 }
 
 impl HotnessTracker {
@@ -135,10 +126,10 @@ impl HotnessTracker {
         Self {
             decay,
             epochs_completed: 0,
-            #[allow(clippy::disallowed_types, reason = "hot path; iteration is linted")]
-            heat: HashMap::new(),
-            #[allow(clippy::disallowed_types, reason = "hot path; iteration is linted")]
-            anchor_hot: HashSet::new(),
+            scores: Vec::new(),
+            lines: Vec::new(),
+            anchor: Vec::new(),
+            anchor_pages: 0,
         }
     }
 
@@ -146,7 +137,13 @@ impl HotnessTracker {
     /// epoch.
     #[inline]
     pub fn record(&mut self, page: u64, lines: u64) {
-        self.heat.entry(page).or_default().cur_lines += lines;
+        let page = page as usize;
+        if page >= self.lines.len() {
+            self.scores.resize(page + 1, 0.0);
+            self.lines.resize(page + 1, 0);
+            self.anchor.resize(page + 1, false);
+        }
+        self.lines[page] += lines;
     }
 
     /// Completes the current epoch: folds the epoch's integer line counts
@@ -158,59 +155,40 @@ impl HotnessTracker {
     /// per-line, batched and replay pipelines, so the returned delta is too.
     pub fn end_epoch(&mut self) -> HotSetDelta {
         let decay = self.decay;
-        #[allow(
-            clippy::iter_over_hash_type,
-            clippy::disallowed_methods,
-            reason = "per-page decay touches every entry independently; no cross-entry state, so order cannot matter"
-        )]
-        for h in self.heat.values_mut() {
-            h.score = h.score * decay + h.cur_lines as f64;
-            h.cur_lines = 0;
+        let mut max = 0.0f64;
+        for (score, lines) in self.scores.iter_mut().zip(&mut self.lines) {
+            let folded = *score * decay + *lines as f64;
+            *score = if folded >= HEAT_FLOOR { folded } else { 0.0 };
+            *lines = 0;
+            max = max.max(*score);
         }
-        self.heat.retain(|_, h| h.score >= HEAT_FLOOR);
         self.epochs_completed += 1;
 
-        #[allow(
-            clippy::disallowed_methods,
-            reason = "max over f64 scores is commutative and associative (no NaNs: scores are sums of counts)"
-        )]
-        let max = self.heat.values().map(|h| h.score).fold(0.0f64, f64::max);
-        #[allow(
-            clippy::disallowed_types,
-            clippy::disallowed_methods,
-            reason = "the hot pages are collected into a set, which has no order; only membership and size are read"
-        )]
-        let hot: HashSet<u64> = if max > 0.0 {
-            self.heat
-                .iter()
-                .filter(|(_, h)| h.score >= HOT_SET_FRACTION * max)
-                .map(|(&page, _)| page)
-                .collect()
-        } else {
-            HashSet::new()
-        };
-        let pages = hot.len() as u64;
-        let shifted = if self.anchor_hot.is_empty() {
-            // No dwell open: the first non-empty hot set becomes the anchor.
-            self.anchor_hot = hot;
-            false
-        } else {
-            #[allow(clippy::disallowed_methods, reason = "a count is order-insensitive")]
-            let still_hot = self.anchor_hot.iter().filter(|p| hot.contains(p)).count();
-            let shifted = (still_hot * 2) <= self.anchor_hot.len();
-            if shifted {
-                // The dwell closed: the new hot set anchors the next one.
-                self.anchor_hot = hot;
+        let is_hot = |score: f64| max > 0.0 && score >= HOT_SET_FRACTION * max;
+        let (mut pages, mut still_hot) = (0u64, 0u64);
+        for (&score, &anchored) in self.scores.iter().zip(&self.anchor) {
+            if is_hot(score) {
+                pages += 1;
+                still_hot += u64::from(anchored);
             }
-            shifted
-        };
+        }
+        // No dwell open: the first non-empty hot set becomes the anchor.
+        // Otherwise the dwell closes once no strict majority of its anchor is
+        // still hot, and the new hot set anchors the next one.
+        let shifted = self.anchor_pages > 0 && still_hot * 2 <= self.anchor_pages;
+        if self.anchor_pages == 0 || shifted {
+            for (anchored, &score) in self.anchor.iter_mut().zip(&self.scores) {
+                *anchored = is_hot(score);
+            }
+            self.anchor_pages = pages;
+        }
         HotSetDelta { pages, shifted }
     }
 
     /// Decayed heat of a page as of the last completed epoch (0 for pages
     /// never touched or already pruned).
     pub fn heat_of(&self, page: u64) -> f64 {
-        self.heat.get(&page).map_or(0.0, |h| h.score)
+        self.scores.get(page as usize).copied().unwrap_or(0.0)
     }
 
     /// Number of epochs completed so far.
@@ -218,9 +196,14 @@ impl HotnessTracker {
         self.epochs_completed
     }
 
-    /// Number of pages currently tracked.
+    /// Number of pages currently tracked: those with a nonzero score or
+    /// lines recorded in the current epoch.
     pub fn tracked_pages(&self) -> usize {
-        self.heat.len()
+        self.scores
+            .iter()
+            .zip(&self.lines)
+            .filter(|&(&score, &lines)| score > 0.0 || lines > 0)
+            .count()
     }
 }
 
@@ -537,9 +520,10 @@ pub(crate) struct TieringRuntime {
     pub(crate) epoch_acc: u64,
     /// Index of the current epoch (1-based; incremented when an epoch fires).
     pub(crate) epoch: u64,
-    /// Page → epoch of its last applied migration (ping-pong damper).
-    #[allow(clippy::disallowed_types, reason = "probed per page, never iterated")]
-    pub(crate) last_migrated: HashMap<u64, u64>,
+    /// Epoch of each page's last applied migration, indexed by page
+    /// number (ping-pong damper); 0 means never migrated, since epochs are
+    /// 1-based.
+    last_migrated: Vec<u64>,
     /// Counters accumulated so far; `policy`, `migrated_pages` and
     /// `migrated_bytes` are filled in when the machine finishes the run.
     pub(crate) report: TieringReport,
@@ -551,19 +535,29 @@ impl TieringRuntime {
             spec,
             epoch_acc: 0,
             epoch: 0,
-            #[allow(clippy::disallowed_types, reason = "probed per page, never iterated")]
-            last_migrated: HashMap::new(),
+            last_migrated: Vec::new(),
             report: TieringReport::default(),
         }
     }
 
+    /// Notes that `page` migrated in `epoch` (1-based).
+    pub(crate) fn migrated(&mut self, page: u64, epoch: u64) {
+        let page = page as usize;
+        if page >= self.last_migrated.len() {
+            self.last_migrated.resize(page + 1, 0);
+        }
+        self.last_migrated[page] = epoch;
+    }
+
     /// Whether the damper suppresses a migration of `page` in `epoch`.
+    /// Migrations older than the cooldown never damp, so the history needs
+    /// no pruning.
     pub(crate) fn damped(&self, page: u64, epoch: u64, cooldown: u64) -> bool {
         cooldown > 0
             && self
                 .last_migrated
-                .get(&page)
-                .is_some_and(|&last| epoch - last < cooldown)
+                .get(page as usize)
+                .is_some_and(|&last| last > 0 && epoch - last < cooldown)
     }
 }
 
@@ -607,6 +601,28 @@ mod tests {
         assert_eq!(t.heat_of(2), 0.0, "cold page must be pruned");
         assert_eq!(t.tracked_pages(), 0, "all pages decay below the floor");
         assert_eq!(t.epochs_completed(), 22);
+    }
+
+    #[test]
+    fn pruned_page_accrues_from_zero_when_touched_again() {
+        let mut t = HotnessTracker::new(0.5);
+        t.record(3, 1);
+        t.end_epoch();
+        assert_eq!(t.heat_of(3), 1.0);
+        // Ten idle epochs take the score below the floor: pruned to zero.
+        for _ in 0..10 {
+            t.end_epoch();
+        }
+        assert_eq!(t.heat_of(3), 0.0);
+        assert_eq!(t.tracked_pages(), 0);
+        // Touched again, it starts from zero, with no decayed remainder.
+        t.record(3, 5);
+        assert_eq!(t.tracked_pages(), 1, "current-epoch lines are tracked");
+        t.end_epoch();
+        assert_eq!(t.heat_of(3).to_bits(), 5.0f64.to_bits());
+        // Pages past the highest one ever recorded read as cold.
+        assert_eq!(t.heat_of(4), 0.0);
+        assert_eq!(t.heat_of(u64::MAX), 0.0);
     }
 
     #[test]
@@ -851,7 +867,7 @@ mod tests {
     #[test]
     fn damper_suppresses_recent_migrations() {
         let mut rt = TieringRuntime::new(TieringSpec::Static);
-        rt.last_migrated.insert(7, 5);
+        rt.migrated(7, 5);
         assert!(rt.damped(7, 6, 2));
         assert!(!rt.damped(7, 7, 2));
         assert!(!rt.damped(7, 6, 0), "zero cooldown never damps");

@@ -12,7 +12,8 @@
 //! `tests/properties.rs`). The sanctioned emission points are the same choke
 //! points the workspace's standing contracts already pin — chunk closes,
 //! migration applies, replay mode transitions, and the campaign work-queue —
-//! and the `trace-hygiene` lint rule keeps the list closed.
+//! and clippy's `disallowed-methods` entry for [`Recorder::record_event`]
+//! keeps the list closed: each emission point carries a justified allow.
 
 use crate::metrics::MetricsRegistry;
 use serde::Serialize;

@@ -2,12 +2,7 @@
 //! behind the paper's memory bandwidth-capacity scaling curves (Figure 6).
 
 use serde::{Deserialize, Serialize};
-// The histogram's record path is the per-access hot loop, so the page-count
-// map stays a HashMap; every ordered consumer sorts a snapshot (clippy's
-// `iter_over_hash_type` and the hash-iteration entries of `disallowed-methods`
-// flag any other iteration).
-#[allow(clippy::disallowed_types, reason = "hot path; iteration is linted")]
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// Histogram of access counts per page.
 ///
@@ -17,8 +12,7 @@ use std::collections::HashMap;
 /// share of accesses they receive.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct PageHistogram {
-    #[allow(clippy::disallowed_types, reason = "hot path; iteration is linted")]
-    counts: HashMap<u64, u64>,
+    counts: BTreeMap<u64, u64>,
 }
 
 /// One point on the cumulative bandwidth-capacity scaling curve.
@@ -47,7 +41,6 @@ impl PageHistogram {
     }
 
     /// Total number of recorded accesses.
-    #[allow(clippy::disallowed_methods, reason = "integer addition commutes")]
     pub fn total_accesses(&self) -> u64 {
         self.counts.values().sum()
     }
@@ -59,20 +52,12 @@ impl PageHistogram {
 
     /// Merges another histogram into this one.
     pub fn merge(&mut self, other: &PageHistogram) {
-        #[allow(
-            clippy::iter_over_hash_type,
-            reason = "each entry only adds to its own page's count, so order cannot matter"
-        )]
         for (&page, &n) in &other.counts {
             self.record(page, n);
         }
     }
 
-    /// Iterator over `(page, count)` pairs in unspecified order.
-    #[allow(
-        clippy::disallowed_methods,
-        reason = "accessor documented as unordered; report-affecting callers sort the pairs they collect"
-    )]
+    /// Iterator over `(page, count)` pairs in ascending page order.
     pub fn iter(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
         self.counts.iter().map(|(&p, &c)| (p, c))
     }
@@ -86,7 +71,6 @@ impl PageHistogram {
     /// that are allocated but never accessed stretch the curve to the right).
     pub fn scaling_curve(&self, footprint_pages: u64, samples: usize) -> Vec<ScalingPoint> {
         assert!(samples >= 1, "at least one sample point is required");
-        #[allow(clippy::disallowed_methods, reason = "sorted on the next line")]
         let mut sorted: Vec<u64> = self.counts.values().copied().collect();
         sorted.sort_unstable_by(|a, b| b.cmp(a));
         let total: u64 = sorted.iter().sum();

@@ -22,6 +22,7 @@
 use crate::generators::rmat::{rmat_graph, CsrGraph};
 use crate::workload::{InputScale, Workload};
 use dismem_trace::{AccessKind, MemoryEngine, ObjectHandle};
+use std::sync::{Arc, OnceLock};
 
 /// Data-placement variant for the BFS case study (Figure 12).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -116,19 +117,14 @@ impl BfsParams {
 }
 
 /// The BFS proxy workload.
-#[derive(Debug)]
+///
+/// Clones and [`Bfs::with_optimization`] variants share one lazily
+/// generated graph, so a study that runs several placements of the same
+/// input generates it once.
+#[derive(Debug, Clone)]
 pub struct Bfs {
     params: BfsParams,
-    graph: std::sync::OnceLock<CsrGraph>,
-}
-
-impl Clone for Bfs {
-    fn clone(&self) -> Self {
-        Self {
-            params: self.params,
-            graph: std::sync::OnceLock::new(),
-        }
-    }
+    graph: Arc<OnceLock<CsrGraph>>,
 }
 
 impl Bfs {
@@ -139,7 +135,16 @@ impl Bfs {
     pub fn new(params: BfsParams) -> Self {
         Self {
             params,
-            graph: std::sync::OnceLock::new(),
+            graph: Arc::new(OnceLock::new()),
+        }
+    }
+
+    /// The same input under another placement variant. The graph does not
+    /// depend on the variant, so the two share it.
+    pub fn with_optimization(&self, optimization: BfsOptimization) -> Bfs {
+        Self {
+            params: self.params.with_optimization(optimization),
+            graph: Arc::clone(&self.graph),
         }
     }
 
@@ -416,5 +421,20 @@ mod tests {
         let opt = run(BfsOptimization::ReorderAndFreeTemp).stats();
         assert_eq!(base.phases[1].bytes_read, opt.phases[1].bytes_read);
         assert_eq!(base.phases[1].flops, opt.phases[1].flops);
+    }
+
+    #[test]
+    fn variants_and_clones_share_one_graph() {
+        let base = Bfs::new(BfsParams::tiny());
+        let variant = base.with_optimization(BfsOptimization::ReorderAndFreeTemp);
+        assert_eq!(
+            variant.params().optimization,
+            BfsOptimization::ReorderAndFreeTemp
+        );
+        assert_eq!(base.params().optimization, BfsOptimization::Baseline);
+        // Generated once, through the variant, and read by all three.
+        let graph = variant.graph();
+        assert!(std::ptr::eq(graph, base.graph()));
+        assert!(std::ptr::eq(graph, base.clone().graph()));
     }
 }

@@ -1,6 +1,6 @@
 //! Dynamic tiering for the six paper workloads, end to end.
 //!
-//! The PR-4 tiering campaign proved the mechanism on the synthetic
+//! The `dynamic_tiering` campaign proved the mechanism on the synthetic
 //! `PhaseShift` workload; this study turns it into the paper-shaped
 //! conclusion layer. Every paper application (HPL, Hypre, NekRS, BFS,
 //! SuperLU, XSBench) is re-simulated under the pooled configurations of the
@@ -11,6 +11,12 @@
 //! feeds the migrate-vs-interleave guidance rule — so each workload's
 //! [`dismem::core::Guidance`] answers not just *where* to place data but
 //! whether to move it at runtime.
+//!
+//! Each workload walks twice: one walk serves all nine (capacity × policy)
+//! placements of its matrix ([`sweep_tiering_matrix`]), and one more is the
+//! 50%-local run the placement and deployment guidance is read from. The
+//! study runs sequentially, about 9 s for the six X1 workloads on a
+//! 2-vCPU host.
 //!
 //! Writes `CAMPAIGN_tiering_workloads.json` into the results directory (the
 //! committed copy at the repository root is regenerated from this example).
