@@ -3,7 +3,8 @@
 //! One study pass per workload
 //! ([`QuantitativeStudy::full_study_with_runs`] at 75%, 50% and 25% local
 //! capacity) yields Level 1 (Figs 5–8), Level 2 (Fig 9) and Level 3
-//! (Fig 10); Fig 6 adds Level 1 at the x2 and x4 inputs. The study's pooled
+//! (Fig 10); Fig 6 adds the scaling curves of the x2 and x4 inputs, each
+//! read from one prefetch-on Level-1 run. The study's pooled
 //! run reports feed the case studies: each workload's 50%-local run gives
 //! the interference it causes (Fig 11, right) and its scheduling campaigns
 //! (Fig 13), and BFS's 50%- and 25%-local runs are Fig 12's baseline rows.
@@ -29,8 +30,9 @@ use dismem_core::{
     StudyReport,
 };
 use dismem_lbench::{app_interference_coefficient, CalibrationPoint, LBenchModel};
-use dismem_profiler::level1::{level1_profile, Level1Report};
+use dismem_profiler::level1::{level1_config, scaling_curve};
 use dismem_profiler::level3::{Level3Report, PAPER_LOI_LEVELS};
+use dismem_profiler::{run_workload, RunOptions};
 use dismem_sched::{campaign::compare_policies, CampaignConfig};
 use dismem_sim::{MachineConfig, RunReport};
 use dismem_trace::histogram::ScalingPoint;
@@ -49,23 +51,21 @@ const CASE_STUDY_LOCAL: f64 = 0.50;
 /// and 25%) are two of [`FRACTIONS`].
 const FIG12_POOLED: [f64; 2] = [0.50, 0.75];
 
-/// One workload's study pass, plus Level 1 at the larger inputs for Fig 6.
+/// What Fig 6 reads of one input's prefetch-on Level-1 run: its peak
+/// footprint in bytes and its scaling curve.
+type Curve = (u64, Vec<ScalingPoint>);
+
+/// One workload's study pass, plus Fig 6's curves at the larger inputs.
 struct Studied {
     kind: WorkloadKind,
     study: StudyReport,
     /// The study's pooled run at each of [`FRACTIONS`], in that order.
     pooled: Vec<RunReport>,
-    /// Level 1 at x2 and x4; empty in the quick profile.
-    larger_inputs: Vec<(InputScale, Level1Report)>,
+    /// Fig 6's curve at every profiled input scale, x1 (the study's) first.
+    curves: Vec<(InputScale, Curve)>,
 }
 
 impl Studied {
-    /// Level 1 at every profiled input scale, x1 first.
-    fn level1_by_scale(&self) -> impl Iterator<Item = (InputScale, &Level1Report)> {
-        std::iter::once((InputScale::X1, &self.study.level1))
-            .chain(self.larger_inputs.iter().map(|(scale, l1)| (*scale, l1)))
-    }
-
     /// The study's pooled run at `local_fraction`, one of [`FRACTIONS`].
     fn pooled_run(&self, local_fraction: f64) -> &RunReport {
         let i = FRACTIONS
@@ -81,54 +81,52 @@ impl Studied {
 enum Item {
     /// A workload's x1 study.
     Study(WorkloadKind),
-    /// A workload's Level 1 at a larger input.
-    Level1(WorkloadKind, InputScale),
+    /// A workload's Fig 6 curve at a larger input.
+    Curve(WorkloadKind, InputScale),
     /// An optimized BFS variant at every one of [`FIG12_POOLED`].
     Bfs(BfsOptimization),
 }
 
-/// What an [`Item`] yields: a study with its pooled run reports, Level 1
-/// at a larger input, or a BFS variant's Fig 12 rows, one per
+/// What an [`Item`] yields: a study with its pooled run reports, a Fig 6
+/// curve at a larger input, or a BFS variant's Fig 12 rows, one per
 /// [`FIG12_POOLED`] fraction.
 enum Profile {
     Study(Box<StudyReport>, Vec<RunReport>),
-    Level1(Level1Report),
+    Curve(Curve),
     Bfs(Vec<BfsVariantResult>),
 }
 
-/// Every item of the full profile, in the order that was costliest first
-/// when each placement took its own walk, so that the pool's threads
-/// finish together. One-thread seconds on a 2-vCPU host were BFS x4 33.0,
-/// BFS x2 14.8, Hypre x4 6.5, NekRS x4 4.6, HPL x4 4.3, Hypre x2 3.7,
-/// XSBench x4 3.6, XSBench x2 3.1, NekRS x2 2.3, HPL x2 1.9, SuperLU x4 1.3
-/// and SuperLU x2 0.7 for Level 1 at the larger inputs. Walking once per
-/// walk, the studies took BFS 4.8, XSBench 1.8, Hypre 1.6, NekRS 1.1,
-/// HPL 0.4 and SuperLU 0.2, and the two BFS variants 3.8 and 3.4, each
-/// then generating its own graph (a later run of the same host); BFS's
-/// study and both variants now share one graph, generated by whichever
-/// runs first. The quick profile runs the six studies and the two BFS
-/// variants, in this order.
+/// Every item of the full profile, about costliest first, so that the
+/// pool's threads finish together. One-thread seconds on a 2-vCPU host, in
+/// this order: BFS x4 12.2, BFS study 4.0 (which generated the X1 graph
+/// that both BFS variants then share), BFS x2 5.8, Hypre x4 2.5, XSBench
+/// study 1.1, the two BFS variants 1.4 and 1.3, NekRS x4 1.6, HPL x4 1.5,
+/// Hypre study 0.8, NekRS study 0.7, Hypre x2 1.4, XSBench x4 0.6,
+/// XSBench x2 0.6, NekRS x2 0.9, HPL x2 0.7, HPL study 0.3, SuperLU x4 0.6,
+/// SuperLU study 0.3 and SuperLU x2 0.3. A larger input's curve is one
+/// prefetch-on walk. The quick profile runs the six studies and the two
+/// BFS variants, in this order.
 const CLAIM_ORDER: [Item; 20] = [
-    Item::Level1(WorkloadKind::Bfs, InputScale::X4),
+    Item::Curve(WorkloadKind::Bfs, InputScale::X4),
     Item::Study(WorkloadKind::Bfs),
-    Item::Level1(WorkloadKind::Bfs, InputScale::X2),
-    Item::Level1(WorkloadKind::Hypre, InputScale::X4),
+    Item::Curve(WorkloadKind::Bfs, InputScale::X2),
+    Item::Curve(WorkloadKind::Hypre, InputScale::X4),
     Item::Study(WorkloadKind::XsBench),
     Item::Bfs(BfsOptimization::ReorderAndFreeTemp),
     Item::Bfs(BfsOptimization::ReorderAllocations),
-    Item::Level1(WorkloadKind::NekRs, InputScale::X4),
-    Item::Level1(WorkloadKind::Hpl, InputScale::X4),
+    Item::Curve(WorkloadKind::NekRs, InputScale::X4),
+    Item::Curve(WorkloadKind::Hpl, InputScale::X4),
     Item::Study(WorkloadKind::Hypre),
     Item::Study(WorkloadKind::NekRs),
-    Item::Level1(WorkloadKind::Hypre, InputScale::X2),
-    Item::Level1(WorkloadKind::XsBench, InputScale::X4),
-    Item::Level1(WorkloadKind::XsBench, InputScale::X2),
-    Item::Level1(WorkloadKind::NekRs, InputScale::X2),
-    Item::Level1(WorkloadKind::Hpl, InputScale::X2),
+    Item::Curve(WorkloadKind::Hypre, InputScale::X2),
+    Item::Curve(WorkloadKind::XsBench, InputScale::X4),
+    Item::Curve(WorkloadKind::XsBench, InputScale::X2),
+    Item::Curve(WorkloadKind::NekRs, InputScale::X2),
+    Item::Curve(WorkloadKind::Hpl, InputScale::X2),
     Item::Study(WorkloadKind::Hpl),
-    Item::Level1(WorkloadKind::SuperLu, InputScale::X4),
+    Item::Curve(WorkloadKind::SuperLu, InputScale::X4),
     Item::Study(WorkloadKind::SuperLu),
-    Item::Level1(WorkloadKind::SuperLu, InputScale::X2),
+    Item::Curve(WorkloadKind::SuperLu, InputScale::X2),
 ];
 
 fn main() {
@@ -151,7 +149,7 @@ fn main() {
     let items: Vec<Item> = CLAIM_ORDER
         .into_iter()
         .filter(|item| match item {
-            Item::Level1(_, scale) => larger_scales.contains(scale),
+            Item::Curve(_, scale) => larger_scales.contains(scale),
             Item::Study(_) | Item::Bfs(..) => true,
         })
         .collect();
@@ -168,10 +166,15 @@ fn main() {
                 eprintln!("  [paper] profiled {} study", kind.name());
                 Profile::Study(Box::new(study), pooled)
             }
-            Item::Level1(kind, scale) => {
-                let level1 = level1_profile(workload(kind, scale).as_ref(), &config);
+            Item::Curve(kind, scale) => {
+                // Fig 6 reads only the footprint and the scaling curve, and
+                // both come from the prefetch-on Level-1 run.
+                let with_pf = run_workload(
+                    workload(kind, scale).as_ref(),
+                    &RunOptions::new(level1_config(&config, true)),
+                );
                 eprintln!("  [paper] profiled {} {}", kind.name(), scale.label());
-                Profile::Level1(level1)
+                Profile::Curve((with_pf.peak_footprint_bytes, scaling_curve(&with_pf)))
             }
             Item::Bfs(optimization) => {
                 let rows = bfs_variant_rows(
@@ -202,20 +205,21 @@ fn main() {
             let Profile::Study(study, pooled) = take(Item::Study(kind)) else {
                 unreachable!("a study item yields a study")
             };
-            let larger_inputs = larger_scales
-                .iter()
-                .map(|&scale| {
-                    let Profile::Level1(level1) = take(Item::Level1(kind, scale)) else {
-                        unreachable!("a larger-input item yields Level 1")
+            let level1 = &study.level1;
+            let x1 = (level1.footprint_bytes, level1.scaling_curve.clone());
+            let curves = std::iter::once((InputScale::X1, x1))
+                .chain(larger_scales.iter().map(|&scale| {
+                    let Profile::Curve(curve) = take(Item::Curve(kind, scale)) else {
+                        unreachable!("a larger-input item yields a curve")
                     };
-                    (scale, level1)
-                })
+                    (scale, curve)
+                }))
                 .collect();
             Studied {
                 kind,
                 study: *study,
                 pooled,
-                larger_inputs,
+                curves,
             }
         })
         .collect();
@@ -514,12 +518,14 @@ fn fig06_scaling_curves(studied: &[Studied]) {
     let outputs: Vec<CurveOutput> = studied
         .iter()
         .flat_map(|s| {
-            s.level1_by_scale().map(|(scale, level1)| CurveOutput {
-                workload: s.kind.name().to_string(),
-                scale: scale.label().to_string(),
-                footprint_mib: level1.footprint_bytes as f64 / (1 << 20) as f64,
-                curve: level1.scaling_curve.clone(),
-            })
+            s.curves
+                .iter()
+                .map(|(scale, (footprint_bytes, curve))| CurveOutput {
+                    workload: s.kind.name().to_string(),
+                    scale: scale.label().to_string(),
+                    footprint_mib: *footprint_bytes as f64 / (1 << 20) as f64,
+                    curve: curve.clone(),
+                })
         })
         .collect();
 

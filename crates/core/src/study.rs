@@ -110,7 +110,7 @@ impl QuantitativeStudy {
             RunOptions::new(level1_config(&self.base_config, false)),
         ];
         options.extend(local_fractions.iter().map(|&f| self.pooled_options(f)));
-        let mut reports = run_each_walk_once(self.workload.as_ref(), &options).into_iter();
+        let mut reports = run_workload_lockstep(self.workload.as_ref(), &options).into_iter();
         let (Some(with_pf), Some(without_pf)) = (reports.next(), reports.next()) else {
             unreachable!("one report per option")
         };
@@ -142,32 +142,6 @@ impl QuantitativeStudy {
             guidance,
         }
     }
-}
-
-/// Runs `workload` under every entry of `options`, walking each distinct
-/// cache walk once: entries that share a walk (see
-/// [`MachineConfig::shares_walk_with`]) run in lockstep. Returns the reports
-/// in the order of `options`.
-fn run_each_walk_once(workload: &dyn Workload, options: &[RunOptions]) -> Vec<RunReport> {
-    let mut reports: Vec<Option<RunReport>> = options.iter().map(|_| None).collect();
-    let mut pending: Vec<usize> = (0..options.len()).collect();
-    while let Some(&first) = pending.first() {
-        let (walk, rest): (Vec<usize>, Vec<usize>) = pending
-            .iter()
-            .partition(|&&i| options[first].config.shares_walk_with(&options[i].config));
-        let walk_options: Vec<RunOptions> = walk.iter().map(|&i| options[i].clone()).collect();
-        for (&i, report) in walk
-            .iter()
-            .zip(run_workload_lockstep(workload, &walk_options))
-        {
-            reports[i] = Some(report);
-        }
-        pending = rest;
-    }
-    reports
-        .into_iter()
-        .map(|report| report.expect("every option ran"))
-        .collect()
 }
 
 #[cfg(test)]

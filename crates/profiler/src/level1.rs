@@ -116,6 +116,16 @@ pub fn level1_config(base: &MachineConfig, prefetch: bool) -> MachineConfig {
     config
 }
 
+/// The bandwidth-capacity scaling curve (Figure 6) of a Level-1 run with
+/// the prefetcher on: the cumulative share of its DRAM accesses over the
+/// share of its peak footprint, hottest pages first, at 100 points.
+pub fn scaling_curve(with_pf: &RunReport) -> Vec<ScalingPoint> {
+    let total_pages = with_pf
+        .peak_footprint_bytes
+        .div_ceil(dismem_trace::PAGE_SIZE);
+    with_pf.page_histogram.scaling_curve(total_pages, 100)
+}
+
 /// Runs the Level-1 profiling protocol: one run with prefetching enabled and
 /// one with it disabled, both on [`level1_config`], read by
 /// [`level1_from_reports`].
@@ -171,11 +181,6 @@ pub fn level1_from_reports(
         performance_gain,
     };
 
-    let total_pages = with_pf
-        .peak_footprint_bytes
-        .div_ceil(dismem_trace::PAGE_SIZE);
-    let scaling_curve = with_pf.page_histogram.scaling_curve(total_pages, 100);
-
     let longest = with_pf.total_runtime_s.max(without_pf.total_runtime_s);
     let bucket_s = longest / TIMELINE_BUCKETS as f64;
     let timeline = TimelineSeries {
@@ -195,7 +200,7 @@ pub fn level1_from_reports(
         } else {
             0.0
         },
-        scaling_curve,
+        scaling_curve: scaling_curve(with_pf),
         prefetch,
         timeline,
     }

@@ -34,10 +34,10 @@ impl RunOptions {
 
 /// A fresh machine with one placement per entry of `options`, all served
 /// by one cache walk.
-fn machine_for(options: &[RunOptions]) -> Machine {
+fn machine_for<'a>(options: impl IntoIterator<Item = &'a RunOptions>) -> Machine {
     Machine::lockstep(
         options
-            .iter()
+            .into_iter()
             .map(|options| (options.config.clone(), options.tiering)),
     )
 }
@@ -51,18 +51,34 @@ pub fn run_workload(workload: &dyn Workload, options: &RunOptions) -> RunReport 
         .expect("one report per option")
 }
 
-/// Runs a workload once for every entry of `options`: one cache walk serves
-/// them all in lockstep, so the workload runs once. Returns one report per
-/// entry, in order, each equal to [`run_workload`]'s for that entry.
+/// Runs a workload for every entry of `options`, walking each distinct cache
+/// walk once: the entries that share a walk (equal `cache`, `prefetch`,
+/// `chunk_bytes` and `chunk_flops`, see
+/// [`MachineConfig::shares_walk_with`]) are placements of one machine and run
+/// in lockstep, so the workload runs once per distinct walk. Returns one
+/// report per entry, in order, each equal to [`run_workload`]'s for that
+/// entry.
 ///
-/// Panics unless every entry shares a walk: equal `cache`, `prefetch`,
-/// `chunk_bytes` and `chunk_flops` (see
-/// [`MachineConfig::shares_walk_with`]). Panics with a simulated OOM if any
-/// entry's direct run would.
+/// Panics with a simulated OOM if any entry's direct run would.
 pub fn run_workload_lockstep(workload: &dyn Workload, options: &[RunOptions]) -> Vec<RunReport> {
-    let mut machine = machine_for(options);
-    workload.run(&mut machine);
-    machine.finish_lockstep()
+    let mut reports: Vec<Option<RunReport>> = vec![None; options.len()];
+    for (first, first_options) in options.iter().enumerate() {
+        if reports[first].is_some() {
+            continue;
+        }
+        let walk: Vec<usize> = (first..options.len())
+            .filter(|&i| first_options.config.shares_walk_with(&options[i].config))
+            .collect();
+        let mut machine = machine_for(walk.iter().map(|&i| &options[i]));
+        workload.run(&mut machine);
+        for (i, report) in walk.into_iter().zip(machine.finish_lockstep()) {
+            reports[i] = Some(report);
+        }
+    }
+    reports
+        .into_iter()
+        .map(|report| report.expect("every option ran"))
+        .collect()
 }
 
 /// [`run_workload`] with a flight recorder attached: the machine emits trace
@@ -74,7 +90,7 @@ pub fn run_workload_recorded(
     options: &RunOptions,
     recorder: Box<dyn Recorder>,
 ) -> (RunReport, Box<dyn Recorder>) {
-    let mut machine = machine_for(std::slice::from_ref(options));
+    let mut machine = machine_for([options]);
     machine.set_recorder(recorder);
     workload.run(&mut machine);
     let report = machine.finish();
@@ -103,6 +119,7 @@ mod tests {
     use super::*;
     use dismem_sim::InterferenceProfile;
     use dismem_workloads::WorkloadKind;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn test_base() -> MachineConfig {
         MachineConfig::test_config()
@@ -187,16 +204,58 @@ mod tests {
         }
     }
 
+    /// Forwards to a workload and counts its runs: one run is one walk.
+    struct Counted {
+        inner: Box<dyn Workload>,
+        runs: AtomicUsize,
+    }
+
+    impl Workload for Counted {
+        fn name(&self) -> &'static str {
+            self.inner.name()
+        }
+
+        fn description(&self) -> &'static str {
+            self.inner.description()
+        }
+
+        fn input_description(&self) -> String {
+            self.inner.input_description()
+        }
+
+        fn expected_footprint_bytes(&self) -> u64 {
+            self.inner.expected_footprint_bytes()
+        }
+
+        fn run(&self, engine: &mut dyn dismem_trace::MemoryEngine) {
+            self.runs.fetch_add(1, Ordering::Relaxed);
+            self.inner.run(engine);
+        }
+    }
+
+    /// Options that do not share a walk run on separate walks, one per
+    /// distinct walk, and the reports come back in input order.
     #[test]
-    #[should_panic(expected = "lockstep placements must share a walk")]
-    fn lockstep_rejects_options_that_do_not_share_a_walk() {
-        let w = WorkloadKind::Hpl.instantiate_tiny();
-        let _ = run_workload_lockstep(
-            w.as_ref(),
-            &[
-                RunOptions::new(test_base()),
-                RunOptions::new(test_base().with_prefetch(false)),
-            ],
+    fn lockstep_walks_each_distinct_walk_once() {
+        let w = Counted {
+            inner: WorkloadKind::Hpl.instantiate_tiny(),
+            runs: AtomicUsize::new(0),
+        };
+        let options: Vec<RunOptions> = [(true, 0.5), (false, 0.5), (true, 0.25), (false, 0.25)]
+            .iter()
+            .map(|&(prefetch, f)| {
+                RunOptions::new(pooled_config(&test_base().with_prefetch(prefetch), &w, f))
+            })
+            .collect();
+        let reports = run_workload_lockstep(&w, &options);
+        assert_eq!(
+            w.runs.load(Ordering::Relaxed),
+            2,
+            "prefetch on and off are two walks"
         );
+        assert_eq!(reports.len(), options.len());
+        for (report, options) in reports.iter().zip(&options) {
+            assert!(*report == run_workload(&w, options));
+        }
     }
 }

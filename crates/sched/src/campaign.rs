@@ -178,7 +178,10 @@ pub fn trial_schedules(
 /// `report` must have been timed on an idle pool, as every report of
 /// `run_workload` is: its `total_runtime_s` must equal
 /// `report.retime(&InterferenceProfile::Idle).total_runtime_s` bit for bit.
-/// Debug builds assert this.
+/// `Machine::finish` prices a timeline through the loop `retime` runs, so
+/// this holds by construction for every report priced under the idle pool;
+/// only `Machine::set_interference` with another profile builds one that
+/// breaks it. Debug builds assert it.
 pub fn run_campaign(
     workload_name: &str,
     report: &RunReport,

@@ -4,9 +4,11 @@
 //! `dismem-trace` can run on it. It is one cache walk and one or more
 //! placements that run in lockstep. The walk is the cache hierarchy with its
 //! prefetcher and replay engine: it filters every access into DRAM
-//! transactions and never reads a page's tier. Each placement records and
-//! times every transaction the walk emits: its own address space (placement),
-//! link and timing model and tiering policy produce its own [`RunReport`].
+//! transactions and never reads a page's tier. Each placement records every
+//! transaction the walk emits into its own address space (placement) and
+//! tiering policy, and closes its chunks into counters and a timeline.
+//! [`Machine::finish`] prices each placement's timeline once, through the
+//! loop [`RunReport::retime_many`] runs, into its own [`RunReport`].
 //! [`Machine::new`] is the one-placement case; [`Machine::lockstep`] runs
 //! several placements that share a walk, so one walk serves every local
 //! capacity and tiering policy. A [`TieringSpec`] migrates a placement's pages
@@ -20,9 +22,10 @@ use crate::counters::Counters;
 use crate::interference::InterferenceProfile;
 use crate::prefetch::StreamPrefetcher;
 use crate::replay::ReplayTransition;
-use crate::report::{AllocationSummary, PhaseReport, RunReport, TieringReport, TimelineSample};
+use crate::report::{
+    price_timeline, AllocationSummary, PhaseReport, RunReport, TieringReport, TimelineSample,
+};
 use crate::tiering::{HotnessTracker, PageSample, TierOccupancy, TieringRuntime, TieringSpec};
-use crate::timing::TimingModel;
 use dismem_trace::{
     AccessKind, MemoryEngine, ObjectHandle, PlacementPolicy, Recorder, ReplayMode, TraceEvent,
     TraceTier, CACHE_LINE_SIZE,
@@ -32,18 +35,16 @@ use dismem_trace::{
 const LINES_PER_PAGE: u64 = dismem_trace::PAGE_SIZE / CACHE_LINE_SIZE;
 
 /// What one placement of the walk owns: an address space, its tier tally
-/// and pool-link lines, a timing model, an interference profile, a clock,
-/// a timeline, phase times and totals, and a tiering runtime.
+/// and pool-link lines, a timeline of closed chunks, phase counters and
+/// totals, and a tiering runtime. Nothing here is timed until
+/// [`Placement::report`] prices the timeline.
 struct Placement {
     config: MachineConfig,
     space: AddressSpace,
-    timing: TimingModel,
-    interference: InterferenceProfile,
     /// Dynamic tiering: installed policy, epoch accumulator, damper history
     /// and migration statistics. Defaults to [`TieringSpec::Static`], which
     /// never fires an epoch.
     tiering: TieringRuntime,
-    clock_s: f64,
     /// The open chunk's tier counters: fills, demand fills and writebacks on
     /// each tier, and an epoch's migration lines. The walk's counters join
     /// them when the chunk closes.
@@ -54,8 +55,9 @@ struct Placement {
     /// accumulating per-line rounding drift.
     chunk_pool_link_lines: u64,
     phase_counters: Vec<Counters>,
-    phase_runtimes: Vec<f64>,
     total: Counters,
+    /// Closed chunks in execution order, unpriced: every `start_s` and
+    /// `duration_s` is 0.0 until [`Placement::report`] prices them.
     timeline: Vec<TimelineSample>,
     /// Capacity spills already reported to the recorder (the address-space
     /// counter is monotone; the delta since this mark is emitted as one
@@ -67,15 +69,11 @@ impl Placement {
     fn new(config: MachineConfig, spec: &TieringSpec) -> Self {
         let mut placement = Self {
             space: AddressSpace::new(config.local.capacity_bytes, config.pool.capacity_bytes),
-            timing: TimingModel::new(config.clone()),
             config,
-            interference: InterferenceProfile::Idle,
             tiering: TieringRuntime::new(TieringSpec::Static),
-            clock_s: 0.0,
             chunk: Counters::default(),
             chunk_pool_link_lines: 0,
             phase_counters: Vec::new(),
-            phase_runtimes: Vec::new(),
             total: Counters::default(),
             timeline: Vec::new(),
             spilled_seen: 0,
@@ -126,10 +124,10 @@ impl Placement {
     }
 
     /// Closes the open chunk: joins the walk's counters `walk` to this
-    /// placement's tier counters and times the result at the placement's
-    /// interference, in phase `phase`. Returns the chunk's application DRAM
-    /// lines, or `None` for an empty chunk, which takes no time. The walk's
-    /// chunk may be empty while this one holds an epoch's migration lines.
+    /// placement's tier counters and appends the result, in phase `phase`,
+    /// to the timeline. Returns the chunk's application DRAM lines, or
+    /// `None` for an empty chunk, which takes no time. The walk's chunk may
+    /// be empty while this one holds an epoch's migration lines.
     fn close_chunk(&mut self, walk: &Counters, phase: Option<usize>) -> Option<u64> {
         let mut chunk = std::mem::take(&mut self.chunk);
         chunk.add(walk);
@@ -144,20 +142,16 @@ impl Placement {
         if chunk == Counters::default() {
             return None;
         }
-        let loi = self.interference.loi_at(self.clock_s);
-        let duration = self.timing.chunk_time(&chunk, loi).total_s;
         self.timeline.push(TimelineSample {
-            start_s: self.clock_s,
-            duration_s: duration,
+            start_s: 0.0,
+            duration_s: 0.0,
             counters: chunk,
             phase,
         });
         if let Some(p) = phase {
             self.phase_counters[p].add(&chunk);
-            self.phase_runtimes[p] += duration;
         }
         self.total.add(&chunk);
-        self.clock_s += duration;
         Some(
             chunk.dram_lines_local
                 + chunk.dram_lines_pool
@@ -348,13 +342,32 @@ impl Placement {
         }
     }
 
-    /// This placement's report of the run, whose phases are `phase_names`.
-    fn report(&self, phase_names: &[String]) -> RunReport {
+    /// This placement's report of the run, whose phases are `phase_names`,
+    /// with its timeline priced under `interference` by the loop
+    /// [`RunReport::retime_many`] runs: the report's times are its re-time
+    /// under that profile, bit for bit.
+    fn report(&self, phase_names: &[String], interference: &InterferenceProfile) -> RunReport {
+        let mut timeline = Vec::with_capacity(self.timeline.len());
+        let priced = price_timeline(
+            &self.config,
+            &self.timeline,
+            phase_names.len(),
+            std::slice::from_ref(interference),
+            |sample, runs, times| {
+                timeline.push(TimelineSample {
+                    start_s: runs[0].total_runtime_s,
+                    duration_s: times[0].total_s,
+                    ..*sample
+                });
+            },
+        )
+        .pop()
+        .expect("one profile yields one priced run");
         let line_bytes = self.config.cache.line_bytes;
         let phases = phase_names
             .iter()
             .zip(&self.phase_counters)
-            .zip(&self.phase_runtimes)
+            .zip(&priced.phase_runtimes_s)
             .map(|((name, counters), runtime)| PhaseReport {
                 name: name.clone(),
                 counters: *counters,
@@ -385,9 +398,9 @@ impl Placement {
             config: self.config.clone(),
             phases,
             total: self.total,
-            total_runtime_s: self.clock_s,
+            total_runtime_s: priced.total_runtime_s,
             allocations,
-            timeline: self.timeline.clone(),
+            timeline,
             page_histogram: self.space.histogram(),
             peak_footprint_bytes: self.space.peak_footprint_bytes(),
             local_pages_used: self.space.local_pages_used(),
@@ -485,10 +498,13 @@ pub struct Machine {
     /// the same points.
     chunk_dram_lines: u64,
     dram_events: Vec<DramEvent>,
-    /// Whether the batched line-walk fast path is used (default). Disabled,
-    /// the machine walks every access line by line exactly as the reference
+    /// Whether the batched element walk is used (default). Disabled, the
+    /// machine walks every access line by line exactly as the reference
     /// implementation does — the two paths produce bit-identical reports.
     batched: bool,
+    /// The background interference every placement's timeline is priced
+    /// under at finish ([`Machine::set_interference`]; idle by default).
+    interference: InterferenceProfile,
     phase_names: Vec<String>,
     current_phase: Option<usize>,
     placements: Vec<Placement>,
@@ -512,8 +528,10 @@ impl Machine {
     /// [`Machine::finish_lockstep`] returns their reports in this order,
     /// each equal to a direct run of its configuration and policy.
     ///
-    /// Panics without a placement, or unless every configuration shares the
-    /// first one's walk (see [`MachineConfig::shares_walk_with`]).
+    /// Panics without a placement, unless every configuration shares the
+    /// first one's walk (see [`MachineConfig::shares_walk_with`]), and
+    /// unless its cache lines are [`CACHE_LINE_SIZE`] bytes, the line size
+    /// the walk splits addresses by.
     pub fn lockstep(placements: impl IntoIterator<Item = (MachineConfig, TieringSpec)>) -> Self {
         let placements: Vec<Placement> = placements
             .into_iter()
@@ -530,6 +548,10 @@ impl Machine {
                 "lockstep placements must share a walk: equal cache, prefetch, chunk_bytes and chunk_flops"
             );
         }
+        assert_eq!(
+            config.cache.line_bytes, CACHE_LINE_SIZE,
+            "the cache walk splits addresses into {CACHE_LINE_SIZE}-byte lines"
+        );
         let prefetcher = StreamPrefetcher::new(config.prefetch);
         let cache = CacheSim::new(config.cache, prefetcher);
         Self {
@@ -539,6 +561,7 @@ impl Machine {
             chunk_dram_lines: 0,
             dram_events: Vec::with_capacity(64),
             batched: true,
+            interference: InterferenceProfile::Idle,
             phase_names: Vec::new(),
             current_phase: None,
             placements,
@@ -563,12 +586,12 @@ impl Machine {
     }
 
     /// Sets the background interference profile on every placement's pool
-    /// link. Panics once the run has started.
+    /// link: [`Machine::finish`] prices each timeline under it, so a report
+    /// equals its [`RunReport::retime`] under `profile`. The default is an
+    /// idle pool. Panics once the run has started.
     pub fn set_interference(&mut self, profile: InterferenceProfile) {
         self.assert_unstarted("set_interference");
-        for placement in &mut self.placements {
-            placement.interference = profile.clone();
-        }
+        self.interference = profile;
     }
 
     /// Installs a dynamic tiering policy (see [`crate::tiering`]) on every
@@ -629,11 +652,6 @@ impl Machine {
         0
     }
 
-    /// Current simulated time of the first placement, in seconds.
-    pub fn now(&self) -> f64 {
-        self.placements[0].clock_s
-    }
-
     /// Installs a flight recorder (see `dismem_trace::flight`). Events are
     /// timestamped by simulated clocks only — the application-DRAM-line
     /// clock and the tiering epoch ordinal — so a recorded run's event
@@ -680,11 +698,12 @@ impl Machine {
     }
 
     /// Finishes the run and produces every placement's report, in the order
-    /// the placements were given to [`Machine::lockstep`].
+    /// the placements were given to [`Machine::lockstep`]. Each placement's
+    /// timeline is priced here, once, under the machine's interference.
     pub fn finish_lockstep(&mut self) -> Vec<RunReport> {
         self.close_chunk();
         // A tiering epoch firing at that close deposits its migration traffic
-        // into a fresh chunk; close again so it is timed and reported. The
+        // into a fresh chunk; close again so it is priced and reported. The
         // second close cannot fire another epoch (migration traffic does not
         // count towards the epoch accumulator), so two closes always drain.
         self.close_chunk();
@@ -694,13 +713,14 @@ impl Machine {
             .all(|p| p.chunk == Counters::default()));
         self.placements
             .iter()
-            .map(|placement| placement.report(&self.phase_names))
+            .map(|placement| placement.report(&self.phase_names, &self.interference))
             .collect()
     }
 
     /// Closes the walk's open chunk in every placement at once. Each
-    /// placement times its own chunk, emits the chunk's trace and may run a
-    /// tiering epoch, whose migration lines open its next chunk.
+    /// placement appends its own chunk to its timeline, emits the chunk's
+    /// trace and may run a tiering epoch, whose migration lines open its next
+    /// chunk.
     fn close_chunk(&mut self) {
         let walk = std::mem::take(&mut self.chunk);
         self.chunk_dram_lines = 0;
@@ -748,40 +768,15 @@ impl Machine {
         sink.flush();
     }
 
-    /// Batched walk over a contiguous run of cache lines: the cache walks
-    /// the whole run in one call and hands every DRAM transaction straight
-    /// to the placements — no event queue, no per-line drain.
-    fn walk_lines_batched(&mut self, first_line: u64, last_line: u64, is_write: bool) {
-        let mut sink = PlacementSink::new(&mut self.placements, &mut self.chunk_dram_lines);
-        self.cache.demand_access_range(
-            first_line,
-            last_line - first_line + 1,
-            is_write,
-            &mut self.chunk,
-            &mut sink,
-        );
-        sink.flush();
-    }
-
-    /// Batched scattered-element walk shared by `gather_batch` and
-    /// `strided_batch`: *contiguous* consecutive elements (the next element's
-    /// first line exactly follows the previous element's last — dense
-    /// sub-line strided sweeps, multi-line elements laid out back to back,
-    /// and sorted gathers at the points where they cross a line boundary)
-    /// are merged into a single cache walk so the replay detector sees whole
-    /// runs instead of per-element fragments. Consecutive elements that
-    /// *share* a line (e.g. 8-byte gathers of neighbouring slots)
-    /// deliberately do not merge: each is a separate demand reference, and
-    /// dropping the repeat would break bit-identity with the per-element
-    /// reference path.
-    ///
-    /// Chunk-close decisions stay identical to the per-element reference
-    /// path: a merge is only allowed while the worst-case DRAM traffic of
-    /// the merged lines cannot reach the chunk threshold, which proves every
-    /// skipped intermediate `chunk_full` check would have returned false
-    /// (flops do not change inside the walk, and the walk's DRAM line count
-    /// is monotone).
-    fn walk_elements_batched(
+    /// The batched element walk of `access`, `gather_batch` and
+    /// `strided_batch`: the cache walks each element's lines in one call and
+    /// hands every DRAM transaction straight to the placements, with no
+    /// event queue and no per-line drain. The chunk-close decision follows
+    /// every element, as the per-line reference takes it after every access.
+    /// One sink serves the call, so traffic against one page from
+    /// consecutive elements reaches the placements as one record; it is
+    /// flushed before a chunk closes.
+    fn walk_elements(
         &mut self,
         handle: ObjectHandle,
         offsets: impl Iterator<Item = u64>,
@@ -792,20 +787,6 @@ impl Machine {
         let object_bytes = layout.object_bytes(handle);
         let base = layout.base_addr(handle);
         let is_write = kind.is_write();
-        let line_bytes = self.config.cache.line_bytes;
-        // Worst-case DRAM bytes one demand line can produce: its fill, a
-        // dirty LLC victim writeback from that fill, and a second writeback
-        // when its dirty L2 victim misses the LLC and evicts another dirty
-        // line there — three transactions, and the same triple for each of
-        // up to `degree` prefetches it can trigger.
-        let worst_bytes_per_line = 3 * (1 + self.config.prefetch.degree as u64) * line_bytes;
-
-        // The contiguous run being accumulated, plus how many more lines may
-        // be merged into it before a chunk_full check must be taken.
-        let mut run: Option<(u64, u64)> = None;
-        let mut merge_budget_lines = 0u64;
-        // One sink serves every run of the call, so traffic against one page
-        // from consecutive elements reaches the placements as one record.
         let mut sink = PlacementSink::new(&mut self.placements, &mut self.chunk_dram_lines);
         for offset in offsets {
             debug_assert!(
@@ -815,64 +796,22 @@ impl Machine {
             let addr = base + offset;
             let first_line = addr / CACHE_LINE_SIZE;
             let last_line = (addr + elem_bytes - 1) / CACHE_LINE_SIZE;
-            let lines = last_line - first_line + 1;
-
-            if let Some((_, run_last)) = run {
-                if first_line == run_last + 1 && lines <= merge_budget_lines {
-                    run = run.map(|(f, _)| (f, last_line));
-                    merge_budget_lines -= lines;
-                    continue;
-                }
-            }
-
-            // Flush the pending run, then take the chunk_full decision the
-            // reference path would have taken at this element boundary.
-            if let Some((run_first, run_last)) = run.take() {
-                self.cache.demand_access_range(
-                    run_first,
-                    run_last - run_first + 1,
-                    is_write,
-                    &mut self.chunk,
-                    &mut sink,
-                );
-                if Self::chunk_full(&self.config, &self.chunk, *sink.dram_lines) {
-                    // The sink's borrow of the placements ends with this
-                    // flush (its last use), freeing `self` for the close.
-                    sink.flush();
-                    self.close_chunk();
-                    sink = PlacementSink::new(&mut self.placements, &mut self.chunk_dram_lines);
-                }
-            }
-            // Strictly below the threshold: `chunk_full` fires at >=, so the
-            // merged traffic must not be able to even *reach* `chunk_bytes`
-            // at a skipped intermediate element.
-            let fresh_budget = self
-                .config
-                .chunk_bytes
-                .saturating_sub(*sink.dram_lines * line_bytes)
-                .saturating_sub(1)
-                / worst_bytes_per_line.max(1);
-            merge_budget_lines = fresh_budget.saturating_sub(lines);
-            run = Some((first_line, last_line));
-        }
-
-        if let Some((run_first, run_last)) = run {
             self.cache.demand_access_range(
-                run_first,
-                run_last - run_first + 1,
+                first_line,
+                last_line - first_line + 1,
                 is_write,
                 &mut self.chunk,
                 &mut sink,
             );
+            if Self::chunk_full(&self.config, &self.chunk, *sink.dram_lines) {
+                // The sink's borrow of the placements ends with this flush
+                // (its last use), freeing `self` for the close.
+                sink.flush();
+                self.close_chunk();
+                sink = PlacementSink::new(&mut self.placements, &mut self.chunk_dram_lines);
+            }
         }
         sink.flush();
-        self.maybe_close_chunk();
-    }
-
-    /// Direct access to the first placement's address space (placement
-    /// inspection).
-    pub fn address_space(&self) -> &AddressSpace {
-        &self.placements[0].space
     }
 
     /// Frees an object, surfacing invalid frees (unknown handle, double
@@ -932,7 +871,6 @@ impl MemoryEngine for Machine {
         self.phase_names.push(name.to_string());
         for placement in &mut self.placements {
             placement.phase_counters.push(Counters::default());
-            placement.phase_runtimes.push(0.0);
         }
         self.current_phase = Some(self.phase_names.len() - 1);
     }
@@ -950,6 +888,10 @@ impl MemoryEngine for Machine {
         if bytes == 0 {
             return;
         }
+        if self.batched {
+            self.walk_elements(handle, std::iter::once(offset), bytes, kind);
+            return;
+        }
         let layout = &self.placements[0].space;
         let object_bytes = layout.object_bytes(handle);
         debug_assert!(
@@ -960,15 +902,11 @@ impl MemoryEngine for Machine {
         let first_line = base / CACHE_LINE_SIZE;
         let last_line = (base + bytes - 1) / CACHE_LINE_SIZE;
         let is_write = kind.is_write();
-        if self.batched {
-            self.walk_lines_batched(first_line, last_line, is_write);
-        } else {
-            for line in first_line..=last_line {
-                self.cache
-                    .demand_access(line, is_write, &mut self.chunk, &mut self.dram_events);
-                if !self.dram_events.is_empty() {
-                    self.process_dram_events();
-                }
+        for line in first_line..=last_line {
+            self.cache
+                .demand_access(line, is_write, &mut self.chunk, &mut self.dram_events);
+            if !self.dram_events.is_empty() {
+                self.process_dram_events();
             }
         }
         self.maybe_close_chunk();
@@ -995,7 +933,7 @@ impl MemoryEngine for Machine {
             }
             return;
         }
-        self.walk_elements_batched(handle, offsets.iter().copied(), elem_bytes, kind);
+        self.walk_elements(handle, offsets.iter().copied(), elem_bytes, kind);
     }
 
     fn strided_batch(
@@ -1022,7 +960,7 @@ impl MemoryEngine for Machine {
             }
             return;
         }
-        self.walk_elements_batched(
+        self.walk_elements(
             handle,
             (0..count).map(|i| start + i * stride_bytes),
             elem_bytes,
@@ -1088,6 +1026,26 @@ mod tests {
         assert!(report.remote_capacity_ratio() > 0.6);
         assert!(report.total.link_raw_bytes > 0);
         assert!(report.allocation("big").unwrap().pages_pool > 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "lockstep placements must share a walk")]
+    fn lockstep_rejects_placements_that_do_not_share_a_walk() {
+        let config = MachineConfig::test_config();
+        let _ = Machine::lockstep([
+            (config.clone(), TieringSpec::Static),
+            (config.with_prefetch(false), TieringSpec::Static),
+        ]);
+    }
+
+    /// The walk splits addresses into 64-byte lines, so a configuration
+    /// whose costs assume another line size is refused.
+    #[test]
+    #[should_panic(expected = "splits addresses into 64-byte lines")]
+    fn a_line_size_other_than_64_bytes_is_rejected() {
+        let mut config = MachineConfig::test_config();
+        config.cache.line_bytes = 128;
+        let _ = Machine::new(config);
     }
 
     #[test]

@@ -203,11 +203,13 @@ pub struct RunReport {
     pub total: Counters,
     /// Total simulated runtime in seconds: the chunk durations summed from
     /// 0.0 in timeline order, each priced at the machine's interference at
-    /// the chunk's start. On an idle pool, the only interference a
-    /// `run_workload` report sees, this equals
-    /// `retime(&InterferenceProfile::Idle).total_runtime_s` bit for bit;
-    /// only [`Machine::set_interference`](crate::Machine::set_interference)
-    /// with another profile makes the two differ.
+    /// the chunk's start. [`Machine::finish`](crate::Machine::finish) prices
+    /// the timeline through the loop [`retime`](Self::retime) runs, so this
+    /// equals `retime(profile).total_runtime_s` bit for bit under the
+    /// machine's profile: an idle pool, which every `run_workload` report
+    /// runs on, unless
+    /// [`Machine::set_interference`](crate::Machine::set_interference) set
+    /// another.
     pub total_runtime_s: f64,
     /// Allocation summaries in allocation order.
     pub allocations: Vec<AllocationSummary>,
@@ -308,30 +310,58 @@ impl RunReport {
     /// ([`TimingModel::chunk_times`]). Each result is bit-identical to
     /// [`retime`](Self::retime) with that profile alone.
     pub fn retime_many(&self, profiles: &[InterferenceProfile]) -> Vec<RetimedRun> {
-        let model = TimingModel::new(self.config.clone());
-        let mut runs: Vec<RetimedRun> = profiles
-            .iter()
-            .map(|_| RetimedRun {
-                total_runtime_s: 0.0,
-                phase_runtimes_s: vec![0.0; self.phases.len()],
-            })
-            .collect();
-        let mut lois = vec![0.0; profiles.len()];
-        let mut times = vec![TimeBreakdown::default(); profiles.len()];
-        for sample in &self.timeline {
-            for ((loi, profile), run) in lois.iter_mut().zip(profiles).zip(&runs) {
-                *loi = profile.loi_at(run.total_runtime_s);
-            }
-            model.chunk_times(&sample.counters, &lois, &mut times);
-            for (run, time) in runs.iter_mut().zip(&times) {
-                if let Some(p) = sample.phase {
-                    run.phase_runtimes_s[p] += time.total_s;
-                }
-                run.total_runtime_s += time.total_s;
-            }
-        }
-        runs
+        price_timeline(
+            &self.config,
+            &self.timeline,
+            self.phases.len(),
+            profiles,
+            |_, _, _| {},
+        )
     }
+}
+
+/// Prices `timeline`, a run on `config` with `phases` phases, under every
+/// profile in `profiles`, returning one [`RetimedRun`] per profile, in order.
+/// The simulator's one pricing loop: [`RunReport::retime_many`] and
+/// [`Machine::finish`](crate::Machine::finish) both run it, so a report's
+/// times equal its re-time under the machine's profile bit for bit.
+///
+/// Each chunk is priced in timeline order: every profile's level of
+/// interference at its clock, one [`TimingModel::chunk_times`] call for all
+/// of them, then each duration added to its phase and its clock. Before
+/// the durations are added, `priced` sees the chunk, the runs so far (each
+/// clock is the chunk's start under its profile) and the chunk's times.
+pub(crate) fn price_timeline(
+    config: &MachineConfig,
+    timeline: &[TimelineSample],
+    phases: usize,
+    profiles: &[InterferenceProfile],
+    mut priced: impl FnMut(&TimelineSample, &[RetimedRun], &[TimeBreakdown]),
+) -> Vec<RetimedRun> {
+    let model = TimingModel::new(config.clone());
+    let mut runs: Vec<RetimedRun> = profiles
+        .iter()
+        .map(|_| RetimedRun {
+            total_runtime_s: 0.0,
+            phase_runtimes_s: vec![0.0; phases],
+        })
+        .collect();
+    let mut lois = vec![0.0; profiles.len()];
+    let mut times = vec![TimeBreakdown::default(); profiles.len()];
+    for sample in timeline {
+        for ((loi, profile), run) in lois.iter_mut().zip(profiles).zip(&runs) {
+            *loi = profile.loi_at(run.total_runtime_s);
+        }
+        model.chunk_times(&sample.counters, &lois, &mut times);
+        priced(sample, &runs, &times);
+        for (run, time) in runs.iter_mut().zip(&times) {
+            if let Some(p) = sample.phase {
+                run.phase_runtimes_s[p] += time.total_s;
+            }
+            run.total_runtime_s += time.total_s;
+        }
+    }
+    runs
 }
 
 #[cfg(test)]

@@ -1123,8 +1123,9 @@ proptest! {
         prop_assert!((sum - report.total_runtime_s).abs() <= 1e-9 * report.total_runtime_s.max(1e-30));
     }
 
-    /// Re-timing under an idle profile reproduces the original runtime, and
-    /// runtime is monotone in the level of constant interference.
+    /// Re-timing under an idle profile reproduces the original runtime bit
+    /// for bit, and runtime is monotone in the level of constant
+    /// interference.
     #[test]
     fn retime_is_consistent_and_monotone(script in access_script(), loi_steps in 1usize..6) {
         let config = MachineConfig::test_config().with_local_capacity(8 * PAGE_SIZE);
@@ -1144,7 +1145,7 @@ proptest! {
         m.phase_end();
         let report = m.finish();
         let idle = report.retime(&InterferenceProfile::Idle).total_runtime_s;
-        prop_assert!((idle - report.total_runtime_s).abs() <= 1e-9 * report.total_runtime_s.max(1e-30));
+        prop_assert_eq!(idle.to_bits(), report.total_runtime_s.to_bits());
         let mut prev = idle;
         for i in 1..=loi_steps {
             let loi = i as f64 * 0.15;
