@@ -6,6 +6,15 @@
 //! DRAM fill/writeback events that the [`crate::Machine`] routes to memory
 //! tiers.
 //!
+//! Each set keeps its lines in recency order, most recently used first, as
+//! one packed `u64` per way (`tag << 3 | DIRTY | PREFETCHED | USED`), with
+//! its empty ways at the tail. A hit moves its line to the front; an insert
+//! shifts the set back by one way and evicts the last line. So the victim is
+//! always the least recently used line, and a set fills its empty ways
+//! before it evicts. Hits, victims and flags depend on this order alone,
+//! which lets the replay engine compare two cache states way by way (see
+//! `crate::replay`).
+//!
 //! A hierarchy lives for one run. It is built from the machine
 //! configuration with the prefetcher on or off for the whole run (the
 //! paper's Level-1 profile is one run of each), its replay switch is set
@@ -25,12 +34,12 @@ pub(crate) struct DramEvent {
     pub(crate) kind: DramEventKind,
 }
 
-/// Consumer of DRAM transactions produced by the batched cache walk.
+/// Consumer of DRAM transactions produced by the cache walk.
 ///
-/// The per-line reference pipeline materializes [`DramEvent`]s into a queue
-/// and drains it; the batched pipeline hands each transaction to a sink the
-/// moment it is produced (same order, no queue), which lets the machine
-/// tally tiers and counters inline.
+/// The per-line reference pipeline queues [`DramEvent`]s in a `Vec` and
+/// drains it after every line; the batched pipeline hands each transaction
+/// to a sink the moment it is produced (same order, no queue), which lets
+/// the machine tally tiers and counters inline.
 pub(crate) trait DramSink {
     /// Accepts one DRAM transaction.
     fn event(&mut self, line_addr: u64, kind: DramEventKind);
@@ -48,6 +57,12 @@ pub(crate) trait DramSink {
     }
 }
 
+impl DramSink for Vec<DramEvent> {
+    fn event(&mut self, line_addr: u64, kind: DramEventKind) {
+        self.push(DramEvent { line_addr, kind });
+    }
+}
+
 /// Kind of DRAM transaction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub(crate) enum DramEventKind {
@@ -60,40 +75,57 @@ pub(crate) enum DramEventKind {
     Writeback,
 }
 
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub(crate) struct CacheLine {
-    pub(crate) tag: u64,
-    pub(crate) valid: bool,
-    pub(crate) dirty: bool,
-    pub(crate) prefetched: bool,
-    pub(crate) used: bool,
-    pub(crate) stamp: u64,
+/// Flag bits of a packed line; its tag sits above them.
+const FLAG_BITS: u32 = 3;
+const DIRTY: u64 = 0b100;
+const PREFETCHED: u64 = 0b010;
+const USED: u64 = 0b001;
+
+/// An empty way. Its tag bits are all ones, a line address no byte address
+/// reaches, so no lookup ever matches it.
+pub(crate) const EMPTY: u64 = u64::MAX;
+
+/// Packs a freshly inserted line: a prefetched line starts unused, a demand
+/// line used.
+pub(crate) fn packed(tag: u64, dirty: bool, prefetched: bool) -> u64 {
+    let dirty = if dirty { DIRTY } else { 0 };
+    let state = if prefetched { PREFETCHED } else { USED };
+    tag << FLAG_BITS | dirty | state
+}
+
+fn tag(line: u64) -> u64 {
+    line >> FLAG_BITS
+}
+
+fn is_dirty(line: u64) -> bool {
+    line & DIRTY != 0
+}
+
+fn is_unused_prefetch(line: u64) -> bool {
+    line & (PREFETCHED | USED) == PREFETCHED
+}
+
+/// `line` with its tag advanced by `lines` line addresses; an empty way
+/// stays empty. A set shifted by a replay window is its lines shifted way by
+/// way, in the same order.
+pub(crate) fn shifted(line: u64, lines: u64) -> u64 {
+    if line == EMPTY {
+        EMPTY
+    } else {
+        line + (lines << FLAG_BITS)
+    }
 }
 
 #[derive(Debug, Clone)]
 pub(crate) struct SetAssocCache {
     sets: usize,
     ways: usize,
-    /// `sets - 1` when `sets` is a power of two: the batched fast path masks
-    /// instead of dividing (`None` falls back to the modulo used by the
-    /// per-line reference path — both compute the same set index).
+    /// `sets - 1` when `sets` is a power of two (all shipped
+    /// configurations): the set index masks instead of dividing.
     set_mask: Option<usize>,
-    pub(crate) lines: Vec<CacheLine>,
-    pub(crate) clock: u64,
-}
-
-struct Evicted {
-    tag: u64,
-    dirty: bool,
-    useless_prefetch: bool,
-}
-
-/// Result of [`SetAssocCache::fill_or_hit`].
-enum FillOutcome {
-    /// The line was already present (LRU refreshed, optionally dirtied).
-    Hit,
-    /// The line was inserted, evicting the carried victim if any.
-    Inserted(Option<Evicted>),
+    /// `sets * ways` packed lines, set after set, each set most recently
+    /// used first with its empty ways last.
+    pub(crate) lines: Vec<u64>,
 }
 
 impl SetAssocCache {
@@ -103,83 +135,25 @@ impl SetAssocCache {
             sets,
             ways,
             set_mask: sets.is_power_of_two().then(|| sets - 1),
-            lines: vec![CacheLine::default(); sets * ways],
-            clock: 0,
+            lines: vec![EMPTY; sets * ways],
         }
     }
 
+    /// Where the ways of the set `line_addr` maps to start in `lines`.
     #[inline]
-    fn set_range(&self, line_addr: u64) -> std::ops::Range<usize> {
-        // Mask when the set count is a power of two (all shipped
-        // configurations), modulo otherwise — same index either way.
+    fn set_start(&self, line_addr: u64) -> usize {
         let set = match self.set_mask {
             Some(mask) => (line_addr as usize) & mask,
             None => (line_addr as usize) % self.sets,
         };
-        let start = set * self.ways;
-        start..start + self.ways
+        set * self.ways
     }
 
-    /// Combined lookup + insert-on-miss in a single set scan, used by the
-    /// batched pipeline where a miss is the common case (LLC fills on a
-    /// stream): the victim falls out of the same pass that proves absence.
-    /// Clock/stamp evolution is exactly lookup-then-insert: one tick for the
-    /// lookup, a second for the insert when it happens.
+    /// The ways of the set `line_addr` maps to, most recently used first.
     #[inline]
-    fn fill_or_hit(
-        &mut self,
-        line_addr: u64,
-        mark_dirty_on_hit: bool,
-        insert_dirty: bool,
-        insert_prefetched: bool,
-    ) -> FillOutcome {
-        self.clock += 1;
-        let lookup_clock = self.clock;
-        let start = self.set_range(line_addr).start;
-        let ways = self.ways;
-        let mut first_invalid = None;
-        let mut victim_idx = 0usize;
-        let mut victim_stamp = u64::MAX;
-        for i in 0..ways {
-            let l = &mut self.lines[start + i];
-            if l.valid {
-                if l.tag == line_addr {
-                    l.stamp = lookup_clock;
-                    if mark_dirty_on_hit {
-                        l.dirty = true;
-                    }
-                    return FillOutcome::Hit;
-                }
-                if first_invalid.is_none() && l.stamp < victim_stamp {
-                    victim_stamp = l.stamp;
-                    victim_idx = i;
-                }
-            } else if first_invalid.is_none() {
-                first_invalid = Some(i);
-            }
-        }
-        self.clock += 1;
-        let insert_clock = self.clock;
-        let slot = start + first_invalid.unwrap_or(victim_idx);
-        let victim = self.lines[slot];
-        let evicted = if victim.valid {
-            Some(Evicted {
-                tag: victim.tag,
-                dirty: victim.dirty,
-                useless_prefetch: victim.prefetched && !victim.used,
-            })
-        } else {
-            None
-        };
-        self.lines[slot] = CacheLine {
-            tag: line_addr,
-            valid: true,
-            dirty: insert_dirty,
-            prefetched: insert_prefetched,
-            used: !insert_prefetched,
-            stamp: insert_clock,
-        };
-        FillOutcome::Inserted(evicted)
+    fn set_mut(&mut self, line_addr: u64) -> &mut [u64] {
+        let start = self.set_start(line_addr);
+        &mut self.lines[start..start + self.ways]
     }
 
     /// Number of sets.
@@ -187,110 +161,68 @@ impl SetAssocCache {
         self.sets
     }
 
-    /// Number of ways per set.
-    pub(crate) fn way_count(&self) -> usize {
-        self.ways
-    }
-
-    /// Overwrites the full cache state from a snapshot of `lines` and
-    /// `clock`, with every valid line's tag shifted forward by `tag_shift`
-    /// lines and every timestamp (and the clock) by `clock_shift` ticks —
-    /// the state the cache would hold had it walked the shifted traffic
-    /// exactly. Invalid slots keep their canonical default contents.
-    pub(crate) fn restore_shifted(
-        &mut self,
-        snap_lines: &[CacheLine],
-        snap_clock: u64,
-        tag_shift: u64,
-        clock_shift: u64,
-    ) {
+    /// Overwrites the whole cache with a snapshot of `lines` whose tags are
+    /// advanced by `tag_shift` lines, in the same recency order: the state
+    /// the cache would hold had it walked the shifted traffic exactly.
+    pub(crate) fn restore_shifted(&mut self, snap_lines: &[u64], tag_shift: u64) {
         debug_assert_eq!(snap_lines.len(), self.lines.len());
-        self.clock = snap_clock + clock_shift;
-        for (slot, snap) in self.lines.iter_mut().zip(snap_lines) {
-            *slot = *snap;
-            if snap.valid {
-                slot.tag = snap.tag + tag_shift;
-                slot.stamp = snap.stamp + clock_shift;
-            }
+        for (slot, &snap) in self.lines.iter_mut().zip(snap_lines) {
+            *slot = shifted(snap, tag_shift);
         }
     }
 
-    /// Looks up a line; on hit, refreshes LRU and returns a mutable reference.
-    fn lookup(&mut self, line_addr: u64) -> Option<&mut CacheLine> {
-        self.clock += 1;
-        let clock = self.clock;
-        let range = self.set_range(line_addr);
-        let lines = &mut self.lines[range];
-        for line in lines.iter_mut() {
-            if line.valid && line.tag == line_addr {
-                line.stamp = clock;
-                return Some(line);
+    /// Looks up a line in one pass over its set, moving every line it
+    /// passes back one way. A hit moves the line to the front and returns
+    /// it. A miss has shifted the whole set: the new line, packed from
+    /// `dirty` and `prefetched`, takes the front, and the least recently
+    /// used line, if the set was full, is returned evicted.
+    #[inline]
+    fn fill_or_hit(
+        &mut self,
+        line_addr: u64,
+        dirty: bool,
+        prefetched: bool,
+    ) -> Result<&mut u64, Option<u64>> {
+        let set = self.set_mut(line_addr);
+        let mut carry = packed(line_addr, dirty, prefetched);
+        for way in 0..set.len() {
+            let line = std::mem::replace(&mut set[way], carry);
+            if tag(line) == line_addr {
+                set[0] = line;
+                return Ok(&mut set[0]);
             }
+            carry = line;
         }
-        None
+        Err((carry != EMPTY).then_some(carry))
     }
 
+    /// Whether a line is present, leaving the recency order alone.
     fn contains(&self, line_addr: u64) -> bool {
-        let range = self.set_range(line_addr);
-        self.lines[range]
+        let start = self.set_start(line_addr);
+        self.lines[start..start + self.ways]
             .iter()
-            .any(|l| l.valid && l.tag == line_addr)
+            .any(|&l| tag(l) == line_addr)
     }
 
-    /// Inserts a line, returning the victim if a valid line was evicted.
-    fn insert(&mut self, line_addr: u64, dirty: bool, prefetched: bool) -> Option<Evicted> {
-        self.clock += 1;
-        let clock = self.clock;
-        let range = self.set_range(line_addr);
-        let lines = &mut self.lines[range];
-
-        // Prefer an invalid way.
-        let mut victim_idx = 0;
-        let mut victim_stamp = u64::MAX;
-        for (i, line) in lines.iter().enumerate() {
-            if !line.valid {
-                victim_idx = i;
-                break;
-            }
-            if line.stamp < victim_stamp {
-                victim_stamp = line.stamp;
-                victim_idx = i;
-            }
+    /// Inserts a line the set does not hold at its front, returning the
+    /// least recently used line if the set was full and evicted it.
+    #[inline]
+    fn insert(&mut self, line_addr: u64, dirty: bool, prefetched: bool) -> Option<u64> {
+        let mut carry = packed(line_addr, dirty, prefetched);
+        for slot in self.set_mut(line_addr) {
+            carry = std::mem::replace(slot, carry);
         }
-        let victim = lines[victim_idx];
-        let evicted = if victim.valid {
-            Some(Evicted {
-                tag: victim.tag,
-                dirty: victim.dirty,
-                useless_prefetch: victim.prefetched && !victim.used,
-            })
-        } else {
-            None
-        };
-        lines[victim_idx] = CacheLine {
-            tag: line_addr,
-            valid: true,
-            dirty,
-            prefetched,
-            used: !prefetched,
-            stamp: clock,
-        };
-        evicted
+        (carry != EMPTY).then_some(carry)
     }
 }
 
 /// The simulated two-level cache hierarchy with an L2 stream prefetcher.
 #[derive(Debug, Clone)]
 pub struct CacheSim {
-    params: CacheParams,
     pub(crate) l2: SetAssocCache,
     pub(crate) llc: SetAssocCache,
     pub(crate) prefetcher: StreamPrefetcher,
     prefetch_buf: Vec<u64>,
-    /// Memoized prefetcher stream-entry index for the batched path; carried
-    /// across calls (it is validated against the accessed page before use,
-    /// so staleness only costs a rescan).
-    pub(crate) stream_hint: usize,
     /// Steady-state page-replay engine (see `crate::replay`).
     pub(crate) replay: crate::replay::ReplayEngine,
 }
@@ -306,16 +238,9 @@ impl CacheSim {
             l2,
             llc,
             prefetcher,
-            params,
             prefetch_buf: Vec::with_capacity(8),
-            stream_hint: usize::MAX,
             replay,
         }
-    }
-
-    /// Cache line size in bytes.
-    pub fn line_bytes(&self) -> u64 {
-        self.params.line_bytes
     }
 
     /// Enables or disables the steady-state page-replay engine (enabled by
@@ -339,16 +264,18 @@ impl CacheSim {
 
     /// Performs one demand access to cache line `line_addr`.
     ///
-    /// Updates `counters` and appends any DRAM transactions (fills and
-    /// writebacks, including those triggered by prefetches) to `dram_events`.
-    /// This is the per-line reference pipeline, which runs only when batching
-    /// is off for the whole run, so the replay engine is never live here.
-    pub(crate) fn demand_access(
+    /// Updates `counters` and hands any DRAM transactions (fills and
+    /// writebacks, including those triggered by prefetches) to `sink`, in
+    /// order. The per-line reference pipeline calls it once per line with
+    /// its event queue, which it drains after every line; the batched walk
+    /// calls it through [`CacheSim::walk_lines_exact`]. It never consults
+    /// the replay engine.
+    pub(crate) fn demand_access<S: DramSink>(
         &mut self,
         line_addr: u64,
         is_write: bool,
         counters: &mut Counters,
-        dram_events: &mut Vec<DramEvent>,
+        sink: &mut S,
     ) {
         if is_write {
             counters.demand_write_lines += 1;
@@ -356,28 +283,33 @@ impl CacheSim {
             counters.demand_read_lines += 1;
         }
 
-        if let Some(line) = self.l2.lookup(line_addr) {
-            let first_use_of_prefetch = line.prefetched && !line.used;
-            if first_use_of_prefetch {
-                line.used = true;
-                counters.pf_useful += 1;
+        match self.l2.fill_or_hit(line_addr, is_write, false) {
+            Ok(line) => {
+                let first_use_of_prefetch = is_unused_prefetch(*line);
+                if first_use_of_prefetch {
+                    *line |= USED;
+                    counters.pf_useful += 1;
+                }
+                if is_write {
+                    *line |= DIRTY;
+                }
+                if first_use_of_prefetch {
+                    self.prefetcher.feedback(true);
+                }
             }
-            if is_write {
-                line.dirty = true;
+            Err(victim) => {
+                // The LLC fill touches neither L2 nor the counters, so it
+                // may follow the L2 insert that already took place.
+                counters.l2_demand_misses += 1;
+                counters.l2_lines_in += 1;
+                self.fill_from_below(line_addr, true, sink);
+                self.retire_l2_victim(victim, counters, sink);
             }
-            if first_use_of_prefetch {
-                self.prefetcher.feedback(true);
-            }
-        } else {
-            counters.l2_demand_misses += 1;
-            counters.l2_lines_in += 1;
-            self.fill_from_below(line_addr, true, counters, dram_events);
-            self.insert_l2(line_addr, is_write, false, counters, dram_events);
         }
 
         // Train the prefetcher on the demand stream and issue prefetches.
-        self.prefetch_buf.clear();
         let mut buf = std::mem::take(&mut self.prefetch_buf);
+        buf.clear();
         self.prefetcher.observe(line_addr, &mut buf);
         for &pf_addr in &buf {
             if self.l2.contains(pf_addr) {
@@ -385,8 +317,9 @@ impl CacheSim {
             }
             counters.pf_issued += 1;
             counters.l2_lines_in += 1;
-            self.fill_from_below(pf_addr, false, counters, dram_events);
-            self.insert_l2(pf_addr, false, true, counters, dram_events);
+            self.fill_from_below(pf_addr, false, sink);
+            let victim = self.l2.insert(pf_addr, false, true);
+            self.retire_l2_victim(victim, counters, sink);
         }
         self.prefetch_buf = buf;
     }
@@ -395,11 +328,10 @@ impl CacheSim {
     /// lines starting at `first_line`, in ascending order.
     ///
     /// Bit-identical to calling [`CacheSim::demand_access`] once per line,
-    /// but the per-line overheads are hoisted out of the loop, and long
-    /// sequential streams are handed to the steady-state page-replay engine,
-    /// which skips the set scans entirely for whole pages whose behaviour it
-    /// has proven periodic (see `crate::replay`). Replayed windows reach the
-    /// sink through [`DramSink::bulk_event`].
+    /// but long sequential streams are handed to the steady-state page-replay
+    /// engine, which skips the set scans entirely for whole pages whose
+    /// behaviour it has proven periodic (see `crate::replay`). Replayed
+    /// windows reach the sink through [`DramSink::bulk_event`].
     pub(crate) fn demand_access_range<S: DramSink>(
         &mut self,
         first_line: u64,
@@ -418,9 +350,9 @@ impl CacheSim {
         self.walk_lines_exact(first_line, line_count, is_write, counters, sink);
     }
 
-    /// The exact batched line walk: one combined set scan per fill, memoized
-    /// prefetcher stream entry, every DRAM transaction handed to the sink in
-    /// order. This is the reference the replay engine fingerprints.
+    /// The exact line walk: one [`CacheSim::demand_access`] per line, every
+    /// DRAM transaction handed to the sink in order. This is the reference
+    /// the replay engine fingerprints.
     pub(crate) fn walk_lines_exact<S: DramSink>(
         &mut self,
         first_line: u64,
@@ -429,162 +361,52 @@ impl CacheSim {
         counters: &mut Counters,
         sink: &mut S,
     ) {
-        let mut buf = std::mem::take(&mut self.prefetch_buf);
-        let mut stream_hint = self.stream_hint;
         for line_addr in first_line..first_line + line_count {
-            if is_write {
-                counters.demand_write_lines += 1;
-            } else {
-                counters.demand_read_lines += 1;
-            }
-
-            if let Some(line) = self.l2.lookup(line_addr) {
-                let first_use_of_prefetch = line.prefetched && !line.used;
-                if first_use_of_prefetch {
-                    line.used = true;
-                    counters.pf_useful += 1;
-                }
-                if is_write {
-                    line.dirty = true;
-                }
-                if first_use_of_prefetch {
-                    self.prefetcher.feedback(true);
-                }
-            } else {
-                counters.l2_demand_misses += 1;
-                counters.l2_lines_in += 1;
-                self.llc_fill_fast(line_addr, true, sink);
-                let evicted = self.l2.insert(line_addr, is_write, false);
-                self.handle_l2_victim(evicted, counters, sink);
-            }
-
-            buf.clear();
-            self.prefetcher
-                .observe_hinted(line_addr, &mut buf, &mut stream_hint);
-            for &pf_addr in &buf {
-                if self.l2.contains(pf_addr) {
-                    continue;
-                }
-                counters.pf_issued += 1;
-                counters.l2_lines_in += 1;
-                self.llc_fill_fast(pf_addr, false, sink);
-                let evicted = self.l2.insert(pf_addr, false, true);
-                self.handle_l2_victim(evicted, counters, sink);
-            }
-        }
-        self.stream_hint = stream_hint;
-        self.prefetch_buf = buf;
-    }
-
-    /// Fill from the LLC level with a single combined set scan (lookup +
-    /// victim selection), emitting DRAM transactions to the sink. Identical
-    /// to [`CacheSim::fill_from_below`].
-    #[inline]
-    fn llc_fill_fast<S: DramSink>(&mut self, line_addr: u64, demand: bool, sink: &mut S) {
-        match self.llc.fill_or_hit(line_addr, false, false, !demand) {
-            FillOutcome::Hit => {}
-            FillOutcome::Inserted(victim) => {
-                sink.event(
-                    line_addr,
-                    if demand {
-                        DramEventKind::DemandFill
-                    } else {
-                        DramEventKind::PrefetchFill
-                    },
-                );
-                if let Some(victim) = victim {
-                    if victim.dirty {
-                        sink.event(victim.tag, DramEventKind::Writeback);
-                    }
-                }
-            }
+            self.demand_access(line_addr, is_write, counters, sink);
         }
     }
 
-    /// Handles the victim of an L2 insert on the batched path (useless-
-    /// prefetch accounting and the dirty writeback towards LLC / DRAM).
-    /// Identical to the victim handling of [`CacheSim::insert_l2`].
-    #[inline]
-    fn handle_l2_victim<S: DramSink>(
-        &mut self,
-        evicted: Option<Evicted>,
-        counters: &mut Counters,
-        sink: &mut S,
-    ) {
-        if let Some(victim) = evicted {
-            if victim.useless_prefetch {
-                counters.useless_hwpf += 1;
-                self.prefetcher.feedback(false);
-            }
-            if victim.dirty {
-                match self.llc.fill_or_hit(victim.tag, true, true, false) {
-                    FillOutcome::Hit => {}
-                    FillOutcome::Inserted(Some(llc_victim)) if llc_victim.dirty => {
-                        sink.event(llc_victim.tag, DramEventKind::Writeback);
-                    }
-                    FillOutcome::Inserted(_) => {}
-                }
-            }
-        }
-    }
-
-    /// Brings a line into the hierarchy from LLC or DRAM.
-    fn fill_from_below(
-        &mut self,
-        line_addr: u64,
-        demand: bool,
-        _counters: &mut Counters,
-        dram_events: &mut Vec<DramEvent>,
-    ) {
-        if self.llc.lookup(line_addr).is_some() {
+    /// Brings a line into the LLC from DRAM unless the LLC holds it.
+    fn fill_from_below<S: DramSink>(&mut self, line_addr: u64, demand: bool, sink: &mut S) {
+        let Err(victim) = self.llc.fill_or_hit(line_addr, false, !demand) else {
             return;
-        }
-        dram_events.push(DramEvent {
+        };
+        sink.event(
             line_addr,
-            kind: if demand {
+            if demand {
                 DramEventKind::DemandFill
             } else {
                 DramEventKind::PrefetchFill
             },
-        });
-        if let Some(victim) = self.llc.insert(line_addr, false, !demand) {
-            if victim.dirty {
-                dram_events.push(DramEvent {
-                    line_addr: victim.tag,
-                    kind: DramEventKind::Writeback,
-                });
-            }
+        );
+        if let Some(victim) = victim.filter(|&v| is_dirty(v)) {
+            sink.event(tag(victim), DramEventKind::Writeback);
         }
     }
 
-    /// Inserts a line into L2, handling the victim (useless-prefetch counting
-    /// and dirty writeback towards the LLC / DRAM).
-    fn insert_l2(
+    /// Handles the line an L2 insert evicted: useless-prefetch counting and
+    /// the dirty writeback into the LLC, whose own dirty victim goes to
+    /// DRAM.
+    fn retire_l2_victim<S: DramSink>(
         &mut self,
-        line_addr: u64,
-        dirty: bool,
-        prefetched: bool,
+        victim: Option<u64>,
         counters: &mut Counters,
-        dram_events: &mut Vec<DramEvent>,
+        sink: &mut S,
     ) {
-        if let Some(victim) = self.l2.insert(line_addr, dirty, prefetched) {
-            if victim.useless_prefetch {
-                counters.useless_hwpf += 1;
-                self.prefetcher.feedback(false);
-            }
-            if victim.dirty {
-                // Write the victim back into the LLC; if it has already been
-                // evicted from the LLC, the writeback goes to DRAM.
-                if let Some(llc_line) = self.llc.lookup(victim.tag) {
-                    llc_line.dirty = true;
-                } else if let Some(llc_victim) = self.llc.insert(victim.tag, true, false) {
-                    if llc_victim.dirty {
-                        dram_events.push(DramEvent {
-                            line_addr: llc_victim.tag,
-                            kind: DramEventKind::Writeback,
-                        });
-                    }
+        let Some(victim) = victim else {
+            return;
+        };
+        if is_unused_prefetch(victim) {
+            counters.useless_hwpf += 1;
+            self.prefetcher.feedback(false);
+        }
+        if is_dirty(victim) {
+            match self.llc.fill_or_hit(tag(victim), true, false) {
+                Ok(llc_line) => *llc_line |= DIRTY,
+                Err(Some(llc_victim)) if is_dirty(llc_victim) => {
+                    sink.event(tag(llc_victim), DramEventKind::Writeback);
                 }
+                Err(_) => {}
             }
         }
     }
@@ -604,6 +426,70 @@ mod tests {
             max_streams: 8,
         });
         CacheSim::new(params, pf)
+    }
+
+    /// The tags of a one-set cache, most recently used first; `None` marks
+    /// an empty way.
+    fn recency(c: &SetAssocCache) -> Vec<Option<u64>> {
+        c.lines
+            .iter()
+            .map(|&l| (l != EMPTY).then(|| tag(l)))
+            .collect()
+    }
+
+    #[test]
+    fn a_set_fills_its_empty_ways_before_it_evicts() {
+        let mut c = SetAssocCache::new(1, 4);
+        assert_eq!(recency(&c), vec![None; 4]);
+        for t in 0..2 {
+            assert_eq!(c.insert(t, false, false), None, "way {t} was empty");
+        }
+        for t in 2..4 {
+            assert_eq!(
+                c.fill_or_hit(t, false, false),
+                Err(None),
+                "way {t} was empty"
+            );
+        }
+        assert_eq!(recency(&c), vec![Some(3), Some(2), Some(1), Some(0)]);
+        let victim = c.insert(4, false, false).expect("a full set evicts");
+        assert_eq!(tag(victim), 0);
+    }
+
+    #[test]
+    fn a_hit_moves_its_line_to_the_front_and_contains_does_not() {
+        let mut c = SetAssocCache::new(1, 4);
+        for t in 0..4 {
+            c.insert(t, false, false);
+        }
+        assert!(c.contains(1));
+        assert_eq!(recency(&c), vec![Some(3), Some(2), Some(1), Some(0)]);
+        let line = c.fill_or_hit(1, false, false).expect("line 1 is cached");
+        *line |= DIRTY;
+        assert_eq!(recency(&c), vec![Some(1), Some(3), Some(2), Some(0)]);
+        assert!(is_dirty(c.lines[0]), "the returned line is the moved one");
+        assert!(c.fill_or_hit(1, false, false).is_ok());
+        assert_eq!(recency(&c), vec![Some(1), Some(3), Some(2), Some(0)]);
+    }
+
+    #[test]
+    fn the_victim_is_the_least_recently_used_line() {
+        let mut c = SetAssocCache::new(1, 4);
+        for t in 0..4 {
+            c.insert(t, t == 2, t == 3);
+        }
+        // Use lines 0 and 1 again: line 2, inserted after them, is now the
+        // least recently used, and line 3 the next.
+        assert!(c.fill_or_hit(0, false, false).is_ok());
+        assert!(c.fill_or_hit(1, false, false).is_ok());
+        let victim = c.fill_or_hit(4, false, false).expect_err("a miss");
+        let victim = victim.expect("a full set evicts");
+        assert_eq!(tag(victim), 2);
+        assert!(is_dirty(victim));
+        let victim = c.insert(5, false, false).expect("a full set evicts");
+        assert_eq!(tag(victim), 3);
+        assert!(is_unused_prefetch(victim));
+        assert_eq!(recency(&c), vec![Some(5), Some(4), Some(1), Some(0)]);
     }
 
     #[test]

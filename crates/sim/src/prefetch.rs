@@ -6,10 +6,15 @@
 //! never crosses page boundaries (real hardware cannot, because it works on
 //! physical addresses).
 //!
+//! The stream table keeps its entries most recently used first, like a
+//! cache set (see `crate::cache`): the entry an access uses moves to the
+//! front, and a full table replaces its last, least recently used entry. A
+//! walk through one page therefore finds its stream at index 0.
+//!
 //! The switch is [`PrefetchParams::enabled`], fixed when the prefetcher is
 //! built, as the paper fixes it before each Level-1 run. A disabled
-//! prefetcher observes nothing, so its stream table stays empty and its
-//! clock at zero for the whole run.
+//! prefetcher observes nothing, so its stream table stays empty for the
+//! whole run.
 
 use crate::config::PrefetchParams;
 use dismem_trace::{CACHE_LINE_SIZE, PAGE_SIZE};
@@ -25,8 +30,6 @@ pub(crate) struct StreamEntry {
     pub(crate) last_line: u64,
     /// Consecutive sequential hits observed.
     pub(crate) run: u32,
-    /// LRU timestamp.
-    pub(crate) stamp: u64,
 }
 
 /// Frozen copy of the prefetcher state taken by the replay engine at a
@@ -34,7 +37,6 @@ pub(crate) struct StreamEntry {
 #[derive(Debug, Clone)]
 pub(crate) struct PrefetcherSnapshot {
     pub(crate) entries: Vec<StreamEntry>,
-    pub(crate) clock: u64,
     /// Captured for the replay feedback gate; the useful counter is not
     /// frozen because replay advances it live, in closed form.
     pub(crate) feedback_useless: u64,
@@ -44,8 +46,8 @@ pub(crate) struct PrefetcherSnapshot {
 #[derive(Debug, Clone)]
 pub struct StreamPrefetcher {
     params: PrefetchParams,
+    /// Tracked streams, most recently used first.
     pub(crate) entries: Vec<StreamEntry>,
-    pub(crate) clock: u64,
     /// Accuracy-feedback counters (decayed periodically): prefetched lines
     /// that were eventually used vs evicted unused. Real prefetchers throttle
     /// themselves when accuracy is poor — the behaviour the paper observes in
@@ -66,7 +68,6 @@ impl StreamPrefetcher {
         Self {
             params,
             entries: Vec::with_capacity(params.max_streams),
-            clock: 0,
             feedback_useful: 0,
             feedback_useless: 0,
         }
@@ -122,29 +123,21 @@ impl StreamPrefetcher {
     pub(crate) fn snapshot(&self) -> PrefetcherSnapshot {
         PrefetcherSnapshot {
             entries: self.entries.clone(),
-            clock: self.clock,
             feedback_useless: self.feedback_useless,
         }
     }
 
-    /// Restores stream entries and the clock from a snapshot, shifted forward
-    /// by `page_shift` pages and `clock_shift` clock ticks — the state the
+    /// Restores the stream entries from a snapshot, each shifted forward by
+    /// `page_shift` pages in the same recency order — the state the
     /// prefetcher would have reached had it tracked the stream exactly.
     ///
     /// The accuracy-feedback counters are *not* restored: they are advanced
     /// live during replay by [`StreamPrefetcher::advance_useful`].
-    pub(crate) fn restore_shifted(
-        &mut self,
-        snap: &PrefetcherSnapshot,
-        page_shift: u64,
-        clock_shift: u64,
-    ) {
-        self.clock = snap.clock + clock_shift;
+    pub(crate) fn restore_shifted(&mut self, snap: &PrefetcherSnapshot, page_shift: u64) {
         self.entries.clear();
         self.entries
             .extend(snap.entries.iter().map(|e| StreamEntry {
                 page: e.page + page_shift,
-                stamp: e.stamp + clock_shift,
                 ..*e
             }));
     }
@@ -170,83 +163,32 @@ impl StreamPrefetcher {
     /// Observes a demand access to cache line `line_addr` and appends the
     /// line addresses that should be prefetched to `out`.
     pub fn observe(&mut self, line_addr: u64, out: &mut Vec<u64>) {
-        self.observe_impl(line_addr, out, None);
-    }
-
-    /// Like [`StreamPrefetcher::observe`], but keeps the index of the stream
-    /// entry used in `hint` so a caller walking a contiguous line run pays
-    /// the entry scan only when the page changes. Results are bit-identical
-    /// to `observe`: stream entries are unique per page, so verifying that
-    /// the hinted entry still tracks this page is equivalent to the scan.
-    pub fn observe_hinted(&mut self, line_addr: u64, out: &mut Vec<u64>, hint: &mut usize) {
-        self.observe_impl(line_addr, out, Some(hint));
-    }
-
-    fn observe_impl(&mut self, line_addr: u64, out: &mut Vec<u64>, hint: Option<&mut usize>) {
         if !self.params.enabled {
             return;
         }
-        self.clock += 1;
         let page = line_addr / LINES_PER_PAGE;
         let line_in_page = line_addr % LINES_PER_PAGE;
 
-        // Find existing stream for this page: through the caller's memoized
-        // entry index when it still matches, by scanning otherwise. The scan
-        // also finds the LRU victim, the first entry with the minimum stamp
-        // (stamps are unique), so a miss pays one pass over the table.
-        let hinted = hint
-            .as_deref()
-            .copied()
-            .filter(|&i| i < self.entries.len() && self.entries[i].page == page);
-        let found = match hinted {
-            Some(i) => Ok(i),
-            None => {
-                let mut lru = 0;
-                let mut lru_stamp = u64::MAX;
-                let mut found = None;
-                for (i, e) in self.entries.iter().enumerate() {
-                    if e.page == page {
-                        found = Some(i);
-                        break;
-                    }
-                    if e.stamp < lru_stamp {
-                        lru_stamp = e.stamp;
-                        lru = i;
-                    }
-                }
-                found.ok_or(lru)
+        // Stream entries are unique per page. An unknown page takes a fresh
+        // entry at the front, replacing the least recently used one, last,
+        // when the table is full.
+        let Some(i) = self.entries.iter().position(|e| e.page == page) else {
+            if self.entries.len() >= self.params.max_streams {
+                self.entries.pop();
             }
-        };
-
-        let idx = match found {
-            Ok(i) => i,
-            Err(lru) => {
-                // Allocate a new entry, evicting the LRU one if full.
-                let fresh = StreamEntry {
+            self.entries.insert(
+                0,
+                StreamEntry {
                     page,
                     last_line: line_in_page,
                     run: 1,
-                    stamp: self.clock,
-                };
-                let slot = if self.entries.len() < self.params.max_streams {
-                    self.entries.push(fresh);
-                    self.entries.len() - 1
-                } else {
-                    self.entries[lru] = fresh;
-                    lru
-                };
-                if let Some(h) = hint {
-                    *h = slot;
-                }
-                return;
-            }
+                },
+            );
+            return;
         };
-        if let Some(h) = hint {
-            *h = idx;
-        }
+        self.entries[..=i].rotate_right(1);
 
-        let entry = &mut self.entries[idx];
-        entry.stamp = self.clock;
+        let entry = &mut self.entries[0];
         if line_in_page == entry.last_line {
             // Same line re-accessed; no new information.
             return;
@@ -425,12 +367,37 @@ mod tests {
         let mut out = Vec::new();
         p.observe(100, &mut out);
         p.observe(101, &mut out);
+        p.observe(300, &mut out);
         let snap = p.snapshot();
         let mut q = pf();
-        q.restore_shifted(&snap, 10, 1000);
-        // The restored entry tracks the original page shifted by 10 pages.
-        let e = q.entries.first().unwrap();
-        assert_eq!(e.page, 100 / 64 + 10);
-        assert_eq!(q.clock, snap.clock + 1000);
+        q.restore_shifted(&snap, 10);
+        // The restored entries track the original pages shifted by 10
+        // pages, in the same recency order.
+        let pages: Vec<u64> = q.entries.iter().map(|e| e.page).collect();
+        assert_eq!(pages, vec![300 / 64 + 10, 100 / 64 + 10]);
+        assert_eq!(q.entries[1].run, 2);
+    }
+
+    #[test]
+    fn full_table_replaces_its_least_recently_used_stream() {
+        let mut p = pf();
+        let mut out = Vec::new();
+        // Fill the table (capacity 4) with pages 0..4, then use page 0
+        // again: page 1 is now the least recently used stream.
+        for page in 0..4u64 {
+            p.observe(page * 64, &mut out);
+        }
+        p.observe(1, &mut out);
+        assert_eq!(out, vec![2, 3], "page 0's stream survives its reuse");
+        out.clear();
+        p.observe(4 * 64, &mut out);
+        let pages: Vec<u64> = p.entries.iter().map(|e| e.page).collect();
+        assert_eq!(pages, vec![4, 0, 3, 2], "page 1's stream was replaced");
+        // Page 2 resumes its stream; page 1 starts a new one.
+        p.observe(2 * 64 + 1, &mut out);
+        assert_eq!(out, vec![2 * 64 + 2, 2 * 64 + 3]);
+        out.clear();
+        p.observe(64 + 1, &mut out);
+        assert!(out.is_empty());
     }
 }

@@ -24,12 +24,11 @@
 //! page "color" period). The replay unit is therefore a **window** of
 //! `W = lcm(color(L2), color(LLC))` pages: shifting a window by `W` pages
 //! maps every line back to the same set, which is what makes the steady
-//! state checkable by shifted equality. Within a set (and within the
-//! prefetcher's stream table) the *physical arrangement* of lines across
-//! ways is canonicalized away before comparison: timestamps are globally
-//! unique per structure, so LRU victim selection never tie-breaks on the
-//! way index and the arrangement is unobservable — only the stamp-ordered
-//! contents matter.
+//! state checkable by shifted equality. Each set (and the prefetcher's
+//! stream table) keeps its lines most recently used first, and hits,
+//! victims and flags depend on nothing but that order, so two states compare
+//! way by way, in order: a set is the shift of another when each of its
+//! ways holds the other's line at the same way, tag advanced by the window.
 //!
 //! # Detection: fingerprint two consecutive windows
 //!
@@ -51,8 +50,8 @@
 //! Replay engages when window `n+1` reproduces window `n` exactly under a
 //! uniform shift: equal counter deltas, transaction lists equal with every
 //! line address advanced by the window length, and the post-window
-//! cache/prefetcher snapshots equal with every valid tag advanced by the
-//! window length and every timestamp advanced by the window's clock delta.
+//! cache/prefetcher snapshots equal, in recency order, with every valid tag
+//! and every stream page advanced by the window length.
 //! That last check is the soundness core: the walk is a deterministic
 //! function of the cache state, the prefetcher state and the (shifted)
 //! addresses, and all of its index arithmetic is congruent under the shift —
@@ -86,14 +85,14 @@
 //!
 //! On either exit — a partial final window or a broken streak — the cache
 //! and prefetcher state is *materialized*: rebuilt from the engagement
-//! snapshot with all tags, pages and timestamps shifted by the number of
-//! replayed windows. Nothing resets the engine from outside: its switch is
+//! snapshot with all tags and pages shifted by the number of replayed
+//! windows. Nothing resets the engine from outside: its switch is
 //! set before the first access, and a migration epoch moves pages without
 //! touching the walk, whose replayed windows resolve tiers in the sink. The
 //! workspace property tests assert full `RunReport` bit-identity between
 //! replay-on, replay-off and the per-line reference pipeline.
 
-use crate::cache::{CacheLine, CacheSim, DramEventKind, DramSink};
+use crate::cache::{shifted, CacheSim, DramEventKind, DramSink};
 use crate::counters::Counters;
 use crate::prefetch::PrefetcherSnapshot;
 use dismem_trace::{CACHE_LINE_SIZE, PAGE_SIZE};
@@ -131,24 +130,13 @@ struct WindowPrint {
     events: Vec<(u64, DramEventKind)>,
 }
 
-/// Frozen cache + prefetcher state at a window boundary.
+/// Frozen cache + prefetcher state at a window boundary: the packed lines
+/// of both caches, each set most recently used first, and the stream table.
 #[derive(Debug, Clone)]
 struct StateSnapshot {
-    l2_lines: Vec<CacheLine>,
-    l2_ways: usize,
-    l2_clock: u64,
-    llc_lines: Vec<CacheLine>,
-    llc_ways: usize,
-    llc_clock: u64,
+    l2_lines: Vec<u64>,
+    llc_lines: Vec<u64>,
     pf: PrefetcherSnapshot,
-}
-
-/// Per-window clock advances derived from two matching snapshots.
-#[derive(Debug, Clone, Copy)]
-struct ClockDeltas {
-    l2: u64,
-    llc: u64,
-    pf: u64,
 }
 
 /// One page's worth of a window's DRAM transactions of one kind.
@@ -175,7 +163,6 @@ struct Memo {
     /// after `m` replayed windows the exact state is this snapshot shifted
     /// forward by `m + 1` windows.
     snap: StateSnapshot,
-    clocks: ClockDeltas,
     /// `feedback(true)` calls per window, advanced in closed form.
     pf_useful_per_window: u64,
     /// First line of the confirming window; replayed window `k` starts at
@@ -295,17 +282,24 @@ impl ReplayEngine {
         matches!(self.mode, Mode::Replay(_))
     }
 
-    /// Clears window-accumulation and fingerprint state (guarded by the
-    /// `det_live` flag so idle restarts pay one branch).
+    /// Clears window-accumulation and fingerprint state. Guarded by the
+    /// `det_live` flag and inlined, so an idle restart, which scattered
+    /// traffic makes on every call, pays one branch and no call.
+    #[inline]
     fn clear_window_detection(&mut self) {
         if self.det_live {
-            self.det_live = false;
-            self.filled = 0;
-            self.acc = Counters::default();
-            self.events.clear();
-            self.prev = None;
-            self.armed = None;
+            self.reset_window_detection();
         }
+    }
+
+    #[inline(never)]
+    fn reset_window_detection(&mut self) {
+        self.det_live = false;
+        self.filled = 0;
+        self.acc = Counters::default();
+        self.events.clear();
+        self.prev = None;
+        self.armed = None;
     }
 
     /// Starts tracking a fresh streak at `line`. Kept cheap for scattered
@@ -362,123 +356,37 @@ fn events_shifted_eq(
             .all(|(p, c)| c.0 == p.0 + shift && c.1 == p.1)
 }
 
-/// `y` is `x` advanced by `tag_shift` lines and `clock_delta` ticks, with
-/// equal flags.
-fn line_pair_shifted(x: &CacheLine, y: &CacheLine, tag_shift: u64, clock_delta: u64) -> bool {
-    y.tag == x.tag + tag_shift
-        && y.stamp == x.stamp + clock_delta
-        && x.dirty == y.dirty
-        && x.prefetched == y.prefetched
-        && x.used == y.used
-}
-
-/// Checks that `b`'s sets hold `a`'s contents advanced uniformly by
-/// `tag_shift` lines and `clock_delta` ticks.
-///
-/// The comparison is per *set*, with each set's valid lines canonicalized by
-/// their (globally unique) LRU stamp: the physical arrangement of lines
-/// across ways is unobservable — victim selection picks the unique
-/// minimum-stamp line and invalid-way preference never changes an outcome —
-/// so only the stamp-ordered contents participate in the steady-state
-/// fingerprint. Invalid ways must match in count per set (their slots hold
-/// canonical default contents). Every valid line must shift: a line the
-/// window left untouched keeps its tag and stamp and fails the comparison.
-fn cache_shifted_eq(
-    a: &[CacheLine],
-    b: &[CacheLine],
-    ways: usize,
-    tag_shift: u64,
-    clock_delta: u64,
-) -> bool {
+/// Checks that the packed cache lines `b` are `a` with every valid tag
+/// advanced by `tag_shift` lines, way by way: the same lines with the same
+/// flags in the same recency order, and empty ways where `a` has them. Every
+/// valid line must shift: a line the window left untouched keeps its tag and
+/// fails the comparison. It stops at the first way that differs.
+fn lines_shifted_eq(a: &[u64], b: &[u64], tag_shift: u64) -> bool {
     debug_assert_eq!(a.len(), b.len());
-    let mut va: Vec<CacheLine> = Vec::with_capacity(ways);
-    let mut vb: Vec<CacheLine> = Vec::with_capacity(ways);
-    for (sa, sb) in a.chunks_exact(ways).zip(b.chunks_exact(ways)) {
-        // Fast path: in steady state, insertions replace the unique LRU line
-        // in cyclic slot order, so consecutive window states of a fully
-        // valid set differ by a pure slot rotation. Find the candidate
-        // rotation from slot 0's stamp and check it linearly — no
-        // allocation, no sort.
-        if let Some(r) = sb
-            .iter()
-            .position(|y| y.valid && y.stamp == sa[0].stamp + clock_delta)
-        {
-            if sa.iter().all(|l| l.valid)
-                && (0..ways)
-                    .all(|i| line_pair_shifted(&sa[i], &sb[(r + i) % ways], tag_shift, clock_delta))
-            {
-                continue;
-            }
-        }
-        // General path: canonicalize both sets' valid lines by stamp (the
-        // physical arrangement is unobservable) and pair them in order.
-        va.clear();
-        vb.clear();
-        va.extend(sa.iter().filter(|l| l.valid));
-        vb.extend(sb.iter().filter(|l| l.valid));
-        if va.len() != vb.len() {
-            return false;
-        }
-        va.sort_unstable_by_key(|l| l.stamp);
-        vb.sort_unstable_by_key(|l| l.stamp);
-        if !va
-            .iter()
-            .zip(&vb)
-            .all(|(x, y)| line_pair_shifted(x, y, tag_shift, clock_delta))
-        {
-            return false;
-        }
-    }
-    true
+    a.iter().zip(b).all(|(&x, &y)| y == shifted(x, tag_shift))
 }
 
 impl CacheSim {
     /// Verifies that the *live* cache + prefetcher state is `s1` advanced by
-    /// exactly one window, returning the per-window clock deltas if so.
-    /// `window_lines`/`window_pages` are the window's uniform address shift.
-    /// Comparing against the live state (instead of snapshotting it first)
-    /// halves the engagement cost; on success the armed snapshot itself
-    /// becomes the replay base.
-    fn verify_live_shift(
+    /// exactly one window. `window_lines`/`window_pages` are the window's
+    /// uniform address shift. Comparing against the live state (instead of
+    /// snapshotting it first) halves the engagement cost; on success the
+    /// armed snapshot itself becomes the replay base.
+    fn live_state_is_shifted(
         &self,
         s1: &StateSnapshot,
         window_lines: u64,
         window_pages: u64,
-    ) -> Option<ClockDeltas> {
-        let pfl = &self.prefetcher;
-        let l2 = self.l2.clock.checked_sub(s1.l2_clock)?;
-        let llc = self.llc.clock.checked_sub(s1.llc_clock)?;
-        let pf = pfl.clock.checked_sub(s1.pf.clock)?;
-        if !cache_shifted_eq(&s1.l2_lines, &self.l2.lines, s1.l2_ways, window_lines, l2)
-            || !cache_shifted_eq(
-                &s1.llc_lines,
-                &self.llc.lines,
-                s1.llc_ways,
-                window_lines,
-                llc,
-            )
-        {
-            return None;
-        }
-        // The stream table is a single LRU pool: canonicalize by stamp
-        // exactly like a cache set (entry lookups match on the unique page,
-        // eviction on the unique minimum stamp — slot positions are
-        // unobservable). A prefetch-off run never trains it, so both sides
-        // are empty then.
-        if s1.pf.entries.len() != pfl.entries.len() {
-            return None;
-        }
-        let mut ea = s1.pf.entries.clone();
-        let mut eb = pfl.entries.clone();
-        ea.sort_unstable_by_key(|e| e.stamp);
-        eb.sort_unstable_by_key(|e| e.stamp);
-        let entries_ok = ea.iter().zip(&eb).all(|(x, y)| {
-            y.page == x.page + window_pages
-                && y.stamp == x.stamp + pf
-                && x.last_line == y.last_line
-                && x.run == y.run
-        });
-        entries_ok.then_some(ClockDeltas { l2, llc, pf })
+    ) -> bool {
+        let entries = &self.prefetcher.entries;
+        // The stream table is ordered by recency like a cache set. A
+        // prefetch-off run never trains it, so both sides are empty then.
+        lines_shifted_eq(&s1.l2_lines, &self.l2.lines, window_lines)
+            && lines_shifted_eq(&s1.llc_lines, &self.llc.lines, window_lines)
+            && s1.pf.entries.len() == entries.len()
+            && s1.pf.entries.iter().zip(entries).all(|(x, y)| {
+                y.page == x.page + window_pages && x.last_line == y.last_line && x.run == y.run
+            })
     }
 }
 
@@ -557,34 +465,16 @@ impl CacheSim {
         }
         let shift = m + 1;
         let tag_shift = shift * self.replay.window_lines;
-        self.l2.restore_shifted(
-            &memo.snap.l2_lines,
-            memo.snap.l2_clock,
-            tag_shift,
-            shift * memo.clocks.l2,
-        );
-        self.llc.restore_shifted(
-            &memo.snap.llc_lines,
-            memo.snap.llc_clock,
-            tag_shift,
-            shift * memo.clocks.llc,
-        );
-        self.prefetcher.restore_shifted(
-            &memo.snap.pf,
-            shift * self.replay.window_pages,
-            shift * memo.clocks.pf,
-        );
-        self.stream_hint = usize::MAX;
+        self.l2.restore_shifted(&memo.snap.l2_lines, tag_shift);
+        self.llc.restore_shifted(&memo.snap.llc_lines, tag_shift);
+        self.prefetcher
+            .restore_shifted(&memo.snap.pf, shift * self.replay.window_pages);
     }
 
     fn take_snapshot(&self) -> StateSnapshot {
         StateSnapshot {
             l2_lines: self.l2.lines.clone(),
-            l2_ways: self.l2.way_count(),
-            l2_clock: self.l2.clock,
             llc_lines: self.llc.lines.clone(),
-            llc_ways: self.llc.way_count(),
-            llc_clock: self.llc.clock,
             pf: self.prefetcher.snapshot(),
         }
     }
@@ -727,21 +617,16 @@ impl CacheSim {
 
         if matches_prev {
             if let Some(prev_snap) = self.replay.armed.take() {
-                let verdict = if feedback_gate(&delta, &prev_snap, self.prefetcher.feedback_useless)
-                {
-                    self.verify_live_shift(&prev_snap, wl, self.replay.window_pages)
-                } else {
-                    None
-                };
                 // A failed gate or shift check just drops the snapshot, and
                 // the next repeating window arms again.
-                if let Some(clocks) = verdict {
+                if feedback_gate(&delta, &prev_snap, self.prefetcher.feedback_useless)
+                    && self.live_state_is_shifted(&prev_snap, wl, self.replay.window_pages)
+                {
                     self.replay.mode = Mode::Replay(Box::new(Memo {
                         groups: group_events(&events, confirm_base),
                         pf_useful_per_window: delta.pf_useful,
                         delta,
                         snap: *prev_snap,
-                        clocks,
                         base_line: confirm_base,
                         windows_done: 0,
                     }));
@@ -829,58 +714,53 @@ mod tests {
         assert!(!events_shifted_eq(&a, &b[..1], 512));
     }
 
-    fn line(tag: u64, stamp: u64) -> CacheLine {
-        CacheLine {
-            tag,
-            valid: true,
-            stamp,
-            ..CacheLine::default()
-        }
+    #[test]
+    fn cache_shift_requires_every_valid_line_to_shift() {
+        use crate::cache::{packed, EMPTY};
+        let tag_shift = 512;
+        // Two 4-way sets, most recently used first: set 0 is full, set 1
+        // has one empty way, at its tail.
+        let a = [
+            packed(12, false, false),
+            packed(8, true, false),
+            packed(4, false, true),
+            packed(0, false, false),
+            packed(9, false, false),
+            packed(5, true, false),
+            packed(1, false, true),
+            EMPTY,
+        ];
+        // Every valid line shifted, each set in the same order.
+        let b = a.map(|l| shifted(l, tag_shift));
+        assert_eq!(b[7], EMPTY, "an empty way stays empty");
+        assert!(lines_shifted_eq(&a, &b, tag_shift));
+        // One valid line of set 1 kept its tag: the window left it
+        // untouched, so the set is not a uniform shift.
+        let mut untouched = b;
+        untouched[6] = a[6];
+        assert!(!lines_shifted_eq(&a, &untouched, tag_shift));
+        // A line that changed a flag is not a shift either.
+        let mut dirtied = b;
+        dirtied[0] = shifted(packed(12, true, false), tag_shift);
+        assert!(!lines_shifted_eq(&a, &dirtied, tag_shift));
     }
 
     #[test]
-    fn cache_shift_requires_every_valid_line_to_shift() {
-        let (ways, tag_shift, clock_delta) = (4, 512, 100);
-        let shifted = |l: CacheLine| CacheLine {
-            tag: l.tag + tag_shift,
-            stamp: l.stamp + clock_delta,
-            ..l
-        };
-        // Set 0 is full; set 1 has one invalid way.
-        let a = [
-            line(0, 1),
-            line(4, 2),
-            line(8, 3),
-            line(12, 4),
-            line(1, 5),
-            line(5, 6),
-            CacheLine::default(),
-            line(9, 7),
-        ];
-        // Set 0 rotated by one slot, set 1 rearranged, every valid line
-        // shifted.
-        let b = [
-            shifted(a[3]),
-            shifted(a[0]),
-            shifted(a[1]),
-            shifted(a[2]),
-            shifted(a[7]),
-            CacheLine::default(),
-            shifted(a[4]),
-            shifted(a[5]),
-        ];
-        assert!(cache_shifted_eq(&a, &b, ways, tag_shift, clock_delta));
-        // One valid line of set 1 kept its tag and stamp: the window left it
-        // untouched, so the set is not a uniform shift.
-        let mut untouched = b;
-        untouched[6] = a[4];
-        assert!(!cache_shifted_eq(
-            &a,
-            &untouched,
-            ways,
-            tag_shift,
-            clock_delta
-        ));
+    fn the_same_shifted_lines_in_another_recency_order_are_not_a_shift() {
+        use crate::cache::packed;
+        let tag_shift = 512;
+        let a = [0u64, 4, 8, 12].map(|tag| packed(tag, false, false));
+        let b = a.map(|l| shifted(l, tag_shift));
+        assert!(lines_shifted_eq(&a, &b, tag_shift));
+        // The same four shifted lines with the two least recently used
+        // swapped: the next miss would evict another victim.
+        let mut reordered = b;
+        reordered.swap(2, 3);
+        assert!(!lines_shifted_eq(&a, &reordered, tag_shift));
+        // Rotated, as a slot-rotating representation would leave them.
+        let mut rotated = b;
+        rotated.rotate_right(1);
+        assert!(!lines_shifted_eq(&a, &rotated, tag_shift));
     }
 
     #[test]

@@ -22,6 +22,7 @@
 use crate::generators::rmat::{rmat_graph, CsrGraph};
 use crate::workload::{InputScale, Workload};
 use dismem_trace::{AccessKind, MemoryEngine, ObjectHandle};
+use std::cmp::Reverse;
 use std::sync::{Arc, OnceLock};
 
 /// Data-placement variant for the BFS case study (Figure 12).
@@ -204,11 +205,7 @@ impl Bfs {
         let mut parents_data = vec![u32::MAX; g.num_vertices];
         let mut frontier_generation = 0usize;
 
-        for s in 0..self.params.sources {
-            // Pick distinct high-degree roots.
-            let mut roots: Vec<usize> = (0..g.num_vertices).collect();
-            roots.sort_by_key(|&v| std::cmp::Reverse(g.degree(v)));
-            let root = roots[s.min(roots.len() - 1)];
+        for root in highest_degree_vertices(g, self.params.sources) {
             if parents_data[root] != u32::MAX {
                 continue;
             }
@@ -276,6 +273,26 @@ impl Bfs {
             }
         }
     }
+}
+
+/// The `count` highest-degree vertices of `g`, highest first, ties to the
+/// lower vertex id: the first `count` of a stable sort by descending degree,
+/// found in one pass over the vertices.
+fn highest_degree_vertices(g: &CsrGraph, count: usize) -> Vec<usize> {
+    if count == 0 {
+        return Vec::new();
+    }
+    let key = |v: usize| (Reverse(g.degree(v)), v);
+    let mut top: Vec<usize> = Vec::with_capacity(count + 1);
+    for v in 0..g.num_vertices {
+        if top.len() == count && key(v) > key(top[count - 1]) {
+            continue;
+        }
+        let at = top.partition_point(|&w| key(w) < key(v));
+        top.insert(at, v);
+        top.truncate(count);
+    }
+    top
 }
 
 impl Workload for Bfs {
@@ -421,6 +438,36 @@ mod tests {
         let opt = run(BfsOptimization::ReorderAndFreeTemp).stats();
         assert_eq!(base.phases[1].bytes_read, opt.phases[1].bytes_read);
         assert_eq!(base.phases[1].flops, opt.phases[1].flops);
+    }
+
+    #[test]
+    fn roots_are_the_stable_sorts_highest_degree_vertices() {
+        // Degrees 1, 3, 0, 3, 1, 3: three vertices tie at the top and two
+        // below them.
+        let degrees = [1u64, 3, 0, 3, 1, 3];
+        let offsets: Vec<u64> = std::iter::once(0)
+            .chain(degrees.iter().scan(0, |end, d| {
+                *end += d;
+                Some(*end)
+            }))
+            .collect();
+        let edges_len = offsets[degrees.len()] as usize;
+        let g = CsrGraph {
+            num_vertices: degrees.len(),
+            offsets,
+            edges: vec![0; edges_len],
+        };
+        let mut sorted: Vec<usize> = (0..g.num_vertices).collect();
+        sorted.sort_by_key(|&v| Reverse(g.degree(v)));
+        assert_eq!(sorted, vec![1, 3, 5, 0, 4, 2]);
+        for count in 0..=g.num_vertices + 1 {
+            let expected = &sorted[..count.min(g.num_vertices)];
+            assert_eq!(
+                highest_degree_vertices(&g, count),
+                expected,
+                "count {count}"
+            );
+        }
     }
 
     #[test]
