@@ -161,8 +161,11 @@ impl WorkloadTieringStudy {
 ///
 /// One walk of the workload serves every cell, so the workload runs once,
 /// and a panic in that walk or its pricing turns every cell into a
-/// [`PolicyFailure`]. Panics on a fraction outside [0, 1], a caller error.
-/// The result is deterministic for a given
+/// [`PolicyFailure`]. Next to the study it hands back each cell's priced
+/// run, equal to the cell's direct run: one list per fraction, in
+/// `local_fractions` order, of one [`RunReport`] per spec, in `specs`
+/// order. A failed walk leaves every list empty. Panics on a fraction
+/// outside [0, 1], a caller error. The result is deterministic for a given
 /// `(workload, base, local_fractions, specs, campaign)` input.
 pub fn sweep_tiering_matrix(
     workload: &dyn Workload,
@@ -170,12 +173,15 @@ pub fn sweep_tiering_matrix(
     local_fractions: &[f64],
     specs: &[TieringSpec],
     campaign: &CampaignConfig,
-) -> WorkloadTieringStudy {
+) -> (WorkloadTieringStudy, Vec<Vec<RunReport>>) {
     let configs: Vec<MachineConfig> = local_fractions
         .iter()
         .map(|&local_fraction| pooled_config(base, workload, local_fraction))
         .collect();
-    let sweeps = sweep_walk(workload, &configs, specs, campaign);
+    let (sweeps, runs): (Vec<TieringSweep>, Vec<Vec<RunReport>>) =
+        sweep_walk(workload, &configs, specs, campaign)
+            .into_iter()
+            .unzip();
     let cells = local_fractions
         .iter()
         .zip(&configs)
@@ -186,12 +192,13 @@ pub fn sweep_tiering_matrix(
             sweep,
         })
         .collect();
-    WorkloadTieringStudy {
+    let study = WorkloadTieringStudy {
         workload: workload.name().to_string(),
         input: workload.input_description(),
         footprint_bytes: workload.expected_footprint_bytes(),
         cells,
-    }
+    };
+    (study, runs)
 }
 
 /// The canonical three-policy sweep: the static reference, TPP-style hot
@@ -241,19 +248,21 @@ pub fn sweep_tiering_policies(
     sweep_walk(workload, std::slice::from_ref(config), specs, campaign)
         .pop()
         .expect("one sweep per configuration")
+        .0
 }
 
 /// Runs every `configs` × `specs` cell as a placement of one walk of
 /// `workload`, prices each report under the random-baseline campaign and
-/// returns one sweep per configuration, in order. One `catch_unwind` covers
-/// the walk and its pricing: on a panic, every cell becomes a
-/// [`PolicyFailure`] carrying the panic message.
+/// returns one sweep per configuration, in order, with its cells' reports
+/// in spec order. One `catch_unwind` covers the walk and its pricing: on a
+/// panic, every cell becomes a [`PolicyFailure`] carrying the panic
+/// message, and no report comes back.
 fn sweep_walk(
     workload: &dyn Workload,
     configs: &[MachineConfig],
     specs: &[TieringSpec],
     campaign: &CampaignConfig,
-) -> Vec<TieringSweep> {
+) -> Vec<(TieringSweep, Vec<RunReport>)> {
     // Config-major, so each configuration's cells are one contiguous group.
     let options: Vec<RunOptions> = configs
         .iter()
@@ -283,11 +292,20 @@ fn sweep_walk(
         }))
         .map_err(panic_message)
     };
-    let n = specs.len();
-    (0..configs.len())
-        .map(|i| {
-            let (outcomes, failed_policies) = match &priced {
-                Ok(priced) => (outcomes(specs, &priced[i * n..(i + 1) * n]), Vec::new()),
+    let mut priced = priced.map(Vec::into_iter);
+    configs
+        .iter()
+        .map(|_| {
+            let (outcomes, failed_policies, runs) = match &mut priced {
+                Ok(priced) => {
+                    let cell: Vec<(RunReport, f64)> = priced.by_ref().take(specs.len()).collect();
+                    let outcomes = outcomes(specs, &cell);
+                    (
+                        outcomes,
+                        Vec::new(),
+                        cell.into_iter().map(|(run, _)| run).collect(),
+                    )
+                }
                 Err(error) => (
                     Vec::new(),
                     specs
@@ -297,14 +315,16 @@ fn sweep_walk(
                             error: error.clone(),
                         })
                         .collect(),
+                    Vec::new(),
                 ),
             };
-            TieringSweep {
+            let sweep = TieringSweep {
                 workload: workload.name().to_string(),
                 input: workload.input_description(),
                 outcomes,
                 failed_policies,
-            }
+            };
+            (sweep, runs)
         })
         .collect()
 }
@@ -450,7 +470,7 @@ mod tests {
         let workload = PhaseShift::new(PhaseShiftParams::tiny());
         let base = MachineConfig::test_config();
         let specs = default_specs(2048, 12.0);
-        let study = sweep_tiering_matrix(
+        let (study, _) = sweep_tiering_matrix(
             &workload,
             &base,
             &[0.75, 0.5, 0.25],
@@ -515,7 +535,7 @@ mod tests {
             runs: AtomicUsize::new(0),
         };
         let specs = default_specs(2048, 12.0);
-        let study = sweep_tiering_matrix(
+        let (study, _) = sweep_tiering_matrix(
             &workload,
             &MachineConfig::test_config(),
             &[0.75, 0.5, 0.25],
@@ -540,24 +560,27 @@ mod tests {
         assert_eq!(sweep.outcomes.len(), 3);
     }
 
-    /// Every outcome of a matrix equals, bit for bit, a direct run of its
-    /// own capacity and policy priced on its own, so no report is matched
-    /// to the wrong spec or capacity.
+    /// Every outcome of a matrix, and every report it hands back, equals,
+    /// bit for bit, a direct run of its own capacity and policy priced on
+    /// its own, so no report is matched to the wrong spec or capacity.
     #[test]
     fn matrix_outcomes_equal_direct_runs() {
         let workload = PhaseShift::new(PhaseShiftParams::tiny());
         let base = MachineConfig::test_config();
         let specs = default_specs(2048, 12.0);
         let campaign = small_campaign();
-        let study = sweep_tiering_matrix(&workload, &base, &[0.75, 0.25], &specs, &campaign);
-        for cell in &study.cells {
+        let (study, runs) =
+            sweep_tiering_matrix(&workload, &base, &[0.75, 0.25], &specs, &campaign);
+        assert_eq!(runs.len(), study.cells.len());
+        for (cell, runs) in study.cells.iter().zip(&runs) {
             let config = pooled_config(&base, &workload, cell.local_fraction);
             assert_eq!(
                 cell.local_capacity_bytes,
                 config.local.capacity_bytes.unwrap()
             );
             assert_eq!(cell.sweep.outcomes.len(), specs.len());
-            for (spec, outcome) in specs.iter().zip(&cell.sweep.outcomes) {
+            assert_eq!(runs.len(), specs.len());
+            for ((spec, outcome), run) in specs.iter().zip(&cell.sweep.outcomes).zip(runs) {
                 let options = RunOptions::new(config.clone()).with_tiering(*spec);
                 let report = run_workload(&workload, &options);
                 let mean = run_campaign(
@@ -568,6 +591,7 @@ mod tests {
                 )
                 .mean_s;
                 let at = format!("{} at {}", spec.label(), cell.local_fraction);
+                assert_eq!(*run, report, "{at}");
                 assert_eq!(outcome.spec, *spec, "{at}");
                 assert_eq!(
                     outcome.runtime_s.to_bits(),
@@ -647,17 +671,18 @@ mod tests {
     #[test]
     fn matrix_survives_a_poisoned_workload() {
         let specs = default_specs(2048, 12.0);
-        let study = sweep_tiering_matrix(
+        let (study, runs) = sweep_tiering_matrix(
             &PoisonedWorkload,
             &MachineConfig::test_config(),
             &[0.75, 0.25],
             &specs,
             &small_campaign(),
         );
-        assert_eq!(study.cells.len(), 2);
-        for cell in &study.cells {
+        assert_eq!((study.cells.len(), runs.len()), (2, 2));
+        for (cell, runs) in study.cells.iter().zip(&runs) {
             assert_eq!(cell.sweep.failed_policies.len(), 3);
             assert!(cell.sweep.outcomes.is_empty());
+            assert!(runs.is_empty(), "a failed walk hands back no report");
         }
         assert_eq!(study.best_speedup_vs_static(), 1.0);
     }

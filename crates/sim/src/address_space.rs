@@ -8,7 +8,6 @@
 //! which is what makes allocation order and early frees effective placement
 //! optimizations (the BFS case study).
 
-use crate::tiering::{HotSetDelta, HotnessTracker};
 use dismem_trace::access::pages_for;
 use dismem_trace::{AllocationRecord, ObjectHandle, PageHistogram, PlacementPolicy};
 use serde::{Deserialize, Serialize};
@@ -155,13 +154,6 @@ pub struct AddressSpace {
     spilled_pages: u64,
     live_bytes: u64,
     peak_bytes: u64,
-    /// Per-page hotness tracking for the dynamic tiering subsystem; `None`
-    /// (the default, and always under the `Static` policy) tracks nothing.
-    hotness: Option<HotnessTracker>,
-    /// Each page's line count as of the last hotness epoch, so an epoch
-    /// hands the tracker only the lines recorded since. Grows with the page
-    /// table when an epoch ends; empty without a tracker.
-    hotness_base: Vec<u64>,
 }
 
 impl AddressSpace {
@@ -186,36 +178,7 @@ impl AddressSpace {
             spilled_pages: 0,
             live_bytes: 0,
             peak_bytes: 0,
-            hotness: None,
-            hotness_base: Vec::new(),
         }
-    }
-
-    /// Installs (or removes) the hotness tracker that the DRAM traffic
-    /// recording feeds. Installed by [`crate::Machine`] when a dynamic
-    /// tiering policy is set.
-    pub fn set_hotness(&mut self, tracker: Option<HotnessTracker>) {
-        self.hotness = tracker;
-    }
-
-    /// The installed hotness tracker, if any.
-    pub fn hotness(&self) -> Option<&HotnessTracker> {
-        self.hotness.as_ref()
-    }
-
-    /// Ends the installed tracker's epoch: hands it each page's DRAM lines
-    /// since the previous epoch, in page order, then completes the epoch
-    /// (see [`HotnessTracker::end_epoch`]). `None` without a tracker.
-    pub fn end_hotness_epoch(&mut self) -> Option<HotSetDelta> {
-        let tracker = self.hotness.as_mut()?;
-        self.hotness_base.resize(self.pages.len(), 0);
-        for (page, (entry, base)) in self.pages.iter().zip(&mut self.hotness_base).enumerate() {
-            if entry.lines > *base {
-                tracker.record(page as u64, entry.lines - *base);
-                *base = entry.lines;
-            }
-        }
-        Some(tracker.end_epoch())
     }
 
     /// Allocates an object and returns its handle. Pages are *not* bound to a
@@ -321,6 +284,13 @@ impl AddressSpace {
             Tier::Pool => placement.dram_lines_pool += lines,
         }
         Ok(tier)
+    }
+
+    /// DRAM lines recorded against each page over the run, in page order
+    /// from page 0: the counts the histogram is built from and the tiering
+    /// runtime reads its heat from.
+    pub(crate) fn page_lines(&self) -> impl ExactSizeIterator<Item = u64> + '_ {
+        self.pages.iter().map(|entry| entry.lines)
     }
 
     /// Tier currently bound to a page number, if any.
@@ -499,9 +469,9 @@ impl AddressSpace {
     /// table's line counts: every page with at least one recorded line.
     pub fn histogram(&self) -> PageHistogram {
         let mut histogram = PageHistogram::new();
-        for (page, entry) in self.pages.iter().enumerate() {
-            if entry.lines > 0 {
-                histogram.record(page as u64, entry.lines);
+        for (page, lines) in self.page_lines().enumerate() {
+            if lines > 0 {
+                histogram.record(page as u64, lines);
             }
         }
         histogram
@@ -696,28 +666,6 @@ mod tests {
         let pl = space.placement(a);
         assert_eq!(pl.pages_local, 0);
         assert_eq!(pl.pages_pool, 0);
-    }
-
-    #[test]
-    fn hotness_tracker_follows_dram_traffic() {
-        use crate::tiering::HotnessTracker;
-        let mut space = AddressSpace::new(None, None);
-        space.set_hotness(Some(HotnessTracker::new(0.5)));
-        let a = space.alloc("A", "t", 2 * PAGE_SIZE, PlacementPolicy::FirstTouch);
-        let page = space.base_addr(a) / PAGE_SIZE;
-        touch(&mut space, a, 0).unwrap();
-        touch(&mut space, a, 64).unwrap();
-        space.record_dram(page + 1, 5).unwrap();
-        space.end_hotness_epoch().expect("tracker installed");
-        let tracker = space.hotness().unwrap();
-        assert_eq!(tracker.heat_of(page), 2.0);
-        assert_eq!(tracker.heat_of(page + 1), 5.0);
-        // The next epoch sees only the lines recorded since.
-        space.record_dram(page, 2).unwrap();
-        space.end_hotness_epoch().unwrap();
-        let tracker = space.hotness().unwrap();
-        assert_eq!(tracker.heat_of(page), 3.0);
-        assert_eq!(tracker.heat_of(page + 1), 2.5);
     }
 
     #[test]

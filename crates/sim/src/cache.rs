@@ -25,23 +25,16 @@ use crate::config::CacheParams;
 use crate::counters::Counters;
 use crate::prefetch::StreamPrefetcher;
 
-/// A request that reached DRAM and must be routed to a memory tier.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct DramEvent {
-    /// Cache-line address (line index, not byte address).
-    pub(crate) line_addr: u64,
-    /// What kind of DRAM transaction this is.
-    pub(crate) kind: DramEventKind,
-}
-
-/// Consumer of DRAM transactions produced by the cache walk.
+/// Consumer of DRAM transactions produced by the cache walk: requests that
+/// reached DRAM and must be routed to a memory tier.
 ///
-/// The per-line reference pipeline queues [`DramEvent`]s in a `Vec` and
-/// drains it after every line; the batched pipeline hands each transaction
-/// to a sink the moment it is produced (same order, no queue), which lets
-/// the machine tally tiers and counters inline.
+/// Every pipeline hands each transaction to a sink the moment it is
+/// produced, in walk order, which lets the machine tally tiers and counters
+/// inline; the per-line reference pipeline flushes its sink after every
+/// line.
 pub(crate) trait DramSink {
-    /// Accepts one DRAM transaction.
+    /// Accepts one DRAM transaction against cache line `line_addr` (a line
+    /// index, not a byte address).
     fn event(&mut self, line_addr: u64, kind: DramEventKind);
 
     /// Accepts `count` DRAM transactions of `kind` against cache lines in the
@@ -54,12 +47,6 @@ pub(crate) trait DramSink {
         for _ in 0..count {
             self.event(line_addr, kind);
         }
-    }
-}
-
-impl DramSink for Vec<DramEvent> {
-    fn event(&mut self, line_addr: u64, kind: DramEventKind) {
-        self.push(DramEvent { line_addr, kind });
     }
 }
 
@@ -267,9 +254,9 @@ impl CacheSim {
     /// Updates `counters` and hands any DRAM transactions (fills and
     /// writebacks, including those triggered by prefetches) to `sink`, in
     /// order. The per-line reference pipeline calls it once per line with
-    /// its event queue, which it drains after every line; the batched walk
-    /// calls it through [`CacheSim::walk_lines_exact`]. It never consults
-    /// the replay engine.
+    /// the machine's sink, which it flushes after every line; the batched
+    /// walk calls it through [`CacheSim::walk_lines_exact`]. It never
+    /// consults the replay engine.
     pub(crate) fn demand_access<S: DramSink>(
         &mut self,
         line_addr: u64,
@@ -417,6 +404,13 @@ mod tests {
     use super::*;
     use crate::config::PrefetchParams;
 
+    /// The test sink: every transaction, in the order the walk hands it over.
+    impl DramSink for Vec<(u64, DramEventKind)> {
+        fn event(&mut self, line_addr: u64, kind: DramEventKind) {
+            self.push((line_addr, kind));
+        }
+    }
+
     fn sim(prefetch: bool) -> CacheSim {
         let params = CacheParams::tiny();
         let pf = StreamPrefetcher::new(PrefetchParams {
@@ -500,7 +494,7 @@ mod tests {
         c.demand_access(42, false, &mut counters, &mut dram);
         assert_eq!(counters.l2_demand_misses, 1);
         assert_eq!(dram.len(), 1);
-        assert_eq!(dram[0].kind, DramEventKind::DemandFill);
+        assert_eq!(dram[0].1, DramEventKind::DemandFill);
         c.demand_access(42, false, &mut counters, &mut dram);
         assert_eq!(counters.l2_demand_misses, 1, "second access must hit");
         assert_eq!(counters.demand_read_lines, 2);
@@ -552,7 +546,7 @@ mod tests {
             c.demand_access(i, true, &mut counters, &mut dram);
         }
         assert!(
-            dram.iter().any(|e| e.kind == DramEventKind::Writeback),
+            dram.iter().any(|e| e.1 == DramEventKind::Writeback),
             "expected at least one writeback to DRAM"
         );
     }

@@ -28,26 +28,24 @@
 #![deny(missing_docs)]
 
 pub mod address_space;
-pub mod cache;
+pub(crate) mod cache;
 pub mod config;
 pub mod counters;
 pub mod interference;
 pub mod link;
 pub mod machine;
-pub mod prefetch;
+pub(crate) mod prefetch;
 pub(crate) mod replay;
 pub mod report;
 pub mod tiering;
 pub mod timing;
 
 pub use address_space::{AddressSpace, FreeError, RebindError, Tier};
-pub use cache::CacheSim;
 pub use config::{CacheParams, LinkParams, MachineConfig, PrefetchParams, TierParams};
 pub use counters::Counters;
 pub use interference::InterferenceProfile;
 pub use link::LinkModel;
 pub use machine::Machine;
-pub use prefetch::StreamPrefetcher;
 pub use report::{AllocationSummary, PhaseReport, RunReport, TieringReport, TimelineSample};
-pub use tiering::{HotPromote, HotnessTracker, PeriodicRebalance, TieringSpec};
+pub use tiering::{HotPromote, PeriodicRebalance, TieringSpec};
 pub use timing::TimingModel;

@@ -16,7 +16,7 @@
 //! never does.
 
 use crate::address_space::{AddressSpace, FreeError, Tier};
-use crate::cache::{CacheSim, DramEvent, DramEventKind, DramSink};
+use crate::cache::{CacheSim, DramEventKind, DramSink};
 use crate::config::MachineConfig;
 use crate::counters::Counters;
 use crate::interference::InterferenceProfile;
@@ -25,7 +25,7 @@ use crate::replay::ReplayTransition;
 use crate::report::{
     price_timeline, AllocationSummary, PhaseReport, RunReport, TieringReport, TimelineSample,
 };
-use crate::tiering::{HotnessTracker, PageSample, TierOccupancy, TieringRuntime, TieringSpec};
+use crate::tiering::{TieringRuntime, TieringSpec};
 use dismem_trace::{
     AccessKind, MemoryEngine, ObjectHandle, PlacementPolicy, Recorder, ReplayMode, TraceEvent,
     TraceTier, CACHE_LINE_SIZE,
@@ -41,9 +41,9 @@ const LINES_PER_PAGE: u64 = dismem_trace::PAGE_SIZE / CACHE_LINE_SIZE;
 struct Placement {
     config: MachineConfig,
     space: AddressSpace,
-    /// Dynamic tiering: installed policy, epoch accumulator, damper history
-    /// and migration statistics. Defaults to [`TieringSpec::Static`], which
-    /// never fires an epoch.
+    /// Dynamic tiering: installed policy, hotness tracker, epoch
+    /// accumulator, damper history and migration statistics. Defaults to
+    /// [`TieringSpec::Static`], which never fires an epoch.
     tiering: TieringRuntime,
     /// The open chunk's tier counters: fills, demand fills and writebacks on
     /// each tier, and an epoch's migration lines. The walk's counters join
@@ -66,28 +66,18 @@ struct Placement {
 }
 
 impl Placement {
-    fn new(config: MachineConfig, spec: &TieringSpec) -> Self {
-        let mut placement = Self {
+    fn new(config: MachineConfig, spec: TieringSpec) -> Self {
+        Self {
             space: AddressSpace::new(config.local.capacity_bytes, config.pool.capacity_bytes),
             config,
-            tiering: TieringRuntime::new(TieringSpec::Static),
+            tiering: TieringRuntime::new(spec),
             chunk: Counters::default(),
             chunk_pool_link_lines: 0,
             phase_counters: Vec::new(),
             total: Counters::default(),
             timeline: Vec::new(),
             spilled_seen: 0,
-        };
-        placement.set_tiering_spec(spec);
-        placement
-    }
-
-    fn set_tiering_spec(&mut self, spec: &TieringSpec) {
-        let tracker = spec
-            .epoch_lines()
-            .map(|_| HotnessTracker::new(spec.decay()));
-        self.space.set_hotness(tracker);
-        self.tiering = TieringRuntime::new(*spec);
+        }
     }
 
     /// Records `count` DRAM transactions of `kind` against `page` and
@@ -160,21 +150,6 @@ impl Placement {
         )
     }
 
-    /// Advances the tiering epoch clock by a closed chunk's application DRAM
-    /// lines and says whether an epoch is due. Migration lines are left out,
-    /// so a migration burst cannot re-fire an epoch on its own.
-    fn epoch_due(&mut self, app_dram_lines: u64) -> bool {
-        let Some(epoch_lines) = self.tiering.spec.epoch_lines() else {
-            return false;
-        };
-        self.tiering.epoch_acc += app_dram_lines;
-        if self.tiering.epoch_acc < epoch_lines {
-            return false;
-        }
-        self.tiering.epoch_acc = 0;
-        true
-    }
-
     /// The application-DRAM-line trace clock: demand/prefetch fills plus
     /// writebacks on both tiers, folded into the totals at chunk closes.
     /// Pipeline-identical (per-line, batched and replay agree bit for bit)
@@ -222,11 +197,11 @@ impl Placement {
         }
     }
 
-    /// Completes a hotness epoch: folds the tracker, asks the policy for
-    /// migrations, applies them to the address space and charges the moved
-    /// pages as page-sized traffic on both tiers and the pool link (the
-    /// charge lands in the chunk that is just opening, so the timing model
-    /// prices it at the placement it created).
+    /// Completes a hotness epoch: the tiering runtime reads heat from the
+    /// page table and plans migrations, which are applied to the address
+    /// space here and charged as page-sized traffic on both tiers and the
+    /// pool link (the charge lands in the chunk that is just opening, so the
+    /// timing model prices it at the placement it created).
     ///
     /// Runs only between cache walks (chunk closes never happen mid-walk).
     /// The cache walk never reads a page's tier, so a move leaves the walk
@@ -237,67 +212,23 @@ impl Placement {
         reason = "the audited migration-apply path: every applied rebind is charged as migration traffic and counted, and the epoch's events are audited emission points"
     )]
     fn run_tiering_epoch(&mut self, mut recorder: Option<&mut (dyn Recorder + 'static)>) {
-        let Some(dwell) = self.space.end_hotness_epoch() else {
-            return;
-        };
-        let hot_pages = dwell.pages;
-        {
-            // Phase-dwell bookkeeping: each epoch extends the open dwell, and
-            // a hot-set shift closes it (the new hot set starts a dwell of
-            // one epoch). An epoch whose hot set vanished entirely leaves no
-            // open dwell behind.
-            let s = &mut self.tiering.report;
-            s.hot_set_pages_max = s.hot_set_pages_max.max(dwell.pages);
-            if dwell.shifted {
-                s.hot_set_shifts += 1;
-                s.dwell_epochs_total += s.open_dwell_epochs;
-                s.open_dwell_epochs = u64::from(dwell.pages > 0);
-            } else if dwell.pages > 0 {
-                s.open_dwell_epochs += 1;
-            }
-        }
-        self.tiering.epoch += 1;
+        let local_capacity = self
+            .config
+            .local
+            .capacity_bytes
+            .map(dismem_trace::access::pages_for);
+        let (hot_pages, orders) = self.tiering.end_epoch(&self.space, local_capacity);
         let epoch = self.tiering.epoch;
-        let cooldown = self.tiering.spec.cooldown_epochs();
-
-        // Sample every bound page with its decayed heat, sorted hottest-first
-        // (page number as tie-break) so policy decisions are deterministic.
-        let tracker = self.space.hotness().expect("tracker installed above");
-        let mut samples: Vec<PageSample> = self
-            .space
-            .bound_pages()
-            .map(|(page, tier)| PageSample {
-                page,
-                tier,
-                heat: tracker.heat_of(page),
-                cooling: self.tiering.damped(page, epoch, cooldown),
-            })
-            .collect();
-        samples
-            .sort_unstable_by(|a, b| b.heat.total_cmp(&a.heat).then_with(|| a.page.cmp(&b.page)));
-        let occupancy = TierOccupancy {
-            local_used: self.space.local_pages_used(),
-            local_capacity: self
-                .config
-                .local
-                .capacity_bytes
-                .map(dismem_trace::access::pages_for),
-        };
-        let orders = self.tiering.spec.plan(epoch, &samples, &occupancy);
 
         // Epoch events share one timestamp: the application-line clock at the
         // chunk close that fired this epoch (totals already include it).
         let app_lines = self.app_lines_clock();
         let mut moved = 0u64;
         for order in orders {
-            if self.tiering.damped(order.page, epoch, cooldown) {
-                self.tiering.report.ping_pongs_damped += 1;
-                continue;
-            }
             match self.space.rebind_page(order.page, order.to) {
                 Ok(from) if from != order.to => {
                     moved += 1;
-                    self.tiering.migrated(order.page, epoch);
+                    self.tiering.migrated(order.page);
                     match order.to {
                         Tier::Local => self.tiering.report.promotions += 1,
                         Tier::Pool => self.tiering.report.demotions += 1,
@@ -497,7 +428,6 @@ pub struct Machine {
     /// does not depend on placement, so every placement closes its chunks at
     /// the same points.
     chunk_dram_lines: u64,
-    dram_events: Vec<DramEvent>,
     /// Whether the batched element walk is used (default). Disabled, the
     /// machine walks every access line by line exactly as the reference
     /// implementation does — the two paths produce bit-identical reports.
@@ -535,7 +465,7 @@ impl Machine {
     pub fn lockstep(placements: impl IntoIterator<Item = (MachineConfig, TieringSpec)>) -> Self {
         let placements: Vec<Placement> = placements
             .into_iter()
-            .map(|(config, spec)| Placement::new(config, &spec))
+            .map(|(config, spec)| Placement::new(config, spec))
             .collect();
         let config = placements
             .first()
@@ -559,7 +489,6 @@ impl Machine {
             cache,
             chunk: Counters::default(),
             chunk_dram_lines: 0,
-            dram_events: Vec::with_capacity(64),
             batched: true,
             interference: InterferenceProfile::Idle,
             phase_names: Vec::new(),
@@ -602,7 +531,7 @@ impl Machine {
     pub fn set_tiering_spec(&mut self, spec: &TieringSpec) {
         self.assert_unstarted("set_tiering_spec");
         for placement in &mut self.placements {
-            placement.set_tiering_spec(spec);
+            placement.tiering = TieringRuntime::new(*spec);
         }
     }
 
@@ -737,7 +666,7 @@ impl Machine {
                 let transitions = self.cache.drain_replay_transitions();
                 placement.emit_chunk_trace(recorder, transitions);
             }
-            if placement.epoch_due(app_dram_lines) {
+            if placement.tiering.epoch_due(app_dram_lines) {
                 placement.run_tiering_epoch(self.recorder.as_deref_mut());
             }
         }
@@ -756,16 +685,6 @@ impl Machine {
         if Self::chunk_full(&self.config, &self.chunk, self.chunk_dram_lines) {
             self.close_chunk();
         }
-    }
-
-    /// Per-line reference drain: hands the queued events to the placements
-    /// one by one.
-    fn process_dram_events(&mut self) {
-        let mut sink = PlacementSink::new(&mut self.placements, &mut self.chunk_dram_lines);
-        for ev in self.dram_events.drain(..) {
-            sink.event(ev.line_addr, ev.kind);
-        }
-        sink.flush();
     }
 
     /// The batched element walk of `access`, `gather_batch` and
@@ -902,12 +821,11 @@ impl MemoryEngine for Machine {
         let first_line = base / CACHE_LINE_SIZE;
         let last_line = (base + bytes - 1) / CACHE_LINE_SIZE;
         let is_write = kind.is_write();
+        let mut sink = PlacementSink::new(&mut self.placements, &mut self.chunk_dram_lines);
         for line in first_line..=last_line {
             self.cache
-                .demand_access(line, is_write, &mut self.chunk, &mut self.dram_events);
-            if !self.dram_events.is_empty() {
-                self.process_dram_events();
-            }
+                .demand_access(line, is_write, &mut self.chunk, &mut sink);
+            sink.flush();
         }
         self.maybe_close_chunk();
     }
@@ -1396,6 +1314,58 @@ mod tests {
                 assert!(msg.contains(&format!("Machine::{name} called")), "{msg}");
             }
         }
+    }
+
+    /// Heat follows DRAM traffic through the page table: the walk's sink
+    /// records each transaction against its page, and an epoch folds each
+    /// page's lines recorded since the previous epoch into its heat.
+    #[test]
+    fn hotness_follows_dram_traffic_through_the_page_table() {
+        // A threshold no page reaches: the epochs plan no migration.
+        let spec = TieringSpec::HotPromote(crate::tiering::HotPromote::new(4096, 1e9));
+        let mut placement = Placement::new(MachineConfig::test_config(), spec);
+        let a = placement
+            .space
+            .alloc("A", "t", 2 * PAGE_SIZE, PlacementPolicy::FirstTouch);
+        let page = placement.space.base_addr(a) / PAGE_SIZE;
+        let line = page * LINES_PER_PAGE;
+        let record = |placement: &mut Placement, events: &[(u64, DramEventKind)]| {
+            let mut dram_lines = 0;
+            let mut sink = PlacementSink::new(std::slice::from_mut(placement), &mut dram_lines);
+            for &(line, kind) in events {
+                sink.event(line, kind);
+            }
+            sink.flush();
+        };
+        record(
+            &mut placement,
+            &[
+                (line, DramEventKind::DemandFill),
+                (line + 1, DramEventKind::PrefetchFill),
+                (line + LINES_PER_PAGE, DramEventKind::Writeback),
+            ],
+        );
+        placement.run_tiering_epoch(None);
+        let heat = |placement: &Placement, page| placement.tiering.tracker.heat_of(page);
+        assert_eq!(heat(&placement, page), 2.0);
+        assert_eq!(heat(&placement, page + 1), 1.0);
+        // The next epoch sees only the lines recorded since: both pages
+        // halve, and the first gains the new line.
+        record(&mut placement, &[(line + 2, DramEventKind::DemandFill)]);
+        placement.run_tiering_epoch(None);
+        assert_eq!(heat(&placement, page), 2.0);
+        assert_eq!(heat(&placement, page + 1), 0.5);
+        // The page table keeps the run's counts, which the histogram reads.
+        let histogram = placement.space.histogram();
+        assert_eq!(
+            histogram.iter().collect::<Vec<_>>(),
+            [(page, 3), (page + 1, 1)]
+        );
+        let report = &placement.tiering.report;
+        assert_eq!(
+            (report.epochs, report.promotions + report.demotions),
+            (2, 0)
+        );
     }
 
     #[test]

@@ -114,11 +114,6 @@ impl StreamPrefetcher {
         }
     }
 
-    /// Maximum number of concurrently tracked streams.
-    pub fn max_streams(&self) -> usize {
-        self.params.max_streams
-    }
-
     /// Takes a frozen copy of the full prefetcher state.
     pub(crate) fn snapshot(&self) -> PrefetcherSnapshot {
         PrefetcherSnapshot {

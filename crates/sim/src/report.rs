@@ -126,7 +126,9 @@ pub struct TieringReport {
     pub migrated_pages: u64,
     /// Payload bytes moved by migrations (pages × page size).
     pub migrated_bytes: u64,
-    /// Migrations suppressed by the ping-pong damper.
+    /// Always 0: the ping-pong damper acts when a policy plans, which
+    /// skips cooling pages, so no planned migration is ever refused. The
+    /// field keeps the serialized tiering report's schema.
     pub ping_pongs_damped: u64,
     /// Migrations dropped because the destination tier was full.
     pub skipped_capacity: u64,

@@ -9,13 +9,14 @@
 //! under capacity pressure (AutoNUMA-style sampling and rebalancing). This
 //! module adds that axis to the simulator:
 //!
-//! * a [`HotnessTracker`] — an epoch-based, exponentially decayed per-page
-//!   DRAM-traffic counter fed from both the per-line and the batched access
-//!   pipelines (the feed point is the address space's traffic recording, so
-//!   the two pipelines observe bit-identical heat: per-epoch accrual is pure
-//!   integer addition, which commutes, and the decayed score is only folded
-//!   at epoch boundaries, which both pipelines reach at the same chunk
-//!   closes);
+//! * a hotness tracker — an epoch-based, exponentially decayed per-page
+//!   DRAM-traffic score, owned by each placement's tiering runtime. At each
+//!   epoch it reads every page's DRAM lines since the previous epoch from
+//!   the page table's cumulative counts, which every pipeline records
+//!   through the same point, so all pipelines observe bit-identical heat:
+//!   the counts are integer sums, which commute, and the decayed score is
+//!   only folded at epoch boundaries, which every pipeline reaches at the
+//!   same chunk closes;
 //! * [`TieringSpec`] — the tiering policy, one of three:
 //!   [`TieringSpec::Static`] (no epochs, no migrations: the pre-tiering
 //!   reference behaviour), [`HotPromote`] (threshold promotion of hot pool
@@ -50,7 +51,7 @@
 //! part of the workspace-wide invariants documented in `docs/ARCHITECTURE.md`
 //! at the repository root and enforced by `tests/properties.rs`.
 
-use crate::address_space::Tier;
+use crate::address_space::{AddressSpace, Tier};
 use crate::report::TieringReport;
 use serde::{Deserialize, Serialize};
 
@@ -67,7 +68,7 @@ const HEAT_FLOOR: f64 = 1e-3;
 const HOT_SET_FRACTION: f64 = 0.5;
 
 /// One epoch's hot-set observation, returned by [`HotnessTracker::end_epoch`]
-/// and folded into the run's phase-dwell statistics by the machine.
+/// and folded into the run's phase-dwell statistics by the tiering runtime.
 ///
 /// The *hot set* is the set of pages whose decayed score is within
 /// half (`HOT_SET_FRACTION`) of the epoch's maximum. Each dwell is
@@ -82,32 +83,28 @@ const HOT_SET_FRACTION: f64 = 0.5;
 /// *phase dwell* — the time a hot working set stays put, which is exactly
 /// the window a page migration has to amortize in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HotSetDelta {
+pub(crate) struct HotSetDelta {
     /// Pages in the hot set as of the epoch that just completed.
-    pub pages: u64,
+    pub(crate) pages: u64,
     /// Whether the hot set moved away from the current dwell's anchor set
     /// (no strict majority of the anchor's pages is still hot). Always `false`
     /// while no dwell is open (no hot set has been observed yet).
-    pub shifted: bool,
+    pub(crate) shifted: bool,
 }
 
 /// Epoch-based per-page hotness tracker with exponential decay.
 ///
 /// State is indexed by page number, like the address space's page table
-/// (pages are dense from 1): `record` is O(1) per (page, lines) batch and
-/// grows the arrays on demand, and `end_epoch` is O(pages seen so far).
+/// (pages are dense from 1), and `end_epoch` is O(pages mapped so far).
 #[derive(Debug, Clone)]
-pub struct HotnessTracker {
+pub(crate) struct HotnessTracker {
     decay: f64,
-    epochs_completed: u64,
     /// Decayed score per page as of the last completed epoch; 0 for pages
     /// never touched or pruned below `HEAT_FLOOR`.
     scores: Vec<f64>,
-    /// DRAM lines recorded per page in the current epoch (integer accrual:
-    /// additions commute, so the batched pipeline's per-page bulk recording
-    /// and the per-line pipeline's event-by-event recording agree bit for
-    /// bit at every epoch boundary).
-    lines: Vec<u64>,
+    /// Each page's cumulative DRAM line count as read at the last completed
+    /// epoch, so an epoch accrues only the lines recorded since.
+    seen: Vec<u64>,
     /// Membership flags of the open dwell's anchor hot set (the hot set
     /// observed when the dwell started), kept to detect hot-set shifts.
     anchor: Vec<bool>,
@@ -118,51 +115,48 @@ pub struct HotnessTracker {
 impl HotnessTracker {
     /// Creates a tracker with the given per-epoch decay factor (0–1; the
     /// score of a page that stops being touched halves every epoch at 0.5).
-    pub fn new(decay: f64) -> Self {
+    pub(crate) fn new(decay: f64) -> Self {
         assert!(
             (0.0..1.0).contains(&decay),
             "decay must be within [0, 1), got {decay}"
         );
         Self {
             decay,
-            epochs_completed: 0,
             scores: Vec::new(),
-            lines: Vec::new(),
+            seen: Vec::new(),
             anchor: Vec::new(),
             anchor_pages: 0,
         }
     }
 
-    /// Records `lines` DRAM line transactions against `page` in the current
-    /// epoch.
-    #[inline]
-    pub fn record(&mut self, page: u64, lines: u64) {
-        let page = page as usize;
-        if page >= self.lines.len() {
-            self.scores.resize(page + 1, 0.0);
-            self.lines.resize(page + 1, 0);
-            self.anchor.resize(page + 1, false);
-        }
-        self.lines[page] += lines;
-    }
-
-    /// Completes the current epoch: folds the epoch's integer line counts
-    /// into the decayed scores, prunes pages that have gone cold, and reports
-    /// the epoch's hot set and whether it shifted (see [`HotSetDelta`]).
+    /// Completes an epoch: reads each page's cumulative DRAM line count from
+    /// `page_lines` (the page table's, in page order from page 0), folds the
+    /// lines since the previous epoch into the decayed scores, prunes pages
+    /// that have gone cold, and reports the epoch's hot set and whether it
+    /// shifted (see [`HotSetDelta`]).
     ///
     /// Dwell detection is purely observational — it never changes a score —
-    /// and every input (scores, epoch boundaries) is bit-identical across the
-    /// per-line, batched and replay pipelines, so the returned delta is too.
-    pub fn end_epoch(&mut self) -> HotSetDelta {
+    /// and every input (line counts, epoch boundaries) is bit-identical
+    /// across the per-line, batched and replay pipelines, so the returned
+    /// delta is too.
+    pub(crate) fn end_epoch(
+        &mut self,
+        page_lines: impl ExactSizeIterator<Item = u64>,
+    ) -> HotSetDelta {
+        // The page table only grows, and a page it adds has no score yet.
+        let pages = page_lines.len();
+        debug_assert!(pages >= self.scores.len(), "the page table only grows");
+        self.scores.resize(pages, 0.0);
+        self.seen.resize(pages, 0);
+        self.anchor.resize(pages, false);
         let decay = self.decay;
         let mut max = 0.0f64;
-        for (score, lines) in self.scores.iter_mut().zip(&mut self.lines) {
-            let folded = *score * decay + *lines as f64;
+        for ((score, seen), lines) in self.scores.iter_mut().zip(&mut self.seen).zip(page_lines) {
+            let folded = *score * decay + (lines - *seen) as f64;
+            *seen = lines;
             *score = if folded >= HEAT_FLOOR { folded } else { 0.0 };
-            *lines = 0;
             max = max.max(*score);
         }
-        self.epochs_completed += 1;
 
         let is_hot = |score: f64| max > 0.0 && score >= HOT_SET_FRACTION * max;
         let (mut pages, mut still_hot) = (0u64, 0u64);
@@ -187,54 +181,39 @@ impl HotnessTracker {
 
     /// Decayed heat of a page as of the last completed epoch (0 for pages
     /// never touched or already pruned).
-    pub fn heat_of(&self, page: u64) -> f64 {
+    pub(crate) fn heat_of(&self, page: u64) -> f64 {
         self.scores.get(page as usize).copied().unwrap_or(0.0)
-    }
-
-    /// Number of epochs completed so far.
-    pub fn epochs_completed(&self) -> u64 {
-        self.epochs_completed
-    }
-
-    /// Number of pages currently tracked: those with a nonzero score or
-    /// lines recorded in the current epoch.
-    pub fn tracked_pages(&self) -> usize {
-        self.scores
-            .iter()
-            .zip(&self.lines)
-            .filter(|&(&score, &lines)| score > 0.0 || lines > 0)
-            .count()
     }
 }
 
 /// One page's heat and current binding, handed to [`TieringSpec::plan`].
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PageSample {
+pub(crate) struct PageSample {
     /// Virtual page number.
-    pub page: u64,
+    pub(crate) page: u64,
     /// Tier the page is currently bound to.
-    pub tier: Tier,
+    pub(crate) tier: Tier,
     /// Decayed heat as of the epoch that just completed.
-    pub heat: f64,
+    pub(crate) heat: f64,
     /// Whether the page is still inside the ping-pong cooldown window from a
-    /// previous migration. An order targeting a cooling page will be refused
-    /// by the migration engine, so policies should not plan one — and in
-    /// particular should not demote other pages to make room for it.
-    pub cooling: bool,
+    /// previous migration. The policies plan no move of a cooling page, and
+    /// in particular no demotion to make room for one: this flag is the
+    /// whole damper.
+    pub(crate) cooling: bool,
 }
 
 /// Tier occupancy at the time a policy plans an epoch.
 #[derive(Debug, Clone, Copy)]
-pub struct TierOccupancy {
+pub(crate) struct TierOccupancy {
     /// Pages currently bound to the local tier.
-    pub local_used: u64,
+    pub(crate) local_used: u64,
     /// Local-tier capacity in pages (`None` = unbounded).
-    pub local_capacity: Option<u64>,
+    pub(crate) local_capacity: Option<u64>,
 }
 
 impl TierOccupancy {
     /// Free local pages (`u64::MAX` when unbounded).
-    pub fn local_free(&self) -> u64 {
+    pub(crate) fn local_free(&self) -> u64 {
         match self.local_capacity {
             Some(cap) => cap.saturating_sub(self.local_used),
             None => u64::MAX,
@@ -247,11 +226,11 @@ impl TierOccupancy {
 /// Orders are applied in sequence; a policy that needs to make room for a
 /// promotion emits the corresponding demotion *before* it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MigrationOrder {
+pub(crate) struct MigrationOrder {
     /// Page to migrate.
-    pub page: u64,
+    pub(crate) page: u64,
     /// Destination tier.
-    pub to: Tier,
+    pub(crate) to: Tier,
 }
 
 /// TPP-style hot-page promotion with capacity-pressure demotion.
@@ -294,7 +273,11 @@ impl HotPromote {
     }
 
     /// Plans one epoch's migrations (see [`TieringSpec::plan`]).
-    pub fn plan(&self, samples: &[PageSample], occupancy: &TierOccupancy) -> Vec<MigrationOrder> {
+    pub(crate) fn plan(
+        &self,
+        samples: &[PageSample],
+        occupancy: &TierOccupancy,
+    ) -> Vec<MigrationOrder> {
         let mut promotions: Vec<u64> = samples
             .iter()
             .filter(|s| s.tier == Tier::Pool && s.heat >= self.promote_heat && !s.cooling)
@@ -364,7 +347,7 @@ impl PeriodicRebalance {
     }
 
     /// Plans the migrations of epoch `epoch` (see [`TieringSpec::plan`]).
-    pub fn plan(
+    pub(crate) fn plan(
         &self,
         epoch: u64,
         samples: &[PageSample],
@@ -480,11 +463,9 @@ impl TieringSpec {
     }
 
     /// Epochs a migrated page must wait before it may migrate again. Pages
-    /// inside the window are flagged [`PageSample::cooling`]; the migration
-    /// engine additionally refuses orders against them (counting the refusal
-    /// as a damped ping-pong). The policies consult the flag up front, so
-    /// they never waste capacity-making demotions on a promotion the damper
-    /// would refuse.
+    /// inside the window are flagged as cooling when a policy plans, and
+    /// both policies skip them, so a cooling page is neither moved nor made
+    /// room for.
     pub fn cooldown_epochs(&self) -> u64 {
         match self {
             TieringSpec::Static => 0,
@@ -495,8 +476,9 @@ impl TieringSpec {
 
     /// Plans the migrations for the epoch that just completed. `samples`
     /// lists every currently bound page, sorted by descending heat (page
-    /// number ascending as tie-break).
-    pub fn plan(
+    /// number ascending as tie-break). The orders name each page at most
+    /// once and never a cooling one.
+    pub(crate) fn plan(
         &self,
         epoch: u64,
         samples: &[PageSample],
@@ -510,14 +492,17 @@ impl TieringSpec {
     }
 }
 
-/// Per-machine tiering state: the installed policy, the epoch accumulator,
-/// the ping-pong damper history and the run's migration activity. Owned by
-/// [`crate::Machine`]; the policy's hotness tracker lives in the address
-/// space, next to the traffic recording that feeds it.
+/// Per-placement tiering state: the installed policy, its hotness tracker,
+/// the epoch accumulator, the ping-pong damper history and the run's
+/// migration activity. Owned by each placement of a [`crate::Machine`]; the
+/// tracker reads its heat from that placement's page table at each epoch.
 pub(crate) struct TieringRuntime {
     pub(crate) spec: TieringSpec,
+    /// The policy's page heat. It reads the page table only at epochs, so
+    /// under [`TieringSpec::Static`], which fires none, it stays empty.
+    pub(crate) tracker: HotnessTracker,
     /// Application DRAM lines accumulated towards the next epoch.
-    pub(crate) epoch_acc: u64,
+    epoch_acc: u64,
     /// Index of the current epoch (1-based; incremented when an epoch fires).
     pub(crate) epoch: u64,
     /// Epoch of each page's last applied migration, indexed by page
@@ -533,6 +518,7 @@ impl TieringRuntime {
     pub(crate) fn new(spec: TieringSpec) -> Self {
         Self {
             spec,
+            tracker: HotnessTracker::new(spec.decay()),
             epoch_acc: 0,
             epoch: 0,
             last_migrated: Vec::new(),
@@ -540,19 +526,80 @@ impl TieringRuntime {
         }
     }
 
-    /// Notes that `page` migrated in `epoch` (1-based).
-    pub(crate) fn migrated(&mut self, page: u64, epoch: u64) {
+    /// Advances the epoch clock by a closed chunk's application DRAM lines
+    /// and says whether an epoch is due. Migration lines are left out, so a
+    /// migration burst cannot re-fire an epoch on its own.
+    pub(crate) fn epoch_due(&mut self, app_dram_lines: u64) -> bool {
+        let Some(epoch_lines) = self.spec.epoch_lines() else {
+            return false;
+        };
+        self.epoch_acc += app_dram_lines;
+        if self.epoch_acc < epoch_lines {
+            return false;
+        }
+        self.epoch_acc = 0;
+        true
+    }
+
+    /// Completes an epoch over `space`, whose local tier holds
+    /// `local_capacity` pages: the tracker reads each page's DRAM lines
+    /// since the previous epoch from the page table, the hot-set
+    /// observation extends or closes the run's phase dwell, and the policy
+    /// plans the epoch's migrations from every bound page's heat. Returns
+    /// the epoch's hot-set size and its orders; the placement applies them.
+    pub(crate) fn end_epoch(
+        &mut self,
+        space: &AddressSpace,
+        local_capacity: Option<u64>,
+    ) -> (u64, Vec<MigrationOrder>) {
+        let dwell = self.tracker.end_epoch(space.page_lines());
+        // Each epoch extends the open dwell, and a hot-set shift closes it
+        // (the new hot set starts a dwell of one epoch). An epoch whose hot
+        // set vanished entirely leaves no open dwell behind.
+        let s = &mut self.report;
+        s.hot_set_pages_max = s.hot_set_pages_max.max(dwell.pages);
+        if dwell.shifted {
+            s.hot_set_shifts += 1;
+            s.dwell_epochs_total += s.open_dwell_epochs;
+            s.open_dwell_epochs = u64::from(dwell.pages > 0);
+        } else if dwell.pages > 0 {
+            s.open_dwell_epochs += 1;
+        }
+        self.epoch += 1;
+        let (epoch, cooldown) = (self.epoch, self.spec.cooldown_epochs());
+
+        // Sample every bound page with its decayed heat, sorted hottest-first
+        // (page number as tie-break) so policy decisions are deterministic.
+        let mut samples: Vec<PageSample> = space
+            .bound_pages()
+            .map(|(page, tier)| PageSample {
+                page,
+                tier,
+                heat: self.tracker.heat_of(page),
+                cooling: self.damped(page, epoch, cooldown),
+            })
+            .collect();
+        samples
+            .sort_unstable_by(|a, b| b.heat.total_cmp(&a.heat).then_with(|| a.page.cmp(&b.page)));
+        let occupancy = TierOccupancy {
+            local_used: space.local_pages_used(),
+            local_capacity,
+        };
+        (dwell.pages, self.spec.plan(epoch, &samples, &occupancy))
+    }
+
+    /// Notes that `page` migrated in the current epoch.
+    pub(crate) fn migrated(&mut self, page: u64) {
         let page = page as usize;
         if page >= self.last_migrated.len() {
             self.last_migrated.resize(page + 1, 0);
         }
-        self.last_migrated[page] = epoch;
+        self.last_migrated[page] = self.epoch;
     }
 
-    /// Whether the damper suppresses a migration of `page` in `epoch`.
-    /// Migrations older than the cooldown never damp, so the history needs
-    /// no pruning.
-    pub(crate) fn damped(&self, page: u64, epoch: u64, cooldown: u64) -> bool {
+    /// Whether the damper keeps `page` cooling in `epoch`. Migrations older
+    /// than the cooldown never damp, so the history needs no pruning.
+    fn damped(&self, page: u64, epoch: u64, cooldown: u64) -> bool {
         cooldown > 0
             && self
                 .last_migrated
@@ -581,44 +628,65 @@ mod tests {
         }
     }
 
+    /// A page table's cumulative DRAM line counts, indexed by page, as the
+    /// tracker reads them at each epoch.
+    #[derive(Default)]
+    struct PageLines(Vec<u64>);
+
+    impl PageLines {
+        fn record(&mut self, page: usize, lines: u64) {
+            if page >= self.0.len() {
+                self.0.resize(page + 1, 0);
+            }
+            self.0[page] += lines;
+        }
+
+        fn end_epoch(&self, t: &mut HotnessTracker) -> HotSetDelta {
+            t.end_epoch(self.0.iter().copied())
+        }
+    }
+
     #[test]
     fn tracker_decays_and_prunes() {
         let mut t = HotnessTracker::new(0.5);
-        t.record(1, 100);
-        t.record(1, 28);
-        t.record(2, 2);
-        t.end_epoch();
+        let mut lines = PageLines::default();
+        lines.record(1, 100);
+        lines.record(1, 28);
+        lines.record(2, 2);
+        lines.end_epoch(&mut t);
         assert_eq!(t.heat_of(1), 128.0);
         assert_eq!(t.heat_of(2), 2.0);
         // Page 1 untouched for an epoch: halves. Page 2 decays towards the
         // floor and is eventually pruned.
-        t.end_epoch();
+        lines.end_epoch(&mut t);
         assert_eq!(t.heat_of(1), 64.0);
         assert_eq!(t.heat_of(2), 1.0);
         for _ in 0..20 {
-            t.end_epoch();
+            lines.end_epoch(&mut t);
         }
         assert_eq!(t.heat_of(2), 0.0, "cold page must be pruned");
-        assert_eq!(t.tracked_pages(), 0, "all pages decay below the floor");
-        assert_eq!(t.epochs_completed(), 22);
+        assert!(
+            (0..3).all(|page| t.heat_of(page) == 0.0),
+            "all pages decay below the floor"
+        );
     }
 
     #[test]
     fn pruned_page_accrues_from_zero_when_touched_again() {
         let mut t = HotnessTracker::new(0.5);
-        t.record(3, 1);
-        t.end_epoch();
+        let mut lines = PageLines::default();
+        lines.record(3, 1);
+        lines.end_epoch(&mut t);
         assert_eq!(t.heat_of(3), 1.0);
         // Ten idle epochs take the score below the floor: pruned to zero.
         for _ in 0..10 {
-            t.end_epoch();
+            lines.end_epoch(&mut t);
         }
         assert_eq!(t.heat_of(3), 0.0);
-        assert_eq!(t.tracked_pages(), 0);
-        // Touched again, it starts from zero, with no decayed remainder.
-        t.record(3, 5);
-        assert_eq!(t.tracked_pages(), 1, "current-epoch lines are tracked");
-        t.end_epoch();
+        // Touched again, it starts from zero, with no decayed remainder and
+        // none of the lines it accrued before.
+        lines.record(3, 5);
+        lines.end_epoch(&mut t);
         assert_eq!(t.heat_of(3).to_bits(), 5.0f64.to_bits());
         // Pages past the highest one ever recorded read as cold.
         assert_eq!(t.heat_of(4), 0.0);
@@ -629,16 +697,17 @@ mod tests {
     fn tracker_accrual_is_order_independent() {
         let mut a = HotnessTracker::new(0.5);
         let mut b = HotnessTracker::new(0.5);
+        let (mut lines_a, mut lines_b) = (PageLines::default(), PageLines::default());
         // One bulk record vs many singles, interleaved differently.
-        a.record(7, 64);
-        a.record(9, 3);
+        lines_a.record(7, 64);
+        lines_a.record(9, 3);
         for _ in 0..64 {
-            b.record(7, 1);
+            lines_b.record(7, 1);
         }
-        b.record(9, 2);
-        b.record(9, 1);
-        a.end_epoch();
-        b.end_epoch();
+        lines_b.record(9, 2);
+        lines_b.record(9, 1);
+        lines_a.end_epoch(&mut a);
+        lines_b.end_epoch(&mut b);
         assert_eq!(a.heat_of(7).to_bits(), b.heat_of(7).to_bits());
         assert_eq!(a.heat_of(9).to_bits(), b.heat_of(9).to_bits());
     }
@@ -646,21 +715,22 @@ mod tests {
     #[test]
     fn hot_set_shift_detection_follows_the_moving_working_set() {
         let mut t = HotnessTracker::new(0.5);
+        let mut lines = PageLines::default();
         // Epoch 1: pages 1 and 2 are hot, page 3 is background noise.
-        t.record(1, 100);
-        t.record(2, 90);
-        t.record(3, 10);
-        let d = t.end_epoch();
+        lines.record(1, 100);
+        lines.record(2, 90);
+        lines.record(3, 10);
+        let d = lines.end_epoch(&mut t);
         assert_eq!(d.pages, 2);
         assert!(!d.shifted, "the first hot set is not a shift");
         // Epoch 2: the same set stays hot.
-        t.record(1, 100);
-        t.record(2, 90);
-        assert!(!t.end_epoch().shifted);
+        lines.record(1, 100);
+        lines.record(2, 90);
+        assert!(!lines.end_epoch(&mut t).shifted);
         // Epoch 3: the working set moves entirely.
-        t.record(7, 500);
-        t.record(8, 450);
-        let d = t.end_epoch();
+        lines.record(7, 500);
+        lines.record(8, 450);
+        let d = lines.end_epoch(&mut t);
         assert!(d.shifted, "a moved working set must register as a shift");
         assert_eq!(d.pages, 2);
     }
@@ -668,13 +738,14 @@ mod tests {
     #[test]
     fn idle_epochs_decay_uniformly_without_shifting() {
         let mut t = HotnessTracker::new(0.5);
-        t.record(1, 100);
-        t.record(2, 90);
-        assert!(!t.end_epoch().shifted);
+        let mut lines = PageLines::default();
+        lines.record(1, 100);
+        lines.record(2, 90);
+        assert!(!lines.end_epoch(&mut t).shifted);
         // Decay-only epochs scale every score (and the maximum) by the same
         // factor, so fraction-of-max membership — and the dwell clock — is
         // unchanged until pruning empties the set.
-        let d = t.end_epoch();
+        let d = lines.end_epoch(&mut t);
         assert!(!d.shifted);
         assert_eq!(d.pages, 2);
     }
@@ -865,9 +936,68 @@ mod tests {
     }
 
     #[test]
+    fn periodic_rebalance_skips_cooling_pages() {
+        let p = PeriodicRebalance::new(1000, 1, 8);
+        let cooling = |s: PageSample| PageSample { cooling: true, ..s };
+        // The hottest pool page is cooling: neither it nor a swap partner
+        // moves for it, and the next hot page takes the free slot.
+        let orders = p.plan(
+            1,
+            &[
+                cooling(sample(5, Tier::Pool, 50.0)),
+                sample(9, Tier::Pool, 20.0),
+                sample(1, Tier::Local, 2.0),
+            ],
+            &occupancy(1, 2),
+        );
+        assert_eq!(
+            orders,
+            vec![MigrationOrder {
+                page: 9,
+                to: Tier::Local
+            }]
+        );
+        // The coldest local page is cooling: the swap takes the next
+        // coldest one instead.
+        let orders = p.plan(
+            1,
+            &[
+                sample(9, Tier::Pool, 20.0),
+                sample(2, Tier::Local, 1.0),
+                cooling(sample(3, Tier::Local, 0.0)),
+            ],
+            &occupancy(2, 2),
+        );
+        assert_eq!(
+            orders,
+            vec![
+                MigrationOrder {
+                    page: 2,
+                    to: Tier::Pool
+                },
+                MigrationOrder {
+                    page: 9,
+                    to: Tier::Local
+                },
+            ]
+        );
+        // Only cooling local pages left to swap with: nothing moves.
+        let orders = p.plan(
+            1,
+            &[
+                sample(9, Tier::Pool, 20.0),
+                cooling(sample(3, Tier::Local, 0.0)),
+            ],
+            &occupancy(1, 1),
+        );
+        assert!(orders.is_empty());
+    }
+
+    #[test]
     fn damper_suppresses_recent_migrations() {
         let mut rt = TieringRuntime::new(TieringSpec::Static);
-        rt.migrated(7, 5);
+        rt.epoch = 5;
+        rt.migrated(7);
         assert!(rt.damped(7, 6, 2));
         assert!(!rt.damped(7, 7, 2));
         assert!(!rt.damped(7, 6, 0), "zero cooldown never damps");

@@ -51,9 +51,9 @@ pub trait MemoryEngine {
     //
     // Semantically these are exactly the per-access loops their default
     // bodies spell out; a backend may override them to process the covered
-    // cache lines in one batched pass (the simulator walks contiguous line
-    // runs in a single call, drains DRAM events once per batch and memoizes
-    // page lookups). Overrides must be observationally identical to the
+    // cache lines in one batched pass (the simulator walks each element's
+    // lines in a single call and hands every DRAM transaction straight to
+    // its placements). Overrides must be observationally identical to the
     // defaults — the workspace property tests compare both paths bit for bit.
     //
     // Run geometry matters for backend fast paths: the simulator's
@@ -64,8 +64,8 @@ pub trait MemoryEngine {
     // detector's streak tracking survives call boundaries, so chunked
     // streams still engage). Prefer one bulk call per logical run over
     // per-element `access` loops; for scattered elements, prefer
-    // `gather_batch`/`strided_batch`, whose contiguous consecutive elements
-    // the simulator merges back into runs.
+    // `gather_batch`/`strided_batch`, where an element contiguous with the
+    // one before continues the detector's streak.
 
     /// Bulk contiguous access: identical to [`MemoryEngine::access`], but
     /// explicitly marks the range as one batch for backends with a bulk fast

@@ -12,14 +12,16 @@
 //! [`dismem::core::Guidance`] answers not just *where* to place data but
 //! whether to move it at runtime.
 //!
-//! Each workload walks twice: one walk serves all nine (capacity × policy)
-//! placements of its matrix ([`sweep_tiering_matrix`]), and one more is the
-//! 50%-local run the placement and deployment guidance is read from. The
-//! study runs sequentially, about 9 s for the six X1 workloads on a
-//! 2-vCPU host.
+//! Each workload walks once: the walk serves all nine (capacity × policy)
+//! placements of its matrix ([`sweep_tiering_matrix`]), and the matrix's
+//! static 50%-local run is the one the placement and deployment guidance is
+//! read from. The study runs sequentially, about 5 s for the six X1
+//! workloads on a 2-vCPU host.
 //!
 //! Writes `CAMPAIGN_tiering_workloads.json` into the results directory (the
 //! committed copy at the repository root is regenerated from this example).
+//! Exits non-zero, naming the workload, when a workload's static 50%-local
+//! run failed, since its guidance cannot be derived.
 //!
 //! ```sh
 //! cargo run --release --example tiering_study            # full X1 inputs
@@ -32,7 +34,6 @@ use dismem::sim::{MachineConfig, TieringSpec};
 use dismem::workloads::{InputScale, Workload, WorkloadKind};
 use dismem_profiler::level2::level2_from_report;
 use dismem_profiler::level3::{level3_from_report, PAPER_LOI_LEVELS};
-use dismem_profiler::{pooled_config, run_workload, RunOptions};
 use serde::Serialize;
 
 /// The paper's `setup_waste` local-capacity points.
@@ -85,10 +86,14 @@ fn main() {
         WorkloadKind::instantiate_all(scale)
     };
 
+    let guidance_cell = LOCAL_FRACTIONS
+        .iter()
+        .position(|&fraction| fraction == GUIDANCE_FRACTION)
+        .expect("the guidance fraction is a matrix fraction");
     let mut entries = Vec::new();
     for workload in &suite {
         let specs = specs_for(workload.as_ref());
-        let study = sweep_tiering_matrix(
+        let (study, runs) = sweep_tiering_matrix(
             workload.as_ref(),
             &config,
             &LOCAL_FRACTIONS,
@@ -99,14 +104,23 @@ fn main() {
         // Placement and deployment guidance from the paper's three-level
         // methodology at the mid pooling point, extended with the
         // dwell-derived migration advice measured by the dynamic policies.
-        // Levels 2 and 3 share one pooled simulation.
-        let pooled = run_workload(
-            workload.as_ref(),
-            &RunOptions::new(pooled_config(&config, workload.as_ref(), GUIDANCE_FRACTION)),
-        );
+        // Levels 2 and 3 share the matrix's static run at that point.
         let name = workload.name();
-        let level2 = level2_from_report(name, GUIDANCE_FRACTION, &pooled);
-        let level3 = level3_from_report(name, GUIDANCE_FRACTION, &pooled, &PAPER_LOI_LEVELS);
+        let reference = specs
+            .iter()
+            .position(|spec| matches!(spec, TieringSpec::Static))
+            .expect("the matrix sweeps the static policy");
+        let Some(pooled) = runs[guidance_cell].get(reference) else {
+            let failures = &study.cells[guidance_cell].sweep.failed_policies;
+            let error = failures.first().map_or("", |f| f.error.as_str());
+            eprintln!(
+                "{name}: the static {:.0}%-local run failed, so no guidance: {error}",
+                GUIDANCE_FRACTION * 100.0
+            );
+            std::process::exit(1);
+        };
+        let level2 = level2_from_report(name, GUIDANCE_FRACTION, pooled);
+        let level3 = level3_from_report(name, GUIDANCE_FRACTION, pooled, &PAPER_LOI_LEVELS);
         let mut guidance = derive_guidance(&level2, &level3);
         if let Some(measured) = study.measured_at(GUIDANCE_FRACTION) {
             guidance = guidance.with_migration_advice(&measured.tiering);

@@ -4,7 +4,7 @@ use dismem::analysis::{five_number_summary, percentile, Roofline};
 use dismem::sim::tiering::{HotPromote, PeriodicRebalance};
 use dismem::sim::timing::TimeBreakdown;
 use dismem::sim::{
-    Counters, InterferenceProfile, Machine, MachineConfig, Tier, TieringSpec, TimingModel,
+    Counters, InterferenceProfile, Machine, MachineConfig, TieringSpec, TimingModel,
 };
 use dismem::trace::{
     AccessKind, FlightRecorder, MemoryEngine, PageHistogram, PlacementPolicy, TraceEvent, PAGE_SIZE,
@@ -1176,8 +1176,6 @@ proptest! {
         if force_remote {
             prop_assert_eq!(report.local_pages_used, 0);
         }
-        let space_tier = if force_remote { Tier::Pool } else { Tier::Local };
-        let _ = space_tier; // placement detail checked through the counts above
     }
 
     /// Scaling curves are monotone, bounded and end at 100% of the accesses.
