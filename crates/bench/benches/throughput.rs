@@ -254,7 +254,7 @@ fn tracing_bench(array_bytes: u64, passes: u32) -> TracingBench {
     let run = |record: bool| -> (f64, u64) {
         let mut m = Machine::new(base_config());
         if record {
-            m.set_recorder(Box::new(FlightRecorder::new()));
+            m.set_recorder(FlightRecorder::new());
         }
         let a = m.alloc("arr", "throughput.rs", array_bytes);
         m.phase_start("warmup");
@@ -269,16 +269,7 @@ fn tracing_bench(array_bytes: u64, passes: u32) -> TracingBench {
         m.phase_end();
         let report = m.finish();
         assert!(report.total.demand_lines() > 0);
-        let events = m
-            .take_recorder()
-            .map(|r| {
-                r.into_any()
-                    .downcast::<FlightRecorder>()
-                    .expect("flight recorder comes back")
-                    .events()
-                    .len() as u64
-            })
-            .unwrap_or(0);
+        let events = m.take_recorder().map_or(0, |r| r.events().len() as u64);
         let lines = lines_for(array_bytes) * passes as u64;
         (lines as f64 / elapsed.max(1e-12), events)
     };

@@ -10,7 +10,7 @@
 //! still compile under rustc, so it holds no `unsafe`.
 
 use dismem_sim::{AddressSpace, Tier};
-use dismem_trace::{AccessKind, MemoryEngine, ObjectHandle, Recorder, TraceEvent};
+use dismem_trace::{AccessKind, FlightRecorder, MemoryEngine, ObjectHandle, TraceEvent};
 
 #[allow(
     clippy::disallowed_types,
@@ -54,12 +54,12 @@ pub fn sneak_promotion(space: &mut AddressSpace) {
 
 /// `trace-hygiene`: an emission outside the audited points, and one that a
 /// justified allow admits.
-pub fn leak_events(rec: &mut dyn Recorder, app_lines: u64) {
+pub fn leak_events(rec: &mut FlightRecorder, app_lines: u64) {
     let spill = TraceEvent::TierSpill {
         app_lines,
         pages: 1,
     };
-    rec.record_event(spill.clone()); //~ `dismem_trace::Recorder::record_event`
+    rec.record_event(spill.clone()); //~ `dismem_trace::FlightRecorder::record_event`
     #[allow(
         clippy::disallowed_methods,
         reason = "models an audited emission site: a justified allow suppresses the lint"

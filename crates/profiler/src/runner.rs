@@ -1,7 +1,7 @@
 //! Helpers for running workloads on configured machines.
 
 use dismem_sim::{Machine, MachineConfig, RunReport, TieringSpec};
-use dismem_trace::Recorder;
+use dismem_trace::{FlightRecorder, TraceEvent};
 use dismem_workloads::Workload;
 
 /// Options for a single run.
@@ -81,23 +81,22 @@ pub fn run_workload_lockstep(workload: &dyn Workload, options: &[RunOptions]) ->
         .collect()
 }
 
-/// [`run_workload`] with a flight recorder attached: the machine emits trace
-/// events (epoch closes, migrations, replay transitions, spills) into the
-/// recorder and hands it back alongside the report. Recording is read-only —
-/// the report is bit-identical to [`run_workload`]'s for the same inputs.
+/// [`run_workload`] with a flight recorder attached: returns the report and
+/// the trace events the machine emitted (epoch closes, migrations, replay
+/// transitions, spills), in emission order. Recording is read-only — the
+/// report is bit-identical to [`run_workload`]'s for the same inputs.
 pub fn run_workload_recorded(
     workload: &dyn Workload,
     options: &RunOptions,
-    recorder: Box<dyn Recorder>,
-) -> (RunReport, Box<dyn Recorder>) {
+) -> (RunReport, Vec<TraceEvent>) {
     let mut machine = machine_for([options]);
-    machine.set_recorder(recorder);
+    machine.set_recorder(FlightRecorder::new());
     workload.run(&mut machine);
     let report = machine.finish();
     let recorder = machine
         .take_recorder()
         .expect("recorder installed above survives the run");
-    (report, recorder)
+    (report, recorder.into_events())
 }
 
 /// Derives a pooling configuration from a base configuration and a workload:
@@ -162,20 +161,16 @@ mod tests {
 
     #[test]
     fn recorded_run_matches_unrecorded_and_returns_events() {
-        use dismem_trace::FlightRecorder;
         let w = WorkloadKind::Hypre.instantiate_tiny();
         let cfg = pooled_config(&test_base(), w.as_ref(), 0.5);
         let options = RunOptions::new(cfg);
         let plain = run_workload(w.as_ref(), &options);
-        let (recorded, recorder) =
-            run_workload_recorded(w.as_ref(), &options, Box::new(FlightRecorder::new()));
+        let (recorded, events) = run_workload_recorded(w.as_ref(), &options);
         assert_eq!(recorded, plain, "recording must not perturb the report");
-        let recorder = recorder
-            .into_any()
-            .downcast::<FlightRecorder>()
-            .expect("flight recorder comes back");
         // A pooled run spills pages, so the trace cannot be empty.
-        assert!(recorder.metrics().counter("sim.spilled_pages_total") > 0);
+        assert!(events
+            .iter()
+            .any(|e| matches!(e, TraceEvent::TierSpill { .. })));
     }
 
     /// Interference is priced on the idle report, by re-timing it.

@@ -40,7 +40,7 @@ use dismem_analysis::{five_number_summary, mean, FiveNumberSummary};
 use dismem_core::{fnv1a64, CellKey};
 use dismem_profiler::{pooled_config, run_workload, RunOptions};
 use dismem_sim::{InterferenceProfile, LinkParams, MachineConfig, RunReport};
-use dismem_trace::{Recorder, TraceEvent};
+use dismem_trace::{FlightRecorder, TraceEvent};
 use dismem_workloads::{InputScale, WorkloadKind};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -658,7 +658,7 @@ pub fn run_fleet_campaign_traced(
     journal_path: &Path,
     shard: Option<Shard>,
     fault: &FaultPlan,
-    recorder: &mut dyn Recorder,
+    recorder: &mut FlightRecorder,
 ) -> Result<CampaignReport, CampaignError> {
     let loaded = load_empty_journal(journal_path)?;
     drive(
@@ -712,7 +712,7 @@ pub fn resume_campaign_traced(
     journal_path: &Path,
     shard: Option<Shard>,
     fault: &FaultPlan,
-    recorder: &mut dyn Recorder,
+    recorder: &mut FlightRecorder,
 ) -> Result<(CampaignReport, ResumeStats), CampaignError> {
     let loaded = load_journal(journal_path)?;
     drive(
@@ -740,7 +740,7 @@ fn drive(
     loaded: LoadedJournal,
     shard: Option<Shard>,
     fault: &FaultPlan,
-    mut recorder: Option<&mut dyn Recorder>,
+    mut recorder: Option<&mut FlightRecorder>,
 ) -> Result<(CampaignReport, ResumeStats), CampaignError> {
     assert!(spec.max_attempts >= 1, "max_attempts must be at least 1");
     let digest = spec.digest_hex();

@@ -590,11 +590,6 @@ fn traced_campaign_is_bit_identical_and_emits_the_cell_lifecycle() {
     assert_eq!(count("CampaignCellFinished"), CELLS);
     assert_eq!(count("CampaignCellRetried"), 1);
     assert_eq!(count("CampaignCellQuarantined"), 0);
-    assert_eq!(
-        recorder.metrics().counter("campaign.cells_completed"),
-        CELLS
-    );
-    assert_eq!(recorder.metrics().counter("campaign.cells_retried"), 1);
 
     // Resume under a foreign digest with a recorder: every drop is traced.
     let changed = FleetSpec {
@@ -624,12 +619,6 @@ fn traced_campaign_is_bit_identical_and_emits_the_cell_lifecycle() {
             assert_eq!(reason, "foreign-digest");
         }
     }
-    assert_eq!(
-        resume_recorder
-            .metrics()
-            .counter("journal.records_rejected"),
-        CELLS
-    );
 }
 
 // ---------------------------------------------------------------------------

@@ -64,41 +64,6 @@ impl InterferenceProfile {
             }
         }
     }
-
-    /// Average LoI over `[0, duration_s]`, weighting each epoch by its length.
-    pub fn average_loi(&self, duration_s: f64) -> f64 {
-        match self {
-            InterferenceProfile::Idle => 0.0,
-            InterferenceProfile::Constant(l) => l.clamp(0.0, 1.0),
-            InterferenceProfile::Schedule(epochs) => {
-                if duration_s <= 0.0 || epochs.is_empty() {
-                    return self.loi_at(0.0);
-                }
-                let mut acc = 0.0;
-                let mut covered = 0.0;
-                for (i, e) in epochs.iter().enumerate() {
-                    let start = e.start_s.max(0.0);
-                    if start >= duration_s {
-                        break;
-                    }
-                    let end = epochs
-                        .get(i + 1)
-                        .map(|n| n.start_s)
-                        .unwrap_or(duration_s)
-                        .min(duration_s);
-                    if end > start {
-                        acc += e.loi.clamp(0.0, 1.0) * (end - start);
-                        covered += end - start;
-                    }
-                }
-                if covered == 0.0 {
-                    0.0
-                } else {
-                    acc / duration_s
-                }
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -144,14 +109,5 @@ mod tests {
     fn before_first_epoch_is_idle() {
         let p = InterferenceProfile::schedule(vec![(5.0, 0.5)]);
         assert_eq!(p.loi_at(1.0), 0.0);
-    }
-
-    #[test]
-    fn average_loi_weights_epoch_lengths() {
-        let p = InterferenceProfile::schedule(vec![(0.0, 0.0), (5.0, 0.4)]);
-        // 5 s at 0.0, 5 s at 0.4 over 10 s => 0.2
-        assert!((p.average_loi(10.0) - 0.2).abs() < 1e-12);
-        assert!((p.average_loi(5.0) - 0.0).abs() < 1e-12);
-        assert!((InterferenceProfile::Constant(0.3).average_loi(42.0) - 0.3).abs() < 1e-12);
     }
 }

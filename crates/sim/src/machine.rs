@@ -15,7 +15,7 @@
 //! between the tiers at hotness epochs; the default, [`TieringSpec::Static`],
 //! never does.
 
-use crate::address_space::{AddressSpace, FreeError, Tier};
+use crate::address_space::{AddressSpace, Tier};
 use crate::cache::{CacheSim, DramEventKind, DramSink};
 use crate::config::MachineConfig;
 use crate::counters::Counters;
@@ -27,8 +27,8 @@ use crate::report::{
 };
 use crate::tiering::{TieringRuntime, TieringSpec};
 use dismem_trace::{
-    AccessKind, MemoryEngine, ObjectHandle, PlacementPolicy, Recorder, ReplayMode, TraceEvent,
-    TraceTier, CACHE_LINE_SIZE,
+    AccessKind, FlightRecorder, MemoryEngine, ObjectHandle, PlacementPolicy, ReplayMode,
+    TraceEvent, TraceTier, CACHE_LINE_SIZE,
 };
 
 /// Cache lines per page (pages and cache lines are both powers of two).
@@ -170,7 +170,7 @@ impl Placement {
     )]
     fn emit_chunk_trace(
         &mut self,
-        recorder: &mut dyn Recorder,
+        recorder: &mut FlightRecorder,
         transitions: Vec<ReplayTransition>,
     ) {
         let app_lines = self.app_lines_clock();
@@ -211,7 +211,7 @@ impl Placement {
         clippy::disallowed_methods,
         reason = "the audited migration-apply path: every applied rebind is charged as migration traffic and counted, and the epoch's events are audited emission points"
     )]
-    fn run_tiering_epoch(&mut self, mut recorder: Option<&mut (dyn Recorder + 'static)>) {
+    fn run_tiering_epoch(&mut self, mut recorder: Option<&mut FlightRecorder>) {
         let local_capacity = self
             .config
             .local
@@ -442,7 +442,7 @@ pub struct Machine {
     /// with a single placement. `None` (the default) keeps every hot path
     /// free of event construction; the recorded/unrecorded bit-identity of
     /// [`RunReport`]s is pinned by the workspace property tests.
-    recorder: Option<Box<dyn Recorder>>,
+    recorder: Option<FlightRecorder>,
 }
 
 impl Machine {
@@ -588,7 +588,7 @@ impl Machine {
     /// strictly read-only: the report of a recorded run is bit-identical to
     /// an unrecorded one. Panics once the run has started, and on a machine
     /// with more than one placement.
-    pub fn set_recorder(&mut self, recorder: Box<dyn Recorder>) {
+    pub fn set_recorder(&mut self, recorder: FlightRecorder) {
         self.assert_unstarted("set_recorder");
         assert_eq!(
             self.placements.len(),
@@ -602,8 +602,8 @@ impl Machine {
     /// Removes the installed flight recorder, draining any pending replay
     /// transitions and spill deltas into it first. Call after
     /// [`Machine::finish`] so the final chunk's events are included.
-    pub fn take_recorder(&mut self) -> Option<Box<dyn Recorder>> {
-        if let Some(recorder) = self.recorder.as_deref_mut() {
+    pub fn take_recorder(&mut self) -> Option<FlightRecorder> {
+        if let Some(recorder) = self.recorder.as_mut() {
             let transitions = self.cache.drain_replay_transitions();
             self.placements[0].emit_chunk_trace(recorder, transitions);
         }
@@ -660,40 +660,35 @@ impl Machine {
                 // lines.
                 continue;
             };
-            if let Some(recorder) = self.recorder.as_deref_mut() {
+            if let Some(recorder) = self.recorder.as_mut() {
                 // Emit before a possible tiering epoch so replay transitions
                 // from this chunk's walks order ahead of the epoch's events.
                 let transitions = self.cache.drain_replay_transitions();
                 placement.emit_chunk_trace(recorder, transitions);
             }
             if placement.tiering.epoch_due(app_dram_lines) {
-                placement.run_tiering_epoch(self.recorder.as_deref_mut());
+                placement.run_tiering_epoch(self.recorder.as_mut());
             }
         }
     }
 
     /// The chunk-close policy of every pipeline, so they can never disagree
     /// on boundaries: the walk's DRAM bytes or flops reached a chunk's worth.
-    /// An associated function over the fields it needs, so the batched
-    /// element walk can check it while its sink borrows the placements.
+    /// An associated function over the fields it needs, so the element walk
+    /// can check it while its sink borrows the placements.
     fn chunk_full(config: &MachineConfig, chunk: &Counters, dram_lines: u64) -> bool {
         dram_lines * config.cache.line_bytes >= config.chunk_bytes
             || chunk.flops >= config.chunk_flops
     }
 
-    fn maybe_close_chunk(&mut self) {
-        if Self::chunk_full(&self.config, &self.chunk, self.chunk_dram_lines) {
-            self.close_chunk();
-        }
-    }
-
-    /// The batched element walk of `access`, `gather_batch` and
-    /// `strided_batch`: the cache walks each element's lines in one call and
-    /// hands every DRAM transaction straight to the placements, with no
-    /// event queue and no per-line drain. The chunk-close decision follows
-    /// every element, as the per-line reference takes it after every access.
-    /// One sink serves the call, so traffic against one page from
-    /// consecutive elements reaches the placements as one record; it is
+    /// The element walk of `access`, `gather_batch` and `strided_batch`,
+    /// on either pipeline. Batched (the default), the cache walks each
+    /// element's lines in one call and hands every DRAM transaction straight
+    /// to the placements, with no event queue and no per-line drain; one sink
+    /// serves the call, so traffic against one page from consecutive
+    /// elements reaches the placements as one record. The per-line reference
+    /// walks each line on its own and flushes the sink after it. Either way
+    /// the chunk-close decision follows every element, and the sink is
     /// flushed before a chunk closes.
     fn walk_elements(
         &mut self,
@@ -706,6 +701,7 @@ impl Machine {
         let object_bytes = layout.object_bytes(handle);
         let base = layout.base_addr(handle);
         let is_write = kind.is_write();
+        let batched = self.batched;
         let mut sink = PlacementSink::new(&mut self.placements, &mut self.chunk_dram_lines);
         for offset in offsets {
             debug_assert!(
@@ -715,13 +711,21 @@ impl Machine {
             let addr = base + offset;
             let first_line = addr / CACHE_LINE_SIZE;
             let last_line = (addr + elem_bytes - 1) / CACHE_LINE_SIZE;
-            self.cache.demand_access_range(
-                first_line,
-                last_line - first_line + 1,
-                is_write,
-                &mut self.chunk,
-                &mut sink,
-            );
+            if batched {
+                self.cache.demand_access_range(
+                    first_line,
+                    last_line - first_line + 1,
+                    is_write,
+                    &mut self.chunk,
+                    &mut sink,
+                );
+            } else {
+                for line in first_line..=last_line {
+                    self.cache
+                        .demand_access(line, is_write, &mut self.chunk, &mut sink);
+                    sink.flush();
+                }
+            }
             if Self::chunk_full(&self.config, &self.chunk, *sink.dram_lines) {
                 // The sink's borrow of the placements ends with this flush
                 // (its last use), freeing `self` for the close.
@@ -731,24 +735,6 @@ impl Machine {
             }
         }
         sink.flush();
-    }
-
-    /// Frees an object, surfacing invalid frees (unknown handle, double
-    /// free) as a typed [`FreeError`] instead of aborting. The
-    /// [`MemoryEngine::free`] implementation panics on these errors to keep
-    /// the abort-on-programming-error contract workloads rely on; callers
-    /// that want to recover use this entry point.
-    pub fn try_free(&mut self, handle: ObjectHandle) -> Result<(), FreeError> {
-        // Close the chunk first so traffic before the free is timed with the
-        // placement that produced it.
-        self.close_chunk();
-        let mut result = Ok(());
-        for placement in &mut self.placements {
-            // Every placement saw the same allocations and frees, so each
-            // returns the same result.
-            result = placement.space.free(handle);
-        }
-        result
     }
 }
 
@@ -775,9 +761,18 @@ impl MemoryEngine for Machine {
         handle.expect("a machine has a placement")
     }
 
+    /// Panics on an invalid free (unknown handle, double free): workloads
+    /// rely on a programming error aborting the run.
     fn free(&mut self, handle: ObjectHandle) {
-        if let Err(e) = self.try_free(handle) {
-            panic!("{e}");
+        // Close the chunk first so traffic before the free is timed with the
+        // placement that produced it.
+        self.close_chunk();
+        for placement in &mut self.placements {
+            // Every placement saw the same allocations and frees, so each
+            // returns the same result.
+            if let Err(e) = placement.space.free(handle) {
+                panic!("{e}");
+            }
         }
     }
 
@@ -807,27 +802,7 @@ impl MemoryEngine for Machine {
         if bytes == 0 {
             return;
         }
-        if self.batched {
-            self.walk_elements(handle, std::iter::once(offset), bytes, kind);
-            return;
-        }
-        let layout = &self.placements[0].space;
-        let object_bytes = layout.object_bytes(handle);
-        debug_assert!(
-            offset + bytes <= object_bytes.max(dismem_trace::PAGE_SIZE),
-            "access beyond end of object (offset {offset} + {bytes} > {object_bytes})"
-        );
-        let base = layout.base_addr(handle) + offset;
-        let first_line = base / CACHE_LINE_SIZE;
-        let last_line = (base + bytes - 1) / CACHE_LINE_SIZE;
-        let is_write = kind.is_write();
-        let mut sink = PlacementSink::new(&mut self.placements, &mut self.chunk_dram_lines);
-        for line in first_line..=last_line {
-            self.cache
-                .demand_access(line, is_write, &mut self.chunk, &mut sink);
-            sink.flush();
-        }
-        self.maybe_close_chunk();
+        self.walk_elements(handle, std::iter::once(offset), bytes, kind);
     }
 
     fn gather_batch(
@@ -838,17 +813,6 @@ impl MemoryEngine for Machine {
         kind: AccessKind,
     ) {
         if elem_bytes == 0 || offsets.is_empty() {
-            return;
-        }
-        if !self.batched {
-            // Reference path: exactly the trait's default per-element loop.
-            #[allow(
-                clippy::disallowed_methods,
-                reason = "the per-line reference path is the trait's default per-element loop"
-            )]
-            for &off in offsets {
-                self.access(handle, off, elem_bytes, kind);
-            }
             return;
         }
         self.walk_elements(handle, offsets.iter().copied(), elem_bytes, kind);
@@ -866,18 +830,6 @@ impl MemoryEngine for Machine {
         if elem_bytes == 0 || count == 0 {
             return;
         }
-        if !self.batched {
-            let mut offset = start;
-            #[allow(
-                clippy::disallowed_methods,
-                reason = "the per-line reference path is the trait's default per-element loop"
-            )]
-            for _ in 0..count {
-                self.access(handle, offset, elem_bytes, kind);
-                offset += stride_bytes;
-            }
-            return;
-        }
         self.walk_elements(
             handle,
             (0..count).map(|i| start + i * stride_bytes),
@@ -888,7 +840,9 @@ impl MemoryEngine for Machine {
 
     fn flops(&mut self, n: u64) {
         self.chunk.flops += n;
-        self.maybe_close_chunk();
+        if Self::chunk_full(&self.config, &self.chunk, self.chunk_dram_lines) {
+            self.close_chunk();
+        }
     }
 }
 
@@ -1293,9 +1247,7 @@ mod tests {
             }),
             ("set_batched_access", |m| m.set_batched_access(true)),
             ("set_replay", |m| m.set_replay(true)),
-            ("set_recorder", |m| {
-                m.set_recorder(Box::new(dismem_trace::FlightRecorder::new()))
-            }),
+            ("set_recorder", |m| m.set_recorder(FlightRecorder::new())),
         ];
         // Allocating simulates nothing; an access starts the run, whether
         // its chunk is still open or already timed (a free closes it).
@@ -1406,12 +1358,11 @@ mod tests {
 
     #[test]
     fn recorded_run_is_bit_identical_and_captures_the_event_stream() {
-        use dismem_trace::FlightRecorder;
         let run = |record: bool| {
             let config = MachineConfig::test_config().with_local_capacity(40 * PAGE_SIZE);
             let mut m = Machine::new(config);
             if record {
-                m.set_recorder(Box::new(FlightRecorder::new()));
+                m.set_recorder(FlightRecorder::new());
             }
             m.set_tiering_spec(&hot_promote_policy());
             let cold = m.alloc("cold", "t", 40 * PAGE_SIZE);
@@ -1431,11 +1382,7 @@ mod tests {
         assert!(no_recorder.is_none());
         assert_eq!(recorded, unrecorded, "recording must not perturb the run");
 
-        let recorder = recorder
-            .expect("recorder comes back")
-            .into_any()
-            .downcast::<FlightRecorder>()
-            .expect("flight recorder");
+        let recorder = recorder.expect("recorder comes back");
         let events = recorder.events();
         assert!(!events.is_empty());
         let count = |name: &str| events.iter().filter(|e| e.name() == name).count() as u64;
@@ -1454,25 +1401,23 @@ mod tests {
         // Timestamps are monotone within the simulator stream.
         let stamps: Vec<u64> = events.iter().map(TraceEvent::timestamp).collect();
         assert!(stamps.windows(2).all(|w| w[0] <= w[1]));
-        // The metrics registry folded the same totals.
-        let metrics = recorder.metrics();
-        assert_eq!(
-            metrics.counter("sim.epochs_closed"),
-            recorded.tiering.epochs
-        );
-        assert_eq!(
-            metrics.counter("sim.migrated_pages_total"),
-            recorded.tiering.migrated_pages
-        );
+        // Each epoch close carries the pages its decision moved.
+        let migrated: u64 = events
+            .iter()
+            .filter_map(|e| match e {
+                TraceEvent::EpochClosed { migrated_pages, .. } => Some(*migrated_pages),
+                _ => None,
+            })
+            .sum();
+        assert_eq!(migrated, recorded.tiering.migrated_pages);
     }
 
     #[test]
     fn replay_transitions_are_recorded_with_reasons() {
-        use dismem_trace::FlightRecorder;
         let mut config = MachineConfig::test_config().with_local_capacity(700 * PAGE_SIZE);
         config.cache = crate::config::CacheParams::scaled_emulation();
         let mut m = Machine::new(config);
-        m.set_recorder(Box::new(FlightRecorder::new()));
+        m.set_recorder(FlightRecorder::new());
         let bytes = 4 << 20;
         let a = m.alloc("stream", "t", bytes);
         m.phase_start("p");
@@ -1481,12 +1426,7 @@ mod tests {
         m.read(a, 0, bytes);
         m.phase_end();
         m.finish();
-        let recorder = m
-            .take_recorder()
-            .expect("recorder installed")
-            .into_any()
-            .downcast::<FlightRecorder>()
-            .expect("flight recorder");
+        let recorder = m.take_recorder().expect("recorder installed");
         let engaged = recorder
             .events()
             .iter()
@@ -1499,23 +1439,6 @@ mod tests {
                 assert_eq!(reason, "pattern-break");
             }
         }
-        assert_eq!(recorder.metrics().counter("replay.engaged"), engaged as u64);
-    }
-
-    #[test]
-    fn try_free_surfaces_typed_errors() {
-        let mut m = Machine::new(MachineConfig::test_config());
-        let a = m.alloc("A", "t", PAGE_SIZE);
-        m.touch(a, PAGE_SIZE);
-        m.try_free(a).unwrap();
-        assert!(matches!(
-            m.try_free(a),
-            Err(crate::address_space::FreeError::DoubleFree { .. })
-        ));
-        assert!(matches!(
-            m.try_free(ObjectHandle(99)),
-            Err(crate::address_space::FreeError::UnknownHandle(_))
-        ));
     }
 
     #[test]

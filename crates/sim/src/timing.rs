@@ -69,11 +69,6 @@ impl TimingModel {
         Self { config, link }
     }
 
-    /// The underlying machine configuration.
-    pub fn config(&self) -> &MachineConfig {
-        &self.config
-    }
-
     /// The link model.
     pub fn link(&self) -> &LinkModel {
         &self.link

@@ -279,6 +279,13 @@ mod tests {
         assert!(validate_jsonl(unknown).is_err());
         let gap = "{\"seq\":1,\"event\":{\"TierSpill\":{\"app_lines\":1,\"pages\":1}}}";
         assert!(validate_jsonl(gap).is_err());
+        let scalar_payload = "{\"seq\":0,\"event\":{\"TierSpill\":[1,1]}}";
+        assert!(validate_jsonl(scalar_payload).is_err());
+        let string_seq = "{\"seq\":\"0\",\"event\":{\"TierSpill\":{\"app_lines\":1,\"pages\":1}}}";
+        assert!(validate_jsonl(string_seq).is_err());
+        let two_variants = "{\"seq\":0,\"event\":{\"TierSpill\":{\"app_lines\":1,\"pages\":1},\
+                            \"ReplayEngaged\":{\"app_lines\":1,\"mode\":\"Window\"}}}";
+        assert!(validate_jsonl(two_variants).is_err());
     }
 
     #[test]

@@ -1,23 +1,23 @@
-//! The deterministic flight recorder: typed trace events, the [`Recorder`]
-//! sink trait, and the in-memory [`FlightRecorder`].
+//! The deterministic flight recorder: typed trace events and the
+//! [`FlightRecorder`] that keeps them.
 //!
 //! Every event is timestamped by *simulated* clocks only — application DRAM
 //! lines, the tiering epoch ordinal, or the campaign cell index — never by a
 //! wall clock, so a recorded trace is itself a bit-reproducible artifact:
 //! two runs of the same configuration emit byte-identical traces.
 //!
-//! Emission is read-only by construction: recorders observe the engine, they
-//! never feed anything back into it, and a recorded run's `RunReport` is
+//! Emission is read-only by construction: the recorder observes the engine,
+//! it never feeds anything back into it, and a recorded run's `RunReport` is
 //! bit-identical to an unrecorded one (proptest-pinned in
-//! `tests/properties.rs`). The sanctioned emission points are the same choke
-//! points the workspace's standing contracts already pin — chunk closes,
-//! migration applies, replay mode transitions, and the campaign work-queue —
-//! and clippy's `disallowed-methods` entry for [`Recorder::record_event`]
-//! keeps the list closed: each emission point carries a justified allow.
+//! `tests/properties.rs`). The event list is the only record: a count or
+//! total of a run's events is a fold over [`FlightRecorder::events`]. The
+//! sanctioned emission points are the same choke points the workspace's
+//! standing contracts already pin — chunk closes, migration applies, replay
+//! mode transitions, and the campaign work-queue — and clippy's
+//! `disallowed-methods` entry for [`FlightRecorder::record_event`] keeps the
+//! list closed: each emission point carries a justified allow.
 
-use crate::metrics::MetricsRegistry;
 use serde::Serialize;
-use std::any::Any;
 
 /// Memory tier named by a trace event.
 ///
@@ -202,27 +202,16 @@ impl TraceEvent {
     }
 }
 
-/// A sink for trace events.
+/// The flight recorder: every event in emission order, the run's only
+/// record. The engine only constructs events when a recorder is installed,
+/// so the default unrecorded configuration allocates nothing on the
+/// simulation path.
 ///
-/// Implementations must be passive: `record_event` may not influence the
-/// caller in any way (the recorded-run bit-identity proptest enforces this
-/// for the shipped recorders). The engine only constructs events when a
-/// recorder is installed, so the default un-recorded configuration allocates
-/// nothing on the simulation path.
-pub trait Recorder {
-    /// Record one event.
-    fn record_event(&mut self, event: TraceEvent);
-
-    /// Recover the concrete recorder after the engine is done with it.
-    fn into_any(self: Box<Self>) -> Box<dyn Any>;
-}
-
-/// The in-memory flight recorder: keeps every event in emission order and
-/// folds each one into a deterministic [`MetricsRegistry`].
+/// Recording is passive: `record_event` never influences its caller (the
+/// recorded-run bit-identity proptest enforces this).
 #[derive(Debug, Default)]
 pub struct FlightRecorder {
     events: Vec<TraceEvent>,
-    metrics: MetricsRegistry,
 }
 
 impl FlightRecorder {
@@ -231,110 +220,25 @@ impl FlightRecorder {
         Self::default()
     }
 
+    /// Record one event.
+    pub fn record_event(&mut self, event: TraceEvent) {
+        self.events.push(event);
+    }
+
     /// The recorded events, in emission order.
     pub fn events(&self) -> &[TraceEvent] {
         &self.events
     }
 
-    /// The metrics registry fed by the recorded events.
-    pub fn metrics(&self) -> &MetricsRegistry {
-        &self.metrics
-    }
-
-    /// Decompose into the event list and the metrics registry.
-    pub fn into_parts(self) -> (Vec<TraceEvent>, MetricsRegistry) {
-        (self.events, self.metrics)
-    }
-}
-
-impl Recorder for FlightRecorder {
-    fn record_event(&mut self, event: TraceEvent) {
-        self.metrics.inc_counter("trace.events_total", 1);
-        match &event {
-            TraceEvent::EpochClosed {
-                hot_pages,
-                migrated_pages,
-                ..
-            } => {
-                self.metrics.inc_counter("sim.epochs_closed", 1);
-                self.metrics
-                    .inc_counter("sim.migrated_pages_total", *migrated_pages);
-                self.metrics.set_gauge("sim.hot_pages", *hot_pages as f64);
-                self.metrics.observe("sim.epoch_hot_pages", *hot_pages);
-            }
-            TraceEvent::MigrationApplied { .. } => {
-                self.metrics.inc_counter("sim.migrations_applied", 1);
-            }
-            TraceEvent::ReplayEngaged { .. } => {
-                self.metrics.inc_counter("replay.engaged", 1);
-            }
-            TraceEvent::ReplayExited { .. } => {
-                self.metrics.inc_counter("replay.exited", 1);
-            }
-            TraceEvent::TierSpill { pages, .. } => {
-                self.metrics.inc_counter("sim.spilled_pages_total", *pages);
-            }
-            TraceEvent::CampaignCellStarted { .. } => {
-                self.metrics.inc_counter("campaign.cells_started", 1);
-            }
-            TraceEvent::CampaignCellFinished { attempt, ok, .. } => {
-                let key = if *ok {
-                    "campaign.cells_completed"
-                } else {
-                    "campaign.cells_failed"
-                };
-                self.metrics.inc_counter(key, 1);
-                self.metrics
-                    .observe("campaign.cell_attempts", u64::from(*attempt));
-            }
-            TraceEvent::CampaignCellRetried { .. } => {
-                self.metrics.inc_counter("campaign.cells_retried", 1);
-            }
-            TraceEvent::CampaignCellQuarantined { .. } => {
-                self.metrics.inc_counter("campaign.cells_quarantined", 1);
-            }
-            TraceEvent::JournalRecordRejected { .. } => {
-                self.metrics.inc_counter("journal.records_rejected", 1);
-            }
-        }
-        self.events.push(event);
-    }
-
-    fn into_any(self: Box<Self>) -> Box<dyn Any> {
-        self
+    /// The recorded events, in emission order, by value.
+    pub fn into_events(self) -> Vec<TraceEvent> {
+        self.events
     }
 }
 
 #[cfg(test)]
-#[allow(clippy::disallowed_methods, reason = "tests feed the recorder")]
 mod tests {
     use super::*;
-
-    #[test]
-    fn events_fold_into_metrics() {
-        let mut rec = FlightRecorder::new();
-        rec.record_event(TraceEvent::EpochClosed {
-            epoch: 1,
-            app_lines: 100,
-            hot_pages: 4,
-            dwell_epochs: 0,
-            hot_set_shifts: 0,
-            migrated_pages: 2,
-        });
-        rec.record_event(TraceEvent::MigrationApplied {
-            epoch: 1,
-            app_lines: 100,
-            page: 7,
-            from: TraceTier::Pool,
-            to: TraceTier::Local,
-        });
-        assert_eq!(rec.events().len(), 2);
-        let snap = rec.metrics().snapshot();
-        assert_eq!(snap.counters.get("sim.epochs_closed"), Some(&1));
-        assert_eq!(snap.counters.get("sim.migrations_applied"), Some(&1));
-        assert_eq!(snap.counters.get("sim.migrated_pages_total"), Some(&2));
-        assert_eq!(snap.counters.get("trace.events_total"), Some(&2));
-    }
 
     #[test]
     fn semantic_split_matches_the_pipeline_contract() {
@@ -348,19 +252,5 @@ mod tests {
         };
         assert!(semantic.is_semantic());
         assert!(!diagnostic.is_semantic());
-    }
-
-    #[test]
-    fn recorder_round_trips_through_any() {
-        let mut rec: Box<dyn Recorder> = Box::new(FlightRecorder::new());
-        rec.record_event(TraceEvent::TierSpill {
-            app_lines: 5,
-            pages: 3,
-        });
-        let concrete = rec
-            .into_any()
-            .downcast::<FlightRecorder>()
-            .expect("flight recorder comes back");
-        assert_eq!(concrete.events().len(), 1);
     }
 }

@@ -12,11 +12,10 @@
 //! but also the lightweight recorder in this crate for unit testing.
 //!
 //! The crate is also the workspace's **flight recorder** ([`flight`],
-//! [`metrics`], [`export`]): a typed [`TraceEvent`] stream stamped by
-//! simulated clocks only, the passive [`Recorder`] sink trait (an engine
-//! with no recorder installed constructs no events) and the in-memory
-//! [`FlightRecorder`], a deterministic [`MetricsRegistry`], and JSONL /
-//! Chrome-trace exporters.
+//! [`export`]): a typed [`TraceEvent`] stream stamped by simulated clocks
+//! only, kept in emission order by the [`FlightRecorder`] (an engine with no
+//! recorder installed constructs no events), and JSONL / Chrome-trace
+//! exporters of that list.
 //! See `docs/ARCHITECTURE.md` §7 for the observability contract.
 
 #![warn(missing_docs)]
@@ -28,7 +27,6 @@ pub mod engine;
 pub mod export;
 pub mod flight;
 pub mod histogram;
-pub mod metrics;
 pub mod recorder;
 
 pub use access::{AccessKind, CACHE_LINE_SIZE, PAGE_SIZE};
@@ -36,9 +34,6 @@ pub use alloc::{AllocationRecord, ObjectHandle, PlacementPolicy};
 pub use digest::fnv1a64;
 pub use engine::MemoryEngine;
 pub use export::{schema_json, to_chrome_trace, to_jsonl, validate_jsonl};
-pub use flight::{FlightRecorder, Recorder, ReplayMode, TraceEvent, TraceTier};
+pub use flight::{FlightRecorder, ReplayMode, TraceEvent, TraceTier};
 pub use histogram::PageHistogram;
-pub use metrics::{
-    Histogram, HistogramBucket, HistogramSnapshot, MetricsRegistry, MetricsSnapshot,
-};
 pub use recorder::{TraceRecorder, TraceStats};

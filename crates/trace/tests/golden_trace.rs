@@ -136,6 +136,25 @@ fn golden_jsonl_validates_against_the_schema() {
     );
 }
 
+/// Hostile input: every byte prefix of the golden stream. A cut where a
+/// line's text ends (before or after its newline) validates the complete
+/// lines; a cut inside a line is an error, never a panic.
+#[test]
+fn every_prefix_of_the_golden_jsonl_validates_or_errs() {
+    let bytes = GOLDEN_JSONL.as_bytes();
+    for cut in 0..=bytes.len() {
+        let prefix = &GOLDEN_JSONL[..cut];
+        let at_line_end = cut == 0 || bytes[cut - 1] == b'\n' || bytes.get(cut) == Some(&b'\n');
+        let result = std::panic::catch_unwind(|| validate_jsonl(prefix))
+            .unwrap_or_else(|_| panic!("validate_jsonl panicked on the {cut}-byte prefix"));
+        if at_line_end {
+            assert_eq!(result, Ok(prefix.lines().count() as u64), "cut at {cut}");
+        } else {
+            assert!(result.is_err(), "cut at {cut} inside a line: {result:?}");
+        }
+    }
+}
+
 #[test]
 fn committed_schema_file_is_current() {
     assert_eq!(

@@ -4,7 +4,7 @@ use dismem::analysis::{five_number_summary, percentile, Roofline};
 use dismem::sim::tiering::{HotPromote, PeriodicRebalance};
 use dismem::sim::timing::TimeBreakdown;
 use dismem::sim::{
-    Counters, InterferenceProfile, Machine, MachineConfig, TieringSpec, TimingModel,
+    Counters, InterferenceProfile, LinkModel, Machine, MachineConfig, TieringSpec, TimingModel,
 };
 use dismem::trace::{
     AccessKind, FlightRecorder, MemoryEngine, PageHistogram, PlacementPolicy, TraceEvent, PAGE_SIZE,
@@ -939,18 +939,14 @@ fn run_tiered_recorded(
     let mut m = Machine::new(config.clone());
     pipeline.configure(&mut m);
     m.set_tiering_spec(spec);
-    m.set_recorder(Box::new(FlightRecorder::new()));
+    m.set_recorder(FlightRecorder::new());
     body(&mut m);
     let report = m.finish();
     assert_counter_identities(&report);
     let recorder = m
         .take_recorder()
-        .expect("recorder installed above survives the run")
-        .into_any()
-        .downcast::<FlightRecorder>()
-        .expect("flight recorder comes back");
-    let (events, _metrics) = recorder.into_parts();
-    (report, events)
+        .expect("recorder installed above survives the run");
+    (report, recorder.into_events())
 }
 
 proptest! {
@@ -1234,8 +1230,6 @@ proptest! {
         let profile = InterferenceProfile::schedule(epochs.clone());
         let loi = profile.loi_at(t);
         prop_assert!((0.0..=1.0).contains(&loi));
-        let avg = profile.average_loi(100.0);
-        prop_assert!((0.0..=1.0).contains(&avg));
     }
 }
 
@@ -1291,10 +1285,14 @@ fn breakdown_bits(b: &TimeBreakdown) -> [u64; 6] {
 
 /// The timing kernel for one level of interference as a plain scalar
 /// bisection that always takes all 60 steps, with no skip for an empty
-/// bracket. Returns the breakdown and whether the bracket was open.
-fn reference_chunk_time(model: &TimingModel, chunk: &Counters, loi: f64) -> (TimeBreakdown, bool) {
-    let config = model.config();
-    let link = model.link();
+/// bracket, on its own link model of `config`. Returns the breakdown and
+/// whether the bracket was open.
+fn reference_chunk_time(
+    config: &MachineConfig,
+    chunk: &Counters,
+    loi: f64,
+) -> (TimeBreakdown, bool) {
+    let link = LinkModel::new(config.link);
     let line = config.cache.line_bytes;
     let bytes_local = (chunk.bytes_local(line) + chunk.migration_lines_local * line) as f64;
     let bytes_pool = (chunk.bytes_pool(line) + chunk.migration_lines_pool * line) as f64;
@@ -1365,7 +1363,7 @@ fn chunk_times_blocks_with_and_without_open_brackets_match_the_reference() {
     for (block, (block_lois, kind)) in blocks.iter().enumerate() {
         let open: Vec<bool> = block_lois
             .iter()
-            .map(|&loi| reference_chunk_time(&model, &chunk, loi).1)
+            .map(|&loi| reference_chunk_time(&MachineConfig::test_config(), &chunk, loi).1)
             .collect();
         let expected = match *kind {
             "closed" => !open.contains(&true),
@@ -1374,7 +1372,8 @@ fn chunk_times_blocks_with_and_without_open_brackets_match_the_reference() {
         };
         assert!(expected, "block {block} is not {kind}: {open:?}");
         for (lane, &loi) in block_lois.iter().enumerate() {
-            let reference = breakdown_bits(&reference_chunk_time(&model, &chunk, loi).0);
+            let reference =
+                breakdown_bits(&reference_chunk_time(&MachineConfig::test_config(), &chunk, loi).0);
             assert_eq!(
                 breakdown_bits(&out[block * 8 + lane]),
                 reference,
@@ -1465,7 +1464,7 @@ proptest! {
         let mut out = vec![TimeBreakdown::default(); lois.len()];
         model.chunk_times(&chunk, &lois, &mut out);
         for (&loi, lane) in lois.iter().zip(&out) {
-            let reference = breakdown_bits(&reference_chunk_time(&model, &chunk, loi).0);
+            let reference = breakdown_bits(&reference_chunk_time(&MachineConfig::test_config(), &chunk, loi).0);
             prop_assert_eq!(breakdown_bits(lane), reference, "LoI {} among {} lanes", loi, lois.len());
             prop_assert_eq!(breakdown_bits(&model.chunk_time(&chunk, loi)), reference, "LoI {}", loi);
         }
