@@ -588,6 +588,12 @@ fn traced_campaign_is_bit_identical_and_emits_the_cell_lifecycle() {
     };
     assert_eq!(count("CampaignCellStarted"), CELLS + 1, "one retry attempt");
     assert_eq!(count("CampaignCellFinished"), CELLS);
+    let completed = recorder
+        .events()
+        .iter()
+        .filter(|e| matches!(e, TraceEvent::CampaignCellFinished { ok: true, .. }))
+        .count() as u64;
+    assert_eq!(completed, CELLS, "every cell finished ok");
     assert_eq!(count("CampaignCellRetried"), 1);
     assert_eq!(count("CampaignCellQuarantined"), 0);
 

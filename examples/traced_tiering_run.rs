@@ -1,7 +1,7 @@
 //! Flight-recorded dynamic-tiering run: one workload, full observability.
 //!
 //! Runs the phase-shifting working-set workload under the hot-promotion
-//! policy with a [`FlightRecorder`] attached, then:
+//! policy with a `dismem::trace::FlightRecorder` attached, then:
 //!
 //! 1. proves the recorder is **read-only** by byte-comparing the recorded
 //!    run's report against an unrecorded run of the same configuration;

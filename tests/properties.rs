@@ -1344,7 +1344,8 @@ fn reference_chunk_time(
 /// bisects, and one mixing both. Every lane equals the reference.
 #[test]
 fn chunk_times_blocks_with_and_without_open_brackets_match_the_reference() {
-    let model = TimingModel::new(MachineConfig::test_config());
+    let config = MachineConfig::test_config();
+    let model = TimingModel::new(config.clone());
     let chunk = Counters {
         dram_lines_pool: 1_000_000,
         demand_dram_lines_pool: 9_000,
@@ -1363,7 +1364,7 @@ fn chunk_times_blocks_with_and_without_open_brackets_match_the_reference() {
     for (block, (block_lois, kind)) in blocks.iter().enumerate() {
         let open: Vec<bool> = block_lois
             .iter()
-            .map(|&loi| reference_chunk_time(&MachineConfig::test_config(), &chunk, loi).1)
+            .map(|&loi| reference_chunk_time(&config, &chunk, loi).1)
             .collect();
         let expected = match *kind {
             "closed" => !open.contains(&true),
@@ -1372,8 +1373,7 @@ fn chunk_times_blocks_with_and_without_open_brackets_match_the_reference() {
         };
         assert!(expected, "block {block} is not {kind}: {open:?}");
         for (lane, &loi) in block_lois.iter().enumerate() {
-            let reference =
-                breakdown_bits(&reference_chunk_time(&MachineConfig::test_config(), &chunk, loi).0);
+            let reference = breakdown_bits(&reference_chunk_time(&config, &chunk, loi).0);
             assert_eq!(
                 breakdown_bits(&out[block * 8 + lane]),
                 reference,
@@ -1459,12 +1459,13 @@ proptest! {
         background in (0u64..1 << 22, 0u64..1 << 22, 0u64..1 << 20, 0u64..1 << 20),
         lois in prop::collection::vec(-0.5f64..1.5, 1..21),
     ) {
-        let model = TimingModel::new(MachineConfig::test_config());
+        let config = MachineConfig::test_config();
+        let model = TimingModel::new(config.clone());
         let chunk = timing_chunk(shape, traffic, background);
         let mut out = vec![TimeBreakdown::default(); lois.len()];
         model.chunk_times(&chunk, &lois, &mut out);
         for (&loi, lane) in lois.iter().zip(&out) {
-            let reference = breakdown_bits(&reference_chunk_time(&MachineConfig::test_config(), &chunk, loi).0);
+            let reference = breakdown_bits(&reference_chunk_time(&config, &chunk, loi).0);
             prop_assert_eq!(breakdown_bits(lane), reference, "LoI {} among {} lanes", loi, lois.len());
             prop_assert_eq!(breakdown_bits(&model.chunk_time(&chunk, loi)), reference, "LoI {}", loi);
         }
